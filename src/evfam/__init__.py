@@ -46,7 +46,6 @@ from .intseq import (
     finitely_change,
     gap,
     intersection,
-    member,
     union,
 )
 from .multisets import CoGapMultifamily, GapMultifamily, level_family, multiset_limit
@@ -64,7 +63,6 @@ __all__ = [
     "finitely_change",
     "gap",
     "intersection",
-    "member",
     "union",
     "CofiniteFamily",
     "CoGapLevelFamily",

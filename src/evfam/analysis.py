@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfp import Trace
-from .intseq import ExtNat, INF
+from .intseq import ExtNat, INF, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
 DEFAULT_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -58,16 +58,6 @@ class FollowsReport:
         return self.ok
 
 
-def _coverage_constant(positions, length):
-    """Smallest w such that every window of w consecutive step indices in
-    range(length) contains one of the positions."""
-    worst = positions[0] + 1
-    worst = max(worst, length - positions[-1])
-    for a, b in zip(positions, positions[1:]):
-        worst = max(worst, b - a)
-    return worst
-
-
 def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     """Reports the adjacent-witness criterion: steps q where x_{q+1} is the
     recorded update of x_q under this operator.
@@ -76,8 +66,9 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     unit steps.  min_c is the smallest window length such that every window
     of that many consecutive steps contains a witness.
     """
+    criterion = "relaxed" if relaxed else "strict"
     if trace.n_steps < 1:
-        return FollowsReport(label, "relaxed" if relaxed else "strict", c, None, False, ())
+        return FollowsReport(label, criterion, c, None, False, ())
     witnesses = []
     for q in range(trace.n_steps):
         lam = trace.relaxations[q]
@@ -91,12 +82,10 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
         if float(np.linalg.norm(trace.iterates[q + 1] - target)) <= tol:
             witnesses.append((q, q + 1))
     if not witnesses:
-        return FollowsReport(label, "relaxed" if relaxed else "strict", c, None, False, ())
-    min_c = _coverage_constant([q for q, _ in witnesses], trace.n_steps)
+        return FollowsReport(label, criterion, c, None, False, ())
+    min_c = window_cover([q for q, _ in witnesses], trace.n_steps)
     ok = min_c <= c if c is not None else True
-    return FollowsReport(
-        label, "relaxed" if relaxed else "strict", c, min_c, ok, tuple(witnesses)
-    )
+    return FollowsReport(label, criterion, c, min_c, ok, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +107,6 @@ def _cluster_tail(tail, eps):
     return reps, assignments
 
 
-def _segment_lengths(assignments, k):
-    runs = []
-    count = 0
-    for a in assignments:
-        if a == k:
-            count += 1
-        elif count:
-            runs.append(count)
-            count = 0
-    if count:
-        runs.append(count)
-    return runs
-
-
 def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
     """Cluster representatives the tail keeps returning to.
 
@@ -149,7 +124,7 @@ def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
     threshold = min(len(tail), max(2, math.ceil(len(tail) / 2)))
     out = []
     for k in range(len(reps)):
-        runs = _segment_lengths(assignments, k)
+        runs = _run_lengths([a == k for a in assignments])
         holds_final = assignments[-1] == k
         settled = holds_final and runs[-1] >= threshold
         if len(runs) >= 3 or settled:

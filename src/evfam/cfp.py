@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .intseq import window_cover
+
 FIX_TOL = 1e-9
 
 
@@ -57,10 +59,9 @@ class Operator:
         return self.fix_residual(x) <= tol
 
 
-class Halfspace(Operator):
-    """Projection onto {u : <a,u> <= b}."""
-
-    kind = "halfspace"
+class _AffineCut(Operator):
+    """Data shared by the half-space and hyperplane projections: a nonzero
+    normal vector a and an offset b."""
 
     def __init__(self, a, b):
         a = _vec(a)
@@ -70,6 +71,15 @@ class Halfspace(Operator):
             raise ValueError("the normal vector must be nonzero")
         self.a = a
         self.b = float(b)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(a={self.a.tolist()}, b={self.b})"
+
+
+class Halfspace(_AffineCut):
+    """Projection onto {u : <a,u> <= b}."""
+
+    kind = "halfspace"
 
     def apply(self, x):
         slack = float(self.a @ x) - self.b
@@ -77,29 +87,14 @@ class Halfspace(Operator):
             return x
         return x - (slack / self.norm2) * self.a
 
-    def __repr__(self):
-        return f"Halfspace(a={self.a.tolist()}, b={self.b})"
 
-
-class Hyperplane(Operator):
+class Hyperplane(_AffineCut):
     """Projection onto {u : <a,u> = b}."""
 
     kind = "hyperplane"
 
-    def __init__(self, a, b):
-        a = _vec(a)
-        super().__init__(a.shape[0])
-        self.norm2 = float(a @ a)
-        if self.norm2 == 0.0:
-            raise ValueError("the normal vector must be nonzero")
-        self.a = a
-        self.b = float(b)
-
     def apply(self, x):
         return x - ((float(self.a @ x) - self.b) / self.norm2) * self.a
-
-    def __repr__(self):
-        return f"Hyperplane(a={self.a.tolist()}, b={self.b})"
 
 
 class Ball(Operator):
@@ -276,10 +271,6 @@ class Relaxed(Operator):
         return f"Relaxed({self.inner!r}, lam={self.lam})"
 
 
-def apply_operator(op, x):
-    return op(x)
-
-
 def relax(op, lam):
     return Relaxed(op, lam)
 
@@ -333,19 +324,26 @@ class CyclicControl(Control):
         return f"CyclicControl(m={self.m})"
 
 
+def _labels(labels, m, what):
+    """Nonempty 1-based labels as a tuple, and the operator count m they
+    range over (their maximum when m is not given)."""
+    labels = tuple(int(i) for i in labels)
+    if not labels:
+        raise ValueError(f"the {what} must be nonempty")
+    m = int(m) if m is not None else max(labels)
+    for i in labels:
+        if not 1 <= i <= m:
+            raise ValueError(f"label {i} outside 1..{m}")
+    return labels, m
+
+
 class AlmostCyclicControl(Control):
     """A finite pattern of 1-based labels repeated forever."""
 
     kind = "almost_cyclic"
 
     def __init__(self, pattern, m=None):
-        self.pattern = tuple(int(i) for i in pattern)
-        if not self.pattern:
-            raise ValueError("the pattern must be nonempty")
-        self.m = int(m) if m is not None else max(self.pattern)
-        for i in self.pattern:
-            if not 1 <= i <= self.m:
-                raise ValueError(f"label {i} outside 1..{self.m}")
+        self.pattern, self.m = _labels(pattern, m, "pattern")
 
     def label(self, n):
         return self.pattern[n % len(self.pattern)]
@@ -360,13 +358,7 @@ class ExplicitControl(Control):
     kind = "explicit"
 
     def __init__(self, indices, m=None):
-        self.indices = tuple(int(i) for i in indices)
-        if not self.indices:
-            raise ValueError("the index list must be nonempty")
-        self.m = int(m) if m is not None else max(self.indices)
-        for i in self.indices:
-            if not 1 <= i <= self.m:
-                raise ValueError(f"label {i} outside 1..{self.m}")
+        self.indices, self.m = _labels(indices, m, "index list")
 
     def label(self, n):
         if n >= len(self.indices):
@@ -379,19 +371,12 @@ class ExplicitControl(Control):
 
 def _window_constant(labels, m, cyclic):
     """Smallest window length covering every label, by gap analysis."""
-    L = len(labels)
     worst = 0
     for j in range(1, m + 1):
         pos = [k for k, i in enumerate(labels) if i == j]
         if not pos:
             raise ValueError(f"operator {j} never appears: no finite window constant")
-        if cyclic:
-            gaps = [b - a for a, b in zip(pos, pos[1:])]
-            gaps.append(pos[0] + L - pos[-1])
-        else:
-            gaps = [pos[0] + 1, L - pos[-1]]
-            gaps.extend(b - a for a, b in zip(pos, pos[1:]))
-        worst = max(worst, max(gaps))
+        worst = max(worst, window_cover(pos, len(labels), cyclic))
     return worst
 
 
@@ -558,13 +543,19 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
 
 def replay_trace(ops, trace):
     """Re-executes the recurrence over a stored trace; returns the largest
-    deviation from the recorded iterates."""
+    deviation from the recorded iterates and step residuals.  The iterates
+    must share the start point's dimension, as acsa_run and
+    trace_from_records guarantee; a label outside 1..m is an error."""
     x = _vec(trace.iterates[0], ops[0].dim)
     worst = 0.0
     for k, (label, lam) in enumerate(zip(trace.controls, trace.relaxations)):
-        x = x + lam * (ops[label - 1].apply(x) - x)
-        dev = float(np.linalg.norm(x - _vec(trace.iterates[k + 1], ops[0].dim)))
-        worst = max(worst, dev)
+        if not 1 <= label <= len(ops):
+            raise ValueError(f"step {k + 1} names operator {label}, outside 1..{len(ops)}")
+        step = ops[label - 1].apply(x) - x
+        x = x + lam * step
+        dev = float(np.linalg.norm(x - trace.iterates[k + 1]))
+        res_dev = abs(float(np.linalg.norm(step)) - trace.residuals[k])
+        worst = max(worst, dev, res_dev)
     return worst
 
 
@@ -616,93 +607,84 @@ def random_almost_cyclic_pattern(m, rng):
 # JSON
 
 
+# kind -> the class and, in constructor order, each JSON field with the
+# attribute that holds it; an "inner" field holds a nested operator
+_OPERATOR_JSON = {
+    "halfspace": (Halfspace, {"a": "a", "b": "b"}),
+    "hyperplane": (Hyperplane, {"a": "a", "b": "b"}),
+    "ball": (Ball, {"center": "center", "radius": "radius"}),
+    "box": (Box, {"lo": "lo", "hi": "hi"}),
+    "affine": (AffineEquality, {"A": "A", "d": "d"}),
+    "subgradient_projector": (SubgradientProjector, {"slopes": "slopes", "offsets": "offsets"}),
+    "firmly_nonexpansive_avg": (Averaged, {"inner": "inner"}),
+    "relaxed": (Relaxed, {"inner": "inner", "lambda": "lam"}),
+}
+_CONTROL_JSON = {
+    "cyclic": (CyclicControl, {}),
+    "almost_cyclic": (AlmostCyclicControl, {"pattern": "pattern"}),
+    "explicit": (ExplicitControl, {"indices": "indices"}),
+}
+_RELAXATION_JSON = {
+    "constant": (ConstantRelaxation, {"value": "value"}),
+    "cyclic": (CyclicRelaxation, {"values": "values"}),
+}
+
+
+def _to_json(table, what, obj):
+    if obj.kind not in table:
+        raise ValueError(f"{what} kind {obj.kind!r} has no JSON form")
+    out = {"kind": obj.kind}
+    for key, attr in table[obj.kind][1].items():
+        value = getattr(obj, attr)
+        # arrays, tuples and floats all become plain JSON lists and numbers
+        out[key] = operator_to_json(value) if key == "inner" else np.asarray(value).tolist()
+    return out
+
+
+def _from_json(table, what, obj, normalize=False):
+    """The class of ``obj``'s kind and its constructor arguments."""
+    kind = obj["kind"]
+    if kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    cls, fields = table[kind]
+    args = [
+        operator_from_json(obj[key], normalize) if key == "inner" else obj[key]
+        for key in fields
+    ]
+    return cls, args
+
+
 def operator_to_json(op):
-    if isinstance(op, Halfspace):
-        return {"kind": "halfspace", "a": op.a.tolist(), "b": op.b}
-    if isinstance(op, Hyperplane):
-        return {"kind": "hyperplane", "a": op.a.tolist(), "b": op.b}
-    if isinstance(op, Ball):
-        return {"kind": "ball", "center": op.center.tolist(), "radius": op.radius}
-    if isinstance(op, Box):
-        return {"kind": "box", "lo": op.lo.tolist(), "hi": op.hi.tolist()}
-    if isinstance(op, AffineEquality):
-        return {"kind": "affine", "A": op.A.tolist(), "d": op.d.tolist()}
-    if isinstance(op, SubgradientProjector):
-        return {
-            "kind": "subgradient_projector",
-            "slopes": op.slopes.tolist(),
-            "offsets": op.offsets.tolist(),
-        }
-    if isinstance(op, Averaged):
-        return {"kind": "firmly_nonexpansive_avg", "inner": operator_to_json(op.inner)}
-    if isinstance(op, Relaxed):
-        return {"kind": "relaxed", "inner": operator_to_json(op.inner), "lambda": op.lam}
-    raise ValueError(f"operator kind {op.kind!r} has no JSON form")
+    return _to_json(_OPERATOR_JSON, "operator", op)
 
 
 def operator_from_json(obj, normalize=False):
-    kind = obj["kind"]
-    if kind == "halfspace" or kind == "hyperplane":
-        a = np.asarray(obj["a"], dtype=float)
-        b = float(obj["b"])
-        if normalize:
-            scale = np.linalg.norm(a)
-            if scale == 0:
-                raise ValueError("the normal vector must be nonzero")
-            a, b = a / scale, b / scale
-        cls = Halfspace if kind == "halfspace" else Hyperplane
-        return cls(a, b)
-    if kind == "ball":
-        return Ball(obj["center"], obj["radius"])
-    if kind == "box":
-        return Box(obj["lo"], obj["hi"])
-    if kind == "affine":
-        return AffineEquality(obj["A"], obj["d"])
-    if kind == "subgradient_projector":
-        return SubgradientProjector(obj["slopes"], obj["offsets"])
-    if kind == "firmly_nonexpansive_avg":
-        return Averaged(operator_from_json(obj["inner"], normalize))
-    if kind == "relaxed":
-        return Relaxed(operator_from_json(obj["inner"], normalize), obj["lambda"])
-    raise ValueError(f"unknown operator kind {kind!r}")
+    cls, args = _from_json(_OPERATOR_JSON, "operator", obj, normalize)
+    if normalize and cls in (Halfspace, Hyperplane):
+        a, b = np.asarray(args[0], dtype=float), float(args[1])
+        scale = np.linalg.norm(a)
+        if scale == 0:
+            raise ValueError("the normal vector must be nonzero")
+        args = [a / scale, b / scale]
+    return cls(*args)
 
 
 def control_to_json(ctrl):
-    if isinstance(ctrl, CyclicControl):
-        return {"kind": "cyclic"}
-    if isinstance(ctrl, AlmostCyclicControl):
-        return {"kind": "almost_cyclic", "pattern": list(ctrl.pattern)}
-    if isinstance(ctrl, ExplicitControl):
-        return {"kind": "explicit", "indices": list(ctrl.indices)}
-    raise ValueError(f"unknown control {ctrl!r}")
+    return _to_json(_CONTROL_JSON, "control", ctrl)
 
 
 def control_from_json(obj, m):
-    kind = obj["kind"]
-    if kind == "cyclic":
-        return CyclicControl(m)
-    if kind == "almost_cyclic":
-        return AlmostCyclicControl(obj["pattern"], m)
-    if kind == "explicit":
-        return ExplicitControl(obj["indices"], m)
-    raise ValueError(f"unknown control kind {kind!r}")
+    cls, args = _from_json(_CONTROL_JSON, "control", obj)
+    return cls(*args, m)
 
 
 def relaxation_to_json(sched):
-    if isinstance(sched, ConstantRelaxation):
-        return {"kind": "constant", "value": sched.value}
-    if isinstance(sched, CyclicRelaxation):
-        return {"kind": "cyclic", "values": list(sched.values)}
-    raise ValueError(f"unknown relaxation schedule {sched!r}")
+    return _to_json(_RELAXATION_JSON, "relaxation", sched)
 
 
 def relaxation_from_json(obj):
-    kind = obj["kind"]
-    if kind == "constant":
-        return ConstantRelaxation(obj["value"])
-    if kind == "cyclic":
-        return CyclicRelaxation(obj["values"])
-    raise ValueError(f"unknown relaxation kind {kind!r}")
+    cls, args = _from_json(_RELAXATION_JSON, "relaxation", obj)
+    return cls(*args)
 
 
 def problem_to_json(ops, ctrl, sched, x0, stop):
@@ -717,6 +699,8 @@ def problem_to_json(ops, ctrl, sched, x0, stop):
 
 
 def problem_from_json(obj, normalize=False):
+    if not isinstance(obj, dict):
+        raise ValueError("a problem is a JSON object")
     ops = [operator_from_json(o, normalize) for o in obj.get("operators", [])]
     if not ops:
         raise ValueError("the operator list is empty")
@@ -753,18 +737,31 @@ def trace_records(trace):
 
 
 def trace_from_records(records):
+    """Inverse of trace_records.  Every point must be finite and share the
+    start point's dimension, and every relaxation must lie in [0, 2]."""
     records = list(records)
+    if not all(isinstance(rec, dict) for rec in records):
+        raise ValueError("trace records must be JSON objects")
     if not records or records[0].get("n") != 0:
         raise ValueError("trace records must start at n = 0")
-    iterates = [np.asarray(records[0]["x"], dtype=float)]
+    iterates = [_vec(records[0]["x"])]
+    shape = iterates[0].shape
     controls, relaxations, residuals = [], [], []
     for k, rec in enumerate(records[1:], start=1):
         if rec.get("n") != k:
             raise ValueError(f"trace records out of order at {rec.get('n')!r}")
-        iterates.append(np.asarray(rec["x"], dtype=float))
+        x = np.asarray(rec["x"], dtype=float)
+        if x.shape != shape:
+            raise ValueError(f"point {k} has shape {x.shape}, the start point dimension {shape}")
+        lam = float(rec["lambda"])
+        if not 0.0 <= lam <= 2.0:
+            raise ValueError(f"relaxation {lam} at step {k} outside [0, 2]")
+        iterates.append(x)
         controls.append(int(rec["i"]))
-        relaxations.append(float(rec["lambda"]))
+        relaxations.append(lam)
         residuals.append(float(rec["res"]))
+    if not np.isfinite(iterates).all():
+        raise ValueError("trace points must be finite")
     return Trace(
         iterates=iterates,
         controls=controls,

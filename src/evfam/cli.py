@@ -28,6 +28,9 @@ from .intseq import EPSet, cogap
 
 REPLAY_TOL = 1e-12
 
+#: what reading a malformed problem or trace raises; each exits 1
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
 
 # ---------------------------------------------------------------------------
 # atomic artifact writers
@@ -105,7 +108,7 @@ def _warn_relaxation_bounds(sched):
 def cmd_solve(args):
     try:
         ops, ctrl, sched, x0, stop = _load_problem(args.problem, args.normalize)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except _INPUT_ERRORS as exc:
         return _fail(exc)
     _warn_relaxation_bounds(sched)
     try:
@@ -146,10 +149,9 @@ def cmd_analyze(args):
         ops, _, _, _, stop = _load_problem(args.problem, args.normalize)
         trace = _read_trace(args.trace)
         ladder = _parse_ladder(args.ladder)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        deviation = cfp.replay_trace(ops, trace)
+    except _INPUT_ERRORS as exc:
         return _fail(exc)
-
-    deviation = cfp.replay_trace(ops, trace)
     if deviation > REPLAY_TOL:
         return _fail(
             f"trace does not replay against the problem "
@@ -158,8 +160,7 @@ def cmd_analyze(args):
 
     # the iterate log does not carry the solver's verdict; recompute it
     # from the problem's own stop rule
-    final_residual = max(op.fix_residual(trace.final) for op in ops)
-    if final_residual <= stop.tol:
+    if cfp._max_residual(ops, trace.final) <= stop.tol:
         trace.converged = True
         trace.stop_reason = "converged"
 

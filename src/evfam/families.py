@@ -100,10 +100,20 @@ class Classification:
     finitely_insensitive: Verdict
 
 
+_PROPERTIES = ("eventual", "co_eventual", "filter", "finitely_insensitive")
+
+
 class Family:
-    """Base class: a family of subsets of ``ground`` answering membership."""
+    """Base class: a family of subsets of ``ground`` answering membership.
+
+    ``flags`` holds the property values known exactly by construction, None
+    where only sampling helps.  When every flag is known, ``classify``
+    reports them as exact verdicts, each false one with the counterexample
+    ``_witnesses`` gives for it.
+    """
 
     kind = "abstract"
+    flags = dict.fromkeys(_PROPERTIES)
 
     def __init__(self, ground=NATURALS):
         self.ground = as_ground(ground)
@@ -121,57 +131,46 @@ class Family:
     def __contains__(self, s):
         return self.contains(s)
 
+    def _witnesses(self):
+        return {}
+
     def classify(self, budget=1000, seed=0):
-        raise NotImplementedError
+        if None in self.flags.values():
+            raise NotImplementedError
+        wits = self._witnesses()
+        return Classification(
+            **{name: _exact(value, wits.get(name)) for name, value in self.flags.items()}
+        )
 
     def exact_flags(self):
         """Property values known exactly, None where only sampling helps."""
-        return {
-            "eventual": None,
-            "co_eventual": None,
-            "filter": None,
-            "finitely_insensitive": None,
-        }
+        return dict(self.flags)
 
 
 class EmptyFamily(Family):
     kind = "empty"
+    flags = dict.fromkeys(_PROPERTIES, True)
 
     def contains(self, s):
         self._arg(s)
         return False
 
-    def classify(self, budget=1000, seed=0):
-        v = _exact(True)
-        return Classification(v, v, v, v)
-
-    def exact_flags(self):
-        return dict.fromkeys(
-            ("eventual", "co_eventual", "filter", "finitely_insensitive"), True
-        )
-
 
 class AllFamily(Family):
     kind = "all"
+    flags = dict.fromkeys(_PROPERTIES, True)
 
     def contains(self, s):
         self._arg(s)
         return True
-
-    def classify(self, budget=1000, seed=0):
-        v = _exact(True)
-        return Classification(v, v, v, v)
-
-    def exact_flags(self):
-        return dict.fromkeys(
-            ("eventual", "co_eventual", "filter", "finitely_insensitive"), True
-        )
 
 
 class CofiniteFamily(Family):
     """All subsets of N with finite complement."""
 
     kind = "cofinite"
+    flags = {"eventual": True, "co_eventual": False, "filter": True,
+             "finitely_insensitive": True}
 
     def __init__(self):
         super().__init__(NATURALS)
@@ -179,28 +178,16 @@ class CofiniteFamily(Family):
     def contains(self, s):
         return complement(self._arg(s)).is_finite
 
-    def classify(self, budget=1000, seed=0):
-        evens = EPSet((), (0, 1))
-        return Classification(
-            eventual=_exact(True),
-            co_eventual=_exact(False, (EPSet.naturals(), evens)),
-            filter=_exact(True),
-            finitely_insensitive=_exact(True),
-        )
-
-    def exact_flags(self):
-        return {
-            "eventual": True,
-            "co_eventual": False,
-            "filter": True,
-            "finitely_insensitive": True,
-        }
+    def _witnesses(self):
+        return {"co_eventual": (EPSet.naturals(), EPSet((), (0, 1)))}
 
 
 class InfiniteFamily(Family):
     """All infinite subsets of N."""
 
     kind = "infinite"
+    flags = {"eventual": True, "co_eventual": False, "filter": False,
+             "finitely_insensitive": True}
 
     def __init__(self):
         super().__init__(NATURALS)
@@ -208,29 +195,17 @@ class InfiniteFamily(Family):
     def contains(self, s):
         return not self._arg(s).is_finite
 
-    def classify(self, budget=1000, seed=0):
-        evens = EPSet((), (0, 1))
-        odds = EPSet((), (1, 0))
-        return Classification(
-            eventual=_exact(True),
-            co_eventual=_exact(False, (EPSet.naturals(), EPSet.empty())),
-            filter=_exact(False, (evens, odds)),
-            finitely_insensitive=_exact(True),
-        )
-
-    def exact_flags(self):
-        return {
-            "eventual": True,
-            "co_eventual": False,
-            "filter": False,
-            "finitely_insensitive": True,
-        }
+    def _witnesses(self):
+        evens, odds = EPSet((), (0, 1)), EPSet((), (1, 0))
+        return {"co_eventual": (EPSet.naturals(), EPSet.empty()), "filter": (evens, odds)}
 
 
 class CoGapLevelFamily(Family):
     """Sets whose recurring-run statistic (cogap) is at least c >= 1."""
 
     kind = "cogap_level"
+    flags = {"eventual": True, "co_eventual": False, "filter": False,
+             "finitely_insensitive": True}
 
     def __init__(self, c):
         super().__init__(NATURALS)
@@ -242,29 +217,15 @@ class CoGapLevelFamily(Family):
     def contains(self, s):
         return cogap(self._arg(s)) >= self.c
 
-    def classify(self, budget=1000, seed=0):
+    def _witnesses(self):
+        wits = {"co_eventual": (EPSet.naturals(), EPSet.empty())}
+        # at infinite c a refuting pair needs unbounded runs, which no
+        # eventually periodic set can carry
         if self.c.is_finite:
             k = self.c.value
             blocks = EPSet((), (1,) * k + (0,) * k)
-            filter_witness = (blocks, complement(blocks))
-        else:
-            # a refuting pair needs unbounded runs, which no eventually
-            # periodic set can carry
-            filter_witness = None
-        return Classification(
-            eventual=_exact(True),
-            co_eventual=_exact(False, (EPSet.naturals(), EPSet.empty())),
-            filter=_exact(False, filter_witness),
-            finitely_insensitive=_exact(True),
-        )
-
-    def exact_flags(self):
-        return {
-            "eventual": True,
-            "co_eventual": False,
-            "filter": False,
-            "finitely_insensitive": True,
-        }
+            wits["filter"] = (blocks, complement(blocks))
+        return wits
 
 
 class IndicatorFamily(Family):
@@ -462,14 +423,6 @@ SYMBOLIC_KINDS = (
 # operations
 
 
-def contains(family, s):
-    return family.contains(s)
-
-
-def classify(family, budget=1000, seed=0):
-    return family.classify(budget=budget, seed=seed)
-
-
 def to_indicator(family):
     """Snapshot any finite-ground family into an explicit indicator family."""
     if family.over_naturals:
@@ -513,6 +466,36 @@ def complement_duality_check(family):
     return left == right
 
 
+def _push_codomain(f, source, codomain=None):
+    """Validates a push map for a family or multifamily and returns its
+    codomain: a PeriodicSeq pushes from N, a dict must be total on a finite
+    ground and land inside the codomain."""
+    if isinstance(f, PeriodicSeq):
+        if not source.over_naturals:
+            raise ValueError("a PeriodicSeq pushes from N only")
+        return tuple(codomain) if codomain is not None else f.alphabet()
+    if not isinstance(f, dict):
+        raise TypeError("push takes a dict or a PeriodicSeq")
+    if source.over_naturals:
+        raise TypeError("dict maps push from finite grounds only")
+    missing = set(source.ground) - set(f)
+    if missing:
+        raise ValueError(f"map is not total: missing {sorted(map(repr, missing))}")
+    if codomain is None:
+        return tuple(dict.fromkeys(f[x] for x in source.ground))
+    codomain = tuple(codomain)
+    stray = {f[x] for x in source.ground} - set(codomain)
+    if stray:
+        raise ValueError(f"values {sorted(map(repr, stray))} leave the codomain")
+    return codomain
+
+
+def _preimage(f, ground, s):
+    if isinstance(f, PeriodicSeq):
+        return f.preimage(s)
+    return frozenset(x for x in ground if f[x] in s)
+
+
 def push(f, family, codomain=None):
     """Forward image family: S belongs iff the preimage of S belongs.
 
@@ -520,36 +503,11 @@ def push(f, family, codomain=None):
     lives over N.  The result is an explicit indicator family over the
     (finite) codomain.
     """
-    if isinstance(f, PeriodicSeq):
-        if not family.over_naturals:
-            raise ValueError("a PeriodicSeq pushes families over N")
-        codomain = tuple(codomain) if codomain is not None else f.alphabet()
-        members = [
-            s
-            for s in powerset(codomain)
-            if family.contains(f.preimage(s))
-        ]
-        return IndicatorFamily(codomain, members)
-    if isinstance(f, dict):
-        if family.over_naturals:
-            raise TypeError("dict maps push families over finite grounds")
-        missing = set(family.ground) - set(f)
-        if missing:
-            raise ValueError(f"map is not total: missing {sorted(map(repr, missing))}")
-        if codomain is None:
-            codomain = tuple(dict.fromkeys(f[x] for x in family.ground))
-        else:
-            codomain = tuple(codomain)
-            stray = {f[x] for x in family.ground} - set(codomain)
-            if stray:
-                raise ValueError(f"values {sorted(map(repr, stray))} leave the codomain")
-        members = []
-        for s in powerset(codomain):
-            pre = frozenset(x for x in family.ground if f[x] in s)
-            if family.contains(pre):
-                members.append(s)
-        return IndicatorFamily(codomain, members)
-    raise TypeError("push takes a dict or a PeriodicSeq")
+    codomain = _push_codomain(f, family, codomain)
+    members = [
+        s for s in powerset(codomain) if family.contains(_preimage(f, family.ground, s))
+    ]
+    return IndicatorFamily(codomain, members)
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +627,9 @@ def random_topology(ground, rng, max_generators=4):
 
 
 def _check_same_ground(family, topology):
+    """A family or multifamily and a topology must share a finite ground."""
     if family.over_naturals or set(family.ground) != set(topology.ground):
-        raise ValueError("family and topology must share a finite ground")
+        raise ValueError("the family and the topology must share a finite ground")
 
 
 def limit_set(family, topology):
@@ -708,37 +667,36 @@ def _sorted_sets(ground, sets):
     return sorted(listed, key=lambda xs: (len(xs), [order[x] for x in xs]))
 
 
+# kind -> (the JSON fields past ground and kind, the constructor from JSON)
+_FAMILY_JSON = {
+    "empty": (lambda fam: {}, lambda obj: EmptyFamily(obj.get("ground", "N"))),
+    "all": (lambda fam: {}, lambda obj: AllFamily(obj.get("ground", "N"))),
+    "cofinite": (lambda fam: {}, lambda obj: CofiniteFamily()),
+    "infinite": (lambda fam: {}, lambda obj: InfiniteFamily()),
+    "cogap_level": (
+        lambda fam: {"c": fam.c.to_json()},
+        lambda obj: CoGapLevelFamily(ExtNat.from_json(obj["c"])),
+    ),
+    "indicator": (
+        lambda fam: {"sets": _sorted_sets(fam.ground, fam.sets)},
+        lambda obj: IndicatorFamily(obj["ground"], obj["sets"]),
+    ),
+}
+
+
 def family_to_json(family):
-    if isinstance(family, (EmptyFamily, AllFamily)):
-        return {"ground": _ground_to_json(family.ground), "kind": family.kind}
-    if isinstance(family, (CofiniteFamily, InfiniteFamily)):
-        return {"ground": "N", "kind": family.kind}
-    if isinstance(family, CoGapLevelFamily):
-        return {"ground": "N", "kind": "cogap_level", "c": family.c.to_json()}
-    if isinstance(family, IndicatorFamily):
-        return {
-            "ground": list(family.ground),
-            "kind": "indicator",
-            "sets": _sorted_sets(family.ground, family.sets),
-        }
-    raise ValueError(f"family kind {family.kind!r} has no JSON form")
+    if family.kind not in _FAMILY_JSON:
+        raise ValueError(f"family kind {family.kind!r} has no JSON form")
+    fields, _ = _FAMILY_JSON[family.kind]
+    return {"ground": _ground_to_json(family.ground), "kind": family.kind, **fields(family)}
 
 
 def family_from_json(obj):
     kind = obj["kind"]
-    if kind == "empty":
-        return EmptyFamily(as_ground(obj.get("ground", "N")))
-    if kind == "all":
-        return AllFamily(as_ground(obj.get("ground", "N")))
-    if kind == "cofinite":
-        return CofiniteFamily()
-    if kind == "infinite":
-        return InfiniteFamily()
-    if kind == "cogap_level":
-        return CoGapLevelFamily(ExtNat.from_json(obj["c"]))
-    if kind == "indicator":
-        return IndicatorFamily(obj["ground"], obj["sets"])
-    raise ValueError(f"unknown family kind {kind!r}")
+    if kind not in _FAMILY_JSON:
+        raise ValueError(f"unknown family kind {kind!r}")
+    _, build = _FAMILY_JSON[kind]
+    return build(obj)
 
 
 def topology_to_json(topology):

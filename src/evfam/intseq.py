@@ -22,13 +22,13 @@ __all__ = [
     "INF",
     "EPSet",
     "PeriodicSeq",
-    "member",
     "complement",
     "finitely_change",
     "union",
     "intersection",
     "gap",
     "cogap",
+    "window_cover",
     "random_epset",
 ]
 
@@ -245,10 +245,6 @@ class EPSet:
         return f"EPSet({self.to_text()!r})"
 
 
-def member(s, n):
-    return s.member(n)
-
-
 def complement(s):
     flipped = tuple(1 - b for b in s.prefix)
     if s.period:
@@ -300,6 +296,27 @@ def intersection(a, b):
     return _pointwise(a, b, lambda x, y: 1 if (x and y) else 0)
 
 
+def window_cover(positions, length, cyclic=False):
+    """Smallest w such that every w consecutive indices of range(length)
+    contain one of the sorted, nonempty ``positions``; with ``cyclic`` the
+    windows wrap around, as for a period word repeated forever.
+
+    gap is the cyclic cover of a period word's members, minus one.  A
+    control's window constant and a trace's follows window are the covers
+    of the steps that apply each operator.
+    """
+    if not positions:
+        raise ValueError("no positions: no window length covers the range")
+    if cyclic:
+        worst = positions[0] + length - positions[-1]
+    else:
+        worst = max(positions[0] + 1, length - positions[-1])
+    for a, b in zip(positions, positions[1:]):
+        if b - a > worst:
+            worst = b - a
+    return worst
+
+
 def gap(s):
     """Largest count of consecutive missing integers between successive
     elements of S that recurs forever; infinite when S is finite.
@@ -312,11 +329,7 @@ def gap(s):
     if s.is_finite:
         return INF
     ones = [i for i, b in enumerate(s.period) if b]
-    q = len(s.period)
-    worst = ones[0] + q - ones[-1] - 1  # wrap across period copies
-    for a, b in zip(ones, ones[1:]):
-        worst = max(worst, b - a - 1)
-    return ExtNat(worst)
+    return ExtNat(window_cover(ones, len(s.period), cyclic=True) - 1)
 
 
 def cogap(s):

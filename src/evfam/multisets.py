@@ -15,14 +15,16 @@ import itertools
 
 from .families import (
     NATURALS,
-    AllFamily,
     CoGapLevelFamily,
     EmptyFamily,
     Family,
     IndicatorFamily,
     PredicateFamily,
     Verdict,
+    _check_same_ground,
     _exact,
+    _preimage,
+    _push_codomain,
     _sorted_sets,
     as_ground,
     check_set_arg,
@@ -30,7 +32,7 @@ from .families import (
     family_to_json,
     powerset,
 )
-from .intseq import EPSet, ExtNat, INF, PeriodicSeq, cogap, complement, gap
+from .intseq import EPSet, ExtNat, cogap, complement, gap
 
 ZERO = ExtNat(0)
 ONE = ExtNat(1)
@@ -248,40 +250,13 @@ class PushedMultifamily(Multifamily):
     kind = "pushed"
 
     def __init__(self, f, inner, codomain=None):
-        if isinstance(f, PeriodicSeq):
-            if not inner.over_naturals:
-                raise ValueError("a PeriodicSeq pushes multifamilies over N")
-            codomain = tuple(codomain) if codomain is not None else f.alphabet()
-        elif isinstance(f, dict):
-            if inner.over_naturals:
-                raise TypeError("dict maps push multifamilies over finite grounds")
-            missing = set(inner.ground) - set(f)
-            if missing:
-                raise ValueError(
-                    f"map is not total: missing {sorted(map(repr, missing))}"
-                )
-            if codomain is None:
-                codomain = tuple(dict.fromkeys(f[x] for x in inner.ground))
-            else:
-                codomain = tuple(codomain)
-                stray = {f[x] for x in inner.ground} - set(codomain)
-                if stray:
-                    raise ValueError(
-                        f"values {sorted(map(repr, stray))} leave the codomain"
-                    )
-        else:
-            raise TypeError("push takes a dict or a PeriodicSeq")
+        codomain = _push_codomain(f, inner, codomain)
         self.f = f
         self.inner = inner
         super().__init__(codomain)
 
-    def _preimage(self, s):
-        if isinstance(self.f, PeriodicSeq):
-            return self.f.preimage(s)
-        return frozenset(x for x in self.inner.ground if self.f[x] in s)
-
     def value(self, s):
-        return self.inner.value(self._preimage(self._arg(s)))
+        return self.inner.value(_preimage(self.f, self.inner.ground, self._arg(s)))
 
     def classify(self, budget=1000, seed=0):
         return _classify_exhaustive(self)
@@ -320,18 +295,10 @@ def _classify_exhaustive(mf):
 # operations
 
 
-def mf_value(mf, s):
-    return mf.value(s)
-
-
 def mf_complement(mf):
     if isinstance(mf, ComplementMultifamily):
         return mf.inner
     return ComplementMultifamily(mf)
-
-
-def mf_classify(mf, budget=1000, seed=0):
-    return mf.classify(budget=budget, seed=seed)
 
 
 def level_family(mf, c):
@@ -368,10 +335,6 @@ def mstar(mf):
     return Multiset(mf.ground, {x: mf.value(frozenset({x})) for x in mf.ground})
 
 
-def mpush(f, mf, codomain=None):
-    return PushedMultifamily(f, mf, codomain)
-
-
 def _require_increasing(mf):
     cls = mf.classify()
     if not cls.increasing.value:
@@ -380,14 +343,9 @@ def _require_increasing(mf):
         )
 
 
-def _check_ground(mf, topology):
-    if mf.over_naturals or set(mf.ground) != set(topology.ground):
-        raise ValueError("multifamily and topology must share a finite ground")
-
-
 def mf_closure(mf, topology):
     """Increasing multifamily with value(S) = min over open supersets."""
-    _check_ground(mf, topology)
+    _check_same_ground(mf, topology)
     _require_increasing(mf)
     table = {
         s: min(mf.value(u) for u in topology.open_supersets(s))
@@ -398,7 +356,7 @@ def mf_closure(mf, topology):
 
 def multiset_limit(mf, topology):
     """Pointwise limit multiset: min multiplicity over open neighborhoods."""
-    _check_ground(mf, topology)
+    _check_same_ground(mf, topology)
     _require_increasing(mf)
     mult = {
         x: min(mf.value(u) for u in topology.neighborhoods(x))
@@ -411,37 +369,44 @@ def multiset_limit(mf, topology):
 # JSON
 
 
+def _explicit_fields(mf):
+    rows = [
+        [xs, mf.table[frozenset(xs)].to_json()] for xs in _sorted_sets(mf.ground, mf.table)
+    ]
+    return {"ground": list(mf.ground), "table": rows}
+
+
+# kind -> (the JSON fields past the kind, the constructor from JSON)
+_MF_JSON = {
+    "gap": (lambda mf: {}, lambda obj: GapMultifamily()),
+    "cogap": (lambda mf: {}, lambda obj: CoGapMultifamily()),
+    "complement": (
+        lambda mf: {"inner": mf_to_json(mf.inner)},
+        lambda obj: ComplementMultifamily(mf_from_json(obj["inner"])),
+    ),
+    "indicator": (
+        lambda mf: {"family": family_to_json(mf.family)},
+        lambda obj: IndicatorMultifamily(family_from_json(obj["family"])),
+    ),
+    "explicit": (
+        _explicit_fields,
+        lambda obj: ExplicitMultifamily(
+            obj["ground"], {frozenset(s): ExtNat.from_json(v) for s, v in obj["table"]}
+        ),
+    ),
+}
+
+
 def mf_to_json(mf):
-    if isinstance(mf, GapMultifamily):
-        return {"kind": "gap"}
-    if isinstance(mf, CoGapMultifamily):
-        return {"kind": "cogap"}
-    if isinstance(mf, ComplementMultifamily):
-        return {"kind": "complement", "inner": mf_to_json(mf.inner)}
-    if isinstance(mf, IndicatorMultifamily):
-        return {"kind": "indicator", "family": family_to_json(mf.family)}
-    if isinstance(mf, ExplicitMultifamily):
-        order = {x: i for i, x in enumerate(mf.ground)}
-        rows = [
-            [sorted(s, key=order.__getitem__), v.to_json()]
-            for s, v in mf.table.items()
-        ]
-        rows.sort(key=lambda row: (len(row[0]), [order[x] for x in row[0]]))
-        return {"kind": "explicit", "ground": list(mf.ground), "table": rows}
-    raise ValueError(f"multifamily kind {mf.kind!r} has no JSON form")
+    if mf.kind not in _MF_JSON:
+        raise ValueError(f"multifamily kind {mf.kind!r} has no JSON form")
+    fields, _ = _MF_JSON[mf.kind]
+    return {"kind": mf.kind, **fields(mf)}
 
 
 def mf_from_json(obj):
     kind = obj["kind"]
-    if kind == "gap":
-        return GapMultifamily()
-    if kind == "cogap":
-        return CoGapMultifamily()
-    if kind == "complement":
-        return ComplementMultifamily(mf_from_json(obj["inner"]))
-    if kind == "indicator":
-        return IndicatorMultifamily(family_from_json(obj["family"]))
-    if kind == "explicit":
-        table = {frozenset(s): ExtNat.from_json(v) for s, v in obj["table"]}
-        return ExplicitMultifamily(obj["ground"], table)
-    raise ValueError(f"unknown multifamily kind {kind!r}")
+    if kind not in _MF_JSON:
+        raise ValueError(f"unknown multifamily kind {kind!r}")
+    _, build = _MF_JSON[kind]
+    return build(obj)

@@ -18,7 +18,7 @@ from .families import (
     Family,
     InfiniteFamily,
 )
-from .intseq import EPSet, member
+from .intseq import EPSet
 
 
 class SetSequence:
@@ -61,7 +61,7 @@ class SetSequence:
         return self.traces[x]
 
     def set_at(self, n):
-        return frozenset(x for x in self.ground if member(self.traces[x], n))
+        return frozenset(x for x in self.ground if self.traces[x].member(n))
 
     def __eq__(self, other):
         if not isinstance(other, SetSequence):

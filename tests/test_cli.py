@@ -191,3 +191,70 @@ def test_check_rejects_negative_budget(capsys):
 def test_atomic_writes_leave_no_temp_files(demo_dir):
     leftovers = [name for name in os.listdir(demo_dir) if name.startswith(".evfam-")]
     assert leftovers == []
+
+
+def _edited_trace(demo_dir, tmp_path, step, **fields):
+    """The demo trace with the record of ``step`` changed."""
+    lines = (demo_dir / "trace.jsonl").read_text().splitlines()
+    rec = json.loads(lines[step])
+    rec.update(fields)
+    lines[step] = json.dumps(rec)
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        ({"i": 0}, "outside 1..2"),
+        ({"i": 3}, "outside 1..2"),
+        ({"x": [0.0, 0.0, 0.0]}, "dimension"),
+        ({"x": [float("nan"), 0.0]}, "finite"),
+        ({"lambda": 2.5}, "[0, 2]"),
+        ({"res": 123.0}, "replay"),
+    ],
+)
+def test_analyze_rejects_edited_trace(demo_dir, tmp_path, capsys, fields, needle):
+    trace = _edited_trace(demo_dir, tmp_path, 1, **fields)
+    code, _, err = run_cli(
+        capsys, "analyze", str(trace), str(demo_dir / "problem.json"),
+        "-o", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and needle in err
+    assert not (tmp_path / "r" / "runs.csv").exists()
+
+
+def test_analyze_rejects_wrong_dimension_start(demo_dir, tmp_path, capsys):
+    lines = (demo_dir / "trace.jsonl").read_text().splitlines()
+    wide = [json.loads(line) for line in lines]
+    for rec in wide:
+        rec["x"] = rec["x"] + [0.0]
+    path = tmp_path / "wide.jsonl"
+    path.write_text("\n".join(json.dumps(rec) for rec in wide) + "\n")
+    code, _, err = run_cli(
+        capsys, "analyze", str(path), str(demo_dir / "problem.json"),
+        "-o", str(tmp_path / "r"),
+    )
+    assert code == 1 and err.startswith("error:") and "dimension" in err
+
+
+def test_analyze_rejects_non_object_record(demo_dir, tmp_path, capsys):
+    lines = (demo_dir / "trace.jsonl").read_text().splitlines()
+    path = tmp_path / "listed.jsonl"
+    path.write_text("\n".join([lines[0], "[1, 2]", *lines[2:]]) + "\n")
+    code, _, err = run_cli(
+        capsys, "analyze", str(path), str(demo_dir / "problem.json"),
+        "-o", str(tmp_path / "r"),
+    )
+    assert code == 1 and err.startswith("error:") and "JSON objects" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+def test_problem_must_be_a_json_object(demo_dir, tmp_path, capsys, command):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([json.loads((demo_dir / "problem.json").read_text())]))
+    args = [str(path)] if command == "solve" else [str(demo_dir / "trace.jsonl"), str(path)]
+    code, _, err = run_cli(capsys, command, *args, "-o", str(tmp_path / "r"))
+    assert code == 1 and err.startswith("error:") and "JSON object" in err

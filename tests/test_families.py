@@ -23,7 +23,6 @@ from evfam.families import (
     all_topologies,
     closure_family,
     complement_duality_check,
-    contains,
     family_complement,
     family_from_json,
     family_to_json,
@@ -73,10 +72,10 @@ def brute_flags(ground, sets):
 
 
 def test_membership_symbolic():
-    assert not contains(H, EVENS)
-    assert contains(G, EVENS)
+    assert not H.contains(EVENS)
+    assert G.contains(EVENS)
     cofinite = EPSet((0, 1, 0), (1,))  # all n >= 2 except 3... {2,4,5,6,...}
-    assert contains(CoGapLevelFamily(3), cofinite)
+    assert CoGapLevelFamily(3).contains(cofinite)
     assert cogap(cofinite) == INF
 
 

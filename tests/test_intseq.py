@@ -14,9 +14,9 @@ from evfam.intseq import (
     finitely_change,
     gap,
     intersection,
-    member,
     random_epset,
     union,
+    window_cover,
 )
 
 EVENS = EPSet((), (0, 1))
@@ -112,11 +112,11 @@ def test_text_round_trip():
 
 
 def test_member_examples():
-    assert member(EVENS, 4)
-    assert not member(EVENS, 7)
+    assert EVENS.member(4)
+    assert not EVENS.member(7)
     assert 2 in EVENS and 1 in ODDS
     with pytest.raises(ValueError):
-        member(EVENS, 0)
+        EVENS.member(0)
 
 
 def test_member_total_on_prefix_and_tail():
@@ -204,6 +204,37 @@ def test_gap_oracle_agreement_on_corpus():
         else:
             assert gap(s) == gap_oracle(s), s
         assert cogap(s) == gap(complement(s))
+
+
+def cover_oracle(positions, length, cyclic):
+    """Smallest w whose every window of w consecutive indices, read off a
+    brute-force scan of all windows, holds a position."""
+    hits = set(positions)
+    for w in range(1, 2 * length + 1):
+        starts = range(length) if cyclic else range(length - w + 1)
+        if all(any((a + j) % length in hits for j in range(w)) for a in starts):
+            return w
+    raise AssertionError("no window covers the range")
+
+
+def test_window_cover_examples():
+    assert window_cover([0, 2, 4], 6) == 2
+    assert window_cover([1], 6) == 5  # the last five indices miss it
+    assert window_cover([1], 6, cyclic=True) == 6
+    assert window_cover([0, 1], 6, cyclic=True) == 5
+    with pytest.raises(ValueError):
+        window_cover([], 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=16), st.booleans())
+def test_window_cover_matches_window_scan(bits, cyclic):
+    positions = [i for i, b in enumerate(bits) if b]
+    if not positions:
+        return
+    assert window_cover(positions, len(bits), cyclic) == cover_oracle(
+        positions, len(bits), cyclic
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,12 @@ from evfam.multisets import (
     GapMultifamily,
     IndicatorMultifamily,
     Multiset,
+    PushedMultifamily,
     level_family,
-    mf_classify,
     mf_closure,
     mf_complement,
     mf_from_json,
     mf_to_json,
-    mf_value,
-    mpush,
     mstar,
     multiset_limit,
 )
@@ -64,10 +62,10 @@ def weights_mf(ground, w):
 
 def test_value_examples():
     finite = EPSet.finite([2, 3, 9])
-    assert mf_value(COGAP, finite) == 0
-    assert mf_value(GAP, finite) == INF
-    assert mf_value(IndicatorMultifamily(InfiniteFamily()), ODDS) == 1
-    assert mf_value(IndicatorMultifamily(CofiniteFamily()), ODDS) == 0
+    assert COGAP.value(finite) == 0
+    assert GAP.value(finite) == INF
+    assert IndicatorMultifamily(InfiniteFamily()).value(ODDS) == 1
+    assert IndicatorMultifamily(CofiniteFamily()).value(ODDS) == 0
 
 
 def test_complement_wrapper():
@@ -151,11 +149,11 @@ def test_explicit_level_family_is_exhaustive():
 
 
 def test_classify_gap_and_cogap():
-    c = mf_classify(COGAP)
+    c = COGAP.classify()
     assert c.increasing.value and c.increasing.status == "exact"
     assert not c.decreasing.value
     assert c.finitely_insensitive.value
-    c = mf_classify(GAP)
+    c = GAP.classify()
     assert c.decreasing.value and not c.increasing.value
     a, b = c.increasing.witness
     assert GAP.value(a) > GAP.value(b)
@@ -163,7 +161,7 @@ def test_classify_gap_and_cogap():
 
 def test_classify_explicit_table():
     mf = ExplicitMultifamily(("a", "b"), {frozenset({"a"}): 2, frozenset({"a", "b"}): 1})
-    c = mf_classify(mf)
+    c = mf.classify()
     assert not c.increasing.value
     small, big = c.increasing.witness
     assert small < big and mf.value(small) > mf.value(big)
@@ -173,7 +171,7 @@ def test_classify_complement_flips_directions():
     from evfam.intseq import intersection
 
     gap_c = ComplementMultifamily(GAP)
-    c = mf_classify(gap_c)
+    c = gap_c.classify()
     assert c.increasing.value
     assert not c.decreasing.value
     a, b = c.decreasing.witness
@@ -243,25 +241,25 @@ def test_mstar_examples():
 def test_mpush_identity():
     ground = ("a", "b")
     mf = weights_mf(ground, {"a": 1, "b": 5})
-    pushed = mpush({x: x for x in ground}, mf, codomain=ground)
+    pushed = PushedMultifamily({x: x for x in ground}, mf, codomain=ground)
     for s in powerset(ground):
         assert pushed.value(s) == mf.value(s)
 
 
 def test_mpush_sequences():
     const = PeriodicSeq((), ("a",))
-    pushed = mpush(const, COGAP, codomain=("a", "b"))
+    pushed = PushedMultifamily(const, COGAP, codomain=("a", "b"))
     assert pushed.value({"a"}) == INF  # preimage is all of N
     assert pushed.value({"b"}) == 0
 
     alt = PeriodicSeq((), ("a", "b"))
-    pushed = mpush(alt, COGAP)
+    pushed = PushedMultifamily(alt, COGAP)
     assert pushed.value({"a"}) == 1  # preimage is the odd numbers
 
 
 def test_mpush_preserves_direction():
     alt = PeriodicSeq((), ("a", "b"))
-    c = mf_classify(mpush(alt, COGAP))
+    c = PushedMultifamily(alt, COGAP).classify()
     assert c.increasing.value
 
 
