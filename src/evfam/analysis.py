@@ -11,7 +11,7 @@ circuit to multiplicity infinity at the final point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +57,12 @@ class FollowsReport:
     def __bool__(self):
         return self.ok
 
+    def graded(self, c):
+        """This report judged against window length c (None: any window
+        passes once a witness exists)."""
+        ok = self.min_c is not None and (c is None or self.min_c <= c)
+        return replace(self, window=c, ok=ok)
+
 
 def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     """Reports the adjacent-witness criterion: steps q where x_{q+1} is the
@@ -67,8 +73,6 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     of that many consecutive steps contains a witness.
     """
     criterion = "relaxed" if relaxed else "strict"
-    if trace.n_steps < 1:
-        return FollowsReport(label, criterion, c, None, False, ())
     witnesses = []
     for q in range(trace.n_steps):
         lam = trace.relaxations[q]
@@ -81,11 +85,8 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
         target = x + lam * (op.apply(x) - x)
         if float(np.linalg.norm(trace.iterates[q + 1] - target)) <= tol:
             witnesses.append((q, q + 1))
-    if not witnesses:
-        return FollowsReport(label, criterion, c, None, False, ())
-    min_c = window_cover([q for q, _ in witnesses], trace.n_steps)
-    ok = min_c <= c if c is not None else True
-    return FollowsReport(label, criterion, c, min_c, ok, tuple(witnesses))
+    min_c = window_cover([q for q, _ in witnesses], trace.n_steps) if witnesses else None
+    return FollowsReport(label, criterion, None, min_c, False, tuple(witnesses)).graded(c)
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +158,14 @@ def _recurring_run(flags):
     return runs[1] if len(runs) >= 2 else 0
 
 
-def _cauchy_tail(pts, n0, eps):
-    """The second half of the tail stays within eps/2 of the final point."""
+def _cauchy_tail(pts, n0, radius):
+    """The second half of the tail stays within radius of the final point."""
     tail = pts[n0:]
     second = tail[len(tail) // 2 :]
     if len(second) < 2:
         return False
     final = pts[-1]
-    return all(float(np.linalg.norm(p - final)) <= eps / 2 for p in second)
+    return all(float(np.linalg.norm(p - final)) <= radius for p in second)
 
 
 @dataclass(frozen=True)
@@ -189,17 +190,32 @@ def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None):
     the index sets {n : x_n near the point} down the epsilon ladder.
 
     The reported multiplicity is the minimum over the ladder, a lower
-    bound; certified-convergent inputs report infinity at the limit.
+    bound; certified-convergent inputs report infinity at the limit.  A
+    tail within half the finest radius of the final point counts as
+    convergent.
     """
+    ladder = _checked_ladder(ladder)
+    return _limit_estimate(source, ladder, n0, min(ladder) / 2)
+
+
+def _checked_ladder(ladder):
     ladder = tuple(float(e) for e in ladder)
     if not ladder:
         raise ValueError("the epsilon ladder is empty")
+    if not all(0 < e < math.inf for e in ladder):
+        raise ValueError("the epsilon ladder needs positive finite radii")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("the epsilon ladder must decrease strictly")
+    return ladder
+
+
+def _limit_estimate(source, ladder, n0, cauchy_radius):
+    """cogap_limit_estimate on a checked ladder, taking a tail within
+    cauchy_radius of the final point as convergent."""
     pts = _points(source)
     n0 = _tail_start(len(pts), n0)
     converged = isinstance(source, Trace) and source.converged
-    convergent = converged or _cauchy_tail(pts, n0, min(ladder))
+    convergent = converged or _cauchy_tail(pts, n0, cauchy_radius)
 
     if convergent:
         final = pts[-1]
@@ -245,8 +261,12 @@ def certify_fixed_points(trace, ops, eps=DEFAULT_LADDER[0], n0=None, tol=1e-6, r
     level-family accumulation point for the window the operator was
     certified at; a residual above tolerance then flags a genuine
     implementation violation, while absence of covered pairs is merely
-    inconclusive."""
-    est = cogap_limit_estimate(trace, ladder=(eps,), n0=n0)
+    inconclusive.  An unconverged tail stands in for a limit only when it
+    stays within tol of its final point: a slow run is not a faulty
+    operator."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("the residual tolerance must be finite and >= 0")
+    est = _limit_estimate(trace, _checked_ladder((eps,)), n0, tol)
     follows = tuple(
         follows_check(trace, op, relaxed=relaxed, label=i + 1)
         for i, op in enumerate(ops)

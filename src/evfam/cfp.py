@@ -13,6 +13,8 @@ records, reports) and 0-based only inside internal lists.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,16 @@ def _vec(x, dim=None):
     if not np.isfinite(v).all():
         raise ValueError("points must be finite")
     return v
+
+
+def _integer(value, what):
+    """An integer read from input: 1.5, NaN, true or "3" is an error, not
+    a truncation."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class Operator:
@@ -327,7 +339,7 @@ class CyclicControl(Control):
 def _labels(labels, m, what):
     """Nonempty 1-based labels as a tuple, and the operator count m they
     range over (their maximum when m is not given)."""
-    labels = tuple(int(i) for i in labels)
+    labels = tuple(_integer(i, "a control label") for i in labels)
     if not labels:
         raise ValueError(f"the {what} must be nonempty")
     m = int(m) if m is not None else max(labels)
@@ -455,7 +467,7 @@ class StopRule:
     stride: int = 10
 
     def __post_init__(self):
-        if self.tol < 0 or self.max_iter < 0 or self.stride < 1:
+        if not 0 <= self.tol < math.inf or self.max_iter < 0 or self.stride < 1:
             raise ValueError("bad stop rule")
 
 
@@ -704,7 +716,7 @@ def problem_from_json(obj, normalize=False):
     ops = [operator_from_json(o, normalize) for o in obj.get("operators", [])]
     if not ops:
         raise ValueError("the operator list is empty")
-    dim = int(obj["dim"])
+    dim = _integer(obj["dim"], "dim")
     for op in ops:
         if op.dim != dim:
             raise ValueError("operator dimensions disagree with the problem")
@@ -712,10 +724,12 @@ def problem_from_json(obj, normalize=False):
     sched = relaxation_from_json(obj.get("relaxation", {"kind": "constant", "value": 1.0}))
     x0 = _vec(obj["x0"], dim)
     s = obj.get("stop", {})
+    if not isinstance(s, dict):
+        raise ValueError("the stop rule is a JSON object")
     stop = StopRule(
         tol=float(s.get("tol", 1e-6)),
-        max_iter=int(s.get("max_iter", 100000)),
-        stride=int(s.get("stride", 10)),
+        max_iter=_integer(s.get("max_iter", 100000), "max_iter"),
+        stride=_integer(s.get("stride", 10), "stride"),
     )
     return ops, ctrl, sched, x0, stop
 
@@ -757,7 +771,7 @@ def trace_from_records(records):
         if not 0.0 <= lam <= 2.0:
             raise ValueError(f"relaxation {lam} at step {k} outside [0, 2]")
         iterates.append(x)
-        controls.append(int(rec["i"]))
+        controls.append(_integer(rec["i"], f"the label at step {k}"))
         relaxations.append(lam)
         residuals.append(float(rec["res"]))
     if not np.isfinite(iterates).all():

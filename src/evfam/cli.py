@@ -51,7 +51,7 @@ def _write_text(path, text):
 
 
 def _dump_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_json(path, obj):
@@ -59,7 +59,7 @@ def _write_json(path, obj):
 
 
 def _write_jsonl(path, records):
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    lines = [json.dumps(rec, sort_keys=True, allow_nan=False) for rec in records]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -164,18 +164,14 @@ def cmd_analyze(args):
         trace.converged = True
         trace.stop_reason = "converged"
 
-    relaxed = not args.strict
-    follows = [
-        analysis.follows_check(trace, op, relaxed=relaxed, c=args.window, label=i + 1)
-        for i, op in enumerate(ops)
-    ]
     try:
         estimate = analysis.cogap_limit_estimate(trace, ladder=ladder, n0=args.tail)
         cert = analysis.certify_fixed_points(
-            trace, ops, eps=ladder[0], n0=args.tail, tol=args.tol, relaxed=relaxed
+            trace, ops, eps=ladder[0], n0=args.tail, tol=args.tol, relaxed=not args.strict
         )
     except ValueError as exc:
         return _fail(exc)
+    follows = [rep.graded(args.window) for rep in cert.follows]
 
     report = {
         "replay_max_deviation": deviation,

@@ -2,11 +2,14 @@
 push operations, closures, and limit sets over finite topologies.
 
 A family is *eventual* when it is closed upward under inclusion and
-*co-eventual* when closed downward.  Symbolic families over the positive
-integers (cofinite, infinite, cogap-level) evaluate exactly on EPSet
-arguments and refuse anything else; opaque predicate families are
-classified by seeded sampling and their verdicts say so.  Finite grounds
-are handled exhaustively.
+*co-eventual* when closed downward: the {0, 1} case of an increasing or
+decreasing multifamily, with which families share one base class.
+Symbolic families over the positive integers (cofinite, infinite,
+cogap-level) evaluate exactly on EPSet arguments and refuse anything else;
+opaque predicate families are classified by seeded sampling and their
+verdicts say so.  Finite grounds are classified exhaustively in one pass
+over the covering pairs (S, S | {x}) of the subset lattice: a map on a
+finite Boolean lattice is monotone iff it is monotone on covering pairs.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from .intseq import (
     cogap,
     complement,
     finitely_change,
-    intersection,
     random_epset,
-    union,
 )
 
 
@@ -48,6 +49,13 @@ def as_ground(ground):
     return elems
 
 
+def _finite_ground(ground, what):
+    ground = as_ground(ground)
+    if ground is NATURALS:
+        raise ValueError(f"{what} need a finite ground")
+    return ground
+
+
 def check_set_arg(ground, s):
     """Normalize a set argument against a ground: EPSets over N, frozensets
     over finite grounds."""
@@ -69,6 +77,36 @@ def powerset(elems):
     for r in range(len(elems) + 1):
         for combo in itertools.combinations(elems, r):
             yield frozenset(combo)
+
+
+def _covering_scan(ground, value):
+    """The first covering pairs (S, S | {x}) of a finite ground's subset
+    lattice along which ``value`` falls, rises and changes, None for each
+    that never happens.
+
+    Over the n 2^(n-1) covering pairs this decides exactly whether the map
+    is increasing (it never falls), decreasing (it never rises) and
+    finitely insensitive (it never changes, i.e. it is constant).
+    """
+    subsets = [frozenset()]
+    for x in ground:
+        subsets += [s | {x} for s in subsets]  # bit i of the index <-> ground[i]
+    vals = [value(s) for s in subsets]
+    bits = [1 << i for i in range(len(ground))]
+    fall = rise = change = None
+    for m, a in enumerate(vals):
+        for bit in bits:
+            if m & bit or vals[m | bit] == a:
+                continue
+            pair = (subsets[m], subsets[m | bit])
+            change = change or pair
+            if a > vals[m | bit]:
+                fall = fall or pair
+            else:
+                rise = rise or pair
+            if fall and rise:
+                return fall, rise, change
+    return fall, rise, change
 
 
 @dataclass(frozen=True)
@@ -103,17 +141,20 @@ class Classification:
 _PROPERTIES = ("eventual", "co_eventual", "filter", "finitely_insensitive")
 
 
-class Family:
-    """Base class: a family of subsets of ``ground`` answering membership.
+class _OverGround:
+    """The core families and multifamilies share: a ground (NATURALS or a
+    tuple of distinct elements), set arguments checked against it,
+    complements within it, and exact verdicts from declared flags.
 
     ``flags`` holds the property values known exactly by construction, None
-    where only sampling helps.  When every flag is known, ``classify``
-    reports them as exact verdicts, each false one with the counterexample
-    ``_witnesses`` gives for it.
+    where only sampling or enumeration helps.  When every flag is known,
+    ``classify`` reports them as exact verdicts in a ``_verdicts`` record,
+    each false one with the counterexample ``_witnesses`` gives for it.
     """
 
     kind = "abstract"
-    flags = dict.fromkeys(_PROPERTIES)
+    flags = {}
+    _verdicts = None
 
     def __init__(self, ground=NATURALS):
         self.ground = as_ground(ground)
@@ -125,11 +166,8 @@ class Family:
     def _arg(self, s):
         return check_set_arg(self.ground, s)
 
-    def contains(self, s):
-        raise NotImplementedError
-
-    def __contains__(self, s):
-        return self.contains(s)
+    def _complement(self, s):
+        return complement(s) if self.over_naturals else frozenset(self.ground) - s
 
     def _witnesses(self):
         return {}
@@ -138,9 +176,22 @@ class Family:
         if None in self.flags.values():
             raise NotImplementedError
         wits = self._witnesses()
-        return Classification(
+        return self._verdicts(
             **{name: _exact(value, wits.get(name)) for name, value in self.flags.items()}
         )
+
+
+class Family(_OverGround):
+    """Base class: a family of subsets of ``ground`` answering membership."""
+
+    flags = dict.fromkeys(_PROPERTIES)
+    _verdicts = Classification
+
+    def contains(self, s):
+        raise NotImplementedError
+
+    def __contains__(self, s):
+        return self.contains(s)
 
     def exact_flags(self):
         """Property values known exactly, None where only sampling helps."""
@@ -234,74 +285,31 @@ class IndicatorFamily(Family):
     kind = "indicator"
 
     def __init__(self, ground, sets):
-        super().__init__(ground)
-        if self.over_naturals:
-            raise ValueError("indicator families need a finite ground")
-        base = set(self.ground)
-        norm = set()
-        for s in sets:
-            s = frozenset(s)
-            if not s <= base:
-                raise ValueError(f"set {sorted(map(repr, s))} leaves the ground")
-            norm.add(s)
-        self.sets = frozenset(norm)
+        super().__init__(_finite_ground(ground, "indicator families"))
+        self.sets = frozenset(map(frozenset, sets))
+        check_set_arg(self.ground, frozenset().union(*self.sets))
 
     def contains(self, s):
         return self._arg(s) in self.sets
 
     def classify(self, budget=1000, seed=0):
-        ground = set(self.ground)
-        ev_wit = co_wit = None
-        for s in self.sets:
-            for extra in powerset(ground - s):
-                if extra and (s | extra) not in self.sets:
-                    ev_wit = (s, s | extra)
-                    break
-            if ev_wit:
-                break
-        for s in self.sets:
-            for sub in powerset(s):
-                if sub != s and sub not in self.sets:
-                    co_wit = (s, sub)
-                    break
-            if co_wit:
-                break
+        fall, rise, change = _covering_scan(self.ground, self.sets.__contains__)
         inter_wit = None
         for a, b in itertools.combinations_with_replacement(self.sets, 2):
             if (a & b) not in self.sets:
                 inter_wit = (a, b)
                 break
-        full = 2 ** len(self.ground)
-        if len(self.sets) in (0, full):
-            fin = _exact(True)
-        else:
-            fin = _exact(False, self._toggle_witness())
-        filter_wit = ev_wit if ev_wit is not None else inter_wit
         return Classification(
-            eventual=_exact(ev_wit is None, ev_wit),
-            co_eventual=_exact(co_wit is None, co_wit),
-            filter=_exact(ev_wit is None and inter_wit is None, filter_wit),
-            finitely_insensitive=fin,
+            eventual=_exact(fall is None, fall),
+            # a co-eventual refutation names the member first
+            co_eventual=_exact(rise is None, rise and rise[::-1]),
+            filter=_exact(fall is None and inter_wit is None, fall or inter_wit),
+            finitely_insensitive=_exact(change is None, change),
         )
-
-    def _toggle_witness(self):
-        # a nontrivial family over a finite ground always has a member and a
-        # non-member one element apart
-        for s in self.sets:
-            for x in self.ground:
-                t = s ^ {x}
-                if t not in self.sets:
-                    return (s, t)
-        return None
 
     def exact_flags(self):
         c = self.classify()
-        return {
-            "eventual": c.eventual.value,
-            "co_eventual": c.co_eventual.value,
-            "filter": c.filter.value,
-            "finitely_insensitive": c.finitely_insensitive.value,
-        }
+        return {name: getattr(c, name).value for name in _PROPERTIES}
 
 
 class PredicateFamily(Family):
@@ -341,18 +349,6 @@ class PredicateFamily(Family):
             return random_epset(rng)
         return frozenset(x for x in self.ground if rng.random() < 0.5)
 
-    def _superset(self, s, rng):
-        if self.over_naturals:
-            return union(s, random_epset(rng))
-        extra = frozenset(x for x in self.ground if rng.random() < 0.5)
-        return s | extra
-
-    def _subset(self, s, rng):
-        if self.over_naturals:
-            return intersection(s, random_epset(rng))
-        keep = frozenset(x for x in self.ground if rng.random() < 0.5)
-        return s & keep
-
     def _finite_tweak(self, s, rng):
         if self.over_naturals:
             pool = list(range(1, 25))
@@ -372,21 +368,17 @@ class PredicateFamily(Family):
             s = self._sample_set(rng)
             s_in = self.contains(s)
             if ev_wit is None and s_in and flags["eventual"] is None:
-                sup = self._superset(s, rng)
+                sup = s | self._sample_set(rng)
                 if not self.contains(sup):
                     ev_wit = (s, sup)
             if co_wit is None and s_in and flags["co_eventual"] is None:
-                sub = self._subset(s, rng)
+                sub = s & self._sample_set(rng)
                 if not self.contains(sub):
                     co_wit = (s, sub)
             if inter_wit is None and s_in:
                 t = self._sample_set(rng)
-                if self.contains(t):
-                    meet = (
-                        intersection(s, t) if self.over_naturals else s & t
-                    )
-                    if not self.contains(meet):
-                        inter_wit = (s, t)
+                if self.contains(t) and not self.contains(s & t):
+                    inter_wit = (s, t)
             if fin_wit is None:
                 tweaked = self._finite_tweak(s, rng)
                 if self.contains(tweaked) != s_in:
@@ -519,14 +511,10 @@ class FiniteTopology:
     the ground and to be closed under pairwise unions and intersections."""
 
     def __init__(self, ground, opens):
-        self.ground = tuple(ground)
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("ground elements must be distinct")
+        self.ground = _finite_ground(ground, "topologies")
         base = frozenset(self.ground)
-        opens = frozenset(frozenset(u) for u in opens)
-        for u in opens:
-            if not u <= base:
-                raise ValueError(f"open set {sorted(map(repr, u))} leaves the ground")
+        opens = frozenset(map(frozenset, opens))
+        check_set_arg(self.ground, frozenset().union(*opens))
         if frozenset() not in opens or base not in opens:
             raise ValueError("opens must contain the empty set and the ground")
         for u, v in itertools.combinations(opens, 2):

@@ -2,16 +2,19 @@
 {0, 1, ..., inf}.
 
 A multifamily assigns an extended-natural multiplicity to every subset of
-its ground.  The two workhorses over the positive integers are the gap and
-cogap statistics; indicator multifamilies lift ordinary families, and the
-complement wrapper evaluates on complements (which exchanges increasing
-and decreasing).  Closures and limits are defined for increasing
-multifamilies over finite topologies only.
+its ground; a family is the {0, 1} case, and the two share one base class
+in ``families``.  The two workhorses over the positive integers are the
+gap and cogap statistics, whose directions are known exactly; indicator
+multifamilies lift ordinary families, and the complement wrapper evaluates
+on complements (which exchanges increasing and decreasing).  Multifamilies
+over a finite ground are classified exactly in one pass over the covering
+pairs (S, S | {x}) of the subset lattice.  Closures and limits are defined
+for increasing multifamilies over finite topologies only.
 """
 
 from __future__ import annotations
 
-import itertools
+from dataclasses import dataclass, replace
 
 from .families import (
     NATURALS,
@@ -22,17 +25,19 @@ from .families import (
     PredicateFamily,
     Verdict,
     _check_same_ground,
+    _covering_scan,
     _exact,
+    _finite_ground,
+    _OverGround,
     _preimage,
     _push_codomain,
     _sorted_sets,
-    as_ground,
     check_set_arg,
     family_from_json,
     family_to_json,
     powerset,
 )
-from .intseq import EPSet, ExtNat, cogap, complement, gap
+from .intseq import EPSet, ExtNat, cogap, gap
 
 ZERO = ExtNat(0)
 ONE = ExtNat(1)
@@ -42,13 +47,9 @@ class Multiset:
     """Finite ground with an extended-natural multiplicity per element."""
 
     def __init__(self, ground, mult=None):
-        self.ground = tuple(ground)
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("ground elements must be distinct")
+        self.ground = _finite_ground(ground, "multisets")
         mult = dict(mult or {})
-        stray = set(mult) - set(self.ground)
-        if stray:
-            raise ValueError(f"elements {sorted(map(repr, stray))} not in the ground")
+        check_set_arg(self.ground, mult)
         self._mult = {x: ExtNat.of(mult.get(x, 0)) for x in self.ground}
 
     def mult(self, x):
@@ -74,20 +75,21 @@ class Multiset:
         return f"Multiset(ground={self.ground!r}, mult={shown!r})"
 
 
-class Multifamily:
-    """Base class: assigns an ExtNat multiplicity to subsets of a ground."""
+@dataclass(frozen=True)
+class MFClassification:
+    increasing: Verdict
+    decreasing: Verdict
+    finitely_insensitive: Verdict
 
-    kind = "abstract"
 
-    def __init__(self, ground=NATURALS):
-        self.ground = as_ground(ground)
+class Multifamily(_OverGround):
+    """Base class: assigns an ExtNat multiplicity to subsets of a ground.
 
-    @property
-    def over_naturals(self):
-        return self.ground is NATURALS
+    Over a finite ground ``classify`` is exact by enumeration; over N it
+    reports the declared ``flags``."""
 
-    def _arg(self, s):
-        return check_set_arg(self.ground, s)
+    flags = dict.fromkeys(("increasing", "decreasing", "finitely_insensitive"))
+    _verdicts = MFClassification
 
     def value(self, s) -> ExtNat:
         raise NotImplementedError
@@ -96,20 +98,13 @@ class Multifamily:
         return self.value(s)
 
     def classify(self, budget=1000, seed=0):
-        raise NotImplementedError
-
-
-class MFClassification:
-    def __init__(self, increasing, decreasing, finitely_insensitive):
-        self.increasing = increasing
-        self.decreasing = decreasing
-        self.finitely_insensitive = finitely_insensitive
-
-    def __repr__(self):
-        return (
-            f"MFClassification(increasing={self.increasing!r}, "
-            f"decreasing={self.decreasing!r}, "
-            f"finitely_insensitive={self.finitely_insensitive!r})"
+        if self.over_naturals:
+            return super().classify()
+        fall, rise, change = _covering_scan(self.ground, self.value)
+        return MFClassification(
+            increasing=_exact(fall is None, fall),
+            decreasing=_exact(rise is None, rise),
+            finitely_insensitive=_exact(change is None, change),
         )
 
 
@@ -118,6 +113,7 @@ class GapMultifamily(Multifamily):
     consecutive elements; infinite for finite sets."""
 
     kind = "gap"
+    flags = {"increasing": False, "decreasing": True, "finitely_insensitive": True}
 
     def __init__(self):
         super().__init__(NATURALS)
@@ -125,14 +121,9 @@ class GapMultifamily(Multifamily):
     def value(self, s):
         return gap(self._arg(s))
 
-    def classify(self, budget=1000, seed=0):
+    def _witnesses(self):
         # {1} has value inf yet N has value 0
-        wit = (EPSet.finite([1]), EPSet.naturals())
-        return MFClassification(
-            increasing=_exact(False, wit),
-            decreasing=_exact(True),
-            finitely_insensitive=_exact(True),
-        )
+        return {"increasing": (EPSet.finite([1]), EPSet.naturals())}
 
 
 class CoGapMultifamily(Multifamily):
@@ -140,6 +131,7 @@ class CoGapMultifamily(Multifamily):
     members."""
 
     kind = "cogap"
+    flags = {"increasing": True, "decreasing": False, "finitely_insensitive": True}
 
     def __init__(self):
         super().__init__(NATURALS)
@@ -147,13 +139,8 @@ class CoGapMultifamily(Multifamily):
     def value(self, s):
         return cogap(self._arg(s))
 
-    def classify(self, budget=1000, seed=0):
-        wit = (EPSet.empty(), EPSet.naturals())
-        return MFClassification(
-            increasing=_exact(True),
-            decreasing=_exact(False, wit),
-            finitely_insensitive=_exact(True),
-        )
+    def _witnesses(self):
+        return {"decreasing": (EPSet.empty(), EPSet.naturals())}
 
 
 class IndicatorMultifamily(Multifamily):
@@ -165,21 +152,18 @@ class IndicatorMultifamily(Multifamily):
         if not isinstance(family, Family):
             raise TypeError("indicator multifamilies wrap a family")
         self.family = family
-        super().__init__(family.ground if not family.over_naturals else NATURALS)
+        super().__init__(family.ground)
 
     def value(self, s):
         return ONE if self.family.contains(s) else ZERO
 
     def classify(self, budget=1000, seed=0):
         c = self.family.classify(budget=budget, seed=seed)
-        ev, co = c.eventual, c.co_eventual
-        dec_wit = None
-        if co.witness is not None:
-            big, small = co.witness
-            dec_wit = (small, big)
+        co = c.co_eventual
+        # a co-eventual refutation names the member, the larger set, first
         return MFClassification(
-            increasing=Verdict(ev.value, ev.status, ev.witness),
-            decreasing=Verdict(co.value, co.status, dec_wit),
+            increasing=c.eventual,
+            decreasing=replace(co, witness=co.witness and co.witness[::-1]),
             finitely_insensitive=c.finitely_insensitive,
         )
 
@@ -191,25 +175,19 @@ class ComplementMultifamily(Multifamily):
 
     def __init__(self, inner):
         self.inner = inner
-        super().__init__(inner.ground if not inner.over_naturals else NATURALS)
-
-    def _co(self, s):
-        if self.over_naturals:
-            return complement(s)
-        return frozenset(self.ground) - s
+        super().__init__(inner.ground)
 
     def value(self, s):
-        return self.inner.value(self._co(self._arg(s)))
+        return self.inner.value(self._complement(self._arg(s)))
 
     def classify(self, budget=1000, seed=0):
         c = self.inner.classify(budget=budget, seed=seed)
 
         def flip(v):
-            wit = v.witness
-            if wit is not None:
-                a, b = wit
-                wit = (self._co(b), self._co(a))
-            return Verdict(v.value, v.status, wit)
+            if v.witness is None:
+                return v
+            a, b = v.witness
+            return replace(v, witness=(self._complement(b), self._complement(a)))
 
         # S |-> S^c reverses inclusion, so the directions swap
         return MFClassification(
@@ -226,22 +204,12 @@ class ExplicitMultifamily(Multifamily):
     kind = "explicit"
 
     def __init__(self, ground, table):
-        super().__init__(ground)
-        if self.over_naturals:
-            raise ValueError("explicit multifamilies need a finite ground")
-        base = set(self.ground)
-        self.table = {}
-        for s, v in dict(table).items():
-            s = frozenset(s)
-            if not s <= base:
-                raise ValueError(f"set {sorted(map(repr, s))} leaves the ground")
-            self.table[s] = ExtNat.of(v)
+        super().__init__(_finite_ground(ground, "explicit multifamilies"))
+        self.table = {frozenset(s): ExtNat.of(v) for s, v in dict(table).items()}
+        check_set_arg(self.ground, frozenset().union(*self.table))
 
     def value(self, s):
         return self.table.get(self._arg(s), ZERO)
-
-    def classify(self, budget=1000, seed=0):
-        return _classify_exhaustive(self)
 
 
 class PushedMultifamily(Multifamily):
@@ -257,38 +225,6 @@ class PushedMultifamily(Multifamily):
 
     def value(self, s):
         return self.inner.value(_preimage(self.f, self.inner.ground, self._arg(s)))
-
-    def classify(self, budget=1000, seed=0):
-        return _classify_exhaustive(self)
-
-
-def _classify_exhaustive(mf):
-    """Exact direction and insensitivity verdicts for a finite ground."""
-    ps = list(powerset(mf.ground))
-    vals = {s: mf.value(s) for s in ps}
-    inc_wit = dec_wit = None
-    for s, t in itertools.permutations(ps, 2):
-        if s < t:
-            if inc_wit is None and vals[s] > vals[t]:
-                inc_wit = (s, t)
-            if dec_wit is None and vals[s] < vals[t]:
-                dec_wit = (s, t)
-        if inc_wit and dec_wit:
-            break
-    fin_wit = None
-    for s in ps:
-        for x in mf.ground:
-            t = s ^ {x}
-            if vals[s] != vals[t]:
-                fin_wit = (s, t)
-                break
-        if fin_wit:
-            break
-    return MFClassification(
-        increasing=_exact(inc_wit is None, inc_wit),
-        decreasing=_exact(dec_wit is None, dec_wit),
-        finitely_insensitive=_exact(fin_wit is None, fin_wit),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +247,7 @@ def level_family(mf, c):
     if isinstance(mf, IndicatorMultifamily):
         if c == ONE:
             return mf.family
-        ground = "N" if mf.over_naturals else mf.ground
-        return EmptyFamily(ground)
+        return EmptyFamily(mf.ground)
     if not mf.over_naturals:
         members = [s for s in powerset(mf.ground) if mf.value(s) >= c]
         return IndicatorFamily(mf.ground, members)

@@ -17,6 +17,8 @@ from .families import (
     EmptyFamily,
     Family,
     InfiniteFamily,
+    _finite_ground,
+    check_set_arg,
 )
 from .intseq import EPSet
 
@@ -25,13 +27,9 @@ class SetSequence:
     """A sequence of subsets of a finite ground, in per-element trace form."""
 
     def __init__(self, ground, traces):
-        self.ground = tuple(ground)
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("ground elements must be distinct")
+        self.ground = _finite_ground(ground, "set sequences")
         traces = dict(traces)
-        stray = set(traces) - set(self.ground)
-        if stray:
-            raise ValueError(f"traces for {sorted(map(repr, stray))} lack ground elements")
+        check_set_arg(self.ground, traces)
         self.traces = {}
         for x in self.ground:
             t = traces.get(x, EPSet.empty())

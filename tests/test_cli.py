@@ -213,6 +213,7 @@ def _edited_trace(demo_dir, tmp_path, step, **fields):
         ({"x": [float("nan"), 0.0]}, "finite"),
         ({"lambda": 2.5}, "[0, 2]"),
         ({"res": 123.0}, "replay"),
+        ({"i": 1.5}, "integer"),
     ],
 )
 def test_analyze_rejects_edited_trace(demo_dir, tmp_path, capsys, fields, needle):
@@ -258,3 +259,61 @@ def test_problem_must_be_a_json_object(demo_dir, tmp_path, capsys, command):
     args = [str(path)] if command == "solve" else [str(demo_dir / "trace.jsonl"), str(path)]
     code, _, err = run_cli(capsys, command, *args, "-o", str(tmp_path / "r"))
     assert code == 1 and err.startswith("error:") and "JSON object" in err
+
+
+def test_analyze_slow_unconverged_run_is_inconclusive(tmp_path, capsys):
+    # two half-spaces meeting at a 1e-3 rad wedge: after 400 steps the run
+    # still drifts toward the apex, which is no evidence of a faulty operator
+    prob = {
+        "dim": 2,
+        "operators": [
+            {"kind": "halfspace", "a": [0.0, 1.0], "b": 0.0},
+            {"kind": "halfspace", "a": [1e-3, -1.0], "b": 0.0},
+        ],
+        "control": {"kind": "cyclic"},
+        "x0": [1.0, 0.5],
+        "stop": {"max_iter": 400},
+    }
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "w"
+    code, _, _ = run_cli(capsys, "solve", str(path), "-o", str(out))
+    assert code == 2
+    code, stdout, _ = run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(path), "-o", str(out))
+    assert code == 2
+    assert "certification: inconclusive" in stdout
+
+
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--ladder", "0.1,nan"], "ladder"),
+        (["--ladder=-1"], "ladder"),
+        (["--tol", "nan"], "tolerance"),
+    ],
+)
+def test_analyze_rejects_non_finite_options(demo_dir, tmp_path, capsys, flags, needle):
+    code, _, err = run_cli(
+        capsys, "analyze", str(demo_dir / "trace.jsonl"), str(demo_dir / "problem.json"),
+        "-o", str(tmp_path / "r"), *flags,
+    )
+    assert code == 1 and err.startswith("error:") and needle in err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "stop, needle",
+    [
+        ([], "stop rule"),
+        ({"max_iter": 1.5}, "max_iter"),
+        ({"tol": float("nan")}, "stop rule"),
+        ({"stride": True}, "stride"),
+    ],
+)
+def test_problem_rejects_misread_stop_rules(demo_dir, tmp_path, capsys, stop, needle):
+    prob = json.loads((demo_dir / "problem.json").read_text())
+    prob["stop"] = stop
+    path = tmp_path / "stop.json"
+    path.write_text(json.dumps(prob))
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
+    assert code == 1 and err.startswith("error:") and needle in err

@@ -174,6 +174,47 @@ def test_predicate_family_sampled_classification():
     assert not c.finitely_insensitive.value
 
 
+@pytest.mark.parametrize(
+    "ground, fn, want",
+    [
+        (
+            ("a", "b", "c", "d"),
+            lambda s: len(s) % 2 == 1,
+            {
+                "eventual": ("acd", "abcd"),
+                "co_eventual": ("acd", "cd"),
+                "filter": ("d", "c"),
+                "finitely_insensitive": ("cd", "c"),
+            },
+        ),
+        (
+            "N",
+            lambda s: s.member(1) != s.member(2),
+            {
+                "eventual": (
+                    "prefix=101111;period=110010010100",
+                    "prefix=111;period=1111100111111001111100111101111110101111100"
+                    "11110101111010111100111110011111110111110",
+                ),
+                "co_eventual": ("prefix=10100;period=0011", "prefix=;period="),
+                "filter": ("prefix=10100;period=0011", "prefix=0;period=110011001"),
+                "finitely_insensitive": ("prefix=10100;period=0011", "prefix=1110001;period=1100"),
+            },
+        ),
+    ],
+)
+def test_predicate_sampling_witnesses_are_pinned(ground, fn, want):
+    # the sampler's draw order fixes every witness at a given seed
+    c = PredicateFamily(ground, fn).classify(budget=300, seed=0)
+    for name, pair in want.items():
+        verdict = getattr(c, name)
+        assert not verdict.value and verdict.status == "sampled"
+        if ground == "N":
+            assert tuple(s.to_text() for s in verdict.witness) == pair
+        else:
+            assert verdict.witness == tuple(map(frozenset, pair))
+
+
 def test_predicate_family_exact_claim():
     fam = PredicateFamily(
         "N", lambda s: not s.is_finite, monotone="increasing", claim_status="exact"

@@ -4,6 +4,7 @@ classification, star/push, closures, and multiset limits."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evfam.families import (
     AllFamily,
@@ -177,6 +178,40 @@ def test_classify_complement_flips_directions():
     a, b = c.decreasing.witness
     assert intersection(a, b) == a  # a within b
     assert gap_c.value(a) < gap_c.value(b)
+
+
+def brute_directions(mf):
+    """Independent direction oracle over every nested pair of subsets."""
+    ps = list(powerset(mf.ground))
+    pairs = [(s, t) for s in ps for t in ps if s < t]
+    return {
+        "increasing": all(mf.value(s) <= mf.value(t) for s, t in pairs),
+        "decreasing": all(mf.value(s) >= mf.value(t) for s, t in pairs),
+        "finitely_insensitive": all(mf.value(s) == mf.value(ps[0]) for s in ps),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=0, max_value=3), data=st.data())
+def test_classify_explicit_matches_all_pairs_oracle(n, data):
+    ground = tuple("abc"[:n])
+    ps = list(powerset(ground))
+    values = data.draw(st.lists(st.sampled_from([0, 1, 2, INF]), min_size=len(ps), max_size=len(ps)))
+    mf = ExplicitMultifamily(ground, dict(zip(ps, values)))
+    got = mf.classify()
+    for name, value in brute_directions(mf).items():
+        assert getattr(got, name).value == value
+        assert getattr(got, name).status == "exact"
+    # refutations come with checkable witnesses, one element apart
+    if not got.increasing.value:
+        small, big = got.increasing.witness
+        assert small < big and mf.value(small) > mf.value(big)
+    if not got.decreasing.value:
+        small, big = got.decreasing.witness
+        assert small < big and mf.value(small) < mf.value(big)
+    if not got.finitely_insensitive.value:
+        a, b = got.finitely_insensitive.witness
+        assert len(a ^ b) == 1 and mf.value(a) != mf.value(b)
 
 
 def test_gap_direction_on_random_pairs():
