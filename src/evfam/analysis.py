@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cfp import Trace
+from .cfp import Trace, row_distances
 from .intseq import ExtNat, INF, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
@@ -25,7 +25,7 @@ DEFAULT_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 def _points(source):
     """Iterate matrix (N, J) from a Trace, an array, or a list of scalars."""
     if isinstance(source, Trace):
-        source = source.iterates
+        return source.iterates
     rows = [np.atleast_1d(np.asarray(p, dtype=float)) for p in source]
     if not rows:
         raise ValueError("need at least one point")
@@ -73,20 +73,16 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     of that many consecutive steps contains a witness.
     """
     criterion = "relaxed" if relaxed else "strict"
-    witnesses = []
-    for q in range(trace.n_steps):
-        lam = trace.relaxations[q]
-        if not relaxed and lam != 1.0:
-            continue
-        if lam == 0.0:
-            # a zero step is consistent with every operator; no evidence
-            continue
-        x = trace.iterates[q]
-        target = x + lam * (op.apply(x) - x)
-        if float(np.linalg.norm(trace.iterates[q + 1] - target)) <= tol:
-            witnesses.append((q, q + 1))
-    min_c = window_cover([q for q, _ in witnesses], trace.n_steps) if witnesses else None
-    return FollowsReport(label, criterion, None, min_c, False, tuple(witnesses)).graded(c)
+    lam = trace.relaxations
+    # a zero step is consistent with every operator; no evidence
+    qs = np.flatnonzero(lam != 0.0 if relaxed else lam == 1.0)
+    x = trace.iterates[qs]
+    applied = np.array([op.apply(p) for p in x]).reshape(x.shape)
+    target = x + lam[qs, None] * (applied - x)
+    hits = qs[row_distances(trace.iterates[qs + 1], target) <= tol].tolist()
+    min_c = window_cover(hits, trace.n_steps) if hits else None
+    witnesses = tuple((q, q + 1) for q in hits)
+    return FollowsReport(label, criterion, None, min_c, False, witnesses).graded(c)
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +90,16 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
 
 
 def _cluster_tail(tail, eps):
-    """Greedy assignment to the first representative within eps."""
-    reps = []
-    assignments = []
-    for p in tail:
-        for k, rep in enumerate(reps):
-            if float(np.linalg.norm(p - rep)) <= eps:
-                assignments.append(k)
-                break
-        else:
-            reps.append(p)
-            assignments.append(len(reps) - 1)
-    return reps, assignments
+    """Greedy assignment of each point to the first representative within
+    eps, where each point no earlier representative covers opens a new one.
+    Representative k is the first point left after k rounds, so every point
+    left lies after it and the rounds reproduce the sequential greedy pass."""
+    assignments = np.full(len(tail), -1)
+    k = 0
+    while (left := np.flatnonzero(assignments < 0)).size:
+        assignments[left[row_distances(tail[left], tail[left[0]]) <= eps]] = k
+        k += 1
+    return assignments
 
 
 def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
@@ -121,16 +115,15 @@ def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
     pts = _points(source)
     n0 = _tail_start(len(pts), n0)
     tail = pts[n0:]
-    reps, assignments = _cluster_tail(tail, eps)
+    assignments = _cluster_tail(tail, eps)
     threshold = min(len(tail), max(2, math.ceil(len(tail) / 2)))
     out = []
-    for k in range(len(reps)):
-        runs = _run_lengths([a == k for a in assignments])
-        holds_final = assignments[-1] == k
-        settled = holds_final and runs[-1] >= threshold
+    for k in range(assignments.max() + 1):
+        members = assignments == k
+        runs = _run_lengths(members)
+        settled = assignments[-1] == k and runs[-1] >= threshold
         if len(runs) >= 3 or settled:
-            last = max(i for i, a in enumerate(assignments) if a == k)
-            out.append(tail[last].copy())
+            out.append(tail[np.flatnonzero(members)[-1]].copy())
     return out
 
 
@@ -139,17 +132,10 @@ def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
 
 
 def _run_lengths(flags):
-    runs = []
-    count = 0
-    for f in flags:
-        if f:
-            count += 1
-        elif count:
-            runs.append(count)
-            count = 0
-    if count:
-        runs.append(count)
-    return runs
+    """Lengths of the maximal runs of true flags, in order."""
+    padded = np.concatenate(([0], np.asarray(flags, dtype=np.int8), [0]))
+    edges = np.flatnonzero(np.diff(padded))  # run starts and ends, alternating
+    return (edges[1::2] - edges[::2]).tolist()
 
 
 def _recurring_run(flags):
@@ -162,10 +148,7 @@ def _cauchy_tail(pts, n0, radius):
     """The second half of the tail stays within radius of the final point."""
     tail = pts[n0:]
     second = tail[len(tail) // 2 :]
-    if len(second) < 2:
-        return False
-    final = pts[-1]
-    return all(float(np.linalg.norm(p - final)) <= radius for p in second)
+    return len(second) >= 2 and bool((row_distances(second, pts[-1]) <= radius).all())
 
 
 @dataclass(frozen=True)
@@ -226,11 +209,11 @@ def _limit_estimate(source, ladder, n0, cauchy_radius):
     tail = pts[n0:]
     candidates = []
     for y in accumulation_points(source, ladder[0], n0):
+        dist = row_distances(tail, y)
         rows = []
         best = None
         for e in ladder:
-            flags = [float(np.linalg.norm(p - y)) <= e for p in tail]
-            raw = _recurring_run(flags)
+            raw = _recurring_run(dist <= e)
             best = raw if best is None else min(best, raw)
             rows.append({"eps": e, "run": raw, "estimate": ExtNat(best)})
         candidates.append(CandidateEstimate(y, tuple(rows), ExtNat(best)))

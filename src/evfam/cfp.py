@@ -24,8 +24,18 @@ from .intseq import window_cover
 FIX_TOL = 1e-9
 
 
+def _floats(x):
+    """x as a float array: strings, booleans and null are errors, not casts."""
+    v = np.asarray(x)
+    # a list mixing booleans with numbers still gets a numeric dtype
+    mixed = isinstance(x, list) and bool in map(type, np.asarray(x, dtype=object).flat)
+    if mixed or v.dtype.kind not in "iuf":
+        raise ValueError("coordinates must be JSON numbers")
+    return v.astype(float, copy=False)
+
+
 def _vec(x, dim=None):
-    v = np.asarray(x, dtype=float)
+    v = _floats(x)
     if v.ndim != 1:
         raise ValueError("points are flat coordinate vectors")
     if dim is not None and v.shape[0] != dim:
@@ -43,6 +53,24 @@ def _integer(value, what):
     ):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, what, lo=-math.inf, hi=math.inf):
+    """A real number in [lo, hi] read from input: "1", true, null and NaN
+    are errors, not casts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo <= value <= hi:
+        bounds = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
+        raise ValueError(f"{what} must be a number{bounds}, got {value!r}")
+    return float(value)
+
+
+def row_distances(points, ref):
+    """Euclidean distance from each row of ``points`` to ``ref`` (a point,
+    or a matrix of one point per row), equal bit for bit to
+    ``np.linalg.norm`` taken row by row: each row's dot product is a
+    (1, J) @ (J, 1) matmul, the same dot kernel norm uses."""
+    d = np.asarray(points, dtype=float) - ref
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
 
 
 class Operator:
@@ -82,7 +110,7 @@ class _AffineCut(Operator):
         if self.norm2 == 0.0:
             raise ValueError("the normal vector must be nonzero")
         self.a = a
-        self.b = float(b)
+        self.b = _number(b, "the offset b")
 
     def __repr__(self):
         return f"{type(self).__name__}(a={self.a.tolist()}, b={self.b})"
@@ -117,6 +145,7 @@ class Ball(Operator):
     def __init__(self, center, radius):
         center = _vec(center)
         super().__init__(center.shape[0])
+        radius = _number(radius, "the radius")
         if not radius > 0:
             raise ValueError("the radius must be positive")
         self.center = center
@@ -161,7 +190,7 @@ class AffineEquality(Operator):
     kind = "affine"
 
     def __init__(self, A, d):
-        A = np.asarray(A, dtype=float)
+        A = _floats(A)
         d = _vec(d)
         if A.ndim != 2 or A.shape[0] != d.shape[0]:
             raise ValueError("matrix and right-hand side shapes differ")
@@ -196,8 +225,8 @@ class SubgradientProjector(Operator):
     kind = "subgradient_projector"
 
     def __init__(self, slopes, offsets):
-        slopes = np.asarray(slopes, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
+        slopes = _floats(slopes)
+        offsets = _floats(offsets)
         if slopes.ndim != 2 or slopes.shape[0] != offsets.shape[0]:
             raise ValueError("slope and offset shapes differ")
         if slopes.shape[0] == 0:
@@ -259,9 +288,7 @@ class Relaxed(Operator):
     kind = "relaxed"
 
     def __init__(self, inner, lam):
-        lam = float(lam)
-        if not 0.0 <= lam <= 2.0:
-            raise ValueError("the relaxation parameter must lie in [0, 2]")
+        lam = _number(lam, "the relaxation parameter", 0.0, 2.0)
         super().__init__(inner.dim)
         self.inner = inner
         self.lam = lam
@@ -420,10 +447,7 @@ class ConstantRelaxation:
     kind = "constant"
 
     def __init__(self, value=1.0):
-        value = float(value)
-        if not 0.0 <= value <= 2.0:
-            raise ValueError("relaxation parameters live in [0, 2]")
-        self.value = value
+        self.value = _number(value, "a relaxation parameter", 0.0, 2.0)
 
     def lam(self, n):
         return self.value
@@ -439,12 +463,9 @@ class CyclicRelaxation:
     kind = "cyclic"
 
     def __init__(self, values):
-        self.values = tuple(float(v) for v in values)
+        self.values = tuple(_number(v, "a relaxation parameter", 0.0, 2.0) for v in values)
         if not self.values:
             raise ValueError("need at least one relaxation value")
-        for v in self.values:
-            if not 0.0 <= v <= 2.0:
-                raise ValueError("relaxation parameters live in [0, 2]")
 
     def lam(self, n):
         return self.values[n % len(self.values)]
@@ -475,15 +496,24 @@ class AcsaDivergence(Exception):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    iterates: list  # numpy vectors x_0 .. x_N
-    controls: list = field(default_factory=list)  # 1-based label per step
-    relaxations: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)  # per-step |T(x_n) - x_n|
+    """A run as a struct of arrays; lists given to the constructor are
+    converted."""
+
+    iterates: np.ndarray  # (N+1, J) float: row n is x_n
+    controls: np.ndarray = ()  # (N,) int: 1-based operator label of step n
+    relaxations: np.ndarray = ()  # (N,) float: lambda_n
+    residuals: np.ndarray = ()  # (N,) float: |T(x_n) - x_n|
     checkpoints: list = field(default_factory=list)  # (n, max residual)
     converged: bool = False
     stop_reason: str = ""
+
+    def __post_init__(self):
+        self.iterates = np.asarray(self.iterates, dtype=float)
+        self.controls = np.asarray(self.controls, dtype=int)
+        self.relaxations = np.asarray(self.relaxations, dtype=float)
+        self.residuals = np.asarray(self.residuals, dtype=float)
 
     @property
     def final(self):
@@ -495,7 +525,9 @@ class Trace:
 
 
 def _max_residual(ops, x):
-    return max(op.fix_residual(x) for op in ops)
+    """max over ops of fix_residual(x), for a float point x of their
+    dimension: the solver's checkpoints and summaries skip re-checking it."""
+    return max(float(np.linalg.norm(op.apply(x) - x)) for op in ops)
 
 
 def acsa_run(ops, ctrl, relaxation, x0, stop=None):
@@ -513,26 +545,25 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     stop = stop or StopRule()
     x = _vec(x0, dim)
 
-    trace = Trace(iterates=[x])
+    iterates, controls, relaxations, residuals, checkpoints = [x], [], [], [], []
     n = 0
     while True:
         at_cap = n >= stop.max_iter
         if n % stop.stride == 0 or at_cap:
             maxres = _max_residual(ops, x)
-            trace.checkpoints.append((n, maxres))
+            checkpoints.append((n, maxres))
             if maxres <= stop.tol:
-                trace.converged = True
-                trace.stop_reason = "converged"
+                stop_reason = "converged"
                 break
         if at_cap:
-            trace.stop_reason = "max_iter"
+            stop_reason = "max_iter"
             break
         try:
             label = ctrl.label(n)
         except ControlExhausted:
-            if not trace.checkpoints or trace.checkpoints[-1][0] != n:
-                trace.checkpoints.append((n, _max_residual(ops, x)))
-            trace.stop_reason = "control_exhausted"
+            if not checkpoints or checkpoints[-1][0] != n:
+                checkpoints.append((n, _max_residual(ops, x)))
+            stop_reason = "control_exhausted"
             break
         lam = relaxation.lam(n)
         if not 0.0 <= lam <= 2.0:
@@ -544,13 +575,14 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             raise AcsaDivergence(
                 f"non-finite iterate at step {n} (operator {label}, lambda {lam})"
             )
-        trace.controls.append(label)
-        trace.relaxations.append(lam)
-        trace.residuals.append(float(np.linalg.norm(step)))
-        trace.iterates.append(x_next)
+        controls.append(label)
+        relaxations.append(lam)
+        residuals.append(float(np.linalg.norm(step)))
+        iterates.append(x_next)
         x = x_next
         n += 1
-    return trace
+    return Trace(iterates, controls, relaxations, residuals, checkpoints,
+                 converged=stop_reason == "converged", stop_reason=stop_reason)
 
 
 def replay_trace(ops, trace):
@@ -559,28 +591,24 @@ def replay_trace(ops, trace):
     must share the start point's dimension, as acsa_run and
     trace_from_records guarantee; a label outside 1..m is an error."""
     x = _vec(trace.iterates[0], ops[0].dim)
-    worst = 0.0
-    for k, (label, lam) in enumerate(zip(trace.controls, trace.relaxations)):
+    xs, steps = [x], []
+    for k, (label, lam) in enumerate(zip(trace.controls.tolist(), trace.relaxations.tolist())):
         if not 1 <= label <= len(ops):
             raise ValueError(f"step {k + 1} names operator {label}, outside 1..{len(ops)}")
         step = ops[label - 1].apply(x) - x
         x = x + lam * step
-        dev = float(np.linalg.norm(x - trace.iterates[k + 1]))
-        res_dev = abs(float(np.linalg.norm(step)) - trace.residuals[k])
-        worst = max(worst, dev, res_dev)
-    return worst
+        xs.append(x)
+        steps.append(step)
+    dev = row_distances(xs, trace.iterates)
+    res_dev = np.abs(row_distances(np.reshape(steps, (-1, len(x))), 0.0) - trace.residuals)
+    # NaN, from a replay that left the finite numbers, must not pass as 0
+    return float(np.max(np.concatenate(([0.0], dev, res_dev))))
 
 
 def fejer_slack(trace, z):
     """Largest per-step increase of the distance to z (negative means the
     distances strictly decrease)."""
-    z = np.asarray(z, dtype=float)
-    worst = -np.inf
-    for a, b in zip(trace.iterates, trace.iterates[1:]):
-        before = float(np.linalg.norm(a - z))
-        after = float(np.linalg.norm(b - z))
-        worst = max(worst, after - before)
-    return worst
+    return float(np.max(np.diff(row_distances(trace.iterates, z)), initial=-np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +755,7 @@ def problem_from_json(obj, normalize=False):
     if not isinstance(s, dict):
         raise ValueError("the stop rule is a JSON object")
     stop = StopRule(
-        tol=float(s.get("tol", 1e-6)),
+        tol=_number(s.get("tol", 1e-6), "the stop rule's tol"),
         max_iter=_integer(s.get("max_iter", 100000), "max_iter"),
         stride=_integer(s.get("stride", 10), "stride"),
     )
@@ -736,18 +764,13 @@ def problem_from_json(obj, normalize=False):
 
 def trace_records(trace):
     """Flat per-iterate records: the first carries only the start point."""
-    records = [{"n": 0, "x": list(map(float, trace.iterates[0]))}]
-    for k in range(trace.n_steps):
-        records.append(
-            {
-                "n": k + 1,
-                "i": trace.controls[k],
-                "lambda": trace.relaxations[k],
-                "x": list(map(float, trace.iterates[k + 1])),
-                "res": trace.residuals[k],
-            }
-        )
-    return records
+    xs = trace.iterates.tolist()
+    steps = zip(trace.controls.tolist(), trace.relaxations.tolist(), xs[1:],
+                trace.residuals.tolist())
+    return [{"n": 0, "x": xs[0]}] + [
+        {"n": n, "i": i, "lambda": lam, "x": x, "res": res}
+        for n, (i, lam, x, res) in enumerate(steps, start=1)
+    ]
 
 
 def trace_from_records(records):
@@ -758,29 +781,18 @@ def trace_from_records(records):
         raise ValueError("trace records must be JSON objects")
     if not records or records[0].get("n") != 0:
         raise ValueError("trace records must start at n = 0")
-    iterates = [_vec(records[0]["x"])]
-    shape = iterates[0].shape
-    controls, relaxations, residuals = [], [], []
-    for k, rec in enumerate(records[1:], start=1):
+    dim = len(_vec(records[0]["x"]))
+    for k, rec in enumerate(records):
         if rec.get("n") != k:
             raise ValueError(f"trace records out of order at {rec.get('n')!r}")
-        x = np.asarray(rec["x"], dtype=float)
-        if x.shape != shape:
-            raise ValueError(f"point {k} has shape {x.shape}, the start point dimension {shape}")
-        lam = float(rec["lambda"])
-        if not 0.0 <= lam <= 2.0:
-            raise ValueError(f"relaxation {lam} at step {k} outside [0, 2]")
-        iterates.append(x)
-        controls.append(_integer(rec["i"], f"the label at step {k}"))
-        relaxations.append(lam)
-        residuals.append(float(rec["res"]))
-    if not np.isfinite(iterates).all():
-        raise ValueError("trace points must be finite")
+    steps = list(enumerate(records[1:], start=1))
     return Trace(
-        iterates=iterates,
-        controls=controls,
-        relaxations=relaxations,
-        residuals=residuals,
+        iterates=[_vec(rec["x"], dim) for rec in records],
+        controls=[_integer(rec["i"], f"the label at step {k}") for k, rec in steps],
+        relaxations=[
+            _number(rec["lambda"], f"the relaxation at step {k}", 0.0, 2.0) for k, rec in steps
+        ],
+        residuals=[_number(rec["res"], f"the residual at step {k}") for k, rec in steps],
     )
 
 

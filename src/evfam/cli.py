@@ -146,13 +146,15 @@ def _parse_ladder(text):
 
 def cmd_analyze(args):
     try:
+        if args.window is not None and args.window < 1:
+            raise ValueError(f"--window must be an integer >= 1, got {args.window}")
         ops, _, _, _, stop = _load_problem(args.problem, args.normalize)
         trace = _read_trace(args.trace)
         ladder = _parse_ladder(args.ladder)
         deviation = cfp.replay_trace(ops, trace)
     except _INPUT_ERRORS as exc:
         return _fail(exc)
-    if deviation > REPLAY_TOL:
+    if not deviation <= REPLAY_TOL:
         return _fail(
             f"trace does not replay against the problem "
             f"(max deviation {deviation:g} > {REPLAY_TOL:g})"
@@ -181,23 +183,12 @@ def cmd_analyze(args):
     }
     _write_json(os.path.join(args.out, "report.json"), report)
 
-    final = trace.final
-    rows = []
-    for k in range(trace.n_steps):
-        x = trace.iterates[k + 1]
-        rows.append(
-            (
-                k + 1,
-                trace.controls[k],
-                trace.relaxations[k],
-                trace.residuals[k],
-                float(np.linalg.norm(x - final)),
-            )
-        )
+    columns = (trace.controls, trace.relaxations, trace.residuals,
+               cfp.row_distances(trace.iterates[1:], trace.final))
     _write_csv(
         os.path.join(args.out, "runs.csv"),
         ("n", "i", "lambda", "res", "dist_to_final"),
-        rows,
+        zip(range(1, trace.n_steps + 1), *(col.tolist() for col in columns)),
     )
 
     for rep in follows:
@@ -364,7 +355,7 @@ def build_parser():
     p.add_argument("--tail", type=int, default=None,
                    help="first tail index analyzed (default: half the trace)")
     p.add_argument("--window", type=int, default=None,
-                   help="window length the follows reports are graded against")
+                   help="window length (>= 1) the follows reports are graded against")
     p.add_argument("--strict", action="store_true",
                    help="admit only unit-relaxation steps as witnesses")
     p.add_argument("--tol", type=float, default=1e-6,

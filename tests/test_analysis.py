@@ -9,6 +9,8 @@ import pytest
 
 from evfam.analysis import (
     DEFAULT_LADDER,
+    _cluster_tail,
+    _run_lengths,
     accumulation_points,
     certification_json,
     certify_fixed_points,
@@ -19,8 +21,10 @@ from evfam.analysis import (
 )
 from evfam.cfp import (
     Averaged,
+    Ball,
     ConstantRelaxation,
     CyclicControl,
+    CyclicRelaxation,
     Halfspace,
     StopRule,
     Trace,
@@ -137,8 +141,104 @@ def test_follows_needs_a_step():
     assert not rep
 
 
+def reference_witnesses(trace, op, relaxed=True, tol=1e-9):
+    """The witness test written point by point, one norm per step."""
+    out = []
+    for q in range(trace.n_steps):
+        lam = trace.relaxations[q]
+        if lam == 0.0 or not relaxed and lam != 1.0:
+            continue
+        x = trace.iterates[q]
+        target = x + lam * (op.apply(x) - x)
+        if float(np.linalg.norm(trace.iterates[q + 1] - target)) <= tol:
+            out.append((q, q + 1))
+    return tuple(out)
+
+
+def halfspace_run():
+    rng = np.random.default_rng(21)
+    ops, _ = random_feasible_instance(4, 8, rng)
+    trace = acsa_run(ops, AlmostCyclicControl(random_almost_cyclic_pattern(8, rng)),
+                     CyclicRelaxation([1.0, 0.7, 1.0, 1.3]), rng.uniform(-50, 50, size=4),
+                     StopRule(tol=1e-10, max_iter=3000))
+    return ops, trace
+
+
+def ball_bounce_run():
+    ops = [Ball([0.0, 0.0, 0.0], 1.0), Ball([4.0, 0.0, 0.0], 1.0), Ball([0.0, 4.0, 1.0], 1.5)]
+    trace = acsa_run(ops, AlmostCyclicControl((1, 3, 2, 3), 3), ConstantRelaxation(1.0),
+                     [5.0, 5.0, 5.0], StopRule(max_iter=400))
+    return ops, trace
+
+
+def zero_step_trace():
+    # steps of both operators at lambda 1, 0 and 0.5, with every fifth step
+    # an off-model jump that witnesses neither
+    ops = two_halfspace_ops()
+    x = np.array([-4.0, -4.0])
+    iterates, controls, lams = [x], [], []
+    for q in range(24):
+        label, lam = 1 + q % 2, (1.0, 0.0, 0.5)[q % 3]
+        x = x + lam * (ops[label - 1].apply(x) - x) if q % 5 else x + 0.25
+        iterates.append(x)
+        controls.append(label)
+        lams.append(lam)
+    return ops, Trace(iterates, controls, lams, [0.0] * 24)
+
+
+@pytest.mark.parametrize("relaxed", [True, False])
+@pytest.mark.parametrize("build", [halfspace_run, ball_bounce_run, zero_step_trace])
+def test_follows_witnesses_match_scalar_reference(build, relaxed):
+    ops, trace = build()
+    found = 0
+    for i, op in enumerate(ops):
+        rep = follows_check(trace, op, relaxed=relaxed, label=i + 1)
+        assert rep.witnesses == reference_witnesses(trace, op, relaxed)
+        found += len(rep.witnesses)
+    assert found > 0
+
+
 # ---------------------------------------------------------------------------
 # accumulation points
+
+
+def sequential_greedy(tail, eps):
+    """The clustering written point by point: each point joins the first
+    representative within eps, or becomes one."""
+    reps, assignments = [], []
+    for p in tail:
+        for k, rep in enumerate(reps):
+            if float(np.linalg.norm(p - rep)) <= eps:
+                assignments.append(k)
+                break
+        else:
+            reps.append(p)
+            assignments.append(len(reps) - 1)
+    return assignments
+
+
+def sequential_runs(flags):
+    runs, count = [], 0
+    for f in list(flags) + [False]:
+        if f:
+            count += 1
+        elif count:
+            runs.append(count)
+            count = 0
+    return runs
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_clustering_matches_the_sequential_greedy_pass(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(30):
+        centers = rng.normal(size=(4, dim))
+        tail = centers[rng.integers(0, 4, size=60)] + rng.normal(size=(60, dim)) * 0.3
+        for eps in (0.05, 0.4, 1.5):
+            assignments = _cluster_tail(tail, eps)
+            assert assignments.tolist() == sequential_greedy(tail, eps)
+            for k in range(assignments.max() + 1):
+                assert _run_lengths(assignments == k) == sequential_runs(assignments == k)
 
 
 def test_accumulation_alternating_two_points():

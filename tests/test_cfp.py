@@ -21,6 +21,7 @@ from evfam.cfp import (
     Relaxed,
     StopRule,
     SubgradientProjector,
+    Trace,
     acsa_run,
     control_from_json,
     control_validate,
@@ -36,6 +37,7 @@ from evfam.cfp import (
     relax,
     relaxation_from_json,
     replay_trace,
+    row_distances,
     trace_from_records,
     trace_records,
     trace_summary,
@@ -336,6 +338,31 @@ def test_fejer_monotone_on_random_instances():
         assert all(op.fix_residual(trace.final) <= 1e-6 for op in ops)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-3, 1.0, 1e3])
+def test_row_distances_equal_per_row_norm_bit_for_bit(scale):
+    rng = np.random.default_rng(12)
+    for dim in range(1, 102):
+        points = rng.normal(size=(40, dim)) * scale
+        y = rng.normal(size=dim) * scale
+        expected = np.array([np.linalg.norm(p - y) for p in points])
+        assert np.array_equal(row_distances(points, y), expected)
+        paired = rng.normal(size=(40, dim)) * scale
+        expected = np.array([np.linalg.norm(p - q) for p, q in zip(points, paired)])
+        assert np.array_equal(row_distances(points, paired), expected)
+
+
+def test_trace_is_a_struct_of_arrays():
+    ops, ctrl, sched = two_halfspace_problem()
+    trace = acsa_run(ops, ctrl, sched, [-1.0, -1.0], StopRule(stride=1))
+    assert trace.iterates.shape == (3, 2) and trace.iterates.dtype == float
+    assert trace.controls.tolist() == [1, 2]
+    assert trace.relaxations.tolist() == [1.0, 1.0]
+    assert trace.residuals.tolist() == [1.0, 1.0]
+    built = Trace([[0.0, 1.0], [2.0, 3.0]], [1], [0.5], [2.0])
+    assert built.iterates.shape == (2, 2) and built.n_steps == 1
+    assert built.controls.dtype.kind == "i" and built.residuals.dtype == float
+
+
 def test_relaxation_schedules():
     sched = CyclicRelaxation([0.5, 1.5])
     assert sched.lam(0) == 0.5 and sched.lam(3) == 1.5
@@ -355,6 +382,23 @@ def test_operator_json_round_trip():
         assert operator_to_json(back) == obj
         x = np.array([0.7, -2.3])
         assert np.allclose(op(x), back(x))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "affine", "A": [[True, 0.0]], "d": [1.0]},
+        {"kind": "subgradient_projector", "slopes": [[1.0, "0"]], "offsets": [0.0]},
+        {"kind": "subgradient_projector", "slopes": [[1.0, 0.0]], "offsets": [None]},
+        {"kind": "ball", "center": [0.0, False], "radius": 1.0},
+        {"kind": "ball", "center": [0.0, 0.0], "radius": "1"},
+        {"kind": "hyperplane", "a": [1.0, 0.0], "b": None},
+        {"kind": "relaxed", "inner": {"kind": "box", "lo": [0.0], "hi": [1.0]}, "lambda": "1"},
+    ],
+)
+def test_operator_json_rejects_non_numbers(obj):
+    with pytest.raises(ValueError, match="number"):
+        operator_from_json(obj)
 
 
 def test_normalization_rescales_halfspaces():

@@ -124,6 +124,21 @@ def test_analyze_bad_ladder(demo_dir, tmp_path, capsys):
     assert code == 1 and "ladder" in err
 
 
+THREE_BALLS = {
+    # three disjoint discs: the run settles on a three-point limit cycle and
+    # never converges, so analyze takes the clustering and ladder paths
+    "dim": 2,
+    "operators": [
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        {"kind": "ball", "center": [4.0, 0.0], "radius": 1.0},
+        {"kind": "ball", "center": [0.0, 4.0], "radius": 1.0},
+    ],
+    "control": {"kind": "cyclic"},
+    "x0": [5.0, 5.0],
+    "stop": {"max_iter": 300},
+}
+
+
 def test_outputs_are_byte_identical(demo_dir, tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -134,6 +149,29 @@ def test_outputs_are_byte_identical(demo_dir, tmp_path, capsys):
         assert code == 0
     for name in ("report.json", "runs.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    problem = tmp_path / "balls.json"
+    problem.write_text(json.dumps(THREE_BALLS))
+    stdouts = []
+    for out in (tmp_path / "balls-a", tmp_path / "balls-b"):
+        code, solved, _ = run_cli(capsys, "solve", str(problem), "-o", str(out))
+        assert code == 2
+        code, analyzed, _ = run_cli(
+            capsys, "analyze", str(out / "trace.jsonl"), str(problem), "-o", str(out)
+        )
+        assert code == 2 and "certification: inconclusive" in analyzed
+        stdouts.append((solved + analyzed).replace(str(out), "OUT"))
+    assert stdouts[0] == stdouts[1]
+    for name in ("trace.jsonl", "summary.json", "report.json", "runs.csv"):
+        first = (tmp_path / "balls-a" / name).read_bytes()
+        assert first == (tmp_path / "balls-b" / name).read_bytes()
+    estimate = json.loads((tmp_path / "balls-a" / "report.json").read_text())["estimate"]
+    assert estimate["convergent"] is False
+    assert len(estimate["candidates"]) == 3
+    for cand in estimate["candidates"]:
+        # each cycle point is visited once per lap: runs of one at every radius
+        assert cand["estimate"] == 1
+        assert [row["run"] for row in cand["per_eps"]] == [1, 1, 1, 1]
 
 
 def test_demo_counterexample(tmp_path, capsys):
@@ -317,3 +355,51 @@ def test_problem_rejects_misread_stop_rules(demo_dir, tmp_path, capsys, stop, ne
     path.write_text(json.dumps(prob))
     code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
     assert code == 1 and err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        ({"relaxation": {"kind": "cyclic", "values": "11"}}, "relaxation"),
+        ({"relaxation": {"kind": "constant", "value": True}}, "relaxation"),
+        ({"stop": {"tol": "1e-6"}}, "tol"),
+        ({"operators": [{"kind": "halfspace", "a": [-1.0, 0.0], "b": "0"},
+                        {"kind": "halfspace", "a": [0.0, -1.0], "b": 0.0}]}, "offset"),
+        ({"x0": ["-1", "-1"]}, "numbers"),
+    ],
+)
+def test_problem_rejects_non_numeric_json(demo_dir, tmp_path, capsys, edit, needle):
+    prob = json.loads((demo_dir / "problem.json").read_text())
+    prob.update(edit)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(prob))
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
+    assert code == 1 and err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        ({"lambda": True}, "relaxation"),
+        ({"res": "1"}, "residual"),
+        ({"x": ["0", "-1"]}, "numbers"),
+        ({"x": [True, -1.0]}, "numbers"),
+    ],
+)
+def test_analyze_rejects_non_numeric_trace(demo_dir, tmp_path, capsys, fields, needle):
+    trace = _edited_trace(demo_dir, tmp_path, 1, **fields)
+    code, _, err = run_cli(
+        capsys, "analyze", str(trace), str(demo_dir / "problem.json"),
+        "-o", str(tmp_path / "r"),
+    )
+    assert code == 1 and err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_analyze_rejects_window_below_one(demo_dir, tmp_path, capsys, window):
+    code, _, err = run_cli(
+        capsys, "analyze", str(demo_dir / "trace.jsonl"), str(demo_dir / "problem.json"),
+        "-o", str(tmp_path / "r"), "--window", window,
+    )
+    assert code == 1 and err.startswith("error:") and "--window" in err
+    assert not (tmp_path / "r" / "report.json").exists()
