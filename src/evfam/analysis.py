@@ -77,8 +77,7 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     # a zero step is consistent with every operator; no evidence
     qs = np.flatnonzero(lam != 0.0 if relaxed else lam == 1.0)
     x = trace.iterates[qs]
-    applied = np.array([op.apply(p) for p in x]).reshape(x.shape)
-    target = x + lam[qs, None] * (applied - x)
+    target = x + lam[qs, None] * (op.apply_many(x) - x)
     hits = qs[row_distances(trace.iterates[qs + 1], target) <= tol].tolist()
     min_c = window_cover(hits, trace.n_steps) if hits else None
     witnesses = tuple((q, q + 1) for q in hits)
@@ -286,7 +285,7 @@ def follows_report_json(rep):
         "window": rep.window,
         "min_c": rep.min_c,
         "ok": rep.ok,
-        "witnesses": [list(w) for w in rep.witnesses],
+        "witnesses": rep.witnesses,  # the encoder writes tuples as lists
     }
 
 

@@ -88,6 +88,11 @@ class Operator:
     def apply(self, x):
         raise NotImplementedError
 
+    def apply_many(self, X):
+        """apply to each row of a float (N, J) array.  Closed forms override
+        this with one array pass, equal bit for bit to this row loop."""
+        return np.array([self.apply(x) for x in X]).reshape(X.shape)
+
     def __call__(self, x):
         return self.apply(_vec(x, self.dim))
 
@@ -112,6 +117,12 @@ class _AffineCut(Operator):
         self.a = a
         self.b = _number(b, "the offset b")
 
+    def _slacks(self, X):
+        """<a, x> - b for each row x of X, bit for bit float(a @ x) - b: each
+        row's dot product is a (1, J) @ (J, 1) matmul, the 1-D product's
+        dot kernel."""
+        return np.matmul(X[:, None, :], self.a[:, None])[:, 0, 0] - self.b
+
     def __repr__(self):
         return f"{type(self).__name__}(a={self.a.tolist()}, b={self.b})"
 
@@ -127,6 +138,13 @@ class Halfspace(_AffineCut):
             return x
         return x - (slack / self.norm2) * self.a
 
+    def apply_many(self, X):
+        slack = self._slacks(X)
+        cut = ~(slack <= 0.0)  # a NaN slack cuts, as in apply
+        out = X.copy()
+        out[cut] -= (slack[cut] / self.norm2)[:, None] * self.a
+        return out
+
 
 class Hyperplane(_AffineCut):
     """Projection onto {u : <a,u> = b}."""
@@ -135,6 +153,9 @@ class Hyperplane(_AffineCut):
 
     def apply(self, x):
         return x - ((float(self.a @ x) - self.b) / self.norm2) * self.a
+
+    def apply_many(self, X):
+        return X - (self._slacks(X) / self.norm2)[:, None] * self.a
 
 
 class Ball(Operator):
@@ -158,6 +179,14 @@ class Ball(Operator):
             return x
         return self.center + (self.radius / dist) * d
 
+    def apply_many(self, X):
+        d = X - self.center
+        dist = row_distances(d, 0.0)
+        far = ~(dist <= self.radius)
+        out = X.copy()
+        out[far] = self.center + (self.radius / dist[far])[:, None] * d[far]
+        return out
+
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
@@ -179,6 +208,8 @@ class Box(Operator):
 
     def apply(self, x):
         return np.clip(x, self.lo, self.hi)
+
+    apply_many = apply
 
     def __repr__(self):
         return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
@@ -275,6 +306,9 @@ class Averaged(Operator):
     def apply(self, x):
         return 0.5 * (x + self.inner.apply(x))
 
+    def apply_many(self, X):
+        return 0.5 * (X + self.inner.apply_many(X))
+
     def in_fix(self, x, tol=FIX_TOL):
         return self.inner.in_fix(x, tol)
 
@@ -300,6 +334,11 @@ class Relaxed(Operator):
         if self.lam == 0.0:
             return x
         return x + self.lam * (self.inner.apply(x) - x)
+
+    def apply_many(self, X):
+        if self.lam == 0.0:
+            return X
+        return X + self.lam * (self.inner.apply_many(X) - X)
 
     def in_fix(self, x, tol=FIX_TOL):
         if self.lam == 0.0:

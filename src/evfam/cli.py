@@ -2,9 +2,11 @@
 and worked demos.
 
 Artifacts are JSON/JSONL/CSV, written atomically (temp file + rename) so a
-crashed run never leaves a half-written report.  Identical inputs and seed
-produce byte-identical outputs; floats are serialized with Python's repr,
-which round-trips exactly.
+crashed run never leaves a half-written report, with the permissions the
+umask gives a new file.  JSON artifacts are one line of sorted keys, which
+the C encoder writes.  Identical inputs and seed produce byte-identical
+outputs; floats are serialized with Python's repr, which round-trips
+exactly.
 
 Exit codes: 0 success/converged/certified; 1 input or replay error;
 2 iteration cap or inconclusive; 3 certification violation.
@@ -43,6 +45,12 @@ def _write_text(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600: give it the mode open() would.  Reading
+        # the umask means setting it, to 077 so that a file another thread
+        # creates meanwhile gets no wider mode.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -51,7 +59,7 @@ def _write_text(path, text):
 
 
 def _dump_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_json(path, obj):

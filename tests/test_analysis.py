@@ -20,13 +20,18 @@ from evfam.analysis import (
     limit_estimate_json,
 )
 from evfam.cfp import (
+    AffineEquality,
     Averaged,
     Ball,
+    Box,
     ConstantRelaxation,
     CyclicControl,
     CyclicRelaxation,
     Halfspace,
+    Hyperplane,
+    Relaxed,
     StopRule,
+    SubgradientProjector,
     Trace,
     acsa_run,
     random_almost_cyclic_pattern,
@@ -186,8 +191,27 @@ def zero_step_trace():
     return ops, Trace(iterates, controls, lams, [0.0] * 24)
 
 
+def mixed_kind_run():
+    # every operator kind, batched or row by row, around the feasible point
+    # (0.4, 0.4, 0.2)
+    ops = [
+        Hyperplane([1.0, 1.0, 1.0], 1.0),
+        Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+        AffineEquality([[1.0, -1.0, 0.0]], [0.0]),
+        SubgradientProjector(np.eye(3), [-0.5, -0.5, -0.5]),
+        Averaged(Halfspace([0.0, 0.0, 1.0], 0.2)),
+        Relaxed(Ball([0.0, 0.0, 0.0], 2.0), 1.5),
+        Relaxed(Halfspace([1.0, 0.0, 0.0], 0.9), 0.0),
+    ]
+    trace = acsa_run(ops, CyclicControl(len(ops)), CyclicRelaxation([1.0, 0.8, 1.0, 1.2]),
+                     [5.0, -3.0, 4.0], StopRule(tol=1e-10, max_iter=2000))
+    return ops, trace
+
+
 @pytest.mark.parametrize("relaxed", [True, False])
-@pytest.mark.parametrize("build", [halfspace_run, ball_bounce_run, zero_step_trace])
+@pytest.mark.parametrize(
+    "build", [halfspace_run, ball_bounce_run, zero_step_trace, mixed_kind_run]
+)
 def test_follows_witnesses_match_scalar_reference(build, relaxed):
     ops, trace = build()
     found = 0
@@ -196,6 +220,19 @@ def test_follows_witnesses_match_scalar_reference(build, relaxed):
         assert rep.witnesses == reference_witnesses(trace, op, relaxed)
         found += len(rep.witnesses)
     assert found > 0
+
+
+def test_follows_applies_closed_forms_in_one_batch(monkeypatch):
+    runs = [halfspace_run(), ball_bounce_run()]
+
+    def scalar_apply(self, x):
+        raise AssertionError("follows_check applied an operator point by point")
+
+    monkeypatch.setattr(Halfspace, "apply", scalar_apply)
+    monkeypatch.setattr(Ball, "apply", scalar_apply)
+    for ops, trace in runs:
+        for i, op in enumerate(ops):
+            assert follows_check(trace, op, label=i + 1).witnesses
 
 
 # ---------------------------------------------------------------------------

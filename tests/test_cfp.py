@@ -107,6 +107,32 @@ def test_subgradient_projector_step():
         SubgradientProjector([[0.0, 0.0]], [1.0])
 
 
+def batch_rows():
+    """Rows strictly inside, strictly outside and exactly on the boundary of
+    every sample operator's set, seams of the subgradient projector and the
+    ball's center included."""
+    rng = np.random.default_rng(7)
+    on = [[0.0, 0.5], [0.0, -2.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 0.0],
+          [1.0, 1.0], [0.5, 0.5], [1.0, -1.0], [-1.0, 1.0], [2.0, 2.0]]
+    return np.vstack([on, rng.uniform(-0.05, 0.05, (20, 2)), rng.normal(size=(40, 2)) * 3])
+
+
+def test_apply_many_equals_apply_bit_for_bit():
+    X = batch_rows()
+    # the rows reach each boundary exactly: slack 0 and distance = radius
+    assert (X[:, 0] == 0.0).sum() >= 3
+    assert (row_distances(X, 0.0) == 1.0).sum() >= 3
+    ops = sample_ops() + [Doubling(2)]
+    ops += [Averaged(op) for op in ops] + [Relaxed(op, 0.7) for op in ops]
+    ops += [Averaged(Relaxed(Halfspace([1.0, 0.0], 0.0), lam)) for lam in (0.0, 0.5, 1.5)]
+    for op in ops:
+        for rows in (X, X[:0]):
+            expected = np.array([op.apply(x) for x in rows]).reshape(rows.shape)
+            got = op.apply_many(rows)
+            assert got.shape == rows.shape and got.dtype == float, op
+            assert got.tobytes() == expected.tobytes(), op
+
+
 def test_projections_are_idempotent():
     # the subgradient projector is excluded: one step need not reach the
     # level set, so it is not a projection in this sense

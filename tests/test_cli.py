@@ -3,6 +3,7 @@ codes, determinism of the written artifacts, and the check runner."""
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -229,6 +230,28 @@ def test_check_rejects_negative_budget(capsys):
 def test_atomic_writes_leave_no_temp_files(demo_dir):
     leftovers = [name for name in os.listdir(demo_dir) if name.startswith(".evfam-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_artifacts_honour_the_umask(tmp_path, capsys, umask):
+    demo, out = tmp_path / "demo", tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run_cli(capsys, "demo", "two-halfspaces", "-o", str(demo))[0] == 0
+        assert run_cli(capsys, "solve", str(demo / "problem.json"), "-o", str(out))[0] == 0
+        code, _, _ = run_cli(capsys, "analyze", str(out / "trace.jsonl"),
+                             str(demo / "problem.json"), "-o", str(out))
+        assert code == 0
+    finally:
+        os.umask(old)
+    modes = {
+        f"{d.name}/{p.name}": stat.S_IMODE(p.stat().st_mode) for d in (demo, out) for p in d.iterdir()
+    }
+    assert sorted(modes) == [
+        "demo/problem.json", "demo/summary.json", "demo/trace.jsonl",
+        "out/report.json", "out/runs.csv", "out/summary.json", "out/trace.jsonl",
+    ]
+    assert set(modes.values()) == {0o666 & ~umask}
 
 
 def _edited_trace(demo_dir, tmp_path, step, **fields):
