@@ -1,6 +1,9 @@
 """Trace analysis: the follows-property, accumulation points, recurring-run
 multiplicity estimates, and fixed-point certification.
 
+A follows report holds its witness steps q (x_{q+1} is the recorded update
+of x_q) as a sorted int array; JSON writes them as [start, length] runs.
+
 A finite trace cannot witness a lim sup, so run statistics are reported as
 lower bounds; the per-epsilon estimates are clamped to be non-increasing
 down the ladder (nested neighborhoods cannot honestly raise the bound).
@@ -45,14 +48,14 @@ def _tail_start(n_points, n0):
 # the follows-property
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on the array field would raise
 class FollowsReport:
     operator: object  # 1-based label when known
     criterion: str  # "relaxed" | "strict"
     window: object  # requested window length, or None
     min_c: object  # smallest certified window length, or None
     ok: bool
-    witnesses: tuple  # (q, q+1) iterate index pairs
+    witnesses: np.ndarray  # sorted witness steps q, each meaning x_{q+1} follows x_q
 
     def __bool__(self):
         return self.ok
@@ -78,10 +81,9 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     qs = np.flatnonzero(lam != 0.0 if relaxed else lam == 1.0)
     x = trace.iterates[qs]
     target = x + lam[qs, None] * (op.apply_many(x) - x)
-    hits = qs[row_distances(trace.iterates[qs + 1], target) <= tol].tolist()
-    min_c = window_cover(hits, trace.n_steps) if hits else None
-    witnesses = tuple((q, q + 1) for q in hits)
-    return FollowsReport(label, criterion, None, min_c, False, witnesses).graded(c)
+    hits = qs[row_distances(trace.iterates[qs + 1], target) <= tol]
+    min_c = window_cover(hits.tolist(), trace.n_steps) if hits.size else None
+    return FollowsReport(label, criterion, None, min_c, False, hits).graded(c)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +132,16 @@ def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
 # recurring-run multiplicity estimates
 
 
-def _run_lengths(flags):
-    """Lengths of the maximal runs of true flags, in order."""
+def _runs(flags):
+    """Start indices and lengths of the maximal runs of true flags, in order."""
     padded = np.concatenate(([0], np.asarray(flags, dtype=np.int8), [0]))
     edges = np.flatnonzero(np.diff(padded))  # run starts and ends, alternating
-    return (edges[1::2] - edges[::2]).tolist()
+    return edges[::2], edges[1::2] - edges[::2]
+
+
+def _run_lengths(flags):
+    """Lengths of the maximal runs of true flags, in order."""
+    return _runs(flags)[1].tolist()
 
 
 def _recurring_run(flags):
@@ -223,10 +230,10 @@ def _limit_estimate(source, ladder, n0, cauchy_radius):
 # certification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # candidates and follows hold arrays
 class Certification:
     status: str  # "certified" | "inconclusive" | "violation"
-    entries: tuple  # {"candidate", "operator", "residual", "ok"}
+    entries: tuple  # {"candidate": index into candidates, "operator", "residual", "ok"}
     candidates: tuple
     follows: tuple
 
@@ -256,21 +263,16 @@ def certify_fixed_points(trace, ops, eps=DEFAULT_LADDER[0], n0=None, tol=1e-6, r
     followed = [(rep.operator, rep.min_c) for rep in follows if rep.min_c is not None]
     candidates = tuple(c.point for c in est.candidates)
     entries = []
-    ok_all = True
-    for cand in est.candidates:
+    for k, cand in enumerate(est.candidates):
         for label, min_c in followed:
             if not cand.estimate >= min_c + 1:
                 continue
-            op = ops[label - 1]
-            residual = op.fix_residual(cand.point)
+            residual = ops[label - 1].fix_residual(cand.point)
             ok = residual <= tol
-            ok_all = ok_all and ok
-            entries.append(
-                {"candidate": cand.point, "operator": label, "residual": residual, "ok": ok}
-            )
+            entries.append({"candidate": k, "operator": label, "residual": residual, "ok": ok})
     if not entries:
         return Certification("inconclusive", (), candidates, follows)
-    status = "certified" if ok_all else "violation"
+    status = "certified" if all(e["ok"] for e in entries) else "violation"
     return Certification(status, tuple(entries), candidates, follows)
 
 
@@ -279,13 +281,15 @@ def certify_fixed_points(trace, ops, eps=DEFAULT_LADDER[0], n0=None, tol=1e-6, r
 
 
 def follows_report_json(rep):
+    """The report, with its witness steps as [start, length] runs."""
+    starts, lengths = _runs(np.bincount(rep.witnesses))
     return {
         "operator": rep.operator,
         "criterion": rep.criterion,
         "window": rep.window,
         "min_c": rep.min_c,
         "ok": rep.ok,
-        "witnesses": rep.witnesses,  # the encoder writes tuples as lists
+        "steps": np.column_stack((starts, lengths)).tolist(),
     }
 
 
@@ -317,17 +321,9 @@ def limit_estimate_json(est):
 
 
 def certification_json(cert):
+    """The verdict and its entries, which index the candidates."""
     return {
         "status": cert.status,
-        "entries": [
-            {
-                "candidate": list(map(float, e["candidate"])),
-                "operator": e["operator"],
-                "residual": e["residual"],
-                "ok": e["ok"],
-            }
-            for e in cert.entries
-        ],
+        "entries": list(cert.entries),
         "candidates": [list(map(float, y)) for y in cert.candidates],
-        "follows": [follows_report_json(r) for r in cert.follows],
     }

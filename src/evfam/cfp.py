@@ -822,8 +822,10 @@ def trace_from_records(records):
         raise ValueError("trace records must start at n = 0")
     dim = len(_vec(records[0]["x"]))
     for k, rec in enumerate(records):
-        if rec.get("n") != k:
-            raise ValueError(f"trace records out of order at {rec.get('n')!r}")
+        # trace_records writes JSON integers: true or 1.0 is an edit, though
+        # _integer takes 1.0 elsewhere (a hand-written "max_iter": 1e5)
+        if type(n := rec.get("n")) is not int or n != k:
+            raise ValueError(f"the index of record {k} must be the integer {k}, got {n!r}")
     steps = list(enumerate(records[1:], start=1))
     return Trace(
         iterates=[_vec(rec["x"], dim) for rec in records],

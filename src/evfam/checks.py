@@ -488,7 +488,9 @@ def check_analysis(seed, budget):
         rep = cert.follows[0]
         if rep.min_c is not None:
             c = rep.min_c
-            steps = {q for q, _ in rep.witnesses}
+            # a run holds the pair of step q iff run[0] - 1 <= q <= run[-1] - 2;
+            # the sentinel n_steps lies past every such range
+            steps = np.append(rep.witnesses, trace.n_steps)
             for _ in range(3):
                 pre = tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
                 per = tuple(rng.randrange(2) for _ in range(rng.randrange(8)))
@@ -501,9 +503,8 @@ def check_analysis(seed, budget):
                     if s.member(n):
                         run.append(n)
                     if run and (not s.member(n) or n == trace.n_steps + 1):
-                        if len(run) >= c + 1 and not any(
-                            run[0] - 1 <= q <= run[-1] - 2 for q in steps
-                        ):
+                        held = steps[np.searchsorted(steps, run[0] - 1)] <= run[-1] - 2
+                        if len(run) >= c + 1 and not held:
                             fail_level.append(f"instance {k}: run at {run[0]}")
                         run = []
     out.append(_result("analysis.theorem1-consistency", instances, fail_cert))

@@ -11,6 +11,7 @@ from evfam.analysis import (
     DEFAULT_LADDER,
     _cluster_tail,
     _run_lengths,
+    _runs,
     accumulation_points,
     certification_json,
     certify_fixed_points,
@@ -86,8 +87,8 @@ def test_follows_two_halfspace_demo():
     ops, trace = two_halfspace_trace()
     rep1 = follows_check(trace, ops[0], label=1)
     rep2 = follows_check(trace, ops[1], label=2)
-    assert rep1.witnesses == ((0, 1),)
-    assert rep2.witnesses == ((1, 2),)
+    assert rep1.witnesses.tolist() == [0]
+    assert rep2.witnesses.tolist() == [1]
     # two steps, one witness each: both boundary windows have length 2
     assert rep1.min_c == 2 and rep2.min_c == 2
     assert rep1.ok and rep2.ok
@@ -160,20 +161,30 @@ def reference_witnesses(trace, op, relaxed=True, tol=1e-9):
     return tuple(out)
 
 
-def halfspace_run():
+def halfspace_problem():
+    """(ops, control, relaxation, x0, stop) of a dim-4, 8-halfspace run."""
     rng = np.random.default_rng(21)
     ops, _ = random_feasible_instance(4, 8, rng)
-    trace = acsa_run(ops, AlmostCyclicControl(random_almost_cyclic_pattern(8, rng)),
-                     CyclicRelaxation([1.0, 0.7, 1.0, 1.3]), rng.uniform(-50, 50, size=4),
-                     StopRule(tol=1e-10, max_iter=3000))
-    return ops, trace
+    return (ops, AlmostCyclicControl(random_almost_cyclic_pattern(8, rng)),
+            CyclicRelaxation([1.0, 0.7, 1.0, 1.3]), rng.uniform(-50, 50, size=4),
+            StopRule(tol=1e-10, max_iter=3000))
+
+
+def ball_bounce_problem():
+    """Three disjoint balls: the run bounces on a limit cycle to its cap."""
+    ops = [Ball([0.0, 0.0, 0.0], 1.0), Ball([4.0, 0.0, 0.0], 1.0), Ball([0.0, 4.0, 1.0], 1.5)]
+    return (ops, AlmostCyclicControl((1, 3, 2, 3), 3), ConstantRelaxation(1.0),
+            [5.0, 5.0, 5.0], StopRule(max_iter=400))
+
+
+def halfspace_run():
+    problem = halfspace_problem()
+    return problem[0], acsa_run(*problem)
 
 
 def ball_bounce_run():
-    ops = [Ball([0.0, 0.0, 0.0], 1.0), Ball([4.0, 0.0, 0.0], 1.0), Ball([0.0, 4.0, 1.0], 1.5)]
-    trace = acsa_run(ops, AlmostCyclicControl((1, 3, 2, 3), 3), ConstantRelaxation(1.0),
-                     [5.0, 5.0, 5.0], StopRule(max_iter=400))
-    return ops, trace
+    problem = ball_bounce_problem()
+    return problem[0], acsa_run(*problem)
 
 
 def zero_step_trace():
@@ -217,7 +228,7 @@ def test_follows_witnesses_match_scalar_reference(build, relaxed):
     found = 0
     for i, op in enumerate(ops):
         rep = follows_check(trace, op, relaxed=relaxed, label=i + 1)
-        assert rep.witnesses == reference_witnesses(trace, op, relaxed)
+        assert rep.witnesses.tolist() == [q for q, _ in reference_witnesses(trace, op, relaxed)]
         found += len(rep.witnesses)
     assert found > 0
 
@@ -232,7 +243,7 @@ def test_follows_applies_closed_forms_in_one_batch(monkeypatch):
     monkeypatch.setattr(Ball, "apply", scalar_apply)
     for ops, trace in runs:
         for i, op in enumerate(ops):
-            assert follows_check(trace, op, label=i + 1).witnesses
+            assert follows_check(trace, op, label=i + 1).witnesses.size
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +286,11 @@ def test_clustering_matches_the_sequential_greedy_pass(dim):
             assignments = _cluster_tail(tail, eps)
             assert assignments.tolist() == sequential_greedy(tail, eps)
             for k in range(assignments.max() + 1):
-                assert _run_lengths(assignments == k) == sequential_runs(assignments == k)
+                members = assignments == k
+                assert _run_lengths(members) == sequential_runs(members)
+                starts, lengths = _runs(members)
+                decoded = [q for s, n in zip(starts, lengths) for q in range(s, s + n)]
+                assert decoded == np.flatnonzero(members).tolist()
 
 
 def test_accumulation_alternating_two_points():
@@ -493,7 +508,7 @@ def test_report_json_round():
     data = json.loads(blob)
     assert data["operator"] == 1
     assert data["min_c"] == 2
-    assert data["witnesses"] == [[0, 1]]
+    assert data["steps"] == [[0, 1]]  # one run: step 0, length 1
 
 
 def test_estimate_json_inf_marker():
@@ -514,7 +529,8 @@ def test_certification_json():
     assert data["status"] == "certified"
     assert data["entries"][0]["ok"] is True
     assert data["candidates"] == [[0.0, 0.0]]
-    assert len(data["follows"]) == 2
+    for entry in data["entries"]:
+        assert data["candidates"][entry["candidate"]] == [0.0, 0.0]
 
 
 def test_default_ladder_shape():

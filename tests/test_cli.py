@@ -6,7 +6,10 @@ import os
 import stat
 
 import pytest
+from test_analysis import ball_bounce_problem, halfspace_problem, reference_witnesses
 
+from evfam.analysis import follows_check
+from evfam.cfp import acsa_run, problem_to_json
 from evfam.cli import main
 
 
@@ -91,6 +94,27 @@ def test_analyze_certified_round_trip(demo_dir, tmp_path, capsys):
     assert rows[0] == "n,i,lambda,res,dist_to_final"
     assert rows[1] == "1,1,1.0,1.0,1.0"
     assert rows[2] == "2,2,1.0,1.0,0.0"
+
+
+@pytest.mark.parametrize("build, codes", [(halfspace_problem, (0, 0)),
+                                          (ball_bounce_problem, (2, 2))])
+def test_report_steps_decode_to_the_witnesses(tmp_path, capsys, build, codes):
+    ops, ctrl, sched, x0, stop = build()
+    problem, out = tmp_path / "problem.json", tmp_path / "out"
+    problem.write_text(json.dumps(problem_to_json(ops, ctrl, sched, x0, stop)))
+    solved = run_cli(capsys, "solve", str(problem), "-o", str(out))[0]
+    analyzed = run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(problem), "-o", str(out))[0]
+    assert (solved, analyzed) == codes
+    report = json.loads((out / "report.json").read_text())
+    assert "follows" not in report["certification"]
+    trace = acsa_run(ops, ctrl, sched, x0, stop)
+    found = 0
+    for i, (op, rep) in enumerate(zip(ops, report["follows"], strict=True)):
+        steps = [q for start, length in rep["steps"] for q in range(start, start + length)]
+        assert steps == follows_check(trace, op, label=i + 1).witnesses.tolist()
+        assert steps == [q for q, _ in reference_witnesses(trace, op)]
+        found += len(steps)
+    assert found > 0
 
 
 def test_analyze_replay_gate(demo_dir, tmp_path, capsys):
@@ -275,6 +299,8 @@ def _edited_trace(demo_dir, tmp_path, step, **fields):
         ({"lambda": 2.5}, "[0, 2]"),
         ({"res": 123.0}, "replay"),
         ({"i": 1.5}, "integer"),
+        ({"n": True}, "integer"),
+        ({"n": 1.0}, "integer"),
     ],
 )
 def test_analyze_rejects_edited_trace(demo_dir, tmp_path, capsys, fields, needle):
