@@ -821,15 +821,19 @@ def trace_from_records(records):
     if not records or records[0].get("n") != 0:
         raise ValueError("trace records must start at n = 0")
     dim = len(_vec(records[0]["x"]))
+    # trace_records writes indices and labels as JSON integers: true or 1.0
+    # is an edit, though _integer takes 1.0 elsewhere (a hand-written
+    # "max_iter": 1e5)
     for k, rec in enumerate(records):
-        # trace_records writes JSON integers: true or 1.0 is an edit, though
-        # _integer takes 1.0 elsewhere (a hand-written "max_iter": 1e5)
         if type(n := rec.get("n")) is not int or n != k:
             raise ValueError(f"the index of record {k} must be the integer {k}, got {n!r}")
     steps = list(enumerate(records[1:], start=1))
+    for k, rec in steps:
+        if type(i := rec["i"]) is not int:
+            raise ValueError(f"the label at step {k} must be an integer, got {i!r}")
     return Trace(
         iterates=[_vec(rec["x"], dim) for rec in records],
-        controls=[_integer(rec["i"], f"the label at step {k}") for k, rec in steps],
+        controls=[rec["i"] for _, rec in steps],
         relaxations=[
             _number(rec["lambda"], f"the relaxation at step {k}", 0.0, 2.0) for k, rec in steps
         ],

@@ -30,8 +30,9 @@ from .intseq import EPSet, cogap
 
 REPLAY_TOL = 1e-12
 
-#: what reading a malformed problem or trace raises; each exits 1
-_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
+#: what reading a malformed problem or trace raises; each exits 1 (an
+#: OverflowError is an integer too large for an index array)
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
 
 
 # ---------------------------------------------------------------------------

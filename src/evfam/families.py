@@ -10,10 +10,16 @@ opaque predicate families are classified by seeded sampling and their
 verdicts say so.  Finite grounds are classified exhaustively in one pass
 over the covering pairs (S, S | {x}) of the subset lattice: a map on a
 finite Boolean lattice is monotone iff it is monotone on covering pairs.
+
+On a finite ground a subset is a mask, bit i standing for ground[i], and
+an indicator family is one 2^n-bit int whose bit s is set iff the subset
+with mask s belongs.  A topology keeps each open's mask and down-set, so
+limit sets and closure families are ORs over the opens outside a family.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -72,11 +78,37 @@ def check_set_arg(ground, s):
     return s
 
 
+def _ground_bits(ground):
+    return {x: 1 << i for i, x in enumerate(ground)}
+
+
+def _mask(index, s):
+    """The mask of the set ``s`` under a ground's ``_ground_bits``."""
+    m = 0
+    for x in s:
+        if x not in index:
+            stray = {x, *(y for y in s if y not in index)}
+            raise ValueError(f"elements {sorted(map(repr, stray))} not in the ground")
+        m |= index[x]
+    return m
+
+
+def _combinations(elems):
+    """Every combination of the tuple ``elems``, by size and then in
+    itertools order: the order of ``powerset``."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(elems, r) for r in range(len(elems) + 1)
+    )
+
+
 def powerset(elems):
-    elems = tuple(elems)
-    for r in range(len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            yield frozenset(combo)
+    return map(frozenset, _combinations(tuple(elems)))
+
+
+def _powerset_masks(ground):
+    """(mask, subset) pairs of the ground's subsets, in powerset order."""
+    bits = tuple(1 << i for i in range(len(ground)))
+    return zip(map(sum, _combinations(bits)), powerset(ground))
 
 
 def _covering_scan(ground, value):
@@ -280,17 +312,42 @@ class CoGapLevelFamily(Family):
 
 
 class IndicatorFamily(Family):
-    """Explicitly listed subsets of a finite ground."""
+    """Explicitly listed subsets of a finite ground, held as ``bits``: bit s
+    is set iff the subset with mask s belongs."""
 
     kind = "indicator"
 
     def __init__(self, ground, sets):
         super().__init__(_finite_ground(ground, "indicator families"))
-        self.sets = frozenset(map(frozenset, sets))
-        check_set_arg(self.ground, frozenset().union(*self.sets))
+        self._sets = frozenset(map(frozenset, sets))
+        bits = 0
+        for s in self._sets:
+            bits |= 1 << _mask(self._index, s)
+        self.bits = bits
+
+    @classmethod
+    def _from_bits(cls, ground, bits):
+        """A family valid by construction: ``ground`` a checked tuple and
+        ``bits`` inside its 2^n subset masks."""
+        fam = cls.__new__(cls)
+        fam.ground, fam.bits, fam._sets = ground, bits, None
+        return fam
+
+    @functools.cached_property
+    def _index(self):
+        return _ground_bits(self.ground)
+
+    @property
+    def sets(self):
+        """The member sets; a computed family lists them in powerset order."""
+        if self._sets is None:
+            self._sets = frozenset(
+                s for m, s in _powerset_masks(self.ground) if self.bits >> m & 1
+            )
+        return self._sets
 
     def contains(self, s):
-        return self._arg(s) in self.sets
+        return bool(self.bits >> _mask(self._index, s) & 1)
 
     def classify(self, budget=1000, seed=0):
         fall, rise, change = _covering_scan(self.ground, self.sets.__contains__)
@@ -427,6 +484,9 @@ def to_indicator(family):
 
 def star(family):
     """The set of points whose singleton belongs to the family."""
+    if isinstance(family, IndicatorFamily):
+        bits = family.bits
+        return frozenset(x for i, x in enumerate(family.ground) if bits >> (1 << i) & 1)
     if not family.over_naturals:
         return frozenset(x for x in family.ground if family.contains({x}))
     if isinstance(family, AllFamily):
@@ -551,9 +611,20 @@ class FiniteTopology:
             raise ValueError(f"{x!r} is not a ground element")
         return [u for u in self.opens if x in u]
 
-    def open_supersets(self, s):
-        s = frozenset(s)
-        return [u for u in self.opens if s <= u]
+    @functools.cached_property
+    def _lattice(self):
+        """Each open U as (U, its mask, its down-set): bit s of the down-set
+        is set iff the subset with mask s lies inside U."""
+        index = _ground_bits(self.ground)
+        rows = []
+        for u in self.opens:
+            m = _mask(index, u)
+            down, s = 1, m
+            while s:  # the nonempty submasks of m, downward
+                down |= 1 << s
+                s = (s - 1) & m
+            rows.append((u, m, down))
+        return tuple(rows)
 
     @classmethod
     def discrete(cls, ground):
@@ -616,29 +687,40 @@ def random_topology(ground, rng, max_generators=4):
 
 def _check_same_ground(family, topology):
     """A family or multifamily and a topology must share a finite ground."""
+    if family.ground == topology.ground:
+        return
     if family.over_naturals or set(family.ground) != set(topology.ground):
         raise ValueError("the family and the topology must share a finite ground")
 
 
-def limit_set(family, topology):
-    """Points all of whose open neighborhoods belong to the family."""
+def _opens_outside(family, topology):
+    """The ``_lattice`` rows of the opens that are not in the family: one
+    bit test each when the family's masks are the topology's."""
     _check_same_ground(family, topology)
-    return frozenset(
-        x
-        for x in topology.ground
-        if all(family.contains(u) for u in topology.neighborhoods(x))
-    )
+    rows = topology._lattice
+    if isinstance(family, IndicatorFamily) and family.ground == topology.ground:
+        bits = family.bits
+        return [row for row in rows if not bits >> row[1] & 1]
+    return [row for row in rows if not family.contains(row[0])]
+
+
+def limit_set(family, topology):
+    """Points all of whose open neighborhoods belong to the family: the
+    ground minus the union of the opens outside it."""
+    hit = 0
+    for _, m, _ in _opens_outside(family, topology):
+        hit |= m
+    return frozenset(x for i, x in enumerate(topology.ground) if not hit >> i & 1)
 
 
 def closure_family(family, topology):
-    """Sets all of whose open supersets belong to the family."""
-    _check_same_ground(family, topology)
-    members = [
-        s
-        for s in powerset(topology.ground)
-        if all(family.contains(u) for u in topology.open_supersets(s))
-    ]
-    return IndicatorFamily(topology.ground, members)
+    """Sets all of whose open supersets belong to the family: those outside
+    the down-set of every open outside it."""
+    out = 0
+    for _, _, down in _opens_outside(family, topology):
+        out |= down
+    every = (1 << (1 << len(topology.ground))) - 1
+    return IndicatorFamily._from_bits(topology.ground, every ^ out)
 
 
 # ---------------------------------------------------------------------------

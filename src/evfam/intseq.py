@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -119,20 +120,13 @@ def _bits(seq):
 
 
 def _minimal_word_period(word):
-    # KMP border analysis.  The shortest string period s of the word is a
-    # period of the infinite repetition only when s divides the length;
-    # otherwise the word itself is already minimal.
+    # The shortest d dividing q with word = word[:d] repeated: by Fine and
+    # Wilf, the shortest period of the infinite repetition divides q.
     q = len(word)
-    border = [0] * q
-    k = 0
-    for i in range(1, q):
-        while k and word[i] != word[k]:
-            k = border[k - 1]
-        if word[i] == word[k]:
-            k += 1
-        border[i] = k
-    s = q - border[-1]
-    return s if q % s == 0 else q
+    for d in range(1, q // 2 + 1):
+        if q % d == 0 and word[:d] * (q // d) == word:
+            return d
+    return q
 
 
 def _canonicalize(prefix, period):
@@ -264,7 +258,7 @@ def finitely_change(s, add=(), remove=()):
     if overlap:
         raise ValueError(f"add and remove overlap: {sorted(overlap)}")
     top = max([len(s.prefix), *add, *remove])
-    bits = [1 if s.member(j + 1) else 0 for j in range(top)]
+    bits = list(_word(s, top))
     for n in add:
         bits[n - 1] = 1
     for n in remove:
@@ -277,23 +271,32 @@ def finitely_change(s, add=(), remove=()):
     return EPSet(tuple(bits), per)
 
 
+def _word(s, n):
+    """The first n membership bits of ``s`` (bit j for the integer j + 1):
+    its prefix, then its period repeated, or zeros past a finite set."""
+    tail = s.period or (0,)
+    reps = -(-max(n - len(s.prefix), 0) // len(tail))
+    return (s.prefix + tail * reps)[:n]
+
+
 def _pointwise(a, b, op):
+    """``op`` bit by bit over the aligned words of a and b: the longer
+    prefix, then one lcm of the two periods."""
     if not isinstance(a, EPSet) or not isinstance(b, EPSet):
         raise TypeError("pointwise operations need two EPSets")
     p = max(len(a.prefix), len(b.prefix))
     qa, qb = len(a.period), len(b.period)
     q = math.lcm(qa, qb) if qa and qb else (qa or qb)
-    pre = tuple(op(a.member(j + 1), b.member(j + 1)) for j in range(p))
-    per = tuple(op(a.member(p + j + 1), b.member(p + j + 1)) for j in range(q))
-    return EPSet(pre, per)
+    bits = tuple(map(op, _word(a, p + q), _word(b, p + q)))
+    return EPSet(bits[:p], bits[p:])
 
 
 def union(a, b):
-    return _pointwise(a, b, lambda x, y: 1 if (x or y) else 0)
+    return _pointwise(a, b, operator.or_)
 
 
 def intersection(a, b):
-    return _pointwise(a, b, lambda x, y: 1 if (x and y) else 0)
+    return _pointwise(a, b, operator.and_)
 
 
 def window_cover(positions, length, cyclic=False):

@@ -29,6 +29,7 @@ from .families import (
     _exact,
     _finite_ground,
     _OverGround,
+    _powerset_masks,
     _preimage,
     _push_codomain,
     _sorted_sets,
@@ -278,24 +279,30 @@ def _require_increasing(mf):
         )
 
 
-def mf_closure(mf, topology):
-    """Increasing multifamily with value(S) = min over open supersets."""
+def _open_values(mf, topology):
+    """(mask, down-set, value) of each open of the topology: one value
+    call per open."""
     _check_same_ground(mf, topology)
     _require_increasing(mf)
+    return [(m, down, mf.value(u)) for u, m, down in topology._lattice]
+
+
+def mf_closure(mf, topology):
+    """Increasing multifamily with value(S) = min over open supersets."""
+    rows = _open_values(mf, topology)
     table = {
-        s: min(mf.value(u) for u in topology.open_supersets(s))
-        for s in powerset(topology.ground)
+        s: min(v for _, down, v in rows if down >> sm & 1)
+        for sm, s in _powerset_masks(topology.ground)
     }
     return ExplicitMultifamily(topology.ground, table)
 
 
 def multiset_limit(mf, topology):
     """Pointwise limit multiset: min multiplicity over open neighborhoods."""
-    _check_same_ground(mf, topology)
-    _require_increasing(mf)
+    rows = _open_values(mf, topology)
     mult = {
-        x: min(mf.value(u) for u in topology.neighborhoods(x))
-        for x in topology.ground
+        x: min(v for m, _, v in rows if m >> i & 1)
+        for i, x in enumerate(topology.ground)
     }
     return Multiset(topology.ground, mult)
 

@@ -301,6 +301,9 @@ def _edited_trace(demo_dir, tmp_path, step, **fields):
         ({"i": 1.5}, "integer"),
         ({"n": True}, "integer"),
         ({"n": 1.0}, "integer"),
+        ({"i": 1.0}, "integer"),
+        ({"i": True}, "integer"),
+        ({"i": 10**30}, "too large"),
     ],
 )
 def test_analyze_rejects_edited_trace(demo_dir, tmp_path, capsys, fields, needle):

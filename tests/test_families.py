@@ -415,6 +415,60 @@ def test_star_of_closure_is_limit_set_sampled_three_points():
         assert t.is_closed(lim)
 
 
+def _reference_closure_members(family, topology):
+    """The docstring definition over frozensets, in powerset order: the sets
+    all of whose open supersets belong to the family."""
+    return [
+        s
+        for s in powerset(topology.ground)
+        if all(family.contains(u) for u in topology.opens if s <= u)
+    ]
+
+
+def _reference_limit(family, topology):
+    """Points all of whose open neighborhoods belong to the family."""
+    return frozenset(
+        x for x in topology.ground if all(family.contains(u) for u in topology.neighborhoods(x))
+    )
+
+
+def _assert_matches_references(family, topology):
+    members = _reference_closure_members(family, topology)
+    listed = IndicatorFamily(topology.ground, members)  # built from frozensets
+    cl = closure_family(family, topology)
+    assert cl.sets == frozenset(members)
+    assert list(cl.sets) == list(listed.sets)
+    assert cl.classify() == listed.classify()
+    assert star(cl) == frozenset(x for x in topology.ground if frozenset({x}) in listed.sets)
+    assert limit_set(family, topology) == _reference_limit(family, topology)
+
+
+def test_masks_match_frozenset_definitions_exhaustively():
+    # every indicator family on every topology of a ground of size <= 3
+    for n in range(4):
+        ground = tuple("abc"[:n])
+        ps = list(powerset(ground))
+        for t in all_topologies(ground):
+            for mask in range(2 ** len(ps)):
+                fam = IndicatorFamily(ground, [s for i, s in enumerate(ps) if mask >> i & 1])
+                _assert_matches_references(fam, t)
+
+
+def test_masks_match_frozenset_definitions_beyond_indicators():
+    ground = ("a", "b", "c")
+    rng = random.Random(31)
+    reordered = ("c", "a", "b")
+    for t in all_topologies(ground):
+        for fam in (
+            AllFamily(ground),
+            EmptyFamily(ground),
+            PredicateFamily(ground, lambda s: len(s) != 1),
+            # the family's masks are not the topology's
+            IndicatorFamily(reordered, [s for s in powerset(reordered) if rng.random() < 0.5]),
+        ):
+            _assert_matches_references(fam, t)
+
+
 # ---------------------------------------------------------------------------
 # the sandwich between cofinite and infinite families
 

@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evfam.intseq import (
@@ -296,6 +297,38 @@ def test_union_intersection_membership(a, b):
     for n in range(1, horizon):
         assert u.member(n) == (a.member(n) or b.member(n))
         assert i.member(n) == (a.member(n) and b.member(n))
+
+
+def _horizon(*sets):
+    """p + lcm + 5: the longest prefix, one lcm of the periods, five more."""
+    p = max(len(s.prefix) for s in sets)
+    return p + math.lcm(*(len(s.period) or 1 for s in sets)) + 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(epsets, epsets)
+@example(EPSet((1, 0, 1), ()), EPSet((), (0, 1)))  # an empty period
+@example(EPSet((), (1, 0)), EPSet((0,), (0, 1, 1)))  # coprime periods
+@example(EPSet((1,), (1, 0, 0)), EPSet((0, 0, 1, 1), (0, 1, 0)))  # equal periods
+@example(EPSet((1, 1, 0, 0, 1, 0), (1, 0, 0, 0)), EPSet((0,), (0, 1)))  # unequal prefixes
+def test_pointwise_words_match_member_reference(a, b):
+    u, i = union(a, b), intersection(a, b)
+    for n in range(1, _horizon(a, b) + 1):
+        assert u.member(n) == (a.member(n) or b.member(n))
+        assert i.member(n) == (a.member(n) and b.member(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(epsets, st.sets(st.integers(1, 20), max_size=4), st.sets(st.integers(1, 20), max_size=4))
+@example(EPSet((1, 0, 1), ()), {5}, {1})  # an empty period
+@example(EPSet((0,), (0, 1, 1)), {2, 9}, {3})  # edits past the prefix
+@example(EPSet((1, 1, 0, 0, 1, 0), (1, 0, 0, 0)), set(), {2})
+def test_finitely_change_matches_member_reference(s, add, remove):
+    remove = remove - add
+    t = finitely_change(s, add=add, remove=remove)
+    top = max([0, *add, *remove])
+    for n in range(1, max(_horizon(s), top + len(s.period) + 5) + 1):
+        assert t.member(n) == (n in add or (s.member(n) and n not in remove))
 
 
 # ---------------------------------------------------------------------------

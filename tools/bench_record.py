@@ -1,0 +1,86 @@
+"""Record a benchmark run as BENCH_<label>.json at the repository root.
+
+    python3 tools/bench_record.py --label NAME --workload W --seed N \
+        [--checkout DIR] [--append]
+
+Runs ``perfbench/run.py`` of a source checkout (this repository unless
+``--checkout`` names another, e.g. a clone of an earlier commit) in a
+subprocess, for the run length its BENCHMARK.json sets, and keeps the last
+two lines it prints: the detail record (timings with their medians and
+sample counts, machine facts, the git commit) and the end-to-end metrics.
+``--append`` adds the run to an existing file of the same label, workload
+and seed, so that runs of two checkouts can be interleaved.  ``summary``
+gives each metric's median and quartiles over the recorded runs.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KEYS = ("workload", "seed", "seconds")
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--label", required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--checkout", type=Path, default=ROOT)
+    p.add_argument("--append", action="store_true")
+    args = p.parse_args(argv)
+    args.seconds = json.loads((args.checkout / "BENCHMARK.json").read_text())["run_seconds"]
+    return args
+
+
+def run_bench(args):
+    """The detail record and the metrics line of one perfbench run."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=args.checkout, check=True, capture_output=True,
+                         text=True).stdout
+    detail, result = map(json.loads, out.strip().splitlines()[-2:])
+    return {"detail": detail, "result": result}
+
+
+def summarize(runs):
+    """Median and quartiles of each metric over the runs."""
+    values = {}
+    for run in runs:
+        for name, metric in run["result"]["metrics"].items():
+            values.setdefault(name, (metric["unit"], []))[1].append(metric["value"])
+    summary = {}
+    for name, (unit, xs) in sorted(values.items()):
+        q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+        summary[name] = {"median": statistics.median(xs), "q1": q1, "q3": q3,
+                         "n": len(xs), "unit": unit}
+    return summary
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    path = ROOT / f"BENCH_{args.label}.json"
+    head = {key: getattr(args, key) for key in KEYS}
+    runs = []
+    if args.append and path.is_file():
+        old = json.loads(path.read_text())
+        if {key: old[key] for key in KEYS} != head:
+            print(f"error: {path.name} records another workload, seed or run length",
+                  file=sys.stderr)
+            return 1
+        runs = old["runs"]
+    run = run_bench(args)
+    runs.append(run)
+    machine = run["detail"]["machine"]
+    record = {"label": args.label, **head, "commit": machine["git_commit"],
+              "machine": machine, "summary": summarize(runs), "runs": runs}
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(json.dumps({name: m["median"] for name, m in record["summary"].items()}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
