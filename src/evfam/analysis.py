@@ -79,9 +79,12 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     lam = trace.relaxations
     # a zero step is consistent with every operator; no evidence
     qs = np.flatnonzero(lam != 0.0 if relaxed else lam == 1.0)
-    x = trace.iterates[qs]
-    target = x + lam[qs, None] * (op.apply_many(x) - x)
-    hits = qs[row_distances(trace.iterates[qs + 1], target) <= tol]
+    if qs.size == trace.n_steps:  # every step: views, not gathered copies
+        x, x_next, lam_q = trace.iterates[:-1], trace.iterates[1:], lam
+    else:
+        x, x_next, lam_q = trace.iterates[qs], trace.iterates[qs + 1], lam[qs]
+    target = x + lam_q[:, None] * (op.apply_many(x) - x)
+    hits = qs[row_distances(x_next, target) <= tol]
     min_c = window_cover(hits.tolist(), trace.n_steps) if hits.size else None
     return FollowsReport(label, criterion, None, min_c, False, hits).graded(c)
 

@@ -97,8 +97,7 @@ class Operator:
         return self.apply(_vec(x, self.dim))
 
     def fix_residual(self, x):
-        x = _vec(x, self.dim)
-        return float(np.linalg.norm(self.apply(x) - x))
+        return _residual(self, _vec(x, self.dim))
 
     def in_fix(self, x, tol=FIX_TOL):
         return self.fix_residual(x) <= tol
@@ -563,10 +562,99 @@ class Trace:
         return len(self.iterates) - 1
 
 
-def _max_residual(ops, x):
-    """max over ops of fix_residual(x), for a float point x of their
-    dimension: the solver's checkpoints and summaries skip re-checking it."""
-    return max(float(np.linalg.norm(op.apply(x) - x)) for op in ops)
+def _residual(op, x):
+    """|T(x) - x| for a float point x of the operator's dimension."""
+    return float(np.linalg.norm(op.apply(x) - x))
+
+
+_U = 2.0**-53  # unit roundoff of float64
+# a banked normal keeps a.a this far inside the float range, so that a.a,
+# |a| and the step (slack / a.a) a carry only relative rounding errors
+_BANK_NORM2 = (2.0**-200, 2.0**200)
+# covers the absolute errors of gradual underflow: at most about
+# sqrt(J 2^-1074) ~ sqrt(J) 1e-162 from a squared norm that underflows
+_UNDERFLOW = 2.0**-500
+
+
+class ResidualBank:
+    """max over ops of |T(x) - x|, equal bit for bit to the scalar loop
+    ``max(_residual(op, x) for op in ops)``.
+
+    Half-spaces and hyperplanes (exact types: a subclass may override
+    ``apply``) are stacked into (A, b, |a|), and one mat-vec gives each a
+    residual max(0, Ax - b)/|a| or |Ax - b|/|a|.  These values are only a
+    filter: every banked operator that could hold the maximum, and every
+    other operator, is evaluated again with ``_residual``, and the maximum
+    of those is the answer.
+
+    Error bound, with u the unit roundoff and sigma = <a, x> - b exact.
+    Either path computes the slack with error at most
+    e = (J + 2) u (|a|.|x| + |b|), for any summation order of the dot
+    product.  The bank's r = slack+ / |a| (|slack| / |a| for a hyperplane)
+    then differs from sigma+ / |a| by at most e/|a| + (J/2 + 3) u r.  The
+    scalar path either finds slack <= 0 at a half-space and returns
+    exactly 0 (then sigma <= e), or forms
+    t = slack / a.a, v = t a, d = (x - v) - x and |d| = sqrt(d.d), which
+    adds relative errors of (J + 2) u on |v| and (J/2 + 1) u on |d|, and
+    at most u (|x| + 2|v|) from the cancellation in d.  So the scalar
+    residual rho differs from r by at most
+        2 (J + 2) u (|a|.|x| + |b|)/|a| + (2J + 9) u r + u |x|_2
+    to first order, and delta = 4 (J + 4) u ((|a|.|x| + |b|)/|a| + r +
+    |x|_1) + _UNDERFLOW is at least twice each term, which absorbs the
+    second-order terms and the rounding of delta itself.  A bound too
+    loose only costs evaluations; one too tight breaks exactness.
+
+    With lo = max(0, max_j (r_j - delta_j)), a lower bound on the answer,
+    an operator with r_i + delta_i < lo cannot hold the maximum.  Neither
+    can a half-space with slack/|a| + delta_i < 0: its scalar slack is
+    <= 0 as well, so its residual is exactly 0.  When a banked value or
+    bound is not finite (the mat-vec overflows), or an evaluated residual
+    is, the answer is the scalar loop over all ops in their order, since
+    Python's max depends on order when a NaN is present.
+    """
+
+    def __init__(self, ops):
+        self.ops = list(ops)
+        lo, hi = _BANK_NORM2
+        banked = [type(op) in (Halfspace, Hyperplane) and lo <= op.norm2 <= hi
+                  for op in self.ops]
+        self._others = ~np.array(banked, dtype=bool)
+        self._at = np.flatnonzero(banked)
+        rows = [self.ops[k] for k in self._at]
+        if rows:
+            self._A = np.array([op.a for op in rows])
+            self._abs_A = np.abs(self._A)
+            self._b = np.array([op.b for op in rows])
+            self._abs_b = np.abs(self._b)
+            self._norm = np.sqrt([op.norm2 for op in rows])
+            self._halfspace = np.array([type(op) is Halfspace for op in rows])
+            self._c = 4 * (self._A.shape[1] + 4) * _U
+
+    def _scalar_max(self, x):
+        return max(_residual(op, x) for op in self.ops)
+
+    def max_residual(self, x):
+        """max over the ops of |T(x) - x|, for a float point x of their
+        dimension."""
+        if not self._at.size:
+            return self._scalar_max(x)
+        signed = (self._A @ x - self._b) / self._norm
+        r = np.where(self._halfspace, np.maximum(signed, 0.0), np.abs(signed))
+        abs_x = np.abs(x)
+        delta = self._c * ((self._abs_A @ abs_x + self._abs_b) / self._norm + r
+                           + abs_x.sum()) + _UNDERFLOW
+        upper = r + delta
+        if not (np.isfinite(signed).all() and np.isfinite(upper).all()):
+            return self._scalar_max(x)
+        lo = max(float(np.max(r - delta)), 0.0)
+        zero = self._halfspace & (signed + delta < 0.0)
+        evaluate = self._others.copy()
+        evaluate[self._at] = (upper >= lo) & ~zero
+        values = [_residual(self.ops[k], x) for k in np.flatnonzero(evaluate).tolist()]
+        if not all(map(math.isfinite, values)):
+            return self._scalar_max(x)
+        # every operator left out has residual exactly 0 or below lo
+        return max(values, default=0.0)
 
 
 def acsa_run(ops, ctrl, relaxation, x0, stop=None):
@@ -583,13 +671,14 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
         raise ValueError(f"control covers {ctrl.m} operators, problem has {len(ops)}")
     stop = stop or StopRule()
     x = _vec(x0, dim)
+    bank = ResidualBank(ops)
 
     iterates, controls, relaxations, residuals, checkpoints = [x], [], [], [], []
     n = 0
     while True:
         at_cap = n >= stop.max_iter
         if n % stop.stride == 0 or at_cap:
-            maxres = _max_residual(ops, x)
+            maxres = bank.max_residual(x)
             checkpoints.append((n, maxres))
             if maxres <= stop.tol:
                 stop_reason = "converged"
@@ -601,7 +690,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             label = ctrl.label(n)
         except ControlExhausted:
             if not checkpoints or checkpoints[-1][0] != n:
-                checkpoints.append((n, _max_residual(ops, x)))
+                checkpoints.append((n, bank.max_residual(x)))
             stop_reason = "control_exhausted"
             break
         lam = relaxation.lam(n)
@@ -846,7 +935,7 @@ def trace_summary(ops, trace):
     return {
         "final": list(map(float, x)),
         "iterations": trace.n_steps,
-        "max_residual": _max_residual(ops, x),
+        "max_residual": ResidualBank(ops).max_residual(x),
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
     }

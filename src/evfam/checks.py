@@ -463,7 +463,8 @@ def check_analysis(seed, budget):
         ops, _ = cfp.random_feasible_instance(3, 6, nprng)
         m = len(ops)
         x0 = nprng.uniform(-5, 5, size=3)
-        while max(op.fix_residual(x0) for op in ops) <= 1e-3:
+        residual = cfp.ResidualBank(ops)
+        while residual.max_residual(x0) <= 1e-3:
             x0 = nprng.uniform(-30, 30, size=3)
         trace = cfp.acsa_run(
             ops,

@@ -171,7 +171,7 @@ def cmd_analyze(args):
 
     # the iterate log does not carry the solver's verdict; recompute it
     # from the problem's own stop rule
-    if cfp._max_residual(ops, trace.final) <= stop.tol:
+    if cfp.ResidualBank(ops).max_residual(trace.final) <= stop.tol:
         trace.converged = True
         trace.stop_reason = "converged"
 
