@@ -93,52 +93,52 @@ def _mask(index, s):
     return m
 
 
-def _combinations(elems):
-    """Every combination of the tuple ``elems``, by size and then in
-    itertools order: the order of ``powerset``."""
-    return itertools.chain.from_iterable(
-        itertools.combinations(elems, r) for r in range(len(elems) + 1)
-    )
+def _subsets(ground):
+    """The subsets of a finite ground as frozensets, indexed by mask."""
+    subsets = [frozenset()]
+    for x in ground:
+        subsets += [s | {x} for s in subsets]  # bit i of the index <-> ground[i]
+    return subsets
+
+
+def _powerset_masks(n):
+    """The subset masks of an n-point ground, in powerset order."""
+    bits = tuple(1 << i for i in range(n))
+    return [sum(c) for r in range(n + 1) for c in itertools.combinations(bits, r)]
 
 
 def powerset(elems):
-    return map(frozenset, _combinations(tuple(elems)))
+    """Every subset of ``elems``: by size, then in itertools order."""
+    elems = tuple(elems)
+    subsets = _subsets(elems)
+    return (subsets[m] for m in _powerset_masks(len(elems)))
 
 
-def _powerset_masks(ground):
-    """(mask, subset) pairs of the ground's subsets, in powerset order."""
-    bits = tuple(1 << i for i in range(len(ground)))
-    return zip(map(sum, _combinations(bits)), powerset(ground))
-
-
-def _covering_scan(ground, value):
+def _covering_scan(ground, vals):
     """The first covering pairs (S, S | {x}) of a finite ground's subset
-    lattice along which ``value`` falls, rises and changes, None for each
-    that never happens.
+    lattice along which the mask-indexed values ``vals`` fall, rise and
+    change, None for each that never happens.
 
     Over the n 2^(n-1) covering pairs this decides exactly whether the map
     is increasing (it never falls), decreasing (it never rises) and
     finitely insensitive (it never changes, i.e. it is constant).
     """
-    subsets = [frozenset()]
-    for x in ground:
-        subsets += [s | {x} for s in subsets]  # bit i of the index <-> ground[i]
-    vals = [value(s) for s in subsets]
     bits = [1 << i for i in range(len(ground))]
     fall = rise = change = None
     for m, a in enumerate(vals):
+        if fall and rise:
+            break
         for bit in bits:
             if m & bit or vals[m | bit] == a:
                 continue
-            pair = (subsets[m], subsets[m | bit])
+            pair = (m, m | bit)
             change = change or pair
             if a > vals[m | bit]:
                 fall = fall or pair
             else:
                 rise = rise or pair
-            if fall and rise:
-                return fall, rise, change
-    return fall, rise, change
+    subsets = _subsets(ground) if change else None
+    return tuple(p and (subsets[p[0]], subsets[p[1]]) for p in (fall, rise, change))
 
 
 @dataclass(frozen=True)
@@ -320,10 +320,7 @@ class IndicatorFamily(Family):
     def __init__(self, ground, sets):
         super().__init__(_finite_ground(ground, "indicator families"))
         self._sets = frozenset(map(frozenset, sets))
-        bits = 0
-        for s in self._sets:
-            bits |= 1 << _mask(self._index, s)
-        self.bits = bits
+        self.bits = sum(1 << _mask(self._index, s) for s in self._sets)
 
     @classmethod
     def _from_bits(cls, ground, bits):
@@ -341,8 +338,9 @@ class IndicatorFamily(Family):
     def sets(self):
         """The member sets; a computed family lists them in powerset order."""
         if self._sets is None:
+            subsets = _subsets(self.ground)
             self._sets = frozenset(
-                s for m, s in _powerset_masks(self.ground) if self.bits >> m & 1
+                subsets[m] for m in _powerset_masks(len(self.ground)) if self.bits >> m & 1
             )
         return self._sets
 
@@ -350,11 +348,13 @@ class IndicatorFamily(Family):
         return bool(self.bits >> _mask(self._index, s) & 1)
 
     def classify(self, budget=1000, seed=0):
-        fall, rise, change = _covering_scan(self.ground, self.sets.__contains__)
+        bits, masks = self.bits, range(1 << len(self.ground))
+        fall, rise, change = _covering_scan(self.ground, [bits >> m & 1 for m in masks])
         inter_wit = None
-        for a, b in itertools.combinations_with_replacement(self.sets, 2):
-            if (a & b) not in self.sets:
-                inter_wit = (a, b)
+        for a, b in itertools.combinations([m for m in masks if bits >> m & 1], 2):
+            if not bits >> (a & b) & 1:
+                subsets = _subsets(self.ground)
+                inter_wit = (subsets[a], subsets[b])
                 break
         return Classification(
             eventual=_exact(fall is None, fall),
@@ -472,14 +472,17 @@ SYMBOLIC_KINDS = (
 # operations
 
 
+def _indicator(ground, test):
+    """The indicator family of the subsets S of a checked ground with test(S)."""
+    bits = sum(1 << m for m, s in enumerate(_subsets(ground)) if test(s))
+    return IndicatorFamily._from_bits(ground, bits)
+
+
 def to_indicator(family):
     """Snapshot any finite-ground family into an explicit indicator family."""
     if family.over_naturals:
         raise ValueError("cannot snapshot a family over N")
-    return IndicatorFamily(
-        family.ground,
-        [s for s in powerset(family.ground) if family.contains(s)],
-    )
+    return _indicator(family.ground, family.contains)
 
 
 def star(family):
@@ -502,20 +505,14 @@ def family_complement(family):
     """All subsets of the finite ground that are not in the family."""
     if family.over_naturals:
         raise ValueError("complement families are computed on finite grounds")
-    return IndicatorFamily(
-        family.ground,
-        [s for s in powerset(family.ground) if not family.contains(s)],
-    )
+    return _indicator(family.ground, lambda s: not family.contains(s))
 
 
 def complement_duality_check(family):
     """Exhaustively confirms: family co-eventual iff its complement family
     is eventual.  Returns the shared truth of that equivalence."""
     snap = to_indicator(family)
-    comp = family_complement(family)
-    left = snap.classify().co_eventual.value
-    right = comp.classify().eventual.value
-    return left == right
+    return snap.classify().co_eventual.value == family_complement(snap).classify().eventual.value
 
 
 def _push_codomain(f, source, codomain=None):
@@ -555,38 +552,51 @@ def push(f, family, codomain=None):
     lives over N.  The result is an explicit indicator family over the
     (finite) codomain.
     """
-    codomain = _push_codomain(f, family, codomain)
-    members = [
-        s for s in powerset(codomain) if family.contains(_preimage(f, family.ground, s))
-    ]
-    return IndicatorFamily(codomain, members)
+    codomain = as_ground(_push_codomain(f, family, codomain))
+    return _indicator(codomain, lambda s: family.contains(_preimage(f, family.ground, s)))
 
 
 # ---------------------------------------------------------------------------
 # finite topologies
 
 
+def _unclosed(opens):
+    """(u, v, "|" or "&", w) for each pair u < v of the masks in the set
+    ``opens``, in ascending order, whose union or intersection w it lacks."""
+    for u, v in itertools.combinations(sorted(opens), 2):
+        if u | v not in opens:
+            yield u, v, "|", u | v
+        if u & v not in opens:
+            yield u, v, "&", u & v
+
+
 class FiniteTopology:
     """A topology on a finite ground: validated to contain the empty set and
-    the ground and to be closed under pairwise unions and intersections."""
+    the ground and to be closed under pairwise unions and intersections.
+    The opens are kept as masks, in ascending order."""
 
     def __init__(self, ground, opens):
         self.ground = _finite_ground(ground, "topologies")
-        base = frozenset(self.ground)
-        opens = frozenset(map(frozenset, opens))
-        check_set_arg(self.ground, frozenset().union(*opens))
-        if frozenset() not in opens or base not in opens:
+        index = _ground_bits(self.ground)
+        masks = {_mask(index, u) for u in opens}
+        if not {0, (1 << len(self.ground)) - 1} <= masks:
             raise ValueError("opens must contain the empty set and the ground")
-        for u, v in itertools.combinations(opens, 2):
-            if (u | v) not in opens:
-                raise ValueError(
-                    f"opens not closed under union: {sorted(map(repr, u))} | {sorted(map(repr, v))}"
-                )
-            if (u & v) not in opens:
-                raise ValueError(
-                    f"opens not closed under intersection: {sorted(map(repr, u))} & {sorted(map(repr, v))}"
-                )
-        self.opens = opens
+        for u, v, op, _ in _unclosed(masks):
+            word = "union" if op == "|" else "intersection"
+            left, right = (sorted(map(repr, _subsets(self.ground)[m])) for m in (u, v))
+            raise ValueError(f"opens not closed under {word}: {left} {op} {right}")
+        self._masks = tuple(sorted(masks))
+
+    @classmethod
+    def _from_masks(cls, ground, masks):
+        """A topology on a checked ``ground`` whose open ``masks`` are closed."""
+        top = cls.__new__(cls)
+        top.ground, top._masks = ground, tuple(sorted(masks))
+        return top
+
+    @functools.cached_property
+    def opens(self):
+        return frozenset(u for u, _, _ in self._lattice)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteTopology):
@@ -601,29 +611,29 @@ class FiniteTopology:
         return f"FiniteTopology(ground={self.ground!r}, opens={shown})"
 
     def is_open(self, s):
-        return frozenset(s) in self.opens
+        return check_set_arg(self.ground, s) in self.opens
 
     def is_closed(self, s):
-        return (frozenset(self.ground) - frozenset(s)) in self.opens
+        return frozenset(self.ground) - check_set_arg(self.ground, s) in self.opens
 
     def neighborhoods(self, x):
         if x not in self.ground:
             raise ValueError(f"{x!r} is not a ground element")
-        return [u for u in self.opens if x in u]
+        bit = 1 << self.ground.index(x)
+        return [u for u, m, _ in self._lattice if m & bit]
 
     @functools.cached_property
     def _lattice(self):
-        """Each open U as (U, its mask, its down-set): bit s of the down-set
-        is set iff the subset with mask s lies inside U."""
-        index = _ground_bits(self.ground)
+        """Each open U as (U, its mask, its down-set), in mask order: bit s
+        of the down-set is set iff the subset with mask s lies inside U."""
+        subsets = _subsets(self.ground)
         rows = []
-        for u in self.opens:
-            m = _mask(index, u)
+        for m in self._masks:
             down, s = 1, m
             while s:  # the nonempty submasks of m, downward
                 down |= 1 << s
                 s = (s - 1) & m
-            rows.append((u, m, down))
+            rows.append((subsets[m], m, down))
         return tuple(rows)
 
     @classmethod
@@ -636,48 +646,34 @@ class FiniteTopology:
 
     @classmethod
     def from_subbasis(cls, ground, subbasis):
-        ground = tuple(ground)
-        opens = {frozenset(), frozenset(ground)}
-        opens.update(frozenset(s) for s in subbasis)
-        while True:
-            fresh = set()
-            for u, v in itertools.combinations(opens, 2):
-                for w in (u | v, u & v):
-                    if w not in opens:
-                        fresh.add(w)
-            if not fresh:
-                break
+        ground = _finite_ground(ground, "topologies")
+        index = _ground_bits(ground)
+        opens = {0, (1 << len(ground)) - 1, *(_mask(index, s) for s in subbasis)}
+        while fresh := {w for *_, w in _unclosed(opens)}:
             opens |= fresh
-        return cls(ground, opens)
+        return cls._from_masks(ground, opens)
 
 
 def all_topologies(ground):
     """Every topology on a small finite ground, by brute enumeration."""
-    ground = tuple(ground)
+    ground = _finite_ground(ground, "topologies")
     n = len(ground)
     if n > 4:
         raise ValueError("exhaustive topology enumeration is limited to |X| <= 4")
-    base = frozenset(ground)
-    optional = [s for s in powerset(ground) if s not in (frozenset(), base)]
+    full = (1 << n) - 1
+    optional = _powerset_masks(n)[1:-1]  # all but the empty set and the ground
     out = []
-    for mask in range(2 ** len(optional)):
-        opens = {frozenset(), base}
-        for i, s in enumerate(optional):
-            if mask >> i & 1:
-                opens.add(s)
-        try:
-            out.append(FiniteTopology(ground, opens))
-        except ValueError:
-            continue
+    for pick in range(2 ** len(optional)):
+        opens = {0, full, *(m for i, m in enumerate(optional) if pick >> i & 1)}
+        if next(_unclosed(opens), None) is None:
+            out.append(FiniteTopology._from_masks(ground, opens))
     return out
 
 
 def random_topology(ground, rng, max_generators=4):
-    ground = tuple(ground)
+    ground = _finite_ground(ground, "topologies")
     k = rng.randrange(max_generators + 1)
-    subbasis = [
-        frozenset(x for x in ground if rng.random() < 0.5) for _ in range(k)
-    ]
+    subbasis = [[x for x in ground if rng.random() < 0.5] for _ in range(k)]
     return FiniteTopology.from_subbasis(ground, subbasis)
 
 

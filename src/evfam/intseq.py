@@ -107,6 +107,13 @@ class ExtNat:
 INF = ExtNat(None)
 
 
+def _check_index(n, many=False):
+    """Refuse n unless it is an int >= 1; ``many`` words it for a collection."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        what = "indices must be integers" if many else "index must be an integer"
+        raise ValueError(f"{what} >= 1, got {n!r}")
+
+
 def _bits(seq):
     out = []
     for b in seq:
@@ -179,8 +186,7 @@ class EPSet:
     def finite(cls, indices):
         indices = set(indices)
         for n in indices:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ValueError(f"indices must be integers >= 1, got {n!r}")
+            _check_index(n, many=True)
         top = max(indices, default=0)
         return cls(tuple(1 if j + 1 in indices else 0 for j in range(top)), ())
 
@@ -210,8 +216,7 @@ class EPSet:
         return not self.period
 
     def member(self, n):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"index must be an integer >= 1, got {n!r}")
+        _check_index(n)
         j = n - 1
         if j < len(self.prefix):
             return bool(self.prefix[j])
@@ -252,8 +257,7 @@ def finitely_change(s, add=(), remove=()):
     add = frozenset(add)
     remove = frozenset(remove)
     for n in add | remove:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"indices must be integers >= 1, got {n!r}")
+        _check_index(n, many=True)
     overlap = add & remove
     if overlap:
         raise ValueError(f"add and remove overlap: {sorted(overlap)}")
@@ -360,8 +364,7 @@ class PeriodicSeq:
         return cls((), (value,))
 
     def value(self, n):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"index must be an integer >= 1, got {n!r}")
+        _check_index(n)
         j = n - 1
         if j < len(self.prefix):
             return self.prefix[j]

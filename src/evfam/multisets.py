@@ -21,22 +21,21 @@ from .families import (
     CoGapLevelFamily,
     EmptyFamily,
     Family,
-    IndicatorFamily,
     PredicateFamily,
     Verdict,
     _check_same_ground,
     _covering_scan,
     _exact,
     _finite_ground,
+    _indicator,
     _OverGround,
-    _powerset_masks,
     _preimage,
     _push_codomain,
     _sorted_sets,
+    _subsets,
     check_set_arg,
     family_from_json,
     family_to_json,
-    powerset,
 )
 from .intseq import EPSet, ExtNat, cogap, gap
 
@@ -101,7 +100,8 @@ class Multifamily(_OverGround):
     def classify(self, budget=1000, seed=0):
         if self.over_naturals:
             return super().classify()
-        fall, rise, change = _covering_scan(self.ground, self.value)
+        vals = [self.value(s) for s in _subsets(self.ground)]
+        fall, rise, change = _covering_scan(self.ground, vals)
         return MFClassification(
             increasing=_exact(fall is None, fall),
             decreasing=_exact(rise is None, rise),
@@ -250,8 +250,7 @@ def level_family(mf, c):
             return mf.family
         return EmptyFamily(mf.ground)
     if not mf.over_naturals:
-        members = [s for s in powerset(mf.ground) if mf.value(s) >= c]
-        return IndicatorFamily(mf.ground, members)
+        return _indicator(mf.ground, lambda s: mf.value(s) >= c)
     cls = mf.classify()
     if cls.increasing.value and cls.increasing.status == "exact":
         monotone, claim = "increasing", "exact"
@@ -292,7 +291,7 @@ def mf_closure(mf, topology):
     rows = _open_values(mf, topology)
     table = {
         s: min(v for _, down, v in rows if down >> sm & 1)
-        for sm, s in _powerset_masks(topology.ground)
+        for sm, s in enumerate(_subsets(topology.ground))
     }
     return ExplicitMultifamily(topology.ground, table)
 

@@ -41,9 +41,9 @@ class SetSequence:
     def from_sets(cls, ground, prefix_sets, period_sets):
         """Build from per-index sets: A_1..A_p explicitly, then the given
         period repeated forever."""
-        ground = tuple(ground)
-        period_sets = [frozenset(s) for s in period_sets]
-        prefix_sets = [frozenset(s) for s in prefix_sets]
+        ground = _finite_ground(ground, "set sequences")
+        period_sets = [check_set_arg(ground, s) for s in period_sets]
+        prefix_sets = [check_set_arg(ground, s) for s in prefix_sets]
         if not period_sets:
             raise ValueError("a set sequence needs at least one period entry")
         traces = {}

@@ -6,7 +6,13 @@ enumeration so the library's exhaustive classifier is checked against an
 independent implementation.
 """
 
+import json
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,14 +334,64 @@ def test_topology_validation():
     # union of {a} and {b} missing
     with pytest.raises(ValueError):
         FiniteTopology(("a", "b"), [frozenset(), {"a"}, {"b"}])
+    # the first unclosed pair in ascending mask order is named
+    abc = ("a", "b", "c")
+    for opens, message in [
+        ([(), "a", "b", "c", "abc"], """union: ["'a'"] | ["'b'"]"""),
+        ([(), "ab", "bc", "abc"], """intersection: ["'a'", "'b'"] & ["'b'", "'c'"]"""),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"opens not closed under {message}")):
+            FiniteTopology(abc, opens)
 
 
 def test_topology_counts():
-    # 1, 1, 4, 29 topologies on 0..3 points
-    assert len(all_topologies(())) == 1
-    assert len(all_topologies(("a",))) == 1
-    assert len(all_topologies(("a", "b"))) == 4
-    assert len(all_topologies(("a", "b", "c"))) == 29
+    # 1, 1, 4, 29, 355 topologies on 0..4 points
+    assert [len(all_topologies("abcd"[:n])) for n in range(5)] == [1, 1, 4, 29, 355]
+
+
+@pytest.mark.parametrize("build", [
+    all_topologies,
+    lambda g: FiniteTopology.from_subbasis(g, []),
+    lambda g: random_topology(g, random.Random(0)),
+])
+def test_topology_builders_check_the_ground(build):
+    with pytest.raises(ValueError, match="ground elements must be distinct"):
+        build(("a", "a"))
+    with pytest.raises(ValueError, match="topologies need a finite ground"):
+        build("N")
+
+
+def test_open_and_closed_refuse_elements_outside_the_ground():
+    t = FiniteTopology.indiscrete(("a", "b"))
+    assert t.is_open(()) and t.is_closed(()) and t.is_closed({"a", "b"})
+    for probe in (t.is_open, t.is_closed):
+        with pytest.raises(ValueError, match="not in the ground"):
+            probe({"z"})
+
+
+_HASH_ORDER_SCRIPT = """
+import json
+from evfam.families import FiniteTopology, IndicatorFamily
+fam = IndicatorFamily(("a", "b", "c"), [{"a", "b"}, {"b", "c"}, {"a", "c"}, {"a", "b", "c"}])
+print(json.dumps([
+    [sorted(s) for s in fam.classify().filter.witness],
+    [sorted(u) for u in FiniteTopology.discrete(("a", "b")).neighborhoods("a")],
+]))
+"""
+
+
+def test_witnesses_and_neighborhoods_ignore_hash_order():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    seen = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _HASH_ORDER_SCRIPT], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        seen.add(out)
+    assert len(seen) == 1
+    # ascending mask order, bit i for ground[i]: {a, b} = 3 before {a, c} = 5,
+    # and {a} = 1 before {a, b} = 3
+    assert json.loads(seen.pop()) == [[["a", "b"], ["a", "c"]], [["a"], ["a", "b"]]]
 
 
 def test_subbasis_closure():

@@ -344,6 +344,18 @@ def test_periodic_seq_values_and_preimage():
     assert PeriodicSeq.constant("a").preimage({"a"}) == EPSet.naturals()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda n: EPSet.finite([3, n]), "indices must be integers >= 1"),
+    (lambda n: EVENS.member(n), "index must be an integer >= 1"),
+    (lambda n: finitely_change(EVENS, add={n}), "indices must be integers >= 1"),
+    (lambda n: PeriodicSeq((), ("a",)).value(n), "index must be an integer >= 1"),
+])
+@pytest.mark.parametrize("bad", [0, -2, True, 1.0, "1"])
+def test_positions_must_be_positive_ints(call, message, bad):
+    with pytest.raises(ValueError, match=f"^{message}, got {bad!r}$"):
+        call(bad)
+
+
 def test_periodic_seq_requires_period():
     with pytest.raises(ValueError):
         PeriodicSeq(("a",), ())

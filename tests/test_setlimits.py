@@ -3,6 +3,7 @@ lim inf, the reproduction theorem, and a brute-force window oracle."""
 
 import math
 import random
+import re
 
 import pytest
 
@@ -89,6 +90,15 @@ def test_from_sets_round_trip():
     assert noisy.set_at(2) == {"a", "b"}
     assert noisy.set_at(3) == {"a"}
     assert noisy.set_at(100) == {"a"}
+
+
+def test_from_sets_refuses_elements_outside_the_ground():
+    with pytest.raises(ValueError, match=re.escape("""elements ["'zz'"] not in the ground""")):
+        SetSequence.from_sets(("a",), [{"b"}], [{"a", "zz"}])
+    with pytest.raises(ValueError, match=re.escape("""elements ["'b'"] not in the ground""")):
+        SetSequence.from_sets(("a",), [{"b"}], [{"a"}])
+    with pytest.raises(ValueError, match="need a finite ground"):
+        SetSequence.from_sets("N", [], [{"N"}])
 
 
 # ---------------------------------------------------------------------------
