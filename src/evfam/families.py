@@ -596,6 +596,7 @@ class FiniteTopology:
 
     @functools.cached_property
     def opens(self):
+        """The opens as frozensets: the public view of the masks."""
         return frozenset(u for u, _, _ in self._lattice)
 
     def __eq__(self, other):
