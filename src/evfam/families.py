@@ -259,7 +259,7 @@ class CofiniteFamily(Family):
         super().__init__(NATURALS)
 
     def contains(self, s):
-        return complement(self._arg(s)).is_finite
+        return self._arg(s).is_cofinite
 
     def _witnesses(self):
         return {"co_eventual": (EPSet.naturals(), EPSet((), (0, 1)))}

@@ -8,7 +8,13 @@ computable.  Bit position j (0-based) describes the integer j + 1.
 gap(S) is the largest number of consecutive missing integers between
 successive elements of S that keeps recurring forever; it is infinite for
 finite S (the empty set included).  cogap(S) = gap of the complement, which
-measures the recurring runs of consecutive integers inside S itself.
+measures the recurring runs of consecutive integers inside S itself.  Both
+are read off the tail word by one helper, ``_recurring_gap``, so cogap
+builds no complement.
+
+``EPSet(prefix, period)`` and ``EPSet.from_text`` check every bit of their
+input.  The operations here build their results with ``EPSet._of``, which
+trusts its 0/1 int tuples and only puts them in canonical form.
 """
 
 from __future__ import annotations
@@ -128,12 +134,11 @@ def _bits(seq):
 
 def _minimal_word_period(word):
     # The shortest d dividing q with word = word[:d] repeated: by Fine and
-    # Wilf, the shortest period of the infinite repetition divides q.
-    q = len(word)
-    for d in range(1, q // 2 + 1):
-        if q % d == 0 and word[:d] * (q // d) == word:
-            return d
-    return q
+    # Wilf, the shortest period of the infinite repetition divides q.  It is
+    # also the least rotation that maps the word onto itself, i.e. the first
+    # place past 0 where the word occurs in two copies of itself.
+    b = bytes(word)
+    return (b + b).find(b, 1)
 
 
 def _canonicalize(prefix, period):
@@ -175,12 +180,22 @@ class EPSet:
         object.__setattr__(self, "period", per)
 
     @classmethod
+    def _of(cls, prefix, period):
+        """The canonical EPSet of two tuples of 0/1 ints, unchecked: for
+        words this module and its callers build themselves."""
+        s = object.__new__(cls)
+        pre, per = _canonicalize(prefix, period)
+        object.__setattr__(s, "prefix", pre)
+        object.__setattr__(s, "period", per)
+        return s
+
+    @classmethod
     def empty(cls):
-        return cls((), ())
+        return cls._of((), ())
 
     @classmethod
     def naturals(cls):
-        return cls((), (1,))
+        return cls._of((), (1,))
 
     @classmethod
     def finite(cls, indices):
@@ -188,7 +203,7 @@ class EPSet:
         for n in indices:
             _check_index(n, many=True)
         top = max(indices, default=0)
-        return cls(tuple(1 if j + 1 in indices else 0 for j in range(top)), ())
+        return cls._of(tuple(1 if j + 1 in indices else 0 for j in range(top)), ())
 
     @classmethod
     def from_text(cls, text):
@@ -214,6 +229,11 @@ class EPSet:
     @property
     def is_finite(self):
         return not self.period
+
+    @property
+    def is_cofinite(self):
+        # canonical form reduces any all-ones period word to (1,)
+        return self.period == (1,)
 
     def member(self, n):
         _check_index(n)
@@ -247,9 +267,9 @@ class EPSet:
 def complement(s):
     flipped = tuple(1 - b for b in s.prefix)
     if s.period:
-        return EPSet(flipped, tuple(1 - b for b in s.period))
+        return EPSet._of(flipped, tuple(1 - b for b in s.period))
     # finite set: the complement's tail is everything
-    return EPSet(flipped, (1,))
+    return EPSet._of(flipped, (1,))
 
 
 def finitely_change(s, add=(), remove=()):
@@ -272,7 +292,7 @@ def finitely_change(s, add=(), remove=()):
         per = s.period[shift:] + s.period[:shift]
     else:
         per = ()
-    return EPSet(tuple(bits), per)
+    return EPSet._of(tuple(bits), per)
 
 
 def _word(s, n):
@@ -292,7 +312,7 @@ def _pointwise(a, b, op):
     qa, qb = len(a.period), len(b.period)
     q = math.lcm(qa, qb) if qa and qb else (qa or qb)
     bits = tuple(map(op, _word(a, p + q), _word(b, p + q)))
-    return EPSet(bits[:p], bits[p:])
+    return EPSet._of(bits[:p], bits[p:])
 
 
 def union(a, b):
@@ -324,24 +344,31 @@ def window_cover(positions, length, cyclic=False):
     return worst
 
 
+def _recurring_gap(s, bit):
+    """Longest run of integers without ``bit`` that recurs forever, read
+    off the tail word ``s.period or (0,)`` (as in ``_word``): infinite when
+    the word lacks ``bit``, else its cyclic window cover minus one.
+
+    The finitely many runs that touch the prefix never recur, and every run
+    in the tail, the wrap between period copies included, recurs once per
+    period.
+    """
+    word = s.period or (0,)
+    where = [i for i, b in enumerate(word) if b == bit]
+    if not where:
+        return INF
+    return ExtNat(window_cover(where, len(word), cyclic=True) - 1)
+
+
 def gap(s):
     """Largest count of consecutive missing integers between successive
-    elements of S that recurs forever; infinite when S is finite.
-
-    Exact from the canonical representation: every gap between consecutive
-    elements of the periodic tail repeats once per period (including the
-    wrap between period copies), while the finitely many gaps touching the
-    prefix never affect the eventual maximum.
-    """
-    if s.is_finite:
-        return INF
-    ones = [i for i, b in enumerate(s.period) if b]
-    return ExtNat(window_cover(ones, len(s.period), cyclic=True) - 1)
+    elements of S that recurs forever; infinite when S is finite."""
+    return _recurring_gap(s, 1)
 
 
 def cogap(s):
     """gap of the complement: the recurring run length inside S itself."""
-    return gap(complement(s))
+    return _recurring_gap(s, 0)
 
 
 @dataclass(frozen=True)
@@ -381,7 +408,7 @@ class PeriodicSeq:
 
     def preimage(self, values):
         values = set(values)
-        return EPSet(
+        return EPSet._of(
             tuple(1 if v in values else 0 for v in self.prefix),
             tuple(1 if v in values else 0 for v in self.period),
         )

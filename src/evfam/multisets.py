@@ -270,20 +270,17 @@ def mstar(mf):
     return Multiset(mf.ground, {x: mf.value(frozenset({x})) for x in mf.ground})
 
 
-def _require_increasing(mf):
-    cls = mf.classify()
-    if not cls.increasing.value:
+def _open_values(mf, topology):
+    """(mask, down-set, value) of each open of the topology, from one value
+    table over the subsets; refused unless the values never fall along a
+    covering pair, i.e. unless the multifamily is increasing."""
+    _check_same_ground(mf, topology)
+    vals = [mf.value(s) for s in _subsets(topology.ground)]
+    if _covering_scan(topology.ground, vals)[0] is not None:
         raise ValueError(
             "closure and limits are defined for increasing multifamilies only"
         )
-
-
-def _open_values(mf, topology):
-    """(mask, down-set, value) of each open of the topology: one value
-    call per open."""
-    _check_same_ground(mf, topology)
-    _require_increasing(mf)
-    return [(m, down, mf.value(u)) for u, m, down in topology._lattice]
+    return [(m, down, vals[m]) for _, m, down in topology._lattice]
 
 
 def mf_closure(mf, topology):

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from .families import (
     SYMBOLIC_KINDS,
     AllFamily,
-    CofiniteFamily,
     EmptyFamily,
     Family,
-    InfiniteFamily,
     _finite_ground,
     check_set_arg,
 )
@@ -50,7 +48,7 @@ class SetSequence:
         for x in ground:
             pre = tuple(1 if x in s else 0 for s in prefix_sets)
             per = tuple(1 if x in s else 0 for s in period_sets)
-            traces[x] = EPSet(pre, per)
+            traces[x] = EPSet._of(pre, per)
         return cls(ground, traces)
 
     def trace(self, x):
@@ -88,9 +86,12 @@ class ClassicalLimits:
 
 
 def classical_limits(seq):
+    """lim sup and lim inf read straight off the traces: x is in A_n
+    infinitely often when its trace has a nonempty period, and from some n
+    on when its trace is cofinite."""
     return ClassicalLimits(
-        limsup=e_limit(InfiniteFamily(), seq),
-        liminf=e_limit(CofiniteFamily(), seq),
+        limsup=frozenset(x for x, t in seq.traces.items() if t.period),
+        liminf=frozenset(x for x, t in seq.traces.items() if t.is_cofinite),
     )
 
 

@@ -36,3 +36,57 @@ def test_runs_append_and_summarise(tmp_path, monkeypatch, capsys):
     argv[5] = "2"
     assert bench_record.main(argv + ["--append"]) == 1
     assert "another workload" in capsys.readouterr().err
+
+
+def test_trace_runs_sit_beside_the_end_to_end_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 30}')
+    calls = []
+
+    def fake(args):
+        calls.append(args.trace)
+        if not args.trace:
+            return _fake_run(1.0)
+        run = _fake_run(0.0)
+        run["result"]["metrics"] = {"intseq.cogap_s": {"value": 0.25 * len(calls),
+                                                       "unit": "s"}}
+        return run
+
+    monkeypatch.setattr(bench_record, "run_bench", fake)
+    argv = ["--label", "x", "--workload", "set-calculus", "--seed", "1", "--checkout",
+            str(tmp_path)]
+    assert bench_record.main(argv) == 0
+    assert bench_record.main(argv + ["--append", "--trace", "1"]) == 0
+    assert bench_record.main(argv + ["--append", "--trace", "1"]) == 0
+    assert calls == [0, 1, 1]
+    rec = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert len(rec["runs"]) == 1 and len(rec["trace_runs"]) == 2
+    assert set(rec["summary"]) == {"op_s"}
+    assert rec["layers"]["intseq.cogap_s"]["median"] == 0.625
+    assert rec["layers"]["intseq.cogap_s"]["n"] == 2
+    # a file holding only a traced run has an empty end-to-end summary
+    assert bench_record.main(["--label", "y", "--workload", "set-calculus", "--seed", "1",
+                              "--checkout", str(tmp_path), "--trace", "1"]) == 0
+    rec = json.loads((tmp_path / "BENCH_y.json").read_text())
+    assert rec["runs"] == [] and rec["summary"] == {} and len(rec["trace_runs"]) == 1
+
+
+def test_trace_flag_reaches_the_harness(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 30}')
+    seen = {}
+
+    def fake_run(cmd, cwd, **kw):
+        seen["cmd"] = cmd
+        lines = [json.dumps({"machine": {"git_commit": "abc"}}),
+                 json.dumps({"metrics": {}})]
+        return type("Done", (), {"stdout": "\n".join(lines) + "\n"})()
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    args = bench_record.parse_args(["--label", "x", "--workload", "set-calculus",
+                                    "--seed", "7", "--checkout", str(tmp_path),
+                                    "--trace", "1"])
+    bench_record.run_bench(args)
+    cmd = seen["cmd"]
+    assert cmd[cmd.index("--trace") + 1] == "1"
+    assert cmd[cmd.index("--seed") + 1] == "7" and cmd[cmd.index("--seconds") + 1] == "30"

@@ -46,6 +46,8 @@ from evfam.intseq import (
     INF,
     PeriodicSeq,
     cogap,
+    complement,
+    gap,
     intersection,
     random_epset,
 )
@@ -539,6 +541,27 @@ def test_cofinite_implies_level_implies_infinite():
                 assert fam.contains(s)
             if fam.contains(s):
                 assert G.contains(s)
+
+
+epsets = st.builds(
+    lambda p, q: EPSet(tuple(p), tuple(q)),
+    st.lists(st.integers(0, 1), max_size=8),
+    st.lists(st.integers(0, 1), max_size=12),
+)
+EDGE_SETS = [EPSet.empty(), EPSet.naturals(), EPSet.finite({1, 3}), EPSet((0, 0, 1), (1,))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(epsets)
+def test_symbolic_membership_matches_the_complement(s):
+    # the families read their statistics off the period word; the
+    # references build the complement
+    for t in (s, *EDGE_SETS):
+        c = complement(t)
+        assert H.contains(t) == c.is_finite
+        assert G.contains(t) == (not t.is_finite)
+        for level in (1, 2, 5, INF):
+            assert CoGapLevelFamily(level).contains(t) == (gap(c) >= level)
 
 
 def test_infinite_sets_have_cogap_at_least_one():

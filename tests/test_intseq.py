@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evfam.checks import _brute_gap
 from evfam.intseq import (
     EPSet,
     ExtNat,
     INF,
     PeriodicSeq,
+    _minimal_word_period,
     cogap,
     complement,
     finitely_change,
@@ -329,6 +331,72 @@ def test_finitely_change_matches_member_reference(s, add, remove):
     top = max([0, *add, *remove])
     for n in range(1, max(_horizon(s), top + len(s.period) + 5) + 1):
         assert t.member(n) == (n in add or (s.member(n) and n not in remove))
+
+
+# ---------------------------------------------------------------------------
+# trusted construction: the operations build their results unchecked, so
+# each result must already be what the checking constructor makes of it
+
+EDGE_SETS = [
+    EPSet.empty(),
+    EPSet.naturals(),
+    EPSet.finite({2, 5}),
+    EPSet((0, 1, 0), (1,)),  # cofinite, period (1,)
+    EPSet((1,), (1, 1, 0)),
+]
+
+
+def assert_canonical(r):
+    checked = EPSet(r.prefix, r.period)
+    assert (r.prefix, r.period) == (checked.prefix, checked.period)
+    assert all(type(b) is int for b in r.prefix + r.period)
+
+
+@settings(max_examples=150, deadline=None)
+@given(epsets, epsets, st.sets(st.integers(1, 20), max_size=4),
+       st.sets(st.integers(1, 20), max_size=4))
+def test_trusted_results_are_canonical(a, b, add, remove):
+    remove = remove - add
+    for x, y in [(a, b), *((e, a) for e in EDGE_SETS), *((e, f) for e in EDGE_SETS for f in EDGE_SETS)]:
+        for r in (complement(x), union(x, y), intersection(x, y),
+                  finitely_change(x, add=add, remove=remove)):
+            assert_canonical(r)
+    assert_canonical(EPSet.finite(add | remove))
+    assert_canonical(EPSet.finite(()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from("xyz"), max_size=8),
+       st.lists(st.sampled_from("xyz"), min_size=1, max_size=12),
+       st.sets(st.sampled_from("xyz")))
+def test_preimages_are_canonical(prefix, period, values):
+    f = PeriodicSeq(prefix, period)
+    r = f.preimage(values)
+    assert_canonical(r)
+    for n in range(1, len(prefix) + 2 * len(period) + 1):
+        assert r.member(n) == (f.value(n) in values)
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=24))
+def test_minimal_word_period_is_least_dividing_repeat(word):
+    word = tuple(word)
+    q = len(word)
+    want = min(d for d in range(1, q + 1) if q % d == 0 and word[:d] * (q // d) == word)
+    assert _minimal_word_period(word) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(epsets)
+def test_cogap_is_gap_of_complement(s):
+    for t in (s, *EDGE_SETS):
+        c = complement(t)
+        assert cogap(t) == gap(c) == _brute_gap(c)
+
+
+@given(epsets)
+def test_is_cofinite_means_finite_complement(s):
+    for t in (s, *EDGE_SETS):
+        assert t.is_cofinite == complement(t).is_finite
 
 
 # ---------------------------------------------------------------------------

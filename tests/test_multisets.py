@@ -12,6 +12,7 @@ from evfam.families import (
     FiniteTopology,
     IndicatorFamily,
     InfiniteFamily,
+    PredicateFamily,
     all_topologies,
     powerset,
     random_topology,
@@ -319,6 +320,19 @@ def test_multiset_limit_rejects_decreasing():
     mf = ExplicitMultifamily(("a",), {frozenset(): 5})
     with pytest.raises(ValueError):
         multiset_limit(mf, FiniteTopology.discrete(("a",)))
+
+
+def test_closure_refuses_a_falling_multifamily_whatever_its_claim():
+    # a predicate declared increasing "exactly" that falls from {a} to {a, b}:
+    # closure and limits scan the values themselves
+    ground = ("a", "b")
+    fam = PredicateFamily(ground, lambda s: s == {"a"}, monotone="increasing",
+                          claim_status="exact")
+    mf = IndicatorMultifamily(fam)
+    assert mf.classify().increasing.value
+    for op in (mf_closure, multiset_limit):
+        with pytest.raises(ValueError, match="increasing multifamilies only"):
+            op(mf, FiniteTopology.discrete(ground))
 
 
 def test_limit_is_star_of_closure():

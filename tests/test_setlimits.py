@@ -6,6 +6,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evfam.families import (
     AllFamily,
@@ -121,6 +122,25 @@ def test_alternating_has_no_limit():
 def test_eventually_constant_sequence():
     seq = SetSequence.from_sets(("a", "b"), [{"b"}, {"a", "b"}, set()], [{"a"}])
     assert classical_limits(seq).limit == {"a"}
+
+
+traces = st.one_of(
+    st.builds(lambda p, q: EPSet(tuple(p), tuple(q)),
+              st.lists(st.integers(0, 1), max_size=8),
+              st.lists(st.integers(0, 1), max_size=12)),
+    st.sampled_from([EPSet.empty(), EPSet.naturals(), EPSet.finite({1, 4}),
+                     EPSet((0, 1, 0), (1,))]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(traces, min_size=1, max_size=4))
+def test_classical_limits_match_family_limits(ts):
+    # read off the traces, and through the infinite and cofinite families
+    seq = SetSequence(tuple("abcd"[: len(ts)]), dict(zip("abcd", ts)))
+    c = classical_limits(seq)
+    assert c.limsup == e_limit(G, seq)
+    assert c.liminf == e_limit(H, seq)
 
 
 def test_brute_window_oracle():

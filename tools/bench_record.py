@@ -1,16 +1,19 @@
 """Record a benchmark run as BENCH_<label>.json at the repository root.
 
     python3 tools/bench_record.py --label NAME --workload W --seed N \
-        [--checkout DIR] [--append]
+        [--checkout DIR] [--append] [--trace 0|1]
 
 Runs ``perfbench/run.py`` of a source checkout (this repository unless
 ``--checkout`` names another, e.g. a clone of an earlier commit) in a
 subprocess, for the run length its BENCHMARK.json sets, and keeps the last
 two lines it prints: the detail record (timings with their medians and
-sample counts, machine facts, the git commit) and the end-to-end metrics.
+sample counts, machine facts, the git commit) and the metrics.
 ``--append`` adds the run to an existing file of the same label, workload
-and seed, so that runs of two checkouts can be interleaved.  ``summary``
-gives each metric's median and quartiles over the recorded runs.
+and seed, so that runs of two checkouts can be interleaved.  A ``--trace 0``
+run goes to ``runs`` and its end-to-end metrics to ``summary``; a
+``--trace 1`` run goes to ``trace_runs`` and its per-layer metrics to
+``layers``.  Each summary gives a metric's median and quartiles over the
+recorded runs of its kind.
 """
 
 import argparse
@@ -31,6 +34,7 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--checkout", type=Path, default=ROOT)
     p.add_argument("--append", action="store_true")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     args.seconds = json.loads((args.checkout / "BENCHMARK.json").read_text())["run_seconds"]
     return args
@@ -39,7 +43,8 @@ def parse_args(argv):
 def run_bench(args):
     """The detail record and the metrics line of one perfbench run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", str(args.trace)]
     out = subprocess.run(cmd, cwd=args.checkout, check=True, capture_output=True,
                          text=True).stdout
     detail, result = map(json.loads, out.strip().splitlines()[-2:])
@@ -64,21 +69,23 @@ def main(argv=None):
     args = parse_args(argv)
     path = ROOT / f"BENCH_{args.label}.json"
     head = {key: getattr(args, key) for key in KEYS}
-    runs = []
+    old = {}
     if args.append and path.is_file():
         old = json.loads(path.read_text())
         if {key: old[key] for key in KEYS} != head:
             print(f"error: {path.name} records another workload, seed or run length",
                   file=sys.stderr)
             return 1
-        runs = old["runs"]
+    runs, trace_runs = old.get("runs", []), old.get("trace_runs", [])
     run = run_bench(args)
-    runs.append(run)
+    (trace_runs if args.trace else runs).append(run)
     machine = run["detail"]["machine"]
     record = {"label": args.label, **head, "commit": machine["git_commit"],
-              "machine": machine, "summary": summarize(runs), "runs": runs}
+              "machine": machine, "summary": summarize(runs), "runs": runs,
+              "layers": summarize(trace_runs), "trace_runs": trace_runs}
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(json.dumps({name: m["median"] for name, m in record["summary"].items()}))
+    shown = record["layers" if args.trace else "summary"]
+    print(json.dumps({name: m["median"] for name, m in shown.items()}))
     return 0
 
 
