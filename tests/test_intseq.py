@@ -352,17 +352,26 @@ def assert_canonical(r):
     assert all(type(b) is int for b in r.prefix + r.period)
 
 
+def assert_operations_canonical(a, b, add=frozenset(), remove=frozenset()):
+    for r in (complement(a), union(a, b), intersection(a, b),
+              finitely_change(a, add=add, remove=remove)):
+        assert_canonical(r)
+    assert_canonical(EPSet.finite(add | remove))
+
+
+def test_trusted_results_on_edge_sets_are_canonical():
+    for a in EDGE_SETS:
+        for b in EDGE_SETS:
+            assert_operations_canonical(a, b, {1, 7}, {2})
+
+
 @settings(max_examples=150, deadline=None)
 @given(epsets, epsets, st.sets(st.integers(1, 20), max_size=4),
        st.sets(st.integers(1, 20), max_size=4))
 def test_trusted_results_are_canonical(a, b, add, remove):
     remove = remove - add
-    for x, y in [(a, b), *((e, a) for e in EDGE_SETS), *((e, f) for e in EDGE_SETS for f in EDGE_SETS)]:
-        for r in (complement(x), union(x, y), intersection(x, y),
-                  finitely_change(x, add=add, remove=remove)):
-            assert_canonical(r)
-    assert_canonical(EPSet.finite(add | remove))
-    assert_canonical(EPSet.finite(()))
+    for x, y in [(a, b), *((e, a) for e in EDGE_SETS), *((a, e) for e in EDGE_SETS)]:
+        assert_operations_canonical(x, y, add, remove)
 
 
 @settings(max_examples=100, deadline=None)
