@@ -74,11 +74,14 @@ def row_distances(points, ref):
 
 
 class Operator:
-    """Base operator on R^J with a declared cutter flag and fix oracle."""
+    """Base operator T on R^J with a fix oracle, |T(x) - x| <= tol.
+
+    Certification assumes that I - T is demiclosed at 0, as it is for
+    every shipped operator, so that a limit of points whose residual
+    vanishes is a fixed point.
+    """
 
     kind = "abstract"
-    is_cutter = True
-    demiclosed_at_zero = True
 
     def __init__(self, dim):
         self.dim = int(dim)
@@ -299,17 +302,12 @@ class Averaged(Operator):
     def __init__(self, inner):
         super().__init__(inner.dim)
         self.inner = inner
-        self.is_cutter = inner.is_cutter
-        self.demiclosed_at_zero = inner.demiclosed_at_zero
 
     def apply(self, x):
         return 0.5 * (x + self.inner.apply(x))
 
     def apply_many(self, X):
         return 0.5 * (X + self.inner.apply_many(X))
-
-    def in_fix(self, x, tol=FIX_TOL):
-        return self.inner.in_fix(x, tol)
 
     def __repr__(self):
         return f"Averaged({self.inner!r})"
@@ -325,9 +323,6 @@ class Relaxed(Operator):
         super().__init__(inner.dim)
         self.inner = inner
         self.lam = lam
-        # the cutter property survives relaxation only up to lambda = 1
-        self.is_cutter = inner.is_cutter and lam <= 1.0
-        self.demiclosed_at_zero = inner.demiclosed_at_zero
 
     def apply(self, x):
         if self.lam == 0.0:
@@ -338,11 +333,6 @@ class Relaxed(Operator):
         if self.lam == 0.0:
             return X
         return X + self.lam * (self.inner.apply_many(X) - X)
-
-    def in_fix(self, x, tol=FIX_TOL):
-        if self.lam == 0.0:
-            return True
-        return self.inner.in_fix(x, tol)
 
     def __repr__(self):
         return f"Relaxed({self.inner!r}, lam={self.lam})"

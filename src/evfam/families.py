@@ -6,10 +6,11 @@ A family is *eventual* when it is closed upward under inclusion and
 decreasing multifamily, with which families share one base class.
 Symbolic families over the positive integers (cofinite, infinite,
 cogap-level) evaluate exactly on EPSet arguments and refuse anything else;
-opaque predicate families are classified by seeded sampling and their
-verdicts say so.  Finite grounds are classified exhaustively in one pass
-over the covering pairs (S, S | {x}) of the subset lattice: a map on a
-finite Boolean lattice is monotone iff it is monotone on covering pairs.
+opaque predicate families are sampled and their verdicts say so, except a
+claimed direction: checked on a finite ground, trusted over N.  Finite
+grounds are classified exhaustively in one pass over the covering pairs
+(S, S | {x}) of the subset lattice: a map on a finite Boolean lattice is
+monotone iff it is monotone on covering pairs.
 
 On a finite ground a subset is a mask, bit i standing for ground[i], and
 an indicator family is one 2^n-bit int whose bit s is set iff the subset
@@ -176,12 +177,12 @@ _PROPERTIES = ("eventual", "co_eventual", "filter", "finitely_insensitive")
 class _OverGround:
     """The core families and multifamilies share: a ground (NATURALS or a
     tuple of distinct elements), set arguments checked against it,
-    complements within it, and exact verdicts from declared flags.
+    complements within it, and exact verdicts from ``flags``.
 
-    ``flags`` holds the property values known exactly by construction, None
-    where only sampling or enumeration helps.  When every flag is known,
-    ``classify`` reports them as exact verdicts in a ``_verdicts`` record,
-    each false one with the counterexample ``_witnesses`` gives for it.
+    ``flags`` is the one record of the property values known exactly, by
+    construction or by a checked claim, None where only sampling or
+    enumeration helps.  When every flag is known, ``classify`` reports
+    them as exact verdicts, each false one with a ``_witnesses`` pair.
     """
 
     kind = "abstract"
@@ -224,10 +225,6 @@ class Family(_OverGround):
 
     def __contains__(self, s):
         return self.contains(s)
-
-    def exact_flags(self):
-        """Property values known exactly, None where only sampling helps."""
-        return dict(self.flags)
 
 
 class EmptyFamily(Family):
@@ -364,42 +361,36 @@ class IndicatorFamily(Family):
             finitely_insensitive=_exact(change is None, change),
         )
 
-    def exact_flags(self):
-        c = self.classify()
-        return {name: getattr(c, name).value for name in _PROPERTIES}
-
 
 class PredicateFamily(Family):
-    """Opaque membership callable with a declared monotonicity direction.
+    """Opaque membership callable, classified by seeded sampling.
 
-    ``claim_status`` is "exact" only when the declared direction is known by
-    construction, e.g. a level family of an increasing multifamily; the
-    classifier then reports that one property exactly and samples the rest.
+    A ``claim`` of "increasing" or "decreasing" makes that direction exact.
+    On a finite ground it is checked over every covering pair, and a false
+    one is refused with the pair that breaks it; over N it is trusted.
     """
 
     kind = "predicate"
 
-    def __init__(self, ground, fn, monotone="unknown", claim_status="sampled"):
+    def __init__(self, ground, fn, claim=None):
         super().__init__(ground)
-        if monotone not in ("increasing", "decreasing", "unknown"):
-            raise ValueError(f"bad monotonicity label {monotone!r}")
-        if claim_status not in ("exact", "sampled"):
-            raise ValueError(f"bad claim status {claim_status!r}")
         self.fn = fn
-        self.monotone = monotone
-        self.claim_status = claim_status
+        if claim is None:
+            return
+        if claim not in ("increasing", "decreasing"):
+            raise ValueError(f"bad claim {claim!r}")
+        up = claim == "increasing"
+        if not self.over_naturals:
+            vals = [self.contains(s) for s in _subsets(self.ground)]
+            fall, rise, _ = _covering_scan(self.ground, vals)
+            pair = fall if up else rise and rise[::-1]
+            if pair:
+                member, other = (sorted(s, key=repr) for s in pair)
+                raise ValueError(f"claimed {claim}, but {member} belongs and {other} does not")
+        self.flags = {**self.flags, "eventual" if up else "co_eventual": True}
 
     def contains(self, s):
         return bool(self.fn(self._arg(s)))
-
-    def exact_flags(self):
-        flags = super().exact_flags()
-        if self.claim_status == "exact":
-            if self.monotone == "increasing":
-                flags["eventual"] = True
-            elif self.monotone == "decreasing":
-                flags["co_eventual"] = True
-        return flags
 
     def _sample_set(self, rng):
         if self.over_naturals:
@@ -418,17 +409,16 @@ class PredicateFamily(Family):
 
     def classify(self, budget=1000, seed=0):
         rng = random.Random(seed)
-        flags = self.exact_flags()
 
         ev_wit = co_wit = inter_wit = fin_wit = None
         for _ in range(budget):
             s = self._sample_set(rng)
             s_in = self.contains(s)
-            if ev_wit is None and s_in and flags["eventual"] is None:
+            if ev_wit is None and s_in and self.flags["eventual"] is None:
                 sup = s | self._sample_set(rng)
                 if not self.contains(sup):
                     ev_wit = (s, sup)
-            if co_wit is None and s_in and flags["co_eventual"] is None:
+            if co_wit is None and s_in and self.flags["co_eventual"] is None:
                 sub = s & self._sample_set(rng)
                 if not self.contains(sub):
                     co_wit = (s, sub)
@@ -441,12 +431,12 @@ class PredicateFamily(Family):
                 if self.contains(tweaked) != s_in:
                     fin_wit = (s, tweaked)
 
-        if flags["eventual"] is not None:
-            eventual = _exact(flags["eventual"])
+        if self.flags["eventual"] is not None:
+            eventual = _exact(self.flags["eventual"])
         else:
             eventual = _sampled(ev_wit is None, ev_wit)
-        if flags["co_eventual"] is not None:
-            co_eventual = _exact(flags["co_eventual"])
+        if self.flags["co_eventual"] is not None:
+            co_eventual = _exact(self.flags["co_eventual"])
         else:
             co_eventual = _sampled(co_wit is None, co_wit)
         filt_value = eventual.value and inter_wit is None
@@ -518,22 +508,24 @@ def complement_duality_check(family):
 def _push_codomain(f, source, codomain=None):
     """Validates a push map for a family or multifamily and returns its
     codomain: a PeriodicSeq pushes from N, a dict must be total on a finite
-    ground and land inside the codomain."""
+    ground, and either must land inside the codomain."""
     if isinstance(f, PeriodicSeq):
         if not source.over_naturals:
             raise ValueError("a PeriodicSeq pushes from N only")
-        return tuple(codomain) if codomain is not None else f.alphabet()
-    if not isinstance(f, dict):
-        raise TypeError("push takes a dict or a PeriodicSeq")
-    if source.over_naturals:
-        raise TypeError("dict maps push from finite grounds only")
-    missing = set(source.ground) - set(f)
-    if missing:
-        raise ValueError(f"map is not total: missing {sorted(map(repr, missing))}")
+        values = f.alphabet()
+    else:
+        if not isinstance(f, dict):
+            raise TypeError("push takes a dict or a PeriodicSeq")
+        if source.over_naturals:
+            raise TypeError("dict maps push from finite grounds only")
+        missing = set(source.ground) - set(f)
+        if missing:
+            raise ValueError(f"map is not total: missing {sorted(map(repr, missing))}")
+        values = tuple(dict.fromkeys(f[x] for x in source.ground))
     if codomain is None:
-        return tuple(dict.fromkeys(f[x] for x in source.ground))
+        return values
     codomain = tuple(codomain)
-    stray = {f[x] for x in source.ground} - set(codomain)
+    stray = set(values) - set(codomain)
     if stray:
         raise ValueError(f"values {sorted(map(repr, stray))} leave the codomain")
     return codomain
@@ -728,6 +720,21 @@ def _ground_to_json(ground):
     return "N" if ground is NATURALS else list(ground)
 
 
+def _json_list(value, what):
+    """A JSON array: a string is refused, never read as its characters."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _ground_from_json(ground):
+    return ground if ground == "N" else _json_list(ground, "a ground")
+
+
+def _sets_from_json(sets):
+    return [_json_list(s, "a set") for s in _json_list(sets, "a list of sets")]
+
+
 def _sorted_sets(ground, sets):
     order = {x: i for i, x in enumerate(ground)}
     listed = [sorted(s, key=order.__getitem__) for s in sets]
@@ -746,7 +753,7 @@ _FAMILY_JSON = {
     ),
     "indicator": (
         lambda fam: {"sets": _sorted_sets(fam.ground, fam.sets)},
-        lambda obj: IndicatorFamily(obj["ground"], obj["sets"]),
+        lambda obj: IndicatorFamily(obj["ground"], _sets_from_json(obj["sets"])),
     ),
 }
 
@@ -762,6 +769,7 @@ def family_from_json(obj):
     kind = obj["kind"]
     if kind not in _FAMILY_JSON:
         raise ValueError(f"unknown family kind {kind!r}")
+    _ground_from_json(obj.get("ground", "N"))
     _, build = _FAMILY_JSON[kind]
     return build(obj)
 
@@ -774,4 +782,4 @@ def topology_to_json(topology):
 
 
 def topology_from_json(obj):
-    return FiniteTopology(obj["ground"], obj["opens"])
+    return FiniteTopology(_ground_from_json(obj["ground"]), _sets_from_json(obj["opens"]))

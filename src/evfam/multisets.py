@@ -27,7 +27,9 @@ from .families import (
     _covering_scan,
     _exact,
     _finite_ground,
+    _ground_from_json,
     _indicator,
+    _json_list,
     _OverGround,
     _preimage,
     _push_codomain,
@@ -194,7 +196,7 @@ class ComplementMultifamily(Multifamily):
         return MFClassification(
             increasing=flip(c.decreasing),
             decreasing=flip(c.increasing),
-            finitely_insensitive=c.finitely_insensitive,
+            finitely_insensitive=flip(c.finitely_insensitive),
         )
 
 
@@ -252,15 +254,9 @@ def level_family(mf, c):
     if not mf.over_naturals:
         return _indicator(mf.ground, lambda s: mf.value(s) >= c)
     cls = mf.classify()
-    if cls.increasing.value and cls.increasing.status == "exact":
-        monotone, claim = "increasing", "exact"
-    elif cls.decreasing.value and cls.decreasing.status == "exact":
-        monotone, claim = "decreasing", "exact"
-    else:
-        monotone, claim = "unknown", "sampled"
-    return PredicateFamily(
-        "N", lambda s: mf.value(s) >= c, monotone=monotone, claim_status=claim
-    )
+    directions = {"increasing": cls.increasing, "decreasing": cls.decreasing}
+    claim = next((d for d, v in directions.items() if v.value and v.status == "exact"), None)
+    return PredicateFamily("N", lambda s: mf.value(s) >= c, claim=claim)
 
 
 def mstar(mf):
@@ -329,7 +325,8 @@ _MF_JSON = {
     "explicit": (
         _explicit_fields,
         lambda obj: ExplicitMultifamily(
-            obj["ground"], {frozenset(s): ExtNat.from_json(v) for s, v in obj["table"]}
+            _ground_from_json(obj["ground"]),
+            {frozenset(_json_list(s, "a set")): ExtNat.from_json(v) for s, v in obj["table"]},
         ),
     ),
 }

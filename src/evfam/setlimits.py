@@ -16,6 +16,7 @@ from .families import (
     EmptyFamily,
     Family,
     _finite_ground,
+    _ground_from_json,
     check_set_arg,
 )
 from .intseq import EPSet
@@ -118,10 +119,9 @@ def verify_limit_theorem(seq, family):
         return TheoremVerdict("preconditions-unmet", "family is not symbolic")
     if isinstance(family, (EmptyFamily, AllFamily)):
         return TheoremVerdict("preconditions-unmet", "family is trivial")
-    flags = family.exact_flags()
-    if flags["finitely_insensitive"] is not True:
+    if not family.flags["finitely_insensitive"]:
         return TheoremVerdict("preconditions-unmet", "family is finitely sensitive")
-    if flags["eventual"] is not True:
+    if not family.flags["eventual"]:
         return TheoremVerdict("preconditions-unmet", "family is not eventual")
     classical = classical_limits(seq)
     lim = classical.limit
@@ -157,6 +157,5 @@ def sequence_to_json(seq):
 
 
 def sequence_from_json(obj):
-    ground = obj["ground"]
     traces = {x: EPSet.from_text(t) for x, t in obj["traces"].items()}
-    return SetSequence(ground, traces)
+    return SetSequence(_ground_from_json(obj["ground"]), traces)

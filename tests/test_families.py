@@ -26,6 +26,7 @@ from evfam.families import (
     IndicatorFamily,
     InfiniteFamily,
     PredicateFamily,
+    Verdict,
     all_topologies,
     closure_family,
     complement_duality_check,
@@ -224,12 +225,23 @@ def test_predicate_sampling_witnesses_are_pinned(ground, fn, want):
 
 
 def test_predicate_family_exact_claim():
-    fam = PredicateFamily(
-        "N", lambda s: not s.is_finite, monotone="increasing", claim_status="exact"
-    )
+    fam = PredicateFamily("N", lambda s: not s.is_finite, claim="increasing")
     c = fam.classify(budget=400, seed=3)
     assert c.eventual.value and c.eventual.status == "exact"
     assert not c.filter.value  # sampling finds disjoint infinite sets
+
+
+def test_predicate_claim_is_checked_on_a_finite_ground():
+    ground = ("a", "b")
+    up = PredicateFamily(ground, lambda s: "a" in s, claim="increasing")
+    assert up.classify().eventual == Verdict(True, "exact")
+    down = PredicateFamily(ground, lambda s: "a" not in s, claim="decreasing")
+    assert down.classify().co_eventual == Verdict(True, "exact")
+    # "a" in s rises from {} to {a}: a decreasing claim names the member first
+    with pytest.raises(ValueError, match=r"\['a'\] belongs and \[\] does not"):
+        PredicateFamily(ground, lambda s: "a" in s, claim="decreasing")
+    with pytest.raises(ValueError, match="bad claim"):
+        PredicateFamily(ground, lambda s: True, claim="exact")
 
 
 def test_triviality_scan_small_grounds():
@@ -307,6 +319,14 @@ def test_push_rejects_partial_maps():
     fam = IndicatorFamily((1, 2), [{1}])
     with pytest.raises(ValueError):
         push({1: "a"}, fam)
+
+
+def test_push_refuses_values_outside_the_codomain():
+    fam = IndicatorFamily((1, 2), [{1}])
+    with pytest.raises(ValueError, match="leave the codomain"):
+        push({1: "a", 2: "b"}, fam, codomain=("a",))
+    with pytest.raises(ValueError, match="leave the codomain"):
+        push(PeriodicSeq((), (1, 2)), H, codomain=(1,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,3 +634,20 @@ def test_topology_json_round_trip():
     obj = topology_to_json(t)
     assert obj == {"ground": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]}
     assert topology_from_json(obj) == t
+
+
+@pytest.mark.parametrize(
+    "read, obj",
+    [
+        (family_from_json, {"ground": ["a", "b"], "kind": "indicator", "sets": ["ab"]}),
+        (family_from_json, {"ground": ["a", "b"], "kind": "indicator", "sets": "ab"}),
+        (family_from_json, {"ground": "ab", "kind": "indicator", "sets": [["a"]]}),
+        (family_from_json, {"ground": "ab", "kind": "empty"}),
+        (topology_from_json, {"ground": ["a", "b"], "opens": ["", "ab", "a"]}),
+        (topology_from_json, {"ground": "ab", "opens": [[], ["a", "b"]]}),
+    ],
+)
+def test_json_readers_refuse_a_string_as_a_set_or_a_ground(read, obj):
+    # a string is never read as the set of its characters
+    with pytest.raises(ValueError, match="must be a JSON list"):
+        read(obj)

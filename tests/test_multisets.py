@@ -133,8 +133,7 @@ def test_indicator_level_one_returns_the_family():
 
 def test_gap_level_family_is_exactly_co_eventual():
     lvl = level_family(GAP, 2)
-    flags = lvl.exact_flags()
-    assert flags["co_eventual"] is True
+    assert lvl.flags["co_eventual"] is True
     assert lvl.contains(EPSet.finite([1, 4]))  # gap inf >= 2
     assert not lvl.contains(EPSet.naturals())
 
@@ -198,21 +197,24 @@ def test_classify_explicit_matches_all_pairs_oracle(n, data):
     ground = tuple("abc"[:n])
     ps = list(powerset(ground))
     values = data.draw(st.lists(st.sampled_from([0, 1, 2, INF]), min_size=len(ps), max_size=len(ps)))
-    mf = ExplicitMultifamily(ground, dict(zip(ps, values)))
-    got = mf.classify()
-    for name, value in brute_directions(mf).items():
-        assert getattr(got, name).value == value
-        assert getattr(got, name).status == "exact"
-    # refutations come with checkable witnesses, one element apart
-    if not got.increasing.value:
-        small, big = got.increasing.witness
-        assert small < big and mf.value(small) > mf.value(big)
-    if not got.decreasing.value:
-        small, big = got.decreasing.witness
-        assert small < big and mf.value(small) < mf.value(big)
-    if not got.finitely_insensitive.value:
-        a, b = got.finitely_insensitive.witness
-        assert len(a ^ b) == 1 and mf.value(a) != mf.value(b)
+    table = ExplicitMultifamily(ground, dict(zip(ps, values)))
+    support = IndicatorFamily(ground, [s for s, v in zip(ps, values) if v != 0])
+    # the complement and indicator wrappers classify by delegating
+    for mf in (table, ComplementMultifamily(table), IndicatorMultifamily(support)):
+        got = mf.classify()
+        for name, value in brute_directions(mf).items():
+            assert getattr(got, name).value == value
+            assert getattr(got, name).status == "exact"
+        # refutations come with checkable witnesses, one element apart
+        if not got.increasing.value:
+            small, big = got.increasing.witness
+            assert small < big and len(big - small) == 1 and mf.value(small) > mf.value(big)
+        if not got.decreasing.value:
+            small, big = got.decreasing.witness
+            assert small < big and len(big - small) == 1 and mf.value(small) < mf.value(big)
+        if not got.finitely_insensitive.value:
+            a, b = got.finitely_insensitive.witness
+            assert len(a ^ b) == 1 and mf.value(a) != mf.value(b)
 
 
 def test_gap_direction_on_random_pairs():
@@ -293,6 +295,11 @@ def test_mpush_sequences():
     assert pushed.value({"a"}) == 1  # preimage is the odd numbers
 
 
+def test_mpush_refuses_a_sequence_leaving_the_codomain():
+    with pytest.raises(ValueError, match="leave the codomain"):
+        PushedMultifamily(PeriodicSeq((), ("a", "b")), COGAP, codomain=("a",))
+
+
 def test_mpush_preserves_direction():
     alt = PeriodicSeq((), ("a", "b"))
     c = PushedMultifamily(alt, COGAP).classify()
@@ -323,13 +330,13 @@ def test_multiset_limit_rejects_decreasing():
 
 
 def test_closure_refuses_a_falling_multifamily_whatever_its_claim():
-    # a predicate declared increasing "exactly" that falls from {a} to {a, b}:
-    # closure and limits scan the values themselves
+    # a predicate that falls from {a} to {a, b}: its claim to increase is
+    # refused with that pair, and closure and limits scan the values
+    # themselves when nothing is claimed
     ground = ("a", "b")
-    fam = PredicateFamily(ground, lambda s: s == {"a"}, monotone="increasing",
-                          claim_status="exact")
-    mf = IndicatorMultifamily(fam)
-    assert mf.classify().increasing.value
+    with pytest.raises(ValueError, match=r"\['a'\] belongs and \['a', 'b'\] does not"):
+        PredicateFamily(ground, lambda s: s == {"a"}, claim="increasing")
+    mf = IndicatorMultifamily(PredicateFamily(ground, lambda s: s == {"a"}))
     for op in (mf_closure, multiset_limit):
         with pytest.raises(ValueError, match="increasing multifamilies only"):
             op(mf, FiniteTopology.discrete(ground))
@@ -386,3 +393,16 @@ def test_multifamily_json_round_trip():
         "ground": ["a", "b"],
         "table": [[["a"], 2], [["a", "b"], "inf"]],
     }
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "explicit", "ground": ["a", "b"], "table": [["ab", 2]]},
+        {"kind": "explicit", "ground": "ab", "table": [[["a"], 2]]},
+        {"kind": "indicator", "family": {"ground": "ab", "kind": "all"}},
+    ],
+)
+def test_mf_json_refuses_a_string_as_a_set_or_a_ground(obj):
+    with pytest.raises(ValueError, match="must be a JSON list"):
+        mf_from_json(obj)

@@ -1,13 +1,14 @@
-"""Package-level tests: the public export lists and the README's library
-quick start."""
+"""Package-level tests: the public export lists, the README's library
+quick start and its command-line examples."""
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
 import evfam
-from evfam import intseq
+from evfam import cli, intseq
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +24,16 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_evfam_commands_run(tmp_path, monkeypatch):
+    # every `evfam ...` line of the sh blocks, in order, from one directory,
+    # so later examples read what earlier ones wrote
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["evfam"]]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EVFAM_SEED", raising=False)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv

@@ -207,3 +207,9 @@ def test_sequence_json():
         "traces": {"a": "prefix=;period=10", "b": "prefix=;period=01"},
     }
     assert sequence_from_json(obj) == ALTERNATING
+
+
+def test_sequence_json_refuses_a_string_ground():
+    obj = {"ground": "ab", "traces": {"a": "prefix=;period=10"}}
+    with pytest.raises(ValueError, match="must be a JSON list"):
+        sequence_from_json(obj)
