@@ -799,12 +799,27 @@ def _to_json(table, what, obj):
     return out
 
 
+def _json_object(obj, what, required=(), allowed=None):
+    """``obj``, refused unless it is a JSON object holding every ``required``
+    key and, when ``allowed`` is given, no other key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} lacks the field {key!r}")
+    unknown = [key for key in obj if key not in allowed] if allowed is not None else []
+    if unknown:
+        raise ValueError(f"{what} has an unknown key {unknown[0]!r}")
+    return obj
+
+
 def _from_json(table, what, obj, normalize=False):
     """The class of ``obj``'s kind and its constructor arguments."""
-    kind = obj["kind"]
-    if kind not in table:
+    kind = _json_object(obj, f"the {what}", required=("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in table:
         raise ValueError(f"unknown {what} kind {kind!r}")
     cls, fields = table[kind]
+    _json_object(obj, f"the {kind} {what}", required=fields, allowed=("kind", *fields))
     args = [
         operator_from_json(obj[key], normalize) if key == "inner" else obj[key]
         for key in fields
@@ -856,10 +871,14 @@ def problem_to_json(ops, ctrl, sched, x0, stop):
     }
 
 
+_PROBLEM_FIELDS = ("dim", "operators", "control", "relaxation", "x0", "stop")
+
+
 def problem_from_json(obj, normalize=False):
     if not isinstance(obj, dict):
         raise ValueError("a problem is a JSON object")
-    ops = [operator_from_json(o, normalize) for o in obj.get("operators", [])]
+    _json_object(obj, "the problem", ("dim", "operators", "control", "x0"), _PROBLEM_FIELDS)
+    ops = [operator_from_json(o, normalize) for o in obj["operators"]]
     if not ops:
         raise ValueError("the operator list is empty")
     dim = _integer(obj["dim"], "dim")
@@ -869,9 +888,7 @@ def problem_from_json(obj, normalize=False):
     ctrl = control_from_json(obj["control"], len(ops))
     sched = relaxation_from_json(obj.get("relaxation", {"kind": "constant", "value": 1.0}))
     x0 = _vec(obj["x0"], dim)
-    s = obj.get("stop", {})
-    if not isinstance(s, dict):
-        raise ValueError("the stop rule is a JSON object")
+    s = _json_object(obj.get("stop", {}), "the stop rule", allowed=("tol", "max_iter", "stride"))
     stop = StopRule(
         tol=_number(s.get("tol", 1e-6), "the stop rule's tol"),
         max_iter=_integer(s.get("max_iter", 100000), "max_iter"),

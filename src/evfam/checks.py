@@ -2,11 +2,18 @@
 
 Each suite re-runs its module's structural laws on freshly sampled inputs:
 the point is a fast, seedable smoke screen against regressions, not a proof.
-Budget counts sampled cases per check; a budget of zero short-circuits every
-suite to a vacuous pass so pipelines can disable the sampling cheaply.
+A sampled law is a generator named after its check: called once per case,
+it draws the case from its suite's random source and yields a note for
+each way the case fails.  ``_sample`` runs the laws one after another,
+``budget`` cases each, so the seed fixes every draw.  The exhaustive scan
+and the per-instance solver checks keep their own loops.  Budget counts
+sampled cases per check; a budget of zero short-circuits every suite to a
+vacuous pass so pipelines can disable the sampling cheaply.
 
-On failure a check keeps scanning and reports the shortest witness it saw,
-plus the failure count.
+On failure a check keeps scanning and reports the failure count and the
+shortest note, ties broken by text.  A note names its input by values and
+deterministic reprs, never by object addresses or hash order, so the same
+seed and budget print the same FAIL line in any process.
 """
 
 from __future__ import annotations
@@ -44,12 +51,12 @@ from .intseq import (
 )
 from .multisets import (
     CoGapMultifamily,
+    ComplementMultifamily,
     ExplicitMultifamily,
     GapMultifamily,
     IndicatorMultifamily,
     level_family,
     mf_closure,
-    mf_complement,
     mstar,
     multiset_limit,
 )
@@ -80,15 +87,31 @@ def _result(name, cases, failures):
     return CheckResult(name, False, cases, f"{len(failures)} failed, e.g. {witness}")
 
 
+def _sample(suite, budget, *laws):
+    """Runs each law on the cases k = 0..budget-1, law after law, as the
+    check ``suite.law-name``.  ``law(k)`` draws case k from the suite's
+    generators and yields a note for each way it fails."""
+    return [
+        _result(f"{suite}.{law.__name__.replace('_', '-')}", budget,
+                [note for k in range(budget) for note in law(k)])
+        for law in laws
+    ]
+
+
+def _member_gaps(s, horizon):
+    """The gaps between consecutive members of ``s`` in (prefix, horizon],
+    read off membership alone."""
+    elems = [n for n in range(len(s.prefix) + 1, horizon + 1) if s.member(n)]
+    return [b - a - 1 for a, b in zip(elems, elems[1:])]
+
+
 def _brute_gap(s, horizon=None):
     # membership-only tail scan; horizon p + 4q always sees a full period
     if s.is_finite:
         return INF
-    p, q = len(s.prefix), len(s.period)
     if horizon is None:
-        horizon = p + 4 * q
-    elems = [n for n in range(p + 1, horizon + 1) if s.member(n)]
-    return ExtNat(max(b - a - 1 for a, b in zip(elems, elems[1:])))
+        horizon = len(s.prefix) + 4 * len(s.period)
+    return ExtNat(max(_member_gaps(s, horizon)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,38 +120,30 @@ def _brute_gap(s, horizon=None):
 
 def check_intseq(seed, budget):
     rng = random.Random(seed)
-    out = []
 
-    failures = []
-    for _ in range(budget):
+    def gap_oracle(_):
         s = random_epset(rng)
         if gap(s) != _brute_gap(s):
-            failures.append(s.to_text())
-    out.append(_result("intseq.gap-oracle", budget, failures))
+            yield s.to_text()
 
-    failures = []
-    for _ in range(budget):
+    def cogap_duality(_):
         s = random_epset(rng)
         if cogap(s) != gap(complement(s)):
-            failures.append(s.to_text())
-    out.append(_result("intseq.cogap-duality", budget, failures))
+            yield s.to_text()
 
-    failures = []
-    for _ in range(budget):
+    def finite_insensitivity(_):
         s = random_epset(rng)
         edits = rng.sample(range(1, 40), rng.randrange(4))
         t = finitely_change(s, add=edits[::2], remove=edits[1::2])
         if gap(t) != gap(s) or cogap(t) != cogap(s):
-            failures.append(f"{s.to_text()} edits={edits}")
-    out.append(_result("intseq.finite-insensitivity", budget, failures))
+            yield f"{s.to_text()} edits={edits}"
 
-    failures = []
-    for _ in range(budget):
+    def de_morgan(_):
         a, b = random_epset(rng), random_epset(rng)
         if complement(union(a, b)) != intersection(complement(a), complement(b)):
-            failures.append(f"{a.to_text()} | {b.to_text()}")
-    out.append(_result("intseq.de-morgan", budget, failures))
-    return out
+            yield f"{a.to_text()} | {b.to_text()}"
+
+    return _sample("intseq", budget, gap_oracle, cogap_duality, finite_insensitivity, de_morgan)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +166,7 @@ def _random_eventual(ground, rng):
     )
 
 
-def check_families(seed, budget):
-    rng = random.Random(seed)
-    out = []
-
+def _triviality_scan():
     # exhaustive bilateral-family scan; budget only gates whether it runs
     scanned = 0
     hits = []
@@ -170,43 +182,43 @@ def check_families(seed, budget):
                 hits.append((n, len(members)))
     expected = 4 * 2  # empty and full family at each size
     failures = [] if len(hits) == expected else [f"bilateral count {len(hits)} != {expected}"]
-    out.append(_result("families.triviality-scan", scanned, failures))
+    return _result("families.triviality-scan", scanned, failures)
 
-    failures = []
-    for _ in range(budget):
+
+def check_families(seed, budget):
+    rng = random.Random(seed)
+
+    def star_closure_limit(_):
         ground = _random_letters(rng, 2, 3)
         topo = random_topology(ground, rng)
         fam = _random_indicator(ground, rng)
         lim = limit_set(fam, topo)
         if star(closure_family(fam, topo)) != lim:
-            failures.append(f"{sorted(map(sorted, fam.sets))} on {topo!r}")
+            yield f"{sorted(map(sorted, fam.sets))} on {topo!r}"
         elif not topo.is_closed(lim):
-            failures.append(f"open limit set {sorted(lim)} on {topo!r}")
-    out.append(_result("families.star-closure-limit", budget, failures))
+            yield f"open limit set {sorted(lim)} on {topo!r}"
 
-    failures = []
-    levels = [CoGapLevelFamily(c) for c in (1, 2, 5)] + [CoGapLevelFamily(INF)]
+    levels = [CoGapLevelFamily(c) for c in (1, 2, 5, INF)]
     H, G = CofiniteFamily(), InfiniteFamily()
-    for _ in range(budget):
+
+    def level_sandwich(_):
         s = random_epset(rng)
         for fam in levels:
             if H.contains(s) and not fam.contains(s):
-                failures.append(f"H !=> level: {s.to_text()}")
+                yield f"H !=> level: {s.to_text()}"
             if fam.contains(s) and not G.contains(s):
-                failures.append(f"level !=> G: {s.to_text()}")
-    out.append(_result("families.level-sandwich", budget, failures))
+                yield f"level !=> G: {s.to_text()}"
 
-    failures = []
-    for _ in range(budget):
+    def push_hereditarity(_):
         ground = _random_letters(rng, 2, 3)
         code = tuple("xyz"[: rng.randrange(1, 3)])
         f = {x: rng.choice(code) for x in ground}
         fam = _random_eventual(ground, rng)
-        pushed = push(f, fam, codomain=code)
-        if not pushed.classify().eventual.value:
-            failures.append(f"map {f} over {sorted(map(sorted, fam.sets))}")
-    out.append(_result("families.push-hereditarity", budget, failures))
-    return out
+        if not push(f, fam, codomain=code).classify().eventual.value:
+            yield f"map {f} over {sorted(map(sorted, fam.sets))}"
+
+    laws = (star_closure_limit, level_sandwich, push_hereditarity)
+    return [_triviality_scan(), *_sample("families", budget, *laws)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,68 +227,52 @@ def check_families(seed, budget):
 
 def check_multisets(seed, budget):
     rng = random.Random(seed)
-    out = []
 
-    failures = []
-    for _ in range(budget):
+    def indicator_bridge(_):
         ground = _random_letters(rng, 1, 3)
         fam = _random_indicator(ground, rng)
         flags = fam.classify()
         mflags = IndicatorMultifamily(fam).classify()
         if flags.eventual.value != mflags.increasing.value:
-            failures.append(f"eventual/increasing split on {sorted(map(sorted, fam.sets))}")
+            yield f"eventual/increasing split on {sorted(map(sorted, fam.sets))}"
         if flags.co_eventual.value != mflags.decreasing.value:
-            failures.append(f"co-eventual/decreasing split on {sorted(map(sorted, fam.sets))}")
-    out.append(_result("multisets.indicator-bridge", budget, failures))
+            yield f"co-eventual/decreasing split on {sorted(map(sorted, fam.sets))}"
 
-    failures = []
-    for _ in range(budget):
+    def gap_attainment(_):
         s = random_epset(rng)
         g = gap(s)
-        if not g.is_finite:
-            continue
-        p, q = len(s.prefix), len(s.period)
-        elems = [n for n in range(p + 1, p + 6 * max(q, 1) + 1) if s.member(n)]
-        gaps = [b - a - 1 for a, b in zip(elems, elems[1:])]
-        if gaps.count(g.value) < 2:
-            failures.append(s.to_text())
-    out.append(_result("multisets.gap-attainment", budget, failures))
+        horizon = len(s.prefix) + 6 * max(len(s.period), 1)
+        if g.is_finite and _member_gaps(s, horizon).count(g.value) < 2:
+            yield s.to_text()
 
-    failures = []
     cogap_mf = CoGapMultifamily()
-    for _ in range(budget):
+
+    def level_monotone(_):
         s = random_epset(rng)
         extra = [rng.randrange(1, 30) for _ in range(rng.randrange(3))]
         sup = finitely_change(union(s, random_epset(rng)), add=extra)
         for c in (1, 2, 3, INF):
             fam = level_family(cogap_mf, c)
             if fam.contains(s) and not fam.contains(union(s, sup)):
-                failures.append(f"c={c}: {s.to_text()}")
-    out.append(_result("multisets.level-monotone", budget, failures))
+                yield f"c={c}: {s.to_text()}"
 
-    failures = []
-    for _ in range(budget):
+    def limit_star_closure(_):
         ground = _random_letters(rng, 1, 3)
         topo = random_topology(ground, rng)
         weights = {x: rng.randrange(4) for x in ground}
-        table = {
-            s: (max((weights[x] for x in s), default=0)) for s in powerset(ground)
-        }
+        table = {s: max((weights[x] for x in s), default=0) for s in powerset(ground)}
         mf = ExplicitMultifamily(ground, table)
-        limit = multiset_limit(mf, topo)
-        via_closure = mstar(mf_closure(mf, topo))
-        if limit != via_closure:
-            failures.append(f"{weights} on {topo!r}")
-    out.append(_result("multisets.limit-star-closure", budget, failures))
+        if multiset_limit(mf, topo) != mstar(mf_closure(mf, topo)):
+            yield f"{weights} on {topo!r}"
 
-    failures = []
-    for _ in range(budget):
+    def complement_involution(_):
         s = random_epset(rng)
         for mf in (GapMultifamily(), CoGapMultifamily()):
-            if mf_complement(mf_complement(mf)).value(s) != mf.value(s):
-                failures.append(f"{mf!r} at {s.to_text()}")
-    out.append(_result("multisets.complement-involution", budget, failures))
-    return out
+            if ComplementMultifamily(ComplementMultifamily(mf)).value(s) != mf.value(s):
+                yield f"{mf!r} at {s.to_text()}"
+
+    return _sample("multisets", budget, indicator_bridge, gap_attainment, level_monotone,
+                   limit_star_closure, complement_involution)
 
 
 # ---------------------------------------------------------------------------
@@ -309,43 +305,30 @@ def _brute_window_limits(seq):
 
 def check_setlimits(seed, budget):
     rng = random.Random(seed)
-    out = []
 
-    failures = []
-    for _ in range(budget):
+    def classical_oracle(_):
         seq = _random_sequence(rng, convergent=bool(rng.randrange(2)))
-        limsup, liminf = _brute_window_limits(seq)
         cls = classical_limits(seq)
-        if cls.limsup != limsup or cls.liminf != liminf:
-            failures.append(repr(seq))
-    out.append(_result("setlimits.classical-oracle", budget, failures))
+        if (cls.limsup, cls.liminf) != _brute_window_limits(seq):
+            yield repr(seq)
 
-    families = [
-        InfiniteFamily(),
-        CofiniteFamily(),
-        CoGapLevelFamily(1),
-        CoGapLevelFamily(2),
-        CoGapLevelFamily(5),
-    ]
-    failures = []
-    for _ in range(budget):
+    families = [InfiniteFamily(), CofiniteFamily()] + [CoGapLevelFamily(c) for c in (1, 2, 5)]
+
+    def theorem_corpus(_):
         seq = _random_sequence(rng, convergent=True)
         for fam in families:
             verdict = verify_limit_theorem(seq, fam)
             if verdict.status != "verified":
-                failures.append(f"{verdict.status}/{fam!r} on {seq!r}")
-    out.append(_result("setlimits.theorem-corpus", budget, failures))
+                yield f"{verdict.status}/{fam!r} on {seq!r}"
 
-    failures = []
-    for _ in range(budget):
+    def sandwich(_):
         seq = _random_sequence(rng, convergent=False)
         cls = classical_limits(seq)
         for fam in families[2:]:
-            lim = e_limit(fam, seq)
-            if not (cls.liminf <= lim <= cls.limsup):
-                failures.append(f"{fam!r} on {seq!r}")
-    out.append(_result("setlimits.sandwich", budget, failures))
-    return out
+            if not (cls.liminf <= e_limit(fam, seq) <= cls.limsup):
+                yield f"{fam!r} on {seq!r}"
+
+    return _sample("setlimits", budget, classical_oracle, theorem_corpus, sandwich)
 
 
 # ---------------------------------------------------------------------------
@@ -354,64 +337,25 @@ def check_setlimits(seed, budget):
 
 def _random_operator(rng, dim=2):
     kind = rng.choice(["halfspace", "hyperplane", "ball", "box", "affine"])
-    if kind == "halfspace":
-        a = [rng.uniform(-2, 2) for _ in range(dim)] or [1.0]
-        if all(abs(v) < 1e-3 for v in a):
-            a[0] = 1.0
-        return cfp.Halfspace(a, rng.uniform(-2, 2))
-    if kind == "hyperplane":
-        a = [rng.uniform(-2, 2) for _ in range(dim)]
-        if all(abs(v) < 1e-3 for v in a):
-            a[0] = 1.0
-        return cfp.Hyperplane(a, rng.uniform(-2, 2))
     if kind == "ball":
         return cfp.Ball([rng.uniform(-2, 2) for _ in range(dim)], rng.uniform(0.5, 3))
     if kind == "box":
         lo = [rng.uniform(-3, 0) for _ in range(dim)]
         return cfp.Box(lo, [v + rng.uniform(0.1, 3) for v in lo])
-    a = [[rng.uniform(-2, 2) for _ in range(dim)]]
-    if all(abs(v) < 1e-3 for v in a[0]):
-        a[0][0] = 1.0
-    return cfp.AffineEquality(a, [rng.uniform(-2, 2)])
+    a = [rng.uniform(-2, 2) for _ in range(dim)]
+    if all(abs(v) < 1e-3 for v in a):
+        a[0] = 1.0
+    b = rng.uniform(-2, 2)
+    if kind == "affine":
+        return cfp.AffineEquality([a], [b])
+    return (cfp.Halfspace if kind == "halfspace" else cfp.Hyperplane)(a, b)
 
 
-def _fixed_point_of(op, rng, dim=2):
-    # projections are idempotent, so one application lands on Fix
-    probe = np.array([rng.uniform(-5, 5) for _ in range(dim)])
-    return op.apply(probe)
+def _point(rng, dim=2):
+    return np.array([rng.uniform(-5, 5) for _ in range(dim)])
 
 
-def check_cfp(seed, budget):
-    rng = random.Random(seed)
-    out = []
-
-    failures = []
-    for _ in range(budget):
-        op = _random_operator(rng)
-        x = np.array([rng.uniform(-5, 5) for _ in range(2)])
-        z = _fixed_point_of(op, rng)
-        if not cfp.cutter_check(op, x, z, tol=1e-10):
-            failures.append(f"{op!r} at x={x.tolist()}")
-    out.append(_result("cfp.cutter", budget, failures))
-
-    failures = []
-    for _ in range(budget):
-        op = _random_operator(rng)
-        x = np.array([rng.uniform(-5, 5) for _ in range(2)])
-        y = np.array([rng.uniform(-5, 5) for _ in range(2)])
-        if not cfp.fne_check(op, x, y, tol=1e-10):
-            failures.append(f"{op!r} at x={x.tolist()}, y={y.tolist()}")
-    out.append(_result("cfp.firmly-nonexpansive", budget, failures))
-
-    failures = []
-    for _ in range(budget):
-        op = cfp.relax(_random_operator(rng), rng.uniform(0, 1))
-        x = np.array([rng.uniform(-5, 5) for _ in range(2)])
-        z = _fixed_point_of(op.inner, rng)
-        if not cfp.cutter_check(op, x, z, tol=1e-10):
-            failures.append(f"{op!r} at x={x.tolist()}")
-    out.append(_result("cfp.relax-preserves-cutter", budget, failures))
-
+def _fejer_replay(seed, budget):
     instances = max(1, budget // 25)
     nprng = np.random.default_rng(seed)
     failures = []
@@ -432,8 +376,33 @@ def check_cfp(seed, budget):
             failures.append(f"instance {k}: fejer slack")
         elif cfp.replay_trace(ops, trace) > 1e-12:
             failures.append(f"instance {k}: replay drift")
-    out.append(_result("cfp.fejer-replay", instances, failures))
-    return out
+    return _result("cfp.fejer-replay", instances, failures)
+
+
+def check_cfp(seed, budget):
+    rng = random.Random(seed)
+
+    # projections are idempotent, so one application lands on Fix
+    def cutter(_):
+        op = _random_operator(rng)
+        x = _point(rng)
+        if not cfp.cutter_check(op, x, op.apply(_point(rng)), tol=1e-10):
+            yield f"{op!r} at x={x.tolist()}"
+
+    def firmly_nonexpansive(_):
+        op = _random_operator(rng)
+        x, y = _point(rng), _point(rng)
+        if not cfp.fne_check(op, x, y, tol=1e-10):
+            yield f"{op!r} at x={x.tolist()}, y={y.tolist()}"
+
+    def relax_preserves_cutter(_):
+        op = cfp.relax(_random_operator(rng), rng.uniform(0, 1))
+        x = _point(rng)
+        if not cfp.cutter_check(op, x, op.inner.apply(_point(rng)), tol=1e-10):
+            yield f"{op!r} at x={x.tolist()}"
+
+    laws = (cutter, firmly_nonexpansive, relax_preserves_cutter)
+    return [*_sample("cfp", budget, *laws), _fejer_replay(seed, budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +412,15 @@ def check_cfp(seed, budget):
 def check_analysis(seed, budget):
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed)
-    out = []
 
-    failures = []
-    for k in range(budget):
+    def estimate_monotone(k):
         walk = np.cumsum(nprng.uniform(-1, 1, size=60))
-        est = analysis.cogap_limit_estimate(list(walk))
-        for cand in est.candidates:
+        for cand in analysis.cogap_limit_estimate(list(walk)).candidates:
             values = [row["estimate"] for row in cand.per_eps]
             if any(a < b for a, b in zip(values, values[1:])):
-                failures.append(f"walk {k}")
-    out.append(_result("analysis.estimate-monotone", budget, failures))
+                yield f"walk {k}"
+
+    out = _sample("analysis", budget, estimate_monotone)
 
     instances = max(1, budget // 25)
     fail_cert = []
@@ -489,8 +456,9 @@ def check_analysis(seed, budget):
         rep = cert.follows[0]
         if rep.min_c is not None:
             c = rep.min_c
-            # a run holds the pair of step q iff run[0] - 1 <= q <= run[-1] - 2;
-            # the sentinel n_steps lies past every such range
+            # a run of members n = start+1 .. start+length holds the pair of
+            # step q iff start <= q <= start + length - 2; the sentinel
+            # n_steps lies past every such range
             steps = np.append(rep.witnesses, trace.n_steps)
             for _ in range(3):
                 pre = tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
@@ -499,15 +467,11 @@ def check_analysis(seed, budget):
                 if cogap(s) < c + 1:
                     fail_level.append(f"instance {k}: corpus cogap below c+1")
                     continue
-                run = []
-                for n in range(1, trace.n_steps + 2):
-                    if s.member(n):
-                        run.append(n)
-                    if run and (not s.member(n) or n == trace.n_steps + 1):
-                        held = steps[np.searchsorted(steps, run[0] - 1)] <= run[-1] - 2
-                        if len(run) >= c + 1 and not held:
-                            fail_level.append(f"instance {k}: run at {run[0]}")
-                        run = []
+                flags = [s.member(n) for n in range(1, trace.n_steps + 2)]
+                starts, lengths = analysis._runs(flags)
+                held = steps[np.searchsorted(steps, starts)] <= starts + lengths - 2
+                for start in starts[(lengths >= c + 1) & ~held]:
+                    fail_level.append(f"instance {k}: run at {start + 1}")
     out.append(_result("analysis.theorem1-consistency", instances, fail_cert))
     out.append(_result("analysis.follows-window", instances, fail_window))
     out.append(_result("analysis.level-soundness", instances, fail_level))

@@ -140,8 +140,15 @@ def cmd_solve(args):
 
 
 def _read_trace(path):
+    records = []
     with open(path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except ValueError as exc:
+                raise ValueError(f"trace line {lineno}: {exc}") from None
     return cfp.trace_from_records(records)
 
 

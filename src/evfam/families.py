@@ -75,7 +75,7 @@ def check_set_arg(ground, s):
     s = frozenset(s)
     stray = s - set(ground)
     if stray:
-        raise ValueError(f"elements {sorted(map(repr, stray))} not in the ground")
+        raise ValueError(f"elements {sorted(stray, key=repr)} not in the ground")
     return s
 
 
@@ -89,7 +89,7 @@ def _mask(index, s):
     for x in s:
         if x not in index:
             stray = {x, *(y for y in s if y not in index)}
-            raise ValueError(f"elements {sorted(map(repr, stray))} not in the ground")
+            raise ValueError(f"elements {sorted(stray, key=repr)} not in the ground")
         m |= index[x]
     return m
 
@@ -235,6 +235,9 @@ class EmptyFamily(Family):
         self._arg(s)
         return False
 
+    def __repr__(self):
+        return f"EmptyFamily({self.ground!r})"
+
 
 class AllFamily(Family):
     kind = "all"
@@ -243,6 +246,9 @@ class AllFamily(Family):
     def contains(self, s):
         self._arg(s)
         return True
+
+    def __repr__(self):
+        return f"AllFamily({self.ground!r})"
 
 
 class CofiniteFamily(Family):
@@ -257,6 +263,9 @@ class CofiniteFamily(Family):
 
     def contains(self, s):
         return self._arg(s).is_cofinite
+
+    def __repr__(self):
+        return "CofiniteFamily()"
 
     def _witnesses(self):
         return {"co_eventual": (EPSet.naturals(), EPSet((), (0, 1)))}
@@ -274,6 +283,9 @@ class InfiniteFamily(Family):
 
     def contains(self, s):
         return not self._arg(s).is_finite
+
+    def __repr__(self):
+        return "InfiniteFamily()"
 
     def _witnesses(self):
         evens, odds = EPSet((), (0, 1)), EPSet((), (1, 0))
@@ -296,6 +308,9 @@ class CoGapLevelFamily(Family):
 
     def contains(self, s):
         return cogap(self._arg(s)) >= self.c
+
+    def __repr__(self):
+        return f"CoGapLevelFamily(c={self.c})"
 
     def _witnesses(self):
         wits = {"co_eventual": (EPSet.naturals(), EPSet.empty())}
@@ -343,6 +358,9 @@ class IndicatorFamily(Family):
 
     def contains(self, s):
         return bool(self.bits >> _mask(self._index, s) & 1)
+
+    def __repr__(self):
+        return f"IndicatorFamily({self.ground!r}, {_sorted_sets(self.ground, self.sets)})"
 
     def classify(self, budget=1000, seed=0):
         bits, masks = self.bits, range(1 << len(self.ground))
@@ -520,14 +538,14 @@ def _push_codomain(f, source, codomain=None):
             raise TypeError("dict maps push from finite grounds only")
         missing = set(source.ground) - set(f)
         if missing:
-            raise ValueError(f"map is not total: missing {sorted(map(repr, missing))}")
+            raise ValueError(f"map is not total: missing {sorted(missing, key=repr)}")
         values = tuple(dict.fromkeys(f[x] for x in source.ground))
     if codomain is None:
         return values
     codomain = tuple(codomain)
     stray = set(values) - set(codomain)
     if stray:
-        raise ValueError(f"values {sorted(map(repr, stray))} leave the codomain")
+        raise ValueError(f"values {sorted(stray, key=repr)} leave the codomain")
     return codomain
 
 
@@ -575,7 +593,7 @@ class FiniteTopology:
             raise ValueError("opens must contain the empty set and the ground")
         for u, v, op, _ in _unclosed(masks):
             word = "union" if op == "|" else "intersection"
-            left, right = (sorted(map(repr, _subsets(self.ground)[m])) for m in (u, v))
+            left, right = (sorted(_subsets(self.ground)[m], key=repr) for m in (u, v))
             raise ValueError(f"opens not closed under {word}: {left} {op} {right}")
         self._masks = tuple(sorted(masks))
 
@@ -600,7 +618,8 @@ class FiniteTopology:
         return hash((frozenset(self.ground), self.opens))
 
     def __repr__(self):
-        shown = sorted(sorted(map(repr, u)) for u in self.opens)
+        # mask order: mixed-type elements do not sort
+        shown = [sorted(u, key=repr) for u, _, _ in self._lattice]
         return f"FiniteTopology(ground={self.ground!r}, opens={shown})"
 
     def is_open(self, s):
@@ -769,7 +788,9 @@ def family_from_json(obj):
     kind = obj["kind"]
     if kind not in _FAMILY_JSON:
         raise ValueError(f"unknown family kind {kind!r}")
-    _ground_from_json(obj.get("ground", "N"))
+    ground = _ground_from_json(obj.get("ground", "N"))
+    if ground != "N" and kind in ("cofinite", "infinite", "cogap_level"):
+        raise ValueError(f"a {kind} family lives over N, not over {ground!r}")
     _, build = _FAMILY_JSON[kind]
     return build(obj)
 

@@ -124,6 +124,9 @@ class GapMultifamily(Multifamily):
     def value(self, s):
         return gap(self._arg(s))
 
+    def __repr__(self):
+        return "GapMultifamily()"
+
     def _witnesses(self):
         # {1} has value inf yet N has value 0
         return {"increasing": (EPSet.finite([1]), EPSet.naturals())}
@@ -142,6 +145,9 @@ class CoGapMultifamily(Multifamily):
     def value(self, s):
         return cogap(self._arg(s))
 
+    def __repr__(self):
+        return "CoGapMultifamily()"
+
     def _witnesses(self):
         return {"decreasing": (EPSet.empty(), EPSet.naturals())}
 
@@ -159,6 +165,9 @@ class IndicatorMultifamily(Multifamily):
 
     def value(self, s):
         return ONE if self.family.contains(s) else ZERO
+
+    def __repr__(self):
+        return f"IndicatorMultifamily({self.family!r})"
 
     def classify(self, budget=1000, seed=0):
         c = self.family.classify(budget=budget, seed=seed)
@@ -182,6 +191,9 @@ class ComplementMultifamily(Multifamily):
 
     def value(self, s):
         return self.inner.value(self._complement(self._arg(s)))
+
+    def __repr__(self):
+        return f"ComplementMultifamily({self.inner!r})"
 
     def classify(self, budget=1000, seed=0):
         c = self.inner.classify(budget=budget, seed=seed)
@@ -213,6 +225,10 @@ class ExplicitMultifamily(Multifamily):
 
     def value(self, s):
         return self.table.get(self._arg(s), ZERO)
+
+    def __repr__(self):
+        rows = _explicit_fields(self)["table"]
+        return f"ExplicitMultifamily({self.ground!r}, {rows})"
 
 
 class PushedMultifamily(Multifamily):

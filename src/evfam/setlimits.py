@@ -137,7 +137,7 @@ def verify_limit_theorem(seq, family):
     off = got ^ lim
     return TheoremVerdict(
         "mismatch",
-        f"family limit differs from the classical limit on {sorted(map(repr, off))}",
+        f"family limit differs from the classical limit on {sorted(off, key=repr)}",
         witnesses=(frozenset(off),),
     )
 

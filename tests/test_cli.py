@@ -455,3 +455,60 @@ def test_analyze_rejects_window_below_one(demo_dir, tmp_path, capsys, window):
     )
     assert code == 1 and err.startswith("error:") and "--window" in err
     assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        # unknown keys, named with the object that holds them
+        ({"stop": {"maxiter": 5}}, "the stop rule has an unknown key 'maxiter'"),
+        ({"relaxtion": {"kind": "constant", "value": 0.5}},
+         "the problem has an unknown key 'relaxtion'"),
+        ({"operators": [{"kind": "halfspace", "a": [-1.0, 0.0], "b": 0.0, "c": 1.0},
+                        {"kind": "halfspace", "a": [0.0, -1.0], "b": 0.0}]},
+         "the halfspace operator has an unknown key 'c'"),
+        ({"control": {"kind": "cyclic", "m": 2}}, "the cyclic control has an unknown key 'm'"),
+        ({"relaxation": {"kind": "constant", "value": 1.0, "lambda": 0.5}},
+         "the constant relaxation has an unknown key 'lambda'"),
+        # missing fields
+        ({"operators": [{"kind": "halfspace", "b": 0.0},
+                        {"kind": "halfspace", "a": [0.0, -1.0], "b": 0.0}]},
+         "the halfspace operator lacks the field 'a'"),
+        ({"control": {}}, "the control lacks the field 'kind'"),
+        ({"relaxation": {"kind": "cyclic"}}, "the cyclic relaxation lacks the field 'values'"),
+        # kind entries that are not objects
+        ({"control": "cyclic"}, "the control must be a JSON object, got 'cyclic'"),
+        ({"relaxation": "constant"}, "the relaxation must be a JSON object, got 'constant'"),
+        ({"operators": [5]}, "the operator must be a JSON object, got 5"),
+    ],
+)
+def test_problem_refuses_unknown_and_missing_keys(demo_dir, tmp_path, capsys, edit, needle):
+    prob = json.loads((demo_dir / "problem.json").read_text())
+    prob.update(edit)
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(prob))
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
+    assert code == 1 and err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize("field", ["dim", "operators", "control", "x0"])
+def test_problem_names_a_missing_field(demo_dir, tmp_path, capsys, field):
+    prob = json.loads((demo_dir / "problem.json").read_text())
+    del prob[field]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(prob))
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
+    assert code == 1 and f"the problem lacks the field '{field}'" in err
+
+
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_trace_json_error_names_its_file_line(demo_dir, tmp_path, capsys, blank_lines):
+    lines = (demo_dir / "trace.jsonl").read_text().splitlines()
+    bad = [lines[0], *[""] * blank_lines, lines[1], lines[2].replace(",", "", 1)]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(bad) + "\n")
+    code, _, err = run_cli(
+        capsys, "analyze", str(path), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert err.startswith(f"error: trace line {3 + blank_lines}: Expecting ',' delimiter")

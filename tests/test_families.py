@@ -359,8 +359,8 @@ def test_topology_validation():
     # the first unclosed pair in ascending mask order is named
     abc = ("a", "b", "c")
     for opens, message in [
-        ([(), "a", "b", "c", "abc"], """union: ["'a'"] | ["'b'"]"""),
-        ([(), "ab", "bc", "abc"], """intersection: ["'a'", "'b'"] & ["'b'", "'c'"]"""),
+        ([(), "a", "b", "c", "abc"], "union: ['a'] | ['b']"),
+        ([(), "ab", "bc", "abc"], "intersection: ['a', 'b'] & ['b', 'c']"),
     ]:
         with pytest.raises(ValueError, match=re.escape(f"opens not closed under {message}")):
             FiniteTopology(abc, opens)
@@ -651,3 +651,39 @@ def test_json_readers_refuse_a_string_as_a_set_or_a_ground(read, obj):
     # a string is never read as the set of its characters
     with pytest.raises(ValueError, match="must be a JSON list"):
         read(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"ground": ["a", "b"], "kind": "cofinite"},
+        {"ground": ["a"], "kind": "infinite"},
+        {"ground": [], "kind": "cogap_level", "c": 2},
+    ],
+)
+def test_family_json_refuses_a_finite_ground_for_a_kind_over_n(obj):
+    with pytest.raises(ValueError, match=f"a {obj['kind']} family lives over N"):
+        family_from_json(obj)
+
+
+def test_family_reprs_name_the_class_and_its_parameters():
+    assert repr(CoGapLevelFamily(2)) == "CoGapLevelFamily(c=2)"
+    assert repr(CoGapLevelFamily(INF)) == "CoGapLevelFamily(c=inf)"
+    assert repr(CofiniteFamily()) == "CofiniteFamily()"
+    assert repr(InfiniteFamily()) == "InfiniteFamily()"
+    assert repr(EmptyFamily()) == "EmptyFamily(N)"
+    assert repr(AllFamily("ab")) == "AllFamily(('a', 'b'))"
+    fam = IndicatorFamily("ab", [{"a", "b"}, set(), {"b"}])
+    assert repr(fam) == "IndicatorFamily(('a', 'b'), [[], ['b'], ['a', 'b']])"
+
+
+def test_stray_elements_are_quoted_once():
+    with pytest.raises(ValueError, match=re.escape("values [2] leave the codomain")):
+        push({"a": 1, "b": 2}, IndicatorFamily("ab", [set()]), codomain=(1,))
+    with pytest.raises(ValueError, match=re.escape("map is not total: missing ['b']")):
+        push({"a": 1}, IndicatorFamily("ab", [set()]))
+    with pytest.raises(ValueError, match=re.escape("elements ['c'] not in the ground")):
+        IndicatorFamily("ab", [{"c"}])
+    # mixed-type elements: opens in mask order, elements by their repr
+    top = FiniteTopology.discrete((1, "a"))
+    assert repr(top) == "FiniteTopology(ground=(1, 'a'), opens=[[], [1], ['a'], ['a', 1]])"

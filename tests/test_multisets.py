@@ -406,3 +406,14 @@ def test_multifamily_json_round_trip():
 def test_mf_json_refuses_a_string_as_a_set_or_a_ground(obj):
     with pytest.raises(ValueError, match="must be a JSON list"):
         mf_from_json(obj)
+
+
+def test_multifamily_reprs_name_the_class_and_its_parameters():
+    assert repr(GapMultifamily()) == "GapMultifamily()"
+    assert repr(CoGapMultifamily()) == "CoGapMultifamily()"
+    mf = ExplicitMultifamily(("a", "b"), {frozenset("ab"): INF, frozenset("a"): 2})
+    assert repr(mf) == "ExplicitMultifamily(('a', 'b'), [[['a'], 2], [['a', 'b'], 'inf']])"
+    lifted = IndicatorMultifamily(IndicatorFamily("a", [{"a"}]))
+    assert repr(ComplementMultifamily(lifted)) == (
+        "ComplementMultifamily(IndicatorMultifamily(IndicatorFamily(('a',), [['a']])))"
+    )
