@@ -13,13 +13,14 @@ records, reports) and 0-based only inside internal lists.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intseq import window_cover
+from .intseq import _json_kind, _json_object, window_cover
 
 FIX_TOL = 1e-9
 
@@ -799,26 +800,9 @@ def _to_json(table, what, obj):
     return out
 
 
-def _json_object(obj, what, required=(), allowed=None):
-    """``obj``, refused unless it is a JSON object holding every ``required``
-    key and, when ``allowed`` is given, no other key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"{what} lacks the field {key!r}")
-    unknown = [key for key in obj if key not in allowed] if allowed is not None else []
-    if unknown:
-        raise ValueError(f"{what} has an unknown key {unknown[0]!r}")
-    return obj
-
-
 def _from_json(table, what, obj, normalize=False):
     """The class of ``obj``'s kind and its constructor arguments."""
-    kind = _json_object(obj, f"the {what}", required=("kind",))["kind"]
-    if not isinstance(kind, str) or kind not in table:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    cls, fields = table[kind]
+    kind, (cls, fields) = _json_kind(table, what, obj)
     _json_object(obj, f"the {kind} {what}", required=fields, allowed=("kind", *fields))
     args = [
         operator_from_json(obj[key], normalize) if key == "inner" else obj[key]
@@ -878,13 +862,18 @@ def problem_from_json(obj, normalize=False):
     if not isinstance(obj, dict):
         raise ValueError("a problem is a JSON object")
     _json_object(obj, "the problem", ("dim", "operators", "control", "x0"), _PROBLEM_FIELDS)
-    ops = [operator_from_json(o, normalize) for o in obj["operators"]]
+    ops = []
+    for k, o in enumerate(obj["operators"], start=1):
+        try:
+            ops.append(operator_from_json(o, normalize))
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ValueError(f"operator {k}: {exc}") from None
     if not ops:
         raise ValueError("the operator list is empty")
     dim = _integer(obj["dim"], "dim")
-    for op in ops:
+    for k, op in enumerate(ops, start=1):
         if op.dim != dim:
-            raise ValueError("operator dimensions disagree with the problem")
+            raise ValueError(f"operator {k}: dimension {op.dim} disagrees with the problem's {dim}")
     ctrl = control_from_json(obj["control"], len(ops))
     sched = relaxation_from_json(obj.get("relaxation", {"kind": "constant", "value": 1.0}))
     x0 = _vec(obj["x0"], dim)
@@ -898,43 +887,103 @@ def problem_from_json(obj, normalize=False):
 
 
 def trace_records(trace):
-    """Flat per-iterate records: the first carries only the start point."""
-    xs = trace.iterates.tolist()
-    steps = zip(trace.controls.tolist(), trace.relaxations.tolist(), xs[1:],
-                trace.residuals.tolist())
-    return [{"n": 0, "x": xs[0]}] + [
-        {"n": n, "i": i, "lambda": lam, "x": x, "res": res}
-        for n, (i, lam, x, res) in enumerate(steps, start=1)
-    ]
+    """Flat per-iterate records.  The first carries only the start point.
+    A step carries n, its label i, lambda and res, and its point x unless
+    the point's bytes equal the previous point's: a held point, as at an
+    inactive half-space cut.  Bytes, not values: a zero step can still turn
+    -0.0 into +0.0."""
+    X = np.ascontiguousarray(trace.iterates)
+    bits = X.view(np.uint64)
+    moved = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    points = dict(zip(moved.tolist(), X[moved].tolist()))
+    steps = zip(trace.controls.tolist(), trace.relaxations.tolist(), trace.residuals.tolist())
+    records = [{"n": 0, "x": X[0].tolist()}]
+    for n, (i, lam, res) in enumerate(steps, start=1):
+        rec = {"n": n, "i": i, "lambda": lam, "res": res}
+        if n in points:
+            rec["x"] = points[n]
+        records.append(rec)
+    return records
+
+
+def _checked_columns(points, lams, res):
+    """The written points as one float array, and the relaxations and
+    residuals, or None when a column fails a check that _checked_records
+    would make record by record.  The checks may refuse more than it does
+    (an integer coordinate beyond int64), never less."""
+    if not set(map(type, points)) <= {list} or len(set(map(len, points))) != 1:
+        return None
+    coords = list(itertools.chain.from_iterable(points))
+    types = set(map(type, itertools.chain(coords, lams, res)))
+    # a bool is an int to isinstance, and numpy reads it as a number
+    if not types <= {int, float}:
+        return None
+    # np.array turns an int beyond int64 into an object or a float; _vec refuses it
+    if int in types and not all(-2**63 <= c < 2**63 for c in coords if type(c) is int):
+        return None
+    try:
+        X, L, R = (np.array(col, dtype=float) for col in (points, lams, res))
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not (np.isfinite(X).all() and ((L >= 0.0) & (L <= 2.0)).all() and not np.isnan(R).any()):
+        return None
+    return X, L, R
+
+
+def _checked_records(records):
+    """The points, relaxations and residuals of trace records, checked one
+    record at a time; the error names the first bad step.  A record
+    without "x" repeats the previous point."""
+    dim, xs, lams, res = None, [], [], []
+    for k, rec in enumerate(records):
+        if "x" in rec:
+            try:
+                x = _vec(rec["x"], dim)
+            except ValueError as exc:
+                raise ValueError(f"the point at step {k}: {exc}") from None
+            dim = len(x)
+        xs.append(x)
+        if k:
+            lams.append(_number(rec["lambda"], f"the relaxation at step {k}", 0.0, 2.0))
+            res.append(_number(rec["res"], f"the residual at step {k}"))
+    return np.array(xs), lams, res
 
 
 def trace_from_records(records):
-    """Inverse of trace_records.  Every point must be finite and share the
-    start point's dimension, and every relaxation must lie in [0, 2]."""
+    """Inverse of trace_records: a step without "x" holds the previous
+    point, and a trace with "x" on every record reads too.  Every point
+    must be finite and share the start point's dimension, and every
+    relaxation must lie in [0, 2].  The checks run over whole columns; only
+    when one fails are the records checked one by one, to name the first
+    bad step."""
     records = list(records)
     if not all(isinstance(rec, dict) for rec in records):
         raise ValueError("trace records must be JSON objects")
     if not records or records[0].get("n") != 0:
         raise ValueError("trace records must start at n = 0")
-    dim = len(_vec(records[0]["x"]))
+    if "x" not in records[0]:
+        raise ValueError("the record of step 0 lacks the start point 'x'")
     # trace_records writes indices and labels as JSON integers: true or 1.0
     # is an edit, though _integer takes 1.0 elsewhere (a hand-written
     # "max_iter": 1e5)
-    for k, rec in enumerate(records):
-        if type(n := rec.get("n")) is not int or n != k:
-            raise ValueError(f"the index of record {k} must be the integer {k}, got {n!r}")
-    steps = list(enumerate(records[1:], start=1))
-    for k, rec in steps:
-        if type(i := rec["i"]) is not int:
-            raise ValueError(f"the label at step {k} must be an integer, got {i!r}")
-    return Trace(
-        iterates=[_vec(rec["x"], dim) for rec in records],
-        controls=[rec["i"] for _, rec in steps],
-        relaxations=[
-            _number(rec["lambda"], f"the relaxation at step {k}", 0.0, 2.0) for k, rec in steps
-        ],
-        residuals=[_number(rec["res"], f"the residual at step {k}") for k, rec in steps],
-    )
+    ns = [rec.get("n") for rec in records]
+    if not set(map(type, ns)) <= {int} or ns != list(range(len(ns))):
+        k = next(k for k, n in enumerate(ns) if type(n) is not int or n != k)
+        raise ValueError(f"the index of record {k} must be the integer {k}, got {ns[k]!r}")
+    steps = records[1:]
+    labels = [rec["i"] for rec in steps]
+    if not set(map(type, labels)) <= {int}:
+        k, i = next((k, i) for k, i in enumerate(labels, start=1) if type(i) is not int)
+        raise ValueError(f"the label at step {k} must be an integer, got {i!r}")
+    written = np.array(["x" in rec for rec in records])
+    columns = _checked_columns([rec["x"] for rec in records if "x" in rec],
+                               [rec["lambda"] for rec in steps], [rec["res"] for rec in steps])
+    if columns is None:
+        iterates, lams, res = _checked_records(records)
+    else:
+        points, lams, res = columns
+        iterates = points[np.cumsum(written) - 1]
+    return Trace(iterates=iterates, controls=labels, relaxations=lams, residuals=res)
 
 
 def trace_summary(ops, trace):

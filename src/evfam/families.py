@@ -29,6 +29,8 @@ from .intseq import (
     EPSet,
     ExtNat,
     PeriodicSeq,
+    _json_kind,
+    _json_object,
     cogap,
     complement,
     finitely_change,
@@ -760,17 +762,21 @@ def _sorted_sets(ground, sets):
     return sorted(listed, key=lambda xs: (len(xs), [order[x] for x in xs]))
 
 
-# kind -> (the JSON fields past ground and kind, the constructor from JSON)
+# kind -> (the JSON fields a reader needs past the kind, the writer of the
+# fields past ground and kind, the constructor from JSON); "ground" may
+# always be given, and defaults to "N"
 _FAMILY_JSON = {
-    "empty": (lambda fam: {}, lambda obj: EmptyFamily(obj.get("ground", "N"))),
-    "all": (lambda fam: {}, lambda obj: AllFamily(obj.get("ground", "N"))),
-    "cofinite": (lambda fam: {}, lambda obj: CofiniteFamily()),
-    "infinite": (lambda fam: {}, lambda obj: InfiniteFamily()),
+    "empty": ((), lambda fam: {}, lambda obj: EmptyFamily(obj.get("ground", "N"))),
+    "all": ((), lambda fam: {}, lambda obj: AllFamily(obj.get("ground", "N"))),
+    "cofinite": ((), lambda fam: {}, lambda obj: CofiniteFamily()),
+    "infinite": ((), lambda fam: {}, lambda obj: InfiniteFamily()),
     "cogap_level": (
+        ("c",),
         lambda fam: {"c": fam.c.to_json()},
         lambda obj: CoGapLevelFamily(ExtNat.from_json(obj["c"])),
     ),
     "indicator": (
+        ("ground", "sets"),
         lambda fam: {"sets": _sorted_sets(fam.ground, fam.sets)},
         lambda obj: IndicatorFamily(obj["ground"], _sets_from_json(obj["sets"])),
     ),
@@ -780,18 +786,16 @@ _FAMILY_JSON = {
 def family_to_json(family):
     if family.kind not in _FAMILY_JSON:
         raise ValueError(f"family kind {family.kind!r} has no JSON form")
-    fields, _ = _FAMILY_JSON[family.kind]
+    _, fields, _ = _FAMILY_JSON[family.kind]
     return {"ground": _ground_to_json(family.ground), "kind": family.kind, **fields(family)}
 
 
 def family_from_json(obj):
-    kind = obj["kind"]
-    if kind not in _FAMILY_JSON:
-        raise ValueError(f"unknown family kind {kind!r}")
+    kind, (required, _, build) = _json_kind(_FAMILY_JSON, "family", obj)
+    _json_object(obj, f"the {kind} family", required, ("kind", "ground", *required))
     ground = _ground_from_json(obj.get("ground", "N"))
     if ground != "N" and kind in ("cofinite", "infinite", "cogap_level"):
         raise ValueError(f"a {kind} family lives over N, not over {ground!r}")
-    _, build = _FAMILY_JSON[kind]
     return build(obj)
 
 
@@ -803,4 +807,5 @@ def topology_to_json(topology):
 
 
 def topology_from_json(obj):
+    _json_object(obj, "the topology", ("ground", "opens"), ("ground", "opens"))
     return FiniteTopology(_ground_from_json(obj["ground"]), _sets_from_json(obj["opens"]))

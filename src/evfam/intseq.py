@@ -113,6 +113,29 @@ class ExtNat:
 INF = ExtNat(None)
 
 
+def _json_object(obj, what, required=(), allowed=None):
+    """``obj``, refused unless it is a JSON object holding every ``required``
+    key and, when ``allowed`` is given, no other key.  The one key check of
+    every JSON reader, on the solver side and the set side."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} lacks the field {key!r}")
+    unknown = [key for key in obj if key not in allowed] if allowed is not None else []
+    if unknown:
+        raise ValueError(f"{what} has an unknown key {unknown[0]!r}")
+    return obj
+
+
+def _json_kind(table, what, obj):
+    """The kind of ``obj``, a JSON object, and its entry in ``table``."""
+    kind = _json_object(obj, f"the {what}", required=("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return kind, table[kind]
+
+
 def _check_index(n, many=False):
     """Refuse n unless it is an int >= 1; ``many`` words it for a collection."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:

@@ -39,7 +39,7 @@ from .families import (
     family_from_json,
     family_to_json,
 )
-from .intseq import EPSet, ExtNat, cogap, gap
+from .intseq import EPSet, ExtNat, _json_kind, _json_object, cogap, gap
 
 ZERO = ExtNat(0)
 ONE = ExtNat(1)
@@ -326,19 +326,23 @@ def _explicit_fields(mf):
     return {"ground": list(mf.ground), "table": rows}
 
 
-# kind -> (the JSON fields past the kind, the constructor from JSON)
+# kind -> (the JSON fields past the kind, their writer, the constructor
+# from JSON)
 _MF_JSON = {
-    "gap": (lambda mf: {}, lambda obj: GapMultifamily()),
-    "cogap": (lambda mf: {}, lambda obj: CoGapMultifamily()),
+    "gap": ((), lambda mf: {}, lambda obj: GapMultifamily()),
+    "cogap": ((), lambda mf: {}, lambda obj: CoGapMultifamily()),
     "complement": (
+        ("inner",),
         lambda mf: {"inner": mf_to_json(mf.inner)},
         lambda obj: ComplementMultifamily(mf_from_json(obj["inner"])),
     ),
     "indicator": (
+        ("family",),
         lambda mf: {"family": family_to_json(mf.family)},
         lambda obj: IndicatorMultifamily(family_from_json(obj["family"])),
     ),
     "explicit": (
+        ("ground", "table"),
         _explicit_fields,
         lambda obj: ExplicitMultifamily(
             _ground_from_json(obj["ground"]),
@@ -351,13 +355,11 @@ _MF_JSON = {
 def mf_to_json(mf):
     if mf.kind not in _MF_JSON:
         raise ValueError(f"multifamily kind {mf.kind!r} has no JSON form")
-    fields, _ = _MF_JSON[mf.kind]
+    _, fields, _ = _MF_JSON[mf.kind]
     return {"kind": mf.kind, **fields(mf)}
 
 
 def mf_from_json(obj):
-    kind = obj["kind"]
-    if kind not in _MF_JSON:
-        raise ValueError(f"unknown multifamily kind {kind!r}")
-    _, build = _MF_JSON[kind]
+    kind, (fields, _, build) = _json_kind(_MF_JSON, "multifamily", obj)
+    _json_object(obj, f"the {kind} multifamily", fields, ("kind", *fields))
     return build(obj)

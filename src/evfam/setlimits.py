@@ -19,7 +19,7 @@ from .families import (
     _ground_from_json,
     check_set_arg,
 )
-from .intseq import EPSet
+from .intseq import EPSet, _json_object
 
 
 class SetSequence:
@@ -157,5 +157,7 @@ def sequence_to_json(seq):
 
 
 def sequence_from_json(obj):
-    traces = {x: EPSet.from_text(t) for x, t in obj["traces"].items()}
+    _json_object(obj, "the set sequence", ("ground", "traces"), ("ground", "traces"))
+    traces = _json_object(obj["traces"], "the traces")
+    traces = {x: EPSet.from_text(t) for x, t in traces.items()}
     return SetSequence(_ground_from_json(obj["ground"]), traces)

@@ -449,6 +449,17 @@ def test_problem_json_round_trip():
         problem_from_json(bad)
 
 
+def test_problem_errors_name_the_operator_position():
+    ops = [Halfspace([1.0, float(k)], 1.0) for k in range(20)]
+    obj = problem_to_json(ops, CyclicControl(20), ConstantRelaxation(1.0), [0.0, 0.0], StopRule())
+    del obj["operators"][16]["a"]
+    with pytest.raises(ValueError, match="^operator 17: the halfspace operator lacks the field 'a'$"):
+        problem_from_json(obj)
+    obj["operators"][16] = operator_to_json(Ball([0.0, 0.0, 0.0], 1.0))
+    with pytest.raises(ValueError, match="^operator 17: dimension 3 disagrees"):
+        problem_from_json(obj)
+
+
 def test_trace_records_round_trip_and_replay():
     ops, ctrl, sched = two_halfspace_problem()
     trace = acsa_run(ops, ctrl, sched, [-1.0, -1.0], StopRule(stride=1))
@@ -456,6 +467,57 @@ def test_trace_records_round_trip_and_replay():
     assert records[0] == {"n": 0, "x": [-1.0, -1.0]}
     assert records[1]["i"] == 1 and records[1]["res"] == 1.0
     back = trace_from_records(records)
+    assert replay_trace(ops, back) <= 1e-12
+
+
+def _same_bytes(a, b):
+    return all(
+        getattr(a, col).dtype == getattr(b, col).dtype
+        and getattr(a, col).shape == getattr(b, col).shape
+        and getattr(a, col).tobytes() == getattr(b, col).tobytes()
+        for col in ("iterates", "controls", "relaxations", "residuals")
+    )
+
+
+def test_trace_records_omit_held_points_and_read_back_byte_for_byte():
+    # the point is held, moves, then is held again
+    trace = Trace(
+        iterates=[[1.0, 2.0], [1.0, 2.0], [0.5, 2.0], [0.5, 2.0], [0.5, 2.0]],
+        controls=[1, 2, 1, 2],
+        relaxations=[1.0, 1.0, 0.5, 1.0],
+        residuals=[0.0, 0.5, 0.0, 0.0],
+    )
+    records = trace_records(trace)
+    assert ["x" in rec for rec in records] == [True, False, True, False, False]
+    assert records[3] == {"n": 3, "i": 1, "lambda": 0.5, "res": 0.0}
+    assert _same_bytes(trace_from_records(records), trace)
+
+
+def test_trace_records_compare_bytes_not_values():
+    # an inactive cut returns x itself: the zero step of operator 1 turns
+    # -0.0 into +0.0, and that of operator 2 holds the point
+    ops = [Halfspace([1.0, 0.0], 5.0), Halfspace([1.0, 1.0], 5.0), Halfspace([0.0, 1.0], -2.0)]
+    trace = acsa_run(ops, CyclicControl(3), ConstantRelaxation(1.0), [-0.0, -1.0],
+                     StopRule(stride=1))
+    assert trace.iterates.tolist() == [[-0.0, -1.0], [0.0, -1.0], [0.0, -1.0], [0.0, -2.0]]
+    assert np.signbit(trace.iterates[:, 0]).tolist() == [True, False, False, False]
+    records = trace_records(trace)
+    assert ["x" in rec for rec in records] == [True, True, False, True]
+    back = trace_from_records(records)
+    assert _same_bytes(back, trace)
+    assert replay_trace(ops, back) == 0.0
+
+
+def test_trace_with_every_point_written_still_reads():
+    ops, ctrl, sched = two_halfspace_problem()
+    ops.insert(0, Halfspace([1.0, 1.0], 10.0))  # never active: holds the point
+    trace = acsa_run(ops, CyclicControl(3), sched, [-1.0, -3.0], StopRule(stride=1))
+    records = trace_records(trace)
+    assert not all("x" in rec for rec in records)
+    for rec, x in zip(records, trace.iterates.tolist()):
+        rec["x"] = x
+    back = trace_from_records(records)
+    assert _same_bytes(back, trace)
     assert replay_trace(ops, back) <= 1e-12
 
 

@@ -447,6 +447,41 @@ def test_analyze_rejects_non_numeric_trace(demo_dir, tmp_path, capsys, fields, n
     assert code == 1 and err.startswith("error:") and needle in err
 
 
+@pytest.mark.parametrize(
+    "step, x",
+    [
+        (2, [True, 0.0]),
+        (2, ["0", 0.0]),
+        (2, [None, 0.0]),
+        (2, [[0.0], [0.0]]),
+        (2, [10**30, 0.0]),
+        (2, [float("nan"), 0.0]),
+        (2, [float("inf"), 0.0]),
+        (2, [0.0]),
+        (2, None),
+        (1, [0.0, 0.0, 0.0]),
+        (0, [[-1.0, -1.0]]),
+        (0, "missing"),
+    ],
+)
+def test_analyze_refuses_a_bad_point_and_names_its_step(demo_dir, tmp_path, capsys, step, x):
+    # the column checks refuse what the record-by-record checks refuse
+    lines = (demo_dir / "trace.jsonl").read_text().splitlines()
+    rec = json.loads(lines[step])
+    if x == "missing":
+        del rec["x"]
+    else:
+        rec["x"] = x
+    lines[step] = json.dumps(rec)
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        capsys, "analyze", str(path), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and f"step {step}" in err
+
+
 @pytest.mark.parametrize("window", ["0", "-3"])
 def test_analyze_rejects_window_below_one(demo_dir, tmp_path, capsys, window):
     code, _, err = run_cli(

@@ -666,6 +666,37 @@ def test_family_json_refuses_a_finite_ground_for_a_kind_over_n(obj):
         family_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "cofinite", "sets": [[1]]}, "the cofinite family has an unknown key 'sets'"),
+        ({"kind": "indicator", "ground": ["a"], "set": [["a"]]},
+         "the indicator family lacks the field 'sets'"),
+        ({"kind": "indicator", "ground": ["a"], "sets": [["a"]], "set": []},
+         "the indicator family has an unknown key 'set'"),
+        ({"kind": "cogap_level"}, "the cogap_level family lacks the field 'c'"),
+        ({"ground": ["a"]}, "the family lacks the field 'kind'"),
+        (["kind", "all"], "the family must be a JSON object"),
+    ],
+)
+def test_family_json_refuses_unknown_and_missing_keys(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        family_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"ground": ["a"], "opens": [[], ["a"]], "open": []},
+         "the topology has an unknown key 'open'"),
+        ({"ground": ["a"]}, "the topology lacks the field 'opens'"),
+    ],
+)
+def test_topology_json_refuses_unknown_and_missing_keys(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        topology_from_json(obj)
+
+
 def test_family_reprs_name_the_class_and_its_parameters():
     assert repr(CoGapLevelFamily(2)) == "CoGapLevelFamily(c=2)"
     assert repr(CoGapLevelFamily(INF)) == "CoGapLevelFamily(c=inf)"

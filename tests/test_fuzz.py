@@ -86,3 +86,52 @@ def test_mutated_trace_gives_a_documented_exit(tmp_path, step, data, cut):
     trace = tmp_path / "trace.jsonl"
     trace.write_text("\n".join(lines) + "\n")
     assert _run(["analyze", str(trace), str(problem), "-o", str(tmp_path / "a")]) in EXIT_CODES
+
+
+#: a run whose third cut is never active, so that every third step holds its
+#: point and its record carries no "x"
+HELD_OPS = [cfp.Halfspace([0.0, 1.0], 0.0), cfp.Halfspace([0.5, -1.0], 0.0),
+            cfp.Halfspace([1.0, 1.0], 10.0)]
+HELD_STOP = cfp.StopRule(max_iter=12, stride=1)
+HELD_PROBLEM = cfp.problem_to_json(HELD_OPS, cfp.CyclicControl(3), sched, [1.0, 0.5], HELD_STOP)
+HELD_RUN = cfp.acsa_run(HELD_OPS, cfp.CyclicControl(3), sched, [1.0, 0.5], HELD_STOP)
+HELD_TRACE = cfp.trace_records(HELD_RUN)
+
+#: what a mutation writes as a point
+POINTS = st.one_of(
+    REPLACEMENTS, st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=3)
+)
+
+
+@FUZZ
+@given(
+    step=st.integers(0, len(HELD_TRACE) - 1),
+    edit=st.sampled_from(["drop", "own", "replace"]),
+    data=st.data(),
+)
+def test_mutated_points_of_a_trace_with_held_steps(tmp_path, step, edit, data):
+    records = json.loads(json.dumps(HELD_TRACE))
+    held = "x" not in records[step]
+    if edit == "drop":
+        records[step].pop("x", None)
+    elif edit == "own":
+        records[step]["x"] = HELD_RUN.iterates[step].tolist()
+    else:
+        records[step]["x"] = data.draw(POINTS)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(HELD_PROBLEM))
+    codes = []
+    for name, recs in (("plain", HELD_TRACE), ("edited", records)):
+        trace = tmp_path / f"{name}.jsonl"
+        trace.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        codes.append(_run(["analyze", str(trace), str(problem), "-o", str(tmp_path / name)]))
+    plain, edited = codes
+    assert edited in EXIT_CODES
+    # a held step may carry its point or not; a moved step without its
+    # point no longer replays, and a trace without a start point is refused
+    if edit == "own" or edit == "drop" and held:
+        assert edited == plain
+        for name in ("report.json", "runs.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "edited" / name).read_bytes()
+    elif edit == "drop":
+        assert edited == 1

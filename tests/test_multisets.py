@@ -2,6 +2,7 @@
 classification, star/push, closures, and multiset limits."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -405,6 +406,24 @@ def test_multifamily_json_round_trip():
 )
 def test_mf_json_refuses_a_string_as_a_set_or_a_ground(obj):
     with pytest.raises(ValueError, match="must be a JSON list"):
+        mf_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "gap", "ground": ["a"]}, "the gap multifamily has an unknown key 'ground'"),
+        ({"kind": "explicit", "ground": ["a"]}, "the explicit multifamily lacks the field 'table'"),
+        ({"kind": "complement"}, "the complement multifamily lacks the field 'inner'"),
+        ({"kind": "complement", "inner": {"kind": "gap", "c": 1}},
+         "the gap multifamily has an unknown key 'c'"),
+        ({"kind": "indicator", "family": {"kind": "cofinite", "sets": []}},
+         "the cofinite family has an unknown key 'sets'"),
+        ({"family": {"kind": "all"}}, "the multifamily lacks the field 'kind'"),
+    ],
+)
+def test_mf_json_refuses_unknown_and_missing_keys(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         mf_from_json(obj)
 
 

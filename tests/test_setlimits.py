@@ -213,3 +213,18 @@ def test_sequence_json_refuses_a_string_ground():
     obj = {"ground": "ab", "traces": {"a": "prefix=;period=10"}}
     with pytest.raises(ValueError, match="must be a JSON list"):
         sequence_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"ground": ["a"], "traces": {"a": "prefix=;period=1"}, "kind": "sequence"},
+         "the set sequence has an unknown key 'kind'"),
+        ({"ground": ["a"]}, "the set sequence lacks the field 'traces'"),
+        ({"ground": ["a"], "traces": [["a", "prefix=;period=1"]]},
+         "the traces must be a JSON object"),
+    ],
+)
+def test_sequence_json_refuses_unknown_and_missing_keys(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sequence_from_json(obj)
