@@ -946,7 +946,7 @@ def _checked_records(records):
         if k:
             lams.append(_number(rec["lambda"], f"the relaxation at step {k}", 0.0, 2.0))
             res.append(_number(rec["res"], f"the residual at step {k}"))
-    return np.array(xs), lams, res
+    return xs, lams, res
 
 
 def trace_from_records(records):
@@ -975,13 +975,13 @@ def trace_from_records(records):
     if not set(map(type, labels)) <= {int}:
         k, i = next((k, i) for k, i in enumerate(labels, start=1) if type(i) is not int)
         raise ValueError(f"the label at step {k} must be an integer, got {i!r}")
-    written = np.array(["x" in rec for rec in records])
     columns = _checked_columns([rec["x"] for rec in records if "x" in rec],
                                [rec["lambda"] for rec in steps], [rec["res"] for rec in steps])
     if columns is None:
         iterates, lams, res = _checked_records(records)
     else:
         points, lams, res = columns
+        written = np.array(["x" in rec for rec in records])
         iterates = points[np.cumsum(written) - 1]
     return Trace(iterates=iterates, controls=labels, relaxations=lams, residuals=res)
 
