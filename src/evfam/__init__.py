@@ -12,6 +12,7 @@ from .analysis import (
     certify_fixed_points,
     cogap_limit_estimate,
     follows_check,
+    follows_reports,
 )
 from .cfp import (
     AlmostCyclicControl,
@@ -95,5 +96,6 @@ __all__ = [
     "certify_fixed_points",
     "cogap_limit_estimate",
     "follows_check",
+    "follows_reports",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cfp import Trace, row_distances
+from .cfp import ResidualBank, Trace, row_distances
 from .intseq import ExtNat, INF, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
@@ -67,14 +67,47 @@ class FollowsReport:
         return replace(self, window=c, ok=ok)
 
 
-def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
-    """Reports the adjacent-witness criterion: steps q where x_{q+1} is the
-    recorded update of x_q under this operator.
+#: steps whose slacks the residual bank stacks at once in follows_reports
+_BLOCK = 256
+
+
+def _hits(x, x_next, lam, tx, tol):
+    """Per row: is x_next within tol of x + lam (tx - x), for tx the
+    operator applied at x?"""
+    return row_distances(x_next, x + lam[:, None] * (tx - x)) <= tol
+
+
+def _surely_inactive(bank, x):
+    """For each banked operator's position in the ops, the rows of x at
+    which the bank proves that it returns x itself.  A block of rows whose
+    stacked values are not finite marks none of its rows."""
+    if not bank.banked.size:
+        return {}
+    out = np.zeros((bank.banked.size, len(x)), dtype=bool)
+    for start in range(0, len(x), _BLOCK):
+        stacked = bank.stacked(x[start:start + _BLOCK])
+        if stacked is not None:
+            out[:, start:start + _BLOCK] = stacked[2].T
+    return dict(zip(bank.banked.tolist(), out))
+
+
+def follows_reports(trace, ops, relaxed=True, tol=1e-9):
+    """The follows report of each operator, labelled 1..m in order and
+    graded against no window: the steps q where x_{q+1} is the recorded
+    update of x_q under that operator.
 
     Relaxed mode replays the recorded relaxation; strict mode admits only
     unit steps.  min_c is the smallest window length such that every window
     of that many consecutive steps contains a witness.
+
+    The witnesses are those of applying each operator at each candidate
+    step, bit for bit.  The residual bank (``cfp.ResidualBank``) only
+    filters: at a step where it proves that a half-space returns x itself,
+    the target x + lam (x - x) is the same for every such operator, so one
+    distance per step, ``held``, decides them all.  Every other pair, and
+    every operator outside the bank, is applied with ``apply_many``.
     """
+    ops = list(ops)
     criterion = "relaxed" if relaxed else "strict"
     lam = trace.relaxations
     # a zero step is consistent with every operator; no evidence
@@ -83,10 +116,31 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
         x, x_next, lam_q = trace.iterates[:-1], trace.iterates[1:], lam
     else:
         x, x_next, lam_q = trace.iterates[qs], trace.iterates[qs + 1], lam[qs]
-    target = x + lam_q[:, None] * (op.apply_many(x) - x)
-    hits = qs[row_distances(x_next, target) <= tol]
-    min_c = window_cover(hits.tolist(), trace.n_steps) if hits.size else None
-    return FollowsReport(label, criterion, None, min_c, False, hits).graded(c)
+    inactive = _surely_inactive(ResidualBank(ops), x)
+    held = _hits(x, x_next, lam_q, x, tol) if inactive else None
+    reports = []
+    for label, op in enumerate(ops, start=1):
+        skip = inactive.get(label - 1)
+        rows = None if skip is None else np.flatnonzero(~skip)
+        # most rows left: one pass over views beats gathered copies
+        if rows is None or 2 * rows.size > len(x):
+            hit = _hits(x, x_next, lam_q, op.apply_many(x), tol)
+        else:
+            hit = held.copy()
+            if rows.size:
+                xr = x[rows]
+                hit[rows] = _hits(xr, x_next[rows], lam_q[rows], op.apply_many(xr), tol)
+        hits = qs[hit]
+        min_c = window_cover(hits.tolist(), trace.n_steps) if hits.size else None
+        reports.append(FollowsReport(label, criterion, None, min_c, False, hits).graded(None))
+    return reports
+
+
+def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
+    """The follows report of one operator (see follows_reports), under the
+    given label and judged against window length c."""
+    rep = follows_reports(trace, [op], relaxed, tol)[0]
+    return replace(rep, operator=label).graded(c)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +313,7 @@ def certify_fixed_points(trace, ops, eps=DEFAULT_LADDER[0], n0=None, tol=1e-6, r
     if not 0 <= tol < math.inf:
         raise ValueError("the residual tolerance must be finite and >= 0")
     est = _limit_estimate(trace, _checked_ladder((eps,)), n0, tol)
-    follows = tuple(
-        follows_check(trace, op, relaxed=relaxed, label=i + 1)
-        for i, op in enumerate(ops)
-    )
+    follows = tuple(follows_reports(trace, ops, relaxed=relaxed))
     followed = [(rep.operator, rep.min_c) for rep in follows if rep.min_c is not None]
     candidates = tuple(c.point for c in est.candidates)
     entries = []

@@ -62,7 +62,10 @@ def _number(value, what, lo=-math.inf, hi=math.inf):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo <= value <= hi:
         bounds = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
         raise ValueError(f"{what} must be a number{bounds}, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{what} lies beyond the float range") from None
 
 
 def row_distances(points, ref):
@@ -572,11 +575,11 @@ class ResidualBank:
     ``max(_residual(op, x) for op in ops)``.
 
     Half-spaces and hyperplanes (exact types: a subclass may override
-    ``apply``) are stacked into (A, b, |a|), and one mat-vec gives each a
-    residual max(0, Ax - b)/|a| or |Ax - b|/|a|.  These values are only a
-    filter: every banked operator that could hold the maximum, and every
-    other operator, is evaluated again with ``_residual``, and the maximum
-    of those is the answer.
+    ``apply``) are stacked into (A, b, |a|), and one matrix product gives
+    each a residual max(0, Ax - b)/|a| or |Ax - b|/|a| at every point of a
+    block.  These values are only a filter: every banked operator that
+    could hold the maximum, and every other operator, is evaluated again
+    with ``_residual``, and the maximum of those is the answer.
 
     Error bound, with u the unit roundoff and sigma = <a, x> - b exact.
     Either path computes the slack with error at most
@@ -595,13 +598,21 @@ class ResidualBank:
     second-order terms and the rounding of delta itself.  A bound too
     loose only costs evaluations; one too tight breaks exactness.
 
+    The filter is ``stacked(X)``, over a block of points X at once: the
+    bank's r and delta of each (point, banked operator) pair, and the mask
+    of the surely inactive pairs, a half-space with slack/|a| + delta < 0.
+    At such a pair the scalar slack, and the slack of ``apply_many``, is
+    <= 0 as well, so the operator returns x itself and its residual is
+    exactly 0.  ``max_residual`` is the one-point case, and
+    ``analysis.follows_reports`` uses the mask to skip those pairs.
+
     With lo = max(0, max_j (r_j - delta_j)), a lower bound on the answer,
-    an operator with r_i + delta_i < lo cannot hold the maximum.  Neither
-    can a half-space with slack/|a| + delta_i < 0: its scalar slack is
-    <= 0 as well, so its residual is exactly 0.  When a banked value or
-    bound is not finite (the mat-vec overflows), or an evaluated residual
-    is, the answer is the scalar loop over all ops in their order, since
-    Python's max depends on order when a NaN is present.
+    an operator with r_i + delta_i < lo cannot hold the maximum, and
+    neither can a surely inactive half-space.  When a banked value or
+    bound is not finite (the product overflows), ``stacked`` gives None,
+    and ``max_residual`` answers with the scalar loop over all ops in their
+    order, since Python's max depends on order when a NaN is present; so
+    it does when an evaluated residual is not finite.
     """
 
     def __init__(self, ops):
@@ -610,8 +621,9 @@ class ResidualBank:
         banked = [type(op) in (Halfspace, Hyperplane) and lo <= op.norm2 <= hi
                   for op in self.ops]
         self._others = ~np.array(banked, dtype=bool)
-        self._at = np.flatnonzero(banked)
-        rows = [self.ops[k] for k in self._at]
+        #: positions in ops of the stacked operators, the columns of stacked()
+        self.banked = np.flatnonzero(banked)
+        rows = [self.ops[k] for k in self.banked]
         if rows:
             self._A = np.array([op.a for op in rows])
             self._abs_A = np.abs(self._A)
@@ -624,23 +636,30 @@ class ResidualBank:
     def _scalar_max(self, x):
         return max(_residual(op, x) for op in self.ops)
 
+    def stacked(self, X):
+        """(r, delta, inactive) over the stacked operators, at a float point
+        X of shape (J,) or at each row of a block X of shape (N, J); or None
+        when a value or bound is not finite.  inactive marks the surely
+        inactive pairs, at which the half-space returns the point itself."""
+        signed = (X @ self._A.T - self._b) / self._norm
+        r = np.where(self._halfspace, np.maximum(signed, 0.0), np.abs(signed))
+        abs_X = np.abs(X)
+        delta = self._c * ((abs_X @ self._abs_A.T + self._abs_b) / self._norm + r
+                           + abs_X.sum(axis=-1)[..., None]) + _UNDERFLOW
+        if not (np.isfinite(signed).all() and np.isfinite(r + delta).all()):
+            return None
+        return r, delta, self._halfspace & (signed + delta < 0.0)
+
     def max_residual(self, x):
         """max over the ops of |T(x) - x|, for a float point x of their
         dimension."""
-        if not self._at.size:
+        stacked = self.stacked(x) if self.banked.size else None
+        if stacked is None:
             return self._scalar_max(x)
-        signed = (self._A @ x - self._b) / self._norm
-        r = np.where(self._halfspace, np.maximum(signed, 0.0), np.abs(signed))
-        abs_x = np.abs(x)
-        delta = self._c * ((self._abs_A @ abs_x + self._abs_b) / self._norm + r
-                           + abs_x.sum()) + _UNDERFLOW
-        upper = r + delta
-        if not (np.isfinite(signed).all() and np.isfinite(upper).all()):
-            return self._scalar_max(x)
+        r, delta, zero = stacked
         lo = max(float(np.max(r - delta)), 0.0)
-        zero = self._halfspace & (signed + delta < 0.0)
         evaluate = self._others.copy()
-        evaluate[self._at] = (upper >= lo) & ~zero
+        evaluate[self.banked] = (r + delta >= lo) & ~zero
         values = [_residual(self.ops[k], x) for k in np.flatnonzero(evaluate).tolist()]
         if not all(map(math.isfinite, values)):
             return self._scalar_max(x)
@@ -718,8 +737,11 @@ def replay_trace(ops, trace):
         x = x + lam * step
         xs.append(x)
         steps.append(step)
-    dev = row_distances(xs, trace.iterates)
-    res_dev = np.abs(row_distances(np.reshape(steps, (-1, len(x))), 0.0) - trace.residuals)
+    # a finite but huge point overflows the squared distances: inf or NaN,
+    # which the caller refuses, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = row_distances(xs, trace.iterates)
+        res_dev = np.abs(row_distances(np.reshape(steps, (-1, len(x))), 0.0) - trace.residuals)
     # NaN, from a replay that left the finite numbers, must not pass as 0
     return float(np.max(np.concatenate(([0.0], dev, res_dev))))
 
@@ -862,6 +884,8 @@ def problem_from_json(obj, normalize=False):
     if not isinstance(obj, dict):
         raise ValueError("a problem is a JSON object")
     _json_object(obj, "the problem", ("dim", "operators", "control", "x0"), _PROBLEM_FIELDS)
+    if not isinstance(obj["operators"], list):
+        raise ValueError(f"the problem's operators must be a JSON list, got {obj['operators']!r}")
     ops = []
     for k, o in enumerate(obj["operators"], start=1):
         try:
@@ -949,6 +973,9 @@ def _checked_records(records):
     return xs, lams, res
 
 
+_STEP_FIELDS = ("i", "lambda", "res")  # besides n, on every step record
+
+
 def trace_from_records(records):
     """Inverse of trace_records: a step without "x" holds the previous
     point, and a trace with "x" on every record reads too.  Every point
@@ -971,12 +998,16 @@ def trace_from_records(records):
         k = next(k for k, n in enumerate(ns) if type(n) is not int or n != k)
         raise ValueError(f"the index of record {k} must be the integer {k}, got {ns[k]!r}")
     steps = records[1:]
-    labels = [rec["i"] for rec in steps]
+    try:
+        labels, lams, res = ([rec[key] for rec in steps] for key in _STEP_FIELDS)
+    except KeyError:
+        k, key = next((k, key) for k, rec in enumerate(steps, start=1)
+                      for key in _STEP_FIELDS if key not in rec)
+        raise ValueError(f"the record of step {k} lacks the field {key!r}") from None
     if not set(map(type, labels)) <= {int}:
         k, i = next((k, i) for k, i in enumerate(labels, start=1) if type(i) is not int)
         raise ValueError(f"the label at step {k} must be an integer, got {i!r}")
-    columns = _checked_columns([rec["x"] for rec in records if "x" in rec],
-                               [rec["lambda"] for rec in steps], [rec["res"] for rec in steps])
+    columns = _checked_columns([rec["x"] for rec in records if "x" in rec], lams, res)
     if columns is None:
         iterates, lams, res = _checked_records(records)
     else:

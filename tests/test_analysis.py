@@ -3,6 +3,7 @@ traces, accumulation points, recurring-run estimates on the classic
 no-classical-limit sequence, and fixed-point certification."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from evfam.analysis import (
     DEFAULT_LADDER,
     _cluster_tail,
+    _surely_inactive,
     _run_lengths,
     _runs,
     accumulation_points,
@@ -18,6 +20,7 @@ from evfam.analysis import (
     cogap_limit_estimate,
     follows_check,
     follows_report_json,
+    follows_reports,
     limit_estimate_json,
 )
 from evfam.cfp import (
@@ -31,6 +34,7 @@ from evfam.cfp import (
     Halfspace,
     Hyperplane,
     Relaxed,
+    ResidualBank,
     StopRule,
     SubgradientProjector,
     Trace,
@@ -219,18 +223,92 @@ def mixed_kind_run():
     return ops, trace
 
 
+def random_feasible_run():
+    rng = np.random.default_rng(41)
+    ops, center = random_feasible_instance(20, 60, rng)
+    ctrl = AlmostCyclicControl(random_almost_cyclic_pattern(60, rng), 60)
+    trace = acsa_run(ops, ctrl, CyclicRelaxation([1.0, 1.0, 0.8, 1.0, 1.2]),
+                     center + 10 * rng.normal(size=20), StopRule(tol=1e-10, max_iter=1500))
+    return ops, trace
+
+
+class ShiftedHalfspace(Halfspace):
+    """A half-space whose apply moves every point: where its cut is
+    inactive, it is still no witness of a held step."""
+
+    def apply(self, x):
+        return x + 1.0
+
+    def apply_many(self, X):
+        return X + 1.0
+
+
+def _nudged(x, j, ulps, direction):
+    """x with coordinate j moved ulps steps of one ulp towards direction."""
+    x = x.copy()
+    for _ in range(ulps):
+        x[j] = math.nextafter(x[j], direction)
+    return x
+
+
+def boundary_trace():
+    # each half-space's boundary points, moved 0 to 4 ulps to either side
+    # of its cut, then held, cut or jumped away from; coordinates of mixed
+    # magnitude, so that the large ones round the slack and the small ones
+    # register a cut of a few ulps
+    rng = np.random.default_rng(31)
+    dim = 6
+    center = rng.normal(size=dim)
+    center[-1] = -0.0
+    ops = []
+    for _ in range(8):
+        a = rng.normal(size=dim)
+        ops.append(Halfspace(a, float(a @ center) + float(rng.uniform(0.5, 2.0))))
+    ops += [
+        Halfspace(np.eye(dim)[0], -1e6),  # every point lies outside: no row is skipped
+        Hyperplane(ops[0].a, ops[0].b),
+        ShiftedHalfspace(ops[1].a, 1e6),  # inactive everywhere, yet never a witness
+    ]
+    # a zero step at the interior start turns its -0.0 into +0.0
+    held = center.copy()
+    held[-1] = 0.0
+    iterates, lams = [center, held], [1.0]
+    for k in range(160):
+        op = ops[k % 8]
+        y = rng.normal(size=dim) * 10.0 ** rng.uniform(-4, 3, size=dim)
+        p = y - ((float(op.a @ y) - op.b) / op.norm2) * op.a
+        j = int(np.argmax(np.abs(op.a) * np.abs(p)))
+        outward = math.copysign(math.inf, op.a[j]) * (1 if k % 2 else -1)
+        p = _nudged(p, j, (k // 2) % 5, outward)
+        lam = (1.0, 1.0, 0.5)[k % 3]
+        after = p.copy() if k % 3 == 0 else p + lam * (op.apply(p) - p)
+        # the jump to p, then the step from p
+        iterates += [p, after]
+        lams += [(1.0, 0.5, 0.0, 1.5)[k % 4], lam]
+    n = len(lams)
+    return ops, Trace(iterates, [1] * n, lams, [0.0] * n)
+
+
 @pytest.mark.parametrize("relaxed", [True, False])
 @pytest.mark.parametrize(
-    "build", [halfspace_run, ball_bounce_run, zero_step_trace, mixed_kind_run]
+    "build", [halfspace_run, ball_bounce_run, zero_step_trace, mixed_kind_run,
+              random_feasible_run, boundary_trace]
 )
 def test_follows_witnesses_match_scalar_reference(build, relaxed):
     ops, trace = build()
-    found = 0
-    for i, op in enumerate(ops):
-        rep = follows_check(trace, op, relaxed=relaxed, label=i + 1)
-        assert rep.witnesses.tolist() == [q for q, _ in reference_witnesses(trace, op, relaxed)]
-        found += len(rep.witnesses)
-    assert found > 0
+    # tol 0 leaves no slack for a filter that skips a pair whose cut moves
+    # the point by a few ulps
+    for tol in (1e-9, 0.0):
+        reports = follows_reports(trace, ops, relaxed, tol)
+        assert [rep.operator for rep in reports] == list(range(1, len(ops) + 1))
+        found = 0
+        for label, (op, rep) in enumerate(zip(ops, reports), start=1):
+            expected = [q for q, _ in reference_witnesses(trace, op, relaxed, tol)]
+            assert rep.witnesses.tolist() == expected
+            one = follows_check(trace, op, relaxed, tol=tol, label=label)
+            assert one.witnesses.tolist() == expected and one.min_c == rep.min_c
+            found += len(expected)
+        assert found > 0
 
 
 def test_follows_applies_closed_forms_in_one_batch(monkeypatch):
@@ -244,6 +322,52 @@ def test_follows_applies_closed_forms_in_one_batch(monkeypatch):
     for ops, trace in runs:
         for i, op in enumerate(ops):
             assert follows_check(trace, op, label=i + 1).witnesses.size
+
+
+def test_boundary_trace_covers_both_sides_of_the_filter():
+    # the build must hold skipped pairs, exactly applied pairs beside them,
+    # and a banked half-space with no skipped row at all
+    ops, trace = boundary_trace()
+    inactive = _surely_inactive(ResidualBank(ops), trace.iterates[:-1])
+    assert sorted(inactive) == list(range(10))
+    partial = [k for k in range(8) if 0 < inactive[k].sum() < trace.n_steps]
+    assert len(partial) == 8
+    assert not inactive[8].any()
+
+
+def test_follows_reports_fall_back_where_the_stacked_values_overflow():
+    # <a, x> overflows in the stacked product at the huge points: no pair
+    # there may be skipped, and the answer is the operator-by-operator one
+    ops = [Halfspace([1.0, 1.0, 0.0], 0.0), Halfspace([-1.0, 0.0, 0.0], 1.0),
+           Hyperplane([0.0, 0.0, 1.0], 0.0)]
+    big = np.array([1.7e308, 1.7e308, 0.0])
+    small = np.array([-3.0, 2.0, 0.0])
+    iterates = [big, big, small, small, big, -big, -big, small]
+    n = len(iterates) - 1
+    trace = Trace(iterates, [1] * n, [1.0] * n, [0.0] * n)
+    with np.errstate(all="ignore"):
+        assert ResidualBank(ops).stacked(trace.iterates[:-1]) is None
+        reports = follows_reports(trace, ops)
+        for op, rep in zip(ops, reports):
+            expected = [q for q, _ in reference_witnesses(trace, op)]
+            assert rep.witnesses.tolist() == expected
+    assert reports[1].witnesses.size
+
+
+def test_follows_reports_apply_only_the_pairs_left_by_the_filter(monkeypatch):
+    ops, trace = random_feasible_run()
+    expected = follows_reports(trace, ops)
+    rows = []
+    apply_many = Halfspace.apply_many
+
+    def counted(self, X):
+        rows.append(len(X))
+        return apply_many(self, X)
+
+    monkeypatch.setattr(Halfspace, "apply_many", counted)
+    got = follows_reports(trace, ops)
+    assert 0 < sum(rows) < trace.n_steps * len(ops) // 2
+    assert [r.witnesses.tolist() for r in got] == [r.witnesses.tolist() for r in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ class Doubling(Operator):
     """x -> 2x; fixes only the origin, not a cutter, not firmly nonexpansive."""
 
     kind = "doubling"
-    is_cutter = False
 
     def apply(self, x):
         return 2.0 * x
@@ -337,8 +336,6 @@ def test_empty_operator_list():
 
 def test_divergence_detection():
     class Blowup(Operator):
-        is_cutter = False
-
         def apply(self, x):
             return x * 1e200
 

@@ -278,11 +278,14 @@ def test_artifacts_honour_the_umask(tmp_path, capsys, umask):
     assert set(modes.values()) == {0o666 & ~umask}
 
 
-def _edited_trace(demo_dir, tmp_path, step, **fields):
-    """The demo trace with the record of ``step`` changed."""
+def _edited_trace(demo_dir, tmp_path, step, drop=(), **fields):
+    """The demo trace with the record of ``step`` changed, and the keys in
+    ``drop`` deleted from it."""
     lines = (demo_dir / "trace.jsonl").read_text().splitlines()
     rec = json.loads(lines[step])
     rec.update(fields)
+    for key in drop:
+        del rec[key]
     lines[step] = json.dumps(rec)
     path = tmp_path / "edited.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -304,6 +307,8 @@ def _edited_trace(demo_dir, tmp_path, step, **fields):
         ({"i": 1.0}, "integer"),
         ({"i": True}, "integer"),
         ({"i": 10**30}, "too large"),
+        ({"res": 10**400}, "the residual at step 1 lies beyond the float range"),
+        ({"res": -10**400}, "the residual at step 1 lies beyond the float range"),
     ],
 )
 def test_analyze_rejects_edited_trace(demo_dir, tmp_path, capsys, fields, needle):
@@ -482,6 +487,24 @@ def test_analyze_refuses_a_bad_point_and_names_its_step(demo_dir, tmp_path, caps
     assert err.startswith("error:") and f"step {step}" in err
 
 
+def test_analyze_refuses_a_huge_start_point_without_a_warning(demo_dir, tmp_path, capsys):
+    # finite, but its squared distance to the recorded points overflows
+    trace = _edited_trace(demo_dir, tmp_path, 0, x=[0.0, 1e155])
+    code, _, err = run_cli(
+        capsys, "analyze", str(trace), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
+    )
+    assert code == 1 and err.startswith("error: trace does not replay")
+
+
+@pytest.mark.parametrize("field", ["i", "lambda", "res"])
+def test_analyze_names_the_step_record_that_lacks_a_field(demo_dir, tmp_path, capsys, field):
+    trace = _edited_trace(demo_dir, tmp_path, 2, drop=(field,))
+    code, _, err = run_cli(
+        capsys, "analyze", str(trace), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
+    )
+    assert code == 1 and err == f"error: the record of step 2 lacks the field {field!r}\n"
+
+
 @pytest.mark.parametrize("window", ["0", "-3"])
 def test_analyze_rejects_window_below_one(demo_dir, tmp_path, capsys, window):
     code, _, err = run_cli(
@@ -515,6 +538,11 @@ def test_analyze_rejects_window_below_one(demo_dir, tmp_path, capsys, window):
         ({"control": "cyclic"}, "the control must be a JSON object, got 'cyclic'"),
         ({"relaxation": "constant"}, "the relaxation must be a JSON object, got 'constant'"),
         ({"operators": [5]}, "the operator must be a JSON object, got 5"),
+        # an operator list that is not a list
+        ({"operators": 5}, "the problem's operators must be a JSON list, got 5"),
+        ({"operators": "ab"}, "the problem's operators must be a JSON list, got 'ab'"),
+        ({"operators": {"kind": "halfspace", "a": [-1.0, 0.0], "b": 0.0}},
+         "the problem's operators must be a JSON list, got {"),
     ],
 )
 def test_problem_refuses_unknown_and_missing_keys(demo_dir, tmp_path, capsys, edit, needle):
