@@ -77,17 +77,15 @@ def _hits(x, x_next, lam, tx, tol):
     return row_distances(x_next, x + lam[:, None] * (tx - x)) <= tol
 
 
-def _surely_inactive(bank, x):
+def _inactive(bank, x):
     """For each banked operator's position in the ops, the rows of x at
-    which the bank proves that it returns x itself.  A block of rows whose
-    stacked values are not finite marks none of its rows."""
+    which it returns x itself: a half-space whose slack is <= 0 there."""
     if not bank.banked.size:
         return {}
-    out = np.zeros((bank.banked.size, len(x)), dtype=bool)
+    out = np.empty((bank.banked.size, len(x)), dtype=bool)
     for start in range(0, len(x), _BLOCK):
-        stacked = bank.stacked(x[start:start + _BLOCK])
-        if stacked is not None:
-            out[:, start:start + _BLOCK] = stacked[2].T
+        slack = bank.slacks(x[start:start + _BLOCK])
+        out[:, start:start + _BLOCK] = (bank.halfspace & (slack <= 0.0)).T
     return dict(zip(bank.banked.tolist(), out))
 
 
@@ -101,11 +99,12 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     of that many consecutive steps contains a witness.
 
     The witnesses are those of applying each operator at each candidate
-    step, bit for bit.  The residual bank (``cfp.ResidualBank``) only
-    filters: at a step where it proves that a half-space returns x itself,
-    the target x + lam (x - x) is the same for every such operator, so one
-    distance per step, ``held``, decides them all.  Every other pair, and
-    every operator outside the bank, is applied with ``apply_many``.
+    step, bit for bit.  The residual bank (``cfp.ResidualBank``) decides
+    where a half-space returns x itself, from the slacks that ``apply``
+    computes: there the target x + lam (x - x) is the same for every such
+    operator, so one distance per step, ``held``, decides them all.  Every
+    other pair, and every operator outside the bank, is applied with
+    ``apply_many``.
     """
     ops = list(ops)
     criterion = "relaxed" if relaxed else "strict"
@@ -116,7 +115,7 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
         x, x_next, lam_q = trace.iterates[:-1], trace.iterates[1:], lam
     else:
         x, x_next, lam_q = trace.iterates[qs], trace.iterates[qs + 1], lam[qs]
-    inactive = _surely_inactive(ResidualBank(ops), x)
+    inactive = _inactive(ResidualBank(ops), x)
     held = _hits(x, x_next, lam_q, x, tol) if inactive else None
     reports = []
     for label, op in enumerate(ops, start=1):

@@ -110,24 +110,35 @@ class Operator:
         return self.fix_residual(x) <= tol
 
 
+def _slacks(X, A, b):
+    """<a, x> - b for each row a of A (K, J) and each point x: (K,) at a
+    point X of shape (J,), (N, K) at the rows of a block X of shape (N, J).
+    Each dot product is a (1, J) @ (J, 1) matmul, the dot kernel of the 1-D
+    product, so each slack is bit for bit float(a @ x) - b."""
+    return np.matmul(X[..., None, None, :], A[:, :, None])[..., 0, 0] - b
+
+
 class _AffineCut(Operator):
     """Data shared by the half-space and hyperplane projections: a nonzero
-    normal vector a and an offset b."""
+    normal vector a with a finite a.a, and an offset b."""
 
     def __init__(self, a, b):
-        a = _vec(a)
+        # contiguous, as the residual bank stacks it: a strided a takes
+        # another summation order in the dot kernel
+        a = np.ascontiguousarray(_vec(a))
         super().__init__(a.shape[0])
-        self.norm2 = float(a @ a)
+        with np.errstate(over="ignore"):
+            self.norm2 = float(a @ a)
         if self.norm2 == 0.0:
             raise ValueError("the normal vector must be nonzero")
+        if self.norm2 == math.inf:
+            raise ValueError("the normal vector's squared norm a.a overflows")
         self.a = a
         self.b = _number(b, "the offset b")
 
     def _slacks(self, X):
-        """<a, x> - b for each row x of X, bit for bit float(a @ x) - b: each
-        row's dot product is a (1, J) @ (J, 1) matmul, the 1-D product's
-        dot kernel."""
-        return np.matmul(X[:, None, :], self.a[:, None])[:, 0, 0] - self.b
+        """<a, x> - b for each row x of X, bit for bit float(a @ x) - b."""
+        return _slacks(X, self.a[None], self.b)[:, 0]
 
     def __repr__(self):
         return f"{type(self).__name__}(a={self.a.tolist()}, b={self.b})"
@@ -561,110 +572,53 @@ def _residual(op, x):
     return float(np.linalg.norm(op.apply(x) - x))
 
 
-_U = 2.0**-53  # unit roundoff of float64
-# a banked normal keeps a.a this far inside the float range, so that a.a,
-# |a| and the step (slack / a.a) a carry only relative rounding errors
-_BANK_NORM2 = (2.0**-200, 2.0**200)
-# covers the absolute errors of gradual underflow: at most about
-# sqrt(J 2^-1074) ~ sqrt(J) 1e-162 from a squared norm that underflows
-_UNDERFLOW = 2.0**-500
-
-
 class ResidualBank:
     """max over ops of |T(x) - x|, equal bit for bit to the scalar loop
     ``max(_residual(op, x) for op in ops)``.
 
     Half-spaces and hyperplanes (exact types: a subclass may override
-    ``apply``) are stacked into (A, b, |a|), and one matrix product gives
-    each a residual max(0, Ax - b)/|a| or |Ax - b|/|a| at every point of a
-    block.  These values are only a filter: every banked operator that
-    could hold the maximum, and every other operator, is evaluated again
-    with ``_residual``, and the maximum of those is the answer.
-
-    Error bound, with u the unit roundoff and sigma = <a, x> - b exact.
-    Either path computes the slack with error at most
-    e = (J + 2) u (|a|.|x| + |b|), for any summation order of the dot
-    product.  The bank's r = slack+ / |a| (|slack| / |a| for a hyperplane)
-    then differs from sigma+ / |a| by at most e/|a| + (J/2 + 3) u r.  The
-    scalar path either finds slack <= 0 at a half-space and returns
-    exactly 0 (then sigma <= e), or forms
-    t = slack / a.a, v = t a, d = (x - v) - x and |d| = sqrt(d.d), which
-    adds relative errors of (J + 2) u on |v| and (J/2 + 1) u on |d|, and
-    at most u (|x| + 2|v|) from the cancellation in d.  So the scalar
-    residual rho differs from r by at most
-        2 (J + 2) u (|a|.|x| + |b|)/|a| + (2J + 9) u r + u |x|_2
-    to first order, and delta = 4 (J + 4) u ((|a|.|x| + |b|)/|a| + r +
-    |x|_1) + _UNDERFLOW is at least twice each term, which absorbs the
-    second-order terms and the rounding of delta itself.  A bound too
-    loose only costs evaluations; one too tight breaks exactness.
-
-    The filter is ``stacked(X)``, over a block of points X at once: the
-    bank's r and delta of each (point, banked operator) pair, and the mask
-    of the surely inactive pairs, a half-space with slack/|a| + delta < 0.
-    At such a pair the scalar slack, and the slack of ``apply_many``, is
-    <= 0 as well, so the operator returns x itself and its residual is
-    exactly 0.  ``max_residual`` is the one-point case, and
-    ``analysis.follows_reports`` uses the mask to skip those pairs.
-
-    With lo = max(0, max_j (r_j - delta_j)), a lower bound on the answer,
-    an operator with r_i + delta_i < lo cannot hold the maximum, and
-    neither can a surely inactive half-space.  When a banked value or
-    bound is not finite (the product overflows), ``stacked`` gives None,
-    and ``max_residual`` answers with the scalar loop over all ops in their
-    order, since Python's max depends on order when a NaN is present; so
-    it does when an evaluated residual is not finite.
+    ``apply``) are stacked into (A, b, a.a).  ``slacks`` computes each
+    stacked <a, x> - b with the dot kernel of ``apply`` (see ``_slacks``), so
+    every slack is the one ``apply`` computes, and every later step is
+    ``apply``'s and ``_residual``'s own float operation, elementwise: a
+    half-space with slack <= 0 returns x (residual 0.0), and any other
+    stacked operator, a NaN slack included, moves x to x - (slack / a.a) a.
+    The answer is Python's max over the values in operator order, as in the
+    scalar loop, so a NaN lands where the loop puts it.
     """
 
     def __init__(self, ops):
         self.ops = list(ops)
-        lo, hi = _BANK_NORM2
-        banked = [type(op) in (Halfspace, Hyperplane) and lo <= op.norm2 <= hi
-                  for op in self.ops]
-        self._others = ~np.array(banked, dtype=bool)
-        #: positions in ops of the stacked operators, the columns of stacked()
+        banked = [type(op) in (Halfspace, Hyperplane) for op in self.ops]
+        self._others = [(k, op) for k, op in enumerate(self.ops) if not banked[k]]
+        #: positions in ops of the stacked operators, the columns of slacks()
         self.banked = np.flatnonzero(banked)
         rows = [self.ops[k] for k in self.banked]
         if rows:
             self._A = np.array([op.a for op in rows])
-            self._abs_A = np.abs(self._A)
             self._b = np.array([op.b for op in rows])
-            self._abs_b = np.abs(self._b)
-            self._norm = np.sqrt([op.norm2 for op in rows])
-            self._halfspace = np.array([type(op) is Halfspace for op in rows])
-            self._c = 4 * (self._A.shape[1] + 4) * _U
+            self._norm2 = np.array([op.norm2 for op in rows])
+            #: which stacked operators are half-spaces
+            self.halfspace = np.array([type(op) is Halfspace for op in rows])
 
-    def _scalar_max(self, x):
-        return max(_residual(op, x) for op in self.ops)
-
-    def stacked(self, X):
-        """(r, delta, inactive) over the stacked operators, at a float point
-        X of shape (J,) or at each row of a block X of shape (N, J); or None
-        when a value or bound is not finite.  inactive marks the surely
-        inactive pairs, at which the half-space returns the point itself."""
-        signed = (X @ self._A.T - self._b) / self._norm
-        r = np.where(self._halfspace, np.maximum(signed, 0.0), np.abs(signed))
-        abs_X = np.abs(X)
-        delta = self._c * ((abs_X @ self._abs_A.T + self._abs_b) / self._norm + r
-                           + abs_X.sum(axis=-1)[..., None]) + _UNDERFLOW
-        if not (np.isfinite(signed).all() and np.isfinite(r + delta).all()):
-            return None
-        return r, delta, self._halfspace & (signed + delta < 0.0)
+    def slacks(self, X):
+        """<a, x> - b of each stacked operator, bit for bit the slack that
+        ``apply`` computes: (K,) at a float point X of shape (J,), and
+        (N, K) at the rows of a block X of shape (N, J)."""
+        return _slacks(X, self._A, self._b)
 
     def max_residual(self, x):
         """max over the ops of |T(x) - x|, for a float point x of their
         dimension."""
-        stacked = self.stacked(x) if self.banked.size else None
-        if stacked is None:
-            return self._scalar_max(x)
-        r, delta, zero = stacked
-        lo = max(float(np.max(r - delta)), 0.0)
-        evaluate = self._others.copy()
-        evaluate[self.banked] = (r + delta >= lo) & ~zero
-        values = [_residual(self.ops[k], x) for k in np.flatnonzero(evaluate).tolist()]
-        if not all(map(math.isfinite, values)):
-            return self._scalar_max(x)
-        # every operator left out has residual exactly 0 or below lo
-        return max(values, default=0.0)
+        values = np.zeros(len(self.ops))
+        if self.banked.size:
+            slack = self.slacks(x)
+            moved = ~(self.halfspace & (slack <= 0.0))  # the others return x
+            step = (slack[moved] / self._norm2[moved])[:, None] * self._A[moved]
+            values[self.banked[moved]] = row_distances((x - step) - x, 0.0)
+        for k, op in self._others:
+            values[k] = _residual(op, x)
+        return max(values.tolist())
 
 
 def acsa_run(ops, ctrl, relaxation, x0, stop=None):
@@ -839,13 +793,11 @@ def operator_to_json(op):
 
 def operator_from_json(obj, normalize=False):
     cls, args = _from_json(_OPERATOR_JSON, "operator", obj, normalize)
+    op = cls(*args)
     if normalize and cls in (Halfspace, Hyperplane):
-        a, b = np.asarray(args[0], dtype=float), float(args[1])
-        scale = np.linalg.norm(a)
-        if scale == 0:
-            raise ValueError("the normal vector must be nonzero")
-        args = [a / scale, b / scale]
-    return cls(*args)
+        s = math.sqrt(op.norm2)  # np.linalg.norm(a), bit for bit
+        return cls(op.a / s, op.b / s)
+    return op
 
 
 def control_to_json(ctrl):

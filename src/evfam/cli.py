@@ -31,8 +31,9 @@ from .intseq import EPSet, cogap
 REPLAY_TOL = 1e-12
 
 #: what reading a malformed problem or trace raises; each exits 1 (an
-#: OverflowError is an integer too large for an index array)
-_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
+#: OverflowError is an integer too large for an index array, a
+#: RecursionError JSON or operators nested past Python's recursion limit)
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from evfam.analysis import (
     DEFAULT_LADDER,
     _cluster_tail,
-    _surely_inactive,
+    _inactive,
     _run_lengths,
     _runs,
     accumulation_points,
@@ -328,11 +328,26 @@ def test_boundary_trace_covers_both_sides_of_the_filter():
     # the build must hold skipped pairs, exactly applied pairs beside them,
     # and a banked half-space with no skipped row at all
     ops, trace = boundary_trace()
-    inactive = _surely_inactive(ResidualBank(ops), trace.iterates[:-1])
+    inactive = _inactive(ResidualBank(ops), trace.iterates[:-1])
     assert sorted(inactive) == list(range(10))
     partial = [k for k in range(8) if 0 < inactive[k].sum() < trace.n_steps]
     assert len(partial) == 8
     assert not inactive[8].any()
+
+
+def test_inactive_marks_exactly_the_half_space_pairs_whose_slack_is_at_most_zero():
+    # the mask against apply's own slack, pair by pair; the last half-space
+    # has slack exactly 0 at the first two points
+    ops, trace = boundary_trace()
+    x = trace.iterates[:-1]
+    ops.append(Halfspace(np.eye(x.shape[1])[0], float(x[0, 0])))
+    inactive = _inactive(ResidualBank(ops), x)
+    assert sorted(inactive) == [k for k, op in enumerate(ops) if type(op) in (Halfspace, Hyperplane)]
+    for k, mask in inactive.items():
+        op = ops[k]
+        want = [type(op) is Halfspace and float(op.a @ row) - op.b <= 0.0 for row in x]
+        assert mask.tolist() == want
+    assert float(ops[-1].a @ x[0]) - ops[-1].b == 0.0 and inactive[len(ops) - 1][:2].all()
 
 
 def test_follows_reports_fall_back_where_the_stacked_values_overflow():
@@ -346,7 +361,7 @@ def test_follows_reports_fall_back_where_the_stacked_values_overflow():
     n = len(iterates) - 1
     trace = Trace(iterates, [1] * n, [1.0] * n, [0.0] * n)
     with np.errstate(all="ignore"):
-        assert ResidualBank(ops).stacked(trace.iterates[:-1]) is None
+        assert not np.isfinite(ResidualBank(ops).slacks(trace.iterates[:-1])).all()
         reports = follows_reports(trace, ops)
         for op, rep in zip(ops, reports):
             expected = [q for q, _ in reference_witnesses(trace, op)]

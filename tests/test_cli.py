@@ -575,3 +575,56 @@ def test_trace_json_error_names_its_file_line(demo_dir, tmp_path, capsys, blank_
     )
     assert code == 1
     assert err.startswith(f"error: trace line {3 + blank_lines}: Expecting ',' delimiter")
+
+
+@pytest.mark.parametrize("where", ["problem", "trace", "operator"])
+def test_json_nested_past_the_recursion_limit_is_an_input_error(demo_dir, tmp_path, capsys, where):
+    problem, trace = demo_dir / "problem.json", demo_dir / "trace.jsonl"
+    if where == "problem":
+        problem = tmp_path / "deep.json"
+        problem.write_text("[" * 100_000)
+    elif where == "trace":
+        lines = trace.read_text().splitlines()
+        deep = "[" * 50_000 + "]" * 50_000
+        lines[1] = f'{{"n": 1, "i": 1, "lambda": 1.0, "res": 0.0, "x": {deep}}}'
+        trace = tmp_path / "deep.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+    else:
+        prob = json.loads(problem.read_text())
+        inner = json.dumps(prob["operators"][0])
+        prob["operators"][0] = "INNER"
+        nested = '{"kind": "relaxed", "lambda": 1.0, "inner": ' * 900 + inner + "}" * 900
+        problem = tmp_path / "deep.json"
+        problem.write_text(json.dumps(prob).replace('"INNER"', nested))
+    commands = [["analyze", str(trace), str(problem)]]
+    if where != "trace":
+        commands.append(["solve", str(problem)])
+    for args in commands:
+        code, _, err = run_cli(capsys, *args, "-o", str(tmp_path / "r"))
+        assert code == 1 and err.startswith("error:") and "recursion" in err
+
+
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+@pytest.mark.parametrize(
+    "a, b, needle",
+    [
+        (["-1", "0"], 0.0, "JSON numbers"),
+        ([True, 0.0], 0.0, "JSON numbers"),
+        ([None, 0.0], 0.0, "JSON numbers"),
+        (True, 0.0, "JSON numbers"),
+        ([-1.0, 0.0], "0", "the offset b must be a number"),
+        ([-1.0, 0.0], True, "the offset b must be a number"),
+        ([-1.0, 0.0], None, "the offset b must be a number"),
+        ([0.0, 0.0], 0.0, "nonzero"),
+        ([1e308, 1e308], 0.0, "a.a overflows"),
+    ],
+)
+def test_normalize_reads_only_what_the_checks_accept(demo_dir, tmp_path, capsys, a, b, needle,
+                                                    normalize):
+    prob = json.loads((demo_dir / "problem.json").read_text())
+    prob["operators"][0] = {"kind": "halfspace", "a": a, "b": b}
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(prob))
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"), *normalize)
+    assert code == 1 and err.startswith("error: operator 1: ") and needle in err
+    assert "Warning" not in err

@@ -55,7 +55,7 @@ def _run(argv):
         return main(argv)
 
 
-FUZZ = settings(max_examples=60, deadline=None,
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

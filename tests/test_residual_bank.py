@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from evfam import cfp
+from evfam.analysis import follows_reports
 from evfam.cfp import (
     AffineEquality,
     AlmostCyclicControl,
@@ -19,6 +20,7 @@ from evfam.cfp import (
     Relaxed,
     ResidualBank,
     StopRule,
+    Trace,
     acsa_run,
     random_almost_cyclic_pattern,
     random_feasible_instance,
@@ -240,6 +242,60 @@ def test_random_lists_match_the_scalar_loop():
         if rng.random() < 0.5:
             x = ops[int(rng.integers(m))].apply(x)
         assert_exact(ops, x)
+
+
+def test_slacks_equal_the_slacks_of_apply_bit_for_bit():
+    # every dimension the dot kernel unrolls differently, a strided point,
+    # and blocks on either side of the follows block of 256 rows
+    rng = np.random.default_rng(14)
+    for dim in [*range(1, 130), 200, 257, 500]:
+        ops = [(Hyperplane if k % 3 else Halfspace)(rng.normal(size=dim), rng.normal())
+               for k in range(5)]
+        bank = ResidualBank(ops)
+        wide = rng.normal(size=2 * dim) * 10.0 ** rng.uniform(-3, 3)
+        for x in (wide[:dim], wide[::2]):
+            want = [float.hex(float(op.a @ x) - op.b) for op in ops]
+            assert [float.hex(s) for s in bank.slacks(x).tolist()] == want
+    for dim in (50, 257):
+        ops = [Halfspace(rng.normal(size=dim), rng.normal()) for _ in range(3)]
+        bank = ResidualBank(ops)
+        for n in (1, 255, 256, 257):
+            wide = rng.normal(size=(n, 2 * dim))
+            for X in (wide[:, :dim], wide[:, ::2]):
+                want = [[float.hex(float(op.a @ x) - op.b) for op in ops] for x in X]
+                assert [[float.hex(s) for s in row] for row in bank.slacks(X).tolist()] == want
+
+
+def test_strided_normals_are_stacked_as_apply_reads_them():
+    # a strided a would sum its dot product in another order than the
+    # bank's contiguous stack
+    rng = np.random.default_rng(15)
+    for dim in (7, 50, 129):
+        ops = [Halfspace(rng.normal(size=2 * dim)[::2], 0.0) for _ in range(20)]
+        for _ in range(5):
+            assert_exact(ops, rng.normal(size=dim) * 100)
+
+
+def test_a_nan_slack_moves_the_point():
+    # a.x overflows to inf in one partial sum of the dot kernel and to -inf
+    # in another: the slack is NaN, and apply moves x to a NaN point
+    for dim in (2, 16, 64):
+        a = np.tile([1e150, -1e150], dim // 2)
+        x = np.full(dim, 1e160)
+        with np.errstate(all="ignore"):
+            if math.isnan(float(a @ x)):
+                break
+    else:
+        pytest.skip("this dot kernel gives no NaN slack")
+    ops = [Halfspace(a, 0.0), Ball(x, 1.0)]
+    with np.errstate(all="ignore"):
+        # the scalar max keeps whichever comes first of NaN and 0
+        assert math.isnan(assert_exact(ops, x))
+        assert assert_exact(ops[::-1], x) == 0.0
+        # a held step is no witness of a half-space that moves the point
+        held = Trace([x, x], [1], [1.0], [0.0])
+        assert follows_reports(held, ops)[0].witnesses.size == 0
+        assert follows_reports(held, ops)[1].witnesses.tolist() == [0]
 
 
 def test_acsa_run_checkpoints_equal_a_scalar_loop_run(monkeypatch):
