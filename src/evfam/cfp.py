@@ -842,7 +842,7 @@ def problem_from_json(obj, normalize=False):
     for k, o in enumerate(obj["operators"], start=1):
         try:
             ops.append(operator_from_json(o, normalize))
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"operator {k}: {exc}") from None
     if not ops:
         raise ValueError("the operator list is empty")

@@ -593,7 +593,8 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(demo_dir, tmp_pa
         prob = json.loads(problem.read_text())
         inner = json.dumps(prob["operators"][0])
         prob["operators"][0] = "INNER"
-        nested = '{"kind": "relaxed", "lambda": 1.0, "inner": ' * 900 + inner + "}" * 900
+        # shallow enough for the JSON decoder, too deep for the reader's recursion
+        nested = '{"kind": "relaxed", "lambda": 1.0, "inner": ' * 600 + inner + "}" * 600
         problem = tmp_path / "deep.json"
         problem.write_text(json.dumps(prob).replace('"INNER"', nested))
     commands = [["analyze", str(trace), str(problem)]]
@@ -602,6 +603,7 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(demo_dir, tmp_pa
     for args in commands:
         code, _, err = run_cli(capsys, *args, "-o", str(tmp_path / "r"))
         assert code == 1 and err.startswith("error:") and "recursion" in err
+        assert where != "operator" or err.startswith("error: operator 1: ")
 
 
 @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
