@@ -77,6 +77,14 @@ def row_distances(points, ref):
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
 
 
+def norm(d):
+    """Euclidean norm of a float vector d, equal bit for bit to
+    ``np.linalg.norm(d)``, which takes sqrt(d.d) for a real 1-D vector: the
+    same dot kernel and a correctly rounded square root, without its
+    dispatch."""
+    return math.sqrt(d @ d)
+
+
 class Operator:
     """Base operator T on R^J with a fix oracle, |T(x) - x| <= tol.
 
@@ -191,7 +199,7 @@ class Ball(Operator):
 
     def apply(self, x):
         d = x - self.center
-        dist = float(np.linalg.norm(d))
+        dist = norm(d)
         if dist <= self.radius:
             return x
         return self.center + (self.radius / dist) * d
@@ -569,7 +577,7 @@ class Trace:
 
 def _residual(op, x):
     """|T(x) - x| for a float point x of the operator's dimension."""
-    return float(np.linalg.norm(op.apply(x) - x))
+    return norm(op.apply(x) - x)
 
 
 class ResidualBank:
@@ -594,12 +602,13 @@ class ResidualBank:
         #: positions in ops of the stacked operators, the columns of slacks()
         self.banked = np.flatnonzero(banked)
         rows = [self.ops[k] for k in self.banked]
-        if rows:
-            self._A = np.array([op.a for op in rows])
-            self._b = np.array([op.b for op in rows])
-            self._norm2 = np.array([op.norm2 for op in rows])
-            #: which stacked operators are half-spaces
-            self.halfspace = np.array([type(op) is Halfspace for op in rows])
+        # (K, J) even for K = 0, so that slacks has an empty column axis
+        dim = self.ops[0].dim if self.ops else 0
+        self._A = np.array([op.a for op in rows], dtype=float).reshape(len(rows), dim)
+        self._b = np.array([op.b for op in rows], dtype=float)
+        self._norm2 = np.array([op.norm2 for op in rows], dtype=float)
+        #: which stacked operators are half-spaces
+        self.halfspace = np.array([type(op) is Halfspace for op in rows], dtype=bool)
 
     def slacks(self, X):
         """<a, x> - b of each stacked operator, bit for bit the slack that
@@ -669,7 +678,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             )
         controls.append(label)
         relaxations.append(lam)
-        residuals.append(float(np.linalg.norm(step)))
+        residuals.append(norm(step))
         iterates.append(x_next)
         x = x_next
         n += 1
@@ -678,25 +687,37 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
 
 
 def replay_trace(ops, trace):
-    """Re-executes the recurrence over a stored trace; returns the largest
-    deviation from the recorded iterates and step residuals.  The iterates
-    must share the start point's dimension, as acsa_run and
-    trace_from_records guarantee; a label outside 1..m is an error."""
-    x = _vec(trace.iterates[0], ops[0].dim)
-    xs, steps = [x], []
-    for k, (label, lam) in enumerate(zip(trace.controls.tolist(), trace.relaxations.tolist())):
-        if not 1 <= label <= len(ops):
-            raise ValueError(f"step {k + 1} names operator {label}, outside 1..{len(ops)}")
-        step = ops[label - 1].apply(x) - x
-        x = x + lam * step
-        xs.append(x)
-        steps.append(step)
+    """Checks every recorded step from its recorded point; returns the
+    largest one-step deviation: of x_q + lambda_q (T(x_q) - x_q) from the
+    recorded x_{q+1}, and of |T(x_q) - x_q| from the recorded residual, with
+    T the step's operator.  When every deviation is 0, re-running the
+    recurrence from x_0 gives the recorded trace bit for bit, by induction
+    over the steps.  The steps are grouped by label, one ``apply_many`` per
+    operator, which equals ``apply`` bit for bit.  The iterates must share
+    the start point's dimension, as acsa_run and trace_from_records
+    guarantee; a label outside 1..m is an error that names the first such
+    step."""
+    _vec(trace.iterates[0], ops[0].dim)
+    labels = trace.controls
+    bad = np.flatnonzero((labels < 1) | (labels > len(ops)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"step {k + 1} names operator {labels[k]}, outside 1..{len(ops)}")
+    points = trace.iterates[:-1]
+    steps = np.empty_like(points)
     # a finite but huge point overflows the squared distances: inf or NaN,
     # which the caller refuses, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = row_distances(xs, trace.iterates)
-        res_dev = np.abs(row_distances(np.reshape(steps, (-1, len(x))), 0.0) - trace.residuals)
-    # NaN, from a replay that left the finite numbers, must not pass as 0
+        for label in np.unique(labels).tolist():
+            rows = np.flatnonzero(labels == label)
+            steps[rows] = ops[label - 1].apply_many(points[rows])
+        steps -= points
+        # lambda * step + x, the bits of x + lambda * step
+        moved = trace.relaxations[:, None] * steps
+        moved += points
+        dev = row_distances(moved, trace.iterates[1:])
+        res_dev = np.abs(row_distances(steps, 0.0) - trace.residuals)
+    # NaN, from a step that left the finite numbers, must not pass as 0
     return float(np.max(np.concatenate(([0.0], dev, res_dev))))
 
 

@@ -60,8 +60,13 @@ def _write_text(path, text):
         raise
 
 
+#: the one encoder of every JSON artifact: the bytes of
+#: json.dumps(obj, sort_keys=True, allow_nan=False), built once, not per call
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _dump_json(obj):
-    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    return _JSON.encode(obj) + "\n"
 
 
 def _write_json(path, obj):
@@ -69,8 +74,7 @@ def _write_json(path, obj):
 
 
 def _write_jsonl(path, records):
-    lines = [json.dumps(rec, sort_keys=True, allow_nan=False) for rec in records]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(map(_JSON.encode, records)) + "\n")
 
 
 def _write_csv(path, header, rows):

@@ -1,6 +1,9 @@
 """Operator and iteration tests: hand-computed projections, cutter and
 firm-nonexpansiveness properties, control validation, runs, and replay."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from evfam.cfp import (
     cutter_check,
     fejer_slack,
     fne_check,
+    norm,
     operator_from_json,
     operator_to_json,
     problem_from_json,
@@ -375,6 +379,19 @@ def test_row_distances_equal_per_row_norm_bit_for_bit(scale):
         assert np.array_equal(row_distances(points, paired), expected)
 
 
+def test_norm_equals_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for dim in range(1, 60):
+        for scale in 10.0 ** np.arange(-150, 151, 25):
+            for d in rng.normal(size=(4, dim)) * scale:
+                assert float.hex(norm(d)) == float.hex(float(np.linalg.norm(d)))
+    special = [[0.0], [-0.0], [0.0, -0.0, 0.0], [-0.0] * 7, [math.inf], [-math.inf, 1.0],
+               [2.0, math.inf, -math.inf], [math.nan], [1.0, math.nan, 3.0], [math.inf, math.nan]]
+    for d in map(np.array, special):
+        got, want = norm(d), float(np.linalg.norm(d))
+        assert type(got) is float and float.hex(got) == float.hex(want), d
+
+
 def test_trace_is_a_struct_of_arrays():
     ops, ctrl, sched = two_halfspace_problem()
     trace = acsa_run(ops, ctrl, sched, [-1.0, -1.0], StopRule(stride=1))
@@ -528,6 +545,85 @@ def test_replay_on_random_runs():
         assert replay_trace(ops, trace) <= 1e-12
         rebuilt = trace_from_records(trace_records(trace))
         assert replay_trace(ops, rebuilt) <= 1e-12
+
+
+def every_kind_ops():
+    """Every operator kind, the row-loop apply_many fallbacks and the
+    wrappers included, on one infeasible 2-D problem."""
+    ops = sample_ops()
+    return ops + [Averaged(ops[2]), Relaxed(ops[0], 0.7), Averaged(ops[3]),
+                  Relaxed(ops[4], 1.5), Averaged(Relaxed(ops[5], 0.5)), Relaxed(ops[1], 0.0)]
+
+
+def test_grouped_replay_is_exact_on_every_operator_kind():
+    ops = every_kind_ops()
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        pattern = random_almost_cyclic_pattern(len(ops), rng)
+        sched = CyclicRelaxation([1.0, 0.5, 1.7, 0.0, 2.0])
+        trace = acsa_run(ops, AlmostCyclicControl(pattern), sched, rng.normal(size=2) * 5,
+                         StopRule(tol=0.0, max_iter=400, stride=7))
+        assert set(trace.controls.tolist()) == set(range(1, len(ops) + 1))
+        assert replay_trace(ops, trace) == 0.0
+        assert replay_trace(ops, trace_from_records(trace_records(trace))) == 0.0
+
+
+def test_a_zero_step_trace_replays_to_zero():
+    ops, ctrl, sched = two_halfspace_problem()
+    trace = acsa_run(ops, ctrl, sched, [0.5, 0.5])
+    assert trace.n_steps == 0
+    assert replay_trace(ops, trace) == 0.0
+    assert replay_trace(ops, trace_from_records(trace_records(trace))) == 0.0
+
+
+@pytest.mark.parametrize("labels, step, label", [
+    ([1, 2, 5, 0, 3], 3, 5),
+    ([0, 2, 1, 7], 1, 0),
+    ([1, 2, 1, -4], 4, -4),
+])
+def test_replay_names_the_first_step_with_a_label_outside_the_operators(labels, step, label):
+    ops, _, _ = two_halfspace_problem()
+    trace = Trace(np.zeros((len(labels) + 1, 2)), labels, [1.0] * len(labels),
+                  [0.0] * len(labels))
+    with pytest.raises(ValueError, match=rf"^step {step} names operator {label}, outside 1\.\.2$"):
+        replay_trace(ops, trace)
+
+
+@pytest.mark.parametrize("ops, x0", [
+    (two_halfspace_problem()[0], [0.0, 1e155]),
+    ([Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0)], [1e200, -1e200]),
+    ([Box([0.0, 0.0], [1.0, 1.0]), Hyperplane([1e-3, 1.0], 3.0)], [1.7e308, 1.0]),
+])
+def test_a_huge_start_point_is_refused_without_a_warning(ops, x0):
+    trace = acsa_run(ops, CyclicControl(2), ConstantRelaxation(1.0), [-1.0, -1.0],
+                     StopRule(max_iter=6, stride=1))
+    trace.iterates[0] = x0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deviation = replay_trace(ops, trace)
+    assert not deviation <= 1e-12
+
+
+def test_every_one_step_edit_is_refused():
+    # each recorded step is checked from its recorded point, so an edit of
+    # any one point, relaxation, residual or label shows in the deviation
+    ops = [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0), Ball([0.0, 4.0], 1.5)]
+    trace = acsa_run(ops, AlmostCyclicControl((1, 3, 2, 3)), CyclicRelaxation([1.0, 0.8]),
+                     [5.0, 5.0], StopRule(max_iter=40))
+    assert replay_trace(ops, trace) == 0.0
+
+    def edited(column, q, value):
+        copy = Trace(trace.iterates.copy(), trace.controls.copy(),
+                     trace.relaxations.copy(), trace.residuals.copy())
+        getattr(copy, column)[q] = value
+        return replay_trace(ops, copy)
+
+    for q in range(trace.n_steps):
+        x = trace.iterates[q + 1]
+        assert edited("iterates", q + 1, [math.nextafter(x[0], math.inf), x[1]]) > 0.0
+        assert edited("relaxations", q, 0.5) > 0.0
+        assert edited("residuals", q, math.nextafter(trace.residuals[q], math.inf)) > 0.0
+        assert edited("controls", q, trace.controls[q] % 3 + 1) > 0.0
 
 
 def test_instance_generator_contains_the_stated_ball():

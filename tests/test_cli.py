@@ -2,14 +2,22 @@
 codes, determinism of the written artifacts, and the check runner."""
 
 import json
+import math
 import os
 import stat
 
 import pytest
-from test_analysis import ball_bounce_problem, halfspace_problem, reference_witnesses
+from test_analysis import (
+    ball_bounce_problem,
+    ball_bounce_run,
+    halfspace_problem,
+    halfspace_run,
+    reference_witnesses,
+)
 
 from evfam.analysis import follows_check
-from evfam.cfp import acsa_run, problem_to_json
+from evfam import cli
+from evfam.cfp import acsa_run, problem_to_json, trace_records, trace_summary
 from evfam.cli import main
 
 
@@ -249,6 +257,41 @@ def test_check_command(tmp_path, capsys, monkeypatch):
 def test_check_rejects_negative_budget(capsys):
     code, _, err = run_cli(capsys, "check", "intseq", "--budget", "-1")
     assert code == 1 and "budget" in err
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
+def test_the_shared_encoder_writes_the_bytes_of_json_dumps(tmp_path, capsys):
+    for ops, trace in (ball_bounce_run(), halfspace_run()):
+        records = trace_records(trace)
+        cli._write_jsonl(tmp_path / "trace.jsonl", records)
+        lines = (tmp_path / "trace.jsonl").read_text()
+        assert lines == "\n".join(map(dumps, records)) + "\n"
+        summary = trace_summary(ops, trace)
+        assert cli._dump_json(summary) == dumps(summary) + "\n"
+    cli._write_jsonl(tmp_path / "empty.jsonl", [])
+    assert (tmp_path / "empty.jsonl").read_text() == "\n"
+    problem = tmp_path / "balls.json"
+    problem.write_text(json.dumps(THREE_BALLS))
+    out = tmp_path / "balls"
+    run_cli(capsys, "solve", str(problem), "-o", str(out))
+    run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(problem), "-o", str(out))
+    for name in ("summary.json", "report.json"):
+        text = (out / name).read_text()
+        assert text == dumps(json.loads(text)) + "\n"
+    odd = {"b": [1e-320, -0.0, 2**70, True, None], "a": {"é": "\u2028"}, "": 0.1}
+    assert cli._dump_json(odd) == dumps(odd) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_shared_encoder_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._dump_json({"res": value})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_jsonl(tmp_path / "trace.jsonl", [{"n": 0}, {"x": [0.0, value]}])
+    assert os.listdir(tmp_path) == []
 
 
 def test_atomic_writes_leave_no_temp_files(demo_dir):

@@ -1,6 +1,6 @@
-"""The residual bank against the scalar loop it filters for: every maximum
-must be the same float, bit for bit, as max |T(x) - x| over the operators
-in their order."""
+"""The residual bank against the scalar loop: every maximum must be the
+same float, bit for bit, as max |T(x) - x| over the operators in their
+order."""
 
 import math
 
@@ -58,7 +58,7 @@ def test_exact_ties_from_duplicated_rows():
 
 def test_equal_exact_residuals_round_apart():
     # every operator has residual 0.37 in exact arithmetic; the bank and
-    # the scalar path round them into different orders
+    # the scalar loop round them into different orders
     rng = np.random.default_rng(11)
     for k in range(20):
         x = rng.normal(size=50) * 10
@@ -86,9 +86,9 @@ def test_slacks_a_few_ulps_around_zero(ulps):
 
 
 def test_slack_one_ulp_outside_among_feasible_rows():
-    # the scalar slack is one ulp above 0, so the scalar residual is tiny
-    # but positive, while the mat-vec's slack may fall below 0: only a
-    # bound-sized margin below 0 proves a residual of exactly 0
+    # each first half-space's slack is one ulp above 0, so its residual is
+    # tiny but positive among rows of residual exactly 0: a slack summed in
+    # any other order than apply's could round to 0 or below and give 0
     rng = np.random.default_rng(12)
     for _ in range(300):
         dim = int(rng.integers(2, 40))
@@ -176,7 +176,7 @@ def test_mixed_lists_keep_the_scalar_path_for_other_kinds():
     assert assert_exact(ops, center) > 1.7
 
 
-def test_normals_outside_the_banked_range_take_the_scalar_path():
+def test_tiny_huge_and_subnormal_normals_match_the_scalar_loop():
     rng = np.random.default_rng(7)
     x = rng.normal(size=4)
     for scale in (1e-120, 1e-60, 1e60, 1e120):
@@ -207,7 +207,7 @@ def test_huge_points_give_the_scalar_result(entry):
             assert_exact(order, x)
 
 
-def test_overflowing_matvec_falls_back_to_the_scalar_loop():
+def test_an_overflowing_slack_gives_the_scalar_nan():
     # <a, x> overflows: the hyperplane's scalar residual is NaN, and the
     # scalar max keeps whichever comes first of NaN and 0
     x = np.array([1e308, 1e308, 0.0])
@@ -217,15 +217,25 @@ def test_overflowing_matvec_falls_back_to_the_scalar_loop():
         assert assert_exact(ops[::-1], x) == 0.0
 
 
-def test_nan_from_an_unstacked_operator_falls_back_to_the_scalar_loop():
+def test_a_nan_step_of_a_tiny_normal_lands_where_the_scalar_max_puts_it():
     # the first half-space is far from x (residual exactly 0); the
-    # hyperplane's a.a = 1e-240 lies below the stacked range, and its step
-    # is inf * 0 = NaN; max(0, NaN, 0.5) is 0.5, max(NaN, 0.5) is NaN
+    # hyperplane's a.a = 1e-240 makes slack / a.a overflow, and its step is
+    # inf * 0 = NaN; max(0, NaN, 0.5) is 0.5, max(NaN, 0.5) is NaN
     x = np.array([1e200, 0.0])
     ops = [Halfspace([1.0, 0.0], 2e200), Hyperplane([1e-120, 0.0], 0.0), Ball([1e200, 1.0], 0.5)]
     with np.errstate(all="ignore"):
         assert assert_exact(ops, x) == 0.5
         assert math.isnan(assert_exact(ops[1:], x))
+
+
+def test_a_bank_that_stacks_nothing_gives_empty_slacks():
+    ops = [Ball([0.0, 0.0], 1.0), Box([-1.0, -1.0], [1.0, 1.0]), ShiftedHalfspace([1.0, 0.0], 0.0)]
+    bank = ResidualBank(ops)
+    assert bank.banked.size == 0
+    for X in (np.zeros(2), np.zeros((5, 2)), np.zeros((0, 2))):
+        slacks = bank.slacks(X)
+        assert slacks.shape == (*X.shape[:-1], 0) and slacks.dtype == float
+    assert_exact(ops, np.array([3.0, -0.5]))
 
 
 def test_random_lists_match_the_scalar_loop():
