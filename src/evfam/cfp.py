@@ -695,20 +695,24 @@ def replay_trace(ops, trace):
     over the steps.  The steps are grouped by label, one ``apply_many`` per
     operator, which equals ``apply`` bit for bit.  The iterates must share
     the start point's dimension, as acsa_run and trace_from_records
-    guarantee; a label outside 1..m is an error that names the first such
-    step."""
+    guarantee.  A label outside 1..m is an error that names the first such
+    step, and a column of another length than the number of steps is an
+    error too."""
     _vec(trace.iterates[0], ops[0].dim)
     labels = trace.controls
+    points = trace.iterates[:-1]
+    if not len(labels) == len(trace.relaxations) == len(trace.residuals) == len(points):
+        raise ValueError("a trace needs one label, relaxation and residual per step")
     bad = np.flatnonzero((labels < 1) | (labels > len(ops)))
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"step {k + 1} names operator {labels[k]}, outside 1..{len(ops)}")
-    points = trace.iterates[:-1]
     steps = np.empty_like(points)
     # a finite but huge point overflows the squared distances: inf or NaN,
     # which the caller refuses, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for label in np.unique(labels).tolist():
+        # bincount, not np.unique, which imports numpy.ma: a megabyte of RSS
+        for label in np.flatnonzero(np.bincount(labels)).tolist():
             rows = np.flatnonzero(labels == label)
             steps[rows] = ops[label - 1].apply_many(points[rows])
         steps -= points

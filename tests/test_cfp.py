@@ -589,6 +589,16 @@ def test_replay_names_the_first_step_with_a_label_outside_the_operators(labels, 
         replay_trace(ops, trace)
 
 
+@pytest.mark.parametrize("column", ["controls", "relaxations", "residuals", "iterates"])
+def test_replay_refuses_columns_of_another_length(column):
+    ops = [Ball([0.0, 0.0], 1.0)]
+    trace = acsa_run(ops, CyclicControl(1), ConstantRelaxation(1.0), [3.0, 0.0],
+                     StopRule(max_iter=3, stride=1))
+    setattr(trace, column, getattr(trace, column)[:-1])
+    with pytest.raises(ValueError, match="^a trace needs one label, relaxation and residual per step$"):
+        replay_trace(ops, trace)
+
+
 @pytest.mark.parametrize("ops, x0", [
     (two_halfspace_problem()[0], [0.0, 1e155]),
     ([Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0)], [1e200, -1e200]),
