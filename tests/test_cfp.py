@@ -547,16 +547,12 @@ def test_replay_on_random_runs():
         assert replay_trace(ops, rebuilt) <= 1e-12
 
 
-def every_kind_ops():
-    """Every operator kind, the row-loop apply_many fallbacks and the
-    wrappers included, on one infeasible 2-D problem."""
-    ops = sample_ops()
-    return ops + [Averaged(ops[2]), Relaxed(ops[0], 0.7), Averaged(ops[3]),
-                  Relaxed(ops[4], 1.5), Averaged(Relaxed(ops[5], 0.5)), Relaxed(ops[1], 0.0)]
-
-
 def test_grouped_replay_is_exact_on_every_operator_kind():
-    ops = every_kind_ops()
+    # boxes, the row-loop apply_many of affine equalities and subgradient
+    # projectors, and the wrappers included, on one infeasible 2-D problem
+    ops = sample_ops()
+    ops += [Averaged(ops[2]), Relaxed(ops[0], 0.7), Averaged(ops[3]),
+            Relaxed(ops[4], 1.5), Averaged(Relaxed(ops[5], 0.5)), Relaxed(ops[1], 0.0)]
     rng = np.random.default_rng(17)
     for _ in range(5):
         pattern = random_almost_cyclic_pattern(len(ops), rng)

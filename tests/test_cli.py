@@ -15,8 +15,8 @@ from test_analysis import (
     reference_witnesses,
 )
 
-from evfam.analysis import follows_check
 from evfam import cli
+from evfam.analysis import follows_check
 from evfam.cfp import acsa_run, problem_to_json, trace_records, trace_summary
 from evfam.cli import main
 

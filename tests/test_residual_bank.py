@@ -86,9 +86,9 @@ def test_slacks_a_few_ulps_around_zero(ulps):
 
 
 def test_slack_one_ulp_outside_among_feasible_rows():
-    # each first half-space's slack is one ulp above 0, so its residual is
-    # tiny but positive among rows of residual exactly 0: a slack summed in
-    # any other order than apply's could round to 0 or below and give 0
+    # the first half-space of each pair has a slack one ulp above 0, so its
+    # residual is tiny but positive, among rows of residual exactly 0: a
+    # slack summed in another order than apply's could round to 0 or below
     rng = np.random.default_rng(12)
     for _ in range(300):
         dim = int(rng.integers(2, 40))
