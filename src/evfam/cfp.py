@@ -539,8 +539,12 @@ class StopRule:
     stride: int = 10
 
     def __post_init__(self):
-        if not 0 <= self.tol < math.inf or self.max_iter < 0 or self.stride < 1:
-            raise ValueError("bad stop rule")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        if self.stride < 1:
+            raise ValueError(f"stride must be an integer >= 1, got {self.stride!r}")
 
 
 class AcsaDivergence(Exception):
@@ -550,7 +554,7 @@ class AcsaDivergence(Exception):
 @dataclass(eq=False)
 class Trace:
     """A run as a struct of arrays; lists given to the constructor are
-    converted."""
+    converted, and every step column must have one entry per step."""
 
     iterates: np.ndarray  # (N+1, J) float: row n is x_n
     controls: np.ndarray = ()  # (N,) int: 1-based operator label of step n
@@ -565,6 +569,8 @@ class Trace:
         self.controls = np.asarray(self.controls, dtype=int)
         self.relaxations = np.asarray(self.relaxations, dtype=float)
         self.residuals = np.asarray(self.residuals, dtype=float)
+        if not len(self.controls) == len(self.relaxations) == len(self.residuals) == self.n_steps:
+            raise ValueError("a trace needs one label, relaxation and residual per step")
 
     @property
     def final(self):
@@ -647,15 +653,24 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     bank = ResidualBank(ops)
 
     iterates, controls, relaxations, residuals, checkpoints = [x], [], [], [], []
+    # the bytes and maximum of the last evaluated checkpoint: max_residual
+    # is a function of the point's bits, so a bit-identical point reuses it
+    last = (None, None)
+
+    def checkpoint(n, x):
+        nonlocal last
+        key = x.tobytes()
+        if key != last[0]:
+            last = (key, bank.max_residual(x))
+        checkpoints.append((n, last[1]))
+        return last[1]
+
     n = 0
     while True:
         at_cap = n >= stop.max_iter
-        if n % stop.stride == 0 or at_cap:
-            maxres = bank.max_residual(x)
-            checkpoints.append((n, maxres))
-            if maxres <= stop.tol:
-                stop_reason = "converged"
-                break
+        if (n % stop.stride == 0 or at_cap) and checkpoint(n, x) <= stop.tol:
+            stop_reason = "converged"
+            break
         if at_cap:
             stop_reason = "max_iter"
             break
@@ -663,22 +678,29 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             label = ctrl.label(n)
         except ControlExhausted:
             if not checkpoints or checkpoints[-1][0] != n:
-                checkpoints.append((n, bank.max_residual(x)))
+                checkpoint(n, x)
             stop_reason = "control_exhausted"
             break
         lam = relaxation.lam(n)
         if not 0.0 <= lam <= 2.0:
             raise ValueError(f"relaxation {lam} at step {n} outside [0, 2]")
         tx = ops[label - 1].apply(x)
-        step = tx - x
-        x_next = x + lam * step
-        if not np.isfinite(x_next).all():
-            raise AcsaDivergence(
-                f"non-finite iterate at step {n} (operator {label}, lambda {lam})"
-            )
+        if tx is x:
+            # a held point, as at an inactive cut: x is finite, so x - x is
+            # +0.0, lam * +0.0 is +0.0 for lam in [0, 2], and x + 0.0 is the
+            # full step's point bit for bit (-0.0 turns into +0.0)
+            x_next, res = x + 0.0, 0.0
+        else:
+            step = tx - x
+            x_next = x + lam * step
+            if not np.isfinite(x_next).all():
+                raise AcsaDivergence(
+                    f"non-finite iterate at step {n} (operator {label}, lambda {lam})"
+                )
+            res = norm(step)
         controls.append(label)
         relaxations.append(lam)
-        residuals.append(norm(step))
+        residuals.append(res)
         iterates.append(x_next)
         x = x_next
         n += 1
@@ -951,15 +973,18 @@ def _checked_records(records):
 
 
 _STEP_FIELDS = ("i", "lambda", "res")  # besides n, on every step record
+_START_KEYS = frozenset(("n", "x"))
+_STEP_KEYS = _START_KEYS | set(_STEP_FIELDS)
 
 
 def trace_from_records(records):
     """Inverse of trace_records: a step without "x" holds the previous
     point, and a trace with "x" on every record reads too.  Every point
-    must be finite and share the start point's dimension, and every
-    relaxation must lie in [0, 2].  The checks run over whole columns; only
-    when one fails are the records checked one by one, to name the first
-    bad step."""
+    must be finite and share the start point's dimension, every relaxation
+    must lie in [0, 2], and a step record holds no key besides n, i,
+    lambda, res and x, the start record none besides n and x.  The checks
+    run over whole columns; only when one fails are the records checked one
+    by one, to name the first bad step."""
     records = list(records)
     if not all(isinstance(rec, dict) for rec in records):
         raise ValueError("trace records must be JSON objects")
@@ -975,6 +1000,10 @@ def trace_from_records(records):
         k = next(k for k, n in enumerate(ns) if type(n) is not int or n != k)
         raise ValueError(f"the index of record {k} must be the integer {k}, got {ns[k]!r}")
     steps = records[1:]
+    if not (_START_KEYS.issuperset(records[0]) and _STEP_KEYS.issuperset(set().union(*steps))):
+        k, key = next((k, key) for k, rec in enumerate(records)
+                      for key in rec if key not in (_STEP_KEYS if k else _START_KEYS))
+        raise ValueError(f"the record of step {k} has the unexpected field {key!r}")
     try:
         labels, lams, res = ([rec[key] for rec in steps] for key in _STEP_FIELDS)
     except KeyError:
@@ -984,6 +1013,12 @@ def trace_from_records(records):
     if not set(map(type, labels)) <= {int}:
         k, i = next((k, i) for k, i in enumerate(labels, start=1) if type(i) is not int)
         raise ValueError(f"the label at step {k} must be an integer, got {i!r}")
+    try:
+        labels = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        k, i = next((k, i) for k, i in enumerate(labels, start=1) if not -2**63 <= i < 2**63)
+        raise ValueError(
+            f"the label at step {k} is too large for a 64-bit integer, got {i}") from None
     columns = _checked_columns([rec["x"] for rec in records if "x" in rec], lams, res)
     if columns is None:
         iterates, lams, res = _checked_records(records)

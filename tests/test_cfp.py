@@ -15,6 +15,7 @@ from evfam.cfp import (
     Ball,
     Box,
     ConstantRelaxation,
+    ControlExhausted,
     CyclicControl,
     CyclicRelaxation,
     ExplicitControl,
@@ -22,6 +23,7 @@ from evfam.cfp import (
     Hyperplane,
     Operator,
     Relaxed,
+    ResidualBank,
     StopRule,
     SubgradientProjector,
     Trace,
@@ -402,6 +404,147 @@ def test_trace_is_a_struct_of_arrays():
     built = Trace([[0.0, 1.0], [2.0, 3.0]], [1], [0.5], [2.0])
     assert built.iterates.shape == (2, 2) and built.n_steps == 1
     assert built.controls.dtype.kind == "i" and built.residuals.dtype == float
+
+
+@pytest.mark.parametrize("columns", [
+    ([1], [1.0], [2.0]),
+    ([1, 1], [1.0] * 3, [2.0] * 3),
+    ([1] * 3, [1.0] * 4, [2.0] * 3),
+    ([1] * 3, [1.0] * 3, [2.0] * 2),
+])
+def test_trace_refuses_columns_of_another_length(columns):
+    with pytest.raises(ValueError, match="^a trace needs one label, relaxation and residual per step$"):
+        Trace([[3.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], *columns)
+
+
+def _reference_run(ops, ctrl, relaxation, x0, stop):
+    """The recurrence x + lambda (T(x) - x) of every step, and the scalar
+    maximum of |T(x) - x| at every checkpoint: no held-step shortcut and no
+    reuse of an earlier checkpoint."""
+    x = np.asarray(x0, dtype=float)
+    iterates, labels, lams, residuals, checkpoints = [x], [], [], [], []
+
+    def max_residual(x):
+        return max(float(np.linalg.norm(op.apply(x) - x)) for op in ops)
+
+    n = 0
+    while True:
+        at_cap = n >= stop.max_iter
+        if n % stop.stride == 0 or at_cap:
+            checkpoints.append((n, max_residual(x)))
+            if checkpoints[-1][1] <= stop.tol:
+                reason = "converged"
+                break
+        if at_cap:
+            reason = "max_iter"
+            break
+        try:
+            label = ctrl.label(n)
+        except ControlExhausted:
+            if checkpoints[-1][0] != n:
+                checkpoints.append((n, max_residual(x)))
+            reason = "control_exhausted"
+            break
+        lam = relaxation.lam(n)
+        step = ops[label - 1].apply(x) - x
+        x = x + lam * step
+        iterates.append(x)
+        labels.append(label)
+        lams.append(lam)
+        residuals.append(float(np.linalg.norm(step)))
+        n += 1
+    return Trace(iterates, labels, lams, residuals, checkpoints,
+                 converged=reason == "converged", stop_reason=reason)
+
+
+def _three_cuts():
+    # at (-0.0, -1.0) the first two cuts are inactive and return x itself
+    return [Halfspace([1.0, 0.0], 5.0), Halfspace([1.0, 1.0], 5.0), Halfspace([0.0, 1.0], -2.0)]
+
+
+def _random_cuts(seed, dim, m):
+    return random_feasible_instance(dim, m, np.random.default_rng(seed))[0]
+
+
+# (ops, control, relaxation, x0, stop rule)
+REFERENCE_RUNS = {
+    "halfspaces-from-negative-zeros": (
+        _three_cuts(), CyclicControl(3), ConstantRelaxation(1.0), [-0.0, -1.0],
+        StopRule(stride=1)),
+    "random-halfspaces-from-negative-zeros": (
+        _random_cuts(21, 4, 12), CyclicControl(12), ConstantRelaxation(1.0),
+        [-0.0, 3.0, -0.0, -2.0], StopRule(tol=1e-9, max_iter=5000)),
+    "cyclic-relaxation-with-0-and-2": (
+        _random_cuts(22, 3, 7), AlmostCyclicControl((3, 1, 7, 2, 5, 4, 6, 1)),
+        CyclicRelaxation([0.0, 2.0, 1.0]), [4.0, -0.0, -3.0],
+        StopRule(tol=1e-9, max_iter=3000, stride=4)),
+    "ball-holding-its-inside-start": (
+        [Ball([0.0, 0.0], 2.0), Halfspace([1.0, 0.0], 0.5)], CyclicControl(2),
+        ConstantRelaxation(1.0), [1.0, -0.0], StopRule(stride=1)),
+    # the first step is the hyperplane's at a point on it, with slack 0.0
+    "hyperplane": (
+        [Hyperplane([1.0, 1.0], 1.0), Halfspace([0.0, 1.0], 0.5), Ball([0.0, 0.0], 5.0)],
+        CyclicControl(3), CyclicRelaxation([1.0, 0.5]), [-0.0, 1.0],
+        StopRule(tol=1e-12, max_iter=200, stride=3)),
+    "explicit-control-runs-out-at-a-held-point": (
+        [Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, -1.0], 0.0), Halfspace([1.0, 1.0], -1.0)],
+        ExplicitControl([1, 2, 1, 2, 1], m=3), ConstantRelaxation(1.0), [-1.0, -1.0],
+        StopRule(stride=3)),
+    "stops-at-max-iter-on-a-limit-cycle": (
+        [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0)], CyclicControl(2),
+        ConstantRelaxation(1.0), [2.0, -0.0], StopRule(max_iter=57, stride=10)),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_acsa_run_matches_the_plain_recurrence_bit_for_bit(name):
+    ops, ctrl, sched, x0, stop = REFERENCE_RUNS[name]
+    got = acsa_run(ops, ctrl, sched, x0, stop)
+    want = _reference_run(ops, ctrl, sched, x0, stop)
+    assert got.n_steps == want.n_steps > 0
+    for column in ("iterates", "controls", "relaxations", "residuals"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+    hexed = [[(n, v.hex()) for n, v in run.checkpoints] for run in (got, want)]
+    assert hexed[0] == hexed[1]
+    assert (got.stop_reason, got.converged) == (want.stop_reason, want.converged)
+
+
+def _counting_evaluations(monkeypatch):
+    """The points, as bytes, at which ResidualBank.max_residual runs."""
+    points = []
+    evaluate = ResidualBank.max_residual
+
+    def counted(bank, x):
+        points.append(x.tobytes())
+        return evaluate(bank, x)
+
+    monkeypatch.setattr(ResidualBank, "max_residual", counted)
+    return points
+
+
+def test_a_checkpoint_at_an_unchanged_point_reuses_its_maximum(monkeypatch):
+    points = _counting_evaluations(monkeypatch)
+    ops, ctrl, _ = two_halfspace_problem()
+    trace = acsa_run(ops, ctrl, ConstantRelaxation(0.0), [-1.0, -1.0], StopRule(max_iter=30))
+    assert [n for n, _ in trace.checkpoints] == [0, 10, 20, 30]
+    assert len(set(v for _, v in trace.checkpoints)) == 1
+    assert len(points) == 1
+    # the control runs out at the point of the checkpoint at step 3
+    points.clear()
+    trace = acsa_run(*REFERENCE_RUNS["explicit-control-runs-out-at-a-held-point"])
+    assert trace.stop_reason == "control_exhausted"
+    assert [n for n, _ in trace.checkpoints] == [0, 3, 5]
+    assert len(points) == 2
+
+
+def test_a_checkpoint_after_negative_zero_turns_positive_evaluates_again(monkeypatch):
+    points = _counting_evaluations(monkeypatch)
+    trace = acsa_run(_three_cuts(), CyclicControl(3), ConstantRelaxation(1.0), [-0.0, -1.0],
+                     StopRule(max_iter=2, stride=1))
+    assert trace.iterates.tolist() == [[-0.0, -1.0], [0.0, -1.0], [0.0, -1.0]]
+    # equal values, other bytes: the key is the point's bits
+    assert trace.checkpoints == [(0, 1.0), (1, 1.0), (2, 1.0)]
+    assert points == [trace.iterates[0].tobytes(), trace.iterates[1].tobytes()]
 
 
 def test_relaxation_schedules():

@@ -446,6 +446,10 @@ def test_analyze_rejects_non_finite_options(demo_dir, tmp_path, capsys, flags, n
         ({"max_iter": 1.5}, "max_iter"),
         ({"tol": float("nan")}, "stop rule"),
         ({"stride": True}, "stride"),
+        ({"stride": 0}, "stride must be an integer >= 1, got 0"),
+        ({"max_iter": -5}, "max_iter must be an integer >= 0, got -5"),
+        ({"tol": -1}, "tol must be a finite number >= 0, got -1.0"),
+        ({"tol": math.inf}, "tol must be a finite number >= 0, got inf"),
     ],
 )
 def test_problem_rejects_misread_stop_rules(demo_dir, tmp_path, capsys, stop, needle):
@@ -546,6 +550,27 @@ def test_analyze_names_the_step_record_that_lacks_a_field(demo_dir, tmp_path, ca
         capsys, "analyze", str(trace), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
     )
     assert code == 1 and err == f"error: the record of step 2 lacks the field {field!r}\n"
+
+
+@pytest.mark.parametrize("step, key", [(0, "zz"), (2, "zz"), (0, "i"), (0, "res")])
+def test_analyze_names_the_record_with_an_unexpected_key(demo_dir, tmp_path, capsys, step, key):
+    # the start record carries only n and x
+    trace = _edited_trace(demo_dir, tmp_path, step, **{key: 1})
+    code, _, err = run_cli(
+        capsys, "analyze", str(trace), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert err == f"error: the record of step {step} has the unexpected field {key!r}\n"
+
+
+@pytest.mark.parametrize("label", [99999999999999999999999, -2**63 - 1, 2**63])
+def test_analyze_names_the_step_of_a_label_beyond_int64(demo_dir, tmp_path, capsys, label):
+    trace = _edited_trace(demo_dir, tmp_path, 2, i=label)
+    code, _, err = run_cli(
+        capsys, "analyze", str(trace), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert err == f"error: the label at step 2 is too large for a 64-bit integer, got {label}\n"
 
 
 @pytest.mark.parametrize("window", ["0", "-3"])
