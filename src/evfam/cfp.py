@@ -554,7 +554,8 @@ class AcsaDivergence(Exception):
 @dataclass(eq=False)
 class Trace:
     """A run as a struct of arrays; lists given to the constructor are
-    converted, and every step column must have one entry per step."""
+    converted.  The iterates hold one point per row, and every step column
+    one entry per step."""
 
     iterates: np.ndarray  # (N+1, J) float: row n is x_n
     controls: np.ndarray = ()  # (N,) int: 1-based operator label of step n
@@ -569,6 +570,8 @@ class Trace:
         self.controls = np.asarray(self.controls, dtype=int)
         self.relaxations = np.asarray(self.relaxations, dtype=float)
         self.residuals = np.asarray(self.residuals, dtype=float)
+        if self.iterates.ndim != 2 or not len(self.iterates):
+            raise ValueError("a trace's iterates are one point per row, the start point first")
         if not len(self.controls) == len(self.relaxations) == len(self.residuals) == self.n_steps:
             raise ValueError("a trace needs one label, relaxation and residual per step")
 
@@ -677,7 +680,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
         try:
             label = ctrl.label(n)
         except ControlExhausted:
-            if not checkpoints or checkpoints[-1][0] != n:
+            if checkpoints[-1][0] != n:  # step 0 always has a checkpoint
                 checkpoint(n, x)
             stop_reason = "control_exhausted"
             break

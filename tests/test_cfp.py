@@ -417,6 +417,12 @@ def test_trace_refuses_columns_of_another_length(columns):
         Trace([[3.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], *columns)
 
 
+@pytest.mark.parametrize("iterates", [[], [1.0, 2.0], [[[1.0]]]])
+def test_trace_refuses_iterates_that_are_not_one_point_per_row(iterates):
+    with pytest.raises(ValueError, match="^a trace's iterates are one point per row"):
+        Trace(iterates)
+
+
 def _reference_run(ops, ctrl, relaxation, x0, stop):
     """The recurrence x + lambda (T(x) - x) of every step, and the scalar
     maximum of |T(x) - x| at every checkpoint: no held-step shortcut and no
