@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intseq import _json_kind, _json_object, window_cover
+from .intseq import window_cover
 
 FIX_TOL = 1e-9
 
@@ -824,6 +824,30 @@ def _to_json(table, what, obj):
         # arrays, tuples and floats all become plain JSON lists and numbers
         out[key] = operator_to_json(value) if key == "inner" else np.asarray(value).tolist()
     return out
+
+
+def _json_object(obj, what, required=(), allowed=None):
+    """``obj``, refused unless it is a JSON object holding every ``required``
+    key and, when ``allowed`` is given, no other key.  The one key check of
+    the problem reader: the problem, its stop rule, and each operator,
+    control and relaxation."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} lacks the field {key!r}")
+    unknown = [key for key in obj if key not in allowed] if allowed is not None else []
+    if unknown:
+        raise ValueError(f"{what} has an unknown key {unknown[0]!r}")
+    return obj
+
+
+def _json_kind(table, what, obj):
+    """The kind of ``obj``, a JSON object, and its entry in ``table``."""
+    kind = _json_object(obj, f"the {what}", required=("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return kind, table[kind]
 
 
 def _from_json(table, what, obj, normalize=False):

@@ -8,7 +8,7 @@ the C encoder writes.  Identical inputs and seed produce byte-identical
 outputs; floats are serialized with Python's repr, which round-trips
 exactly.
 
-Exit codes: 0 success/converged/certified; 1 input or replay error;
+Exit codes: 0 success/converged/certified; 1 input, replay or write error;
 2 iteration cap or inconclusive; 3 certification violation.
 """
 
@@ -402,7 +402,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # the commands catch their own read errors, so this is a write that
+        # failed: an --out that names a file, say
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,6 @@ from .intseq import (
     EPSet,
     ExtNat,
     PeriodicSeq,
-    _json_kind,
-    _json_object,
     cogap,
     complement,
     finitely_change,
@@ -737,75 +735,25 @@ def closure_family(family, topology):
 # JSON
 
 
-def _ground_to_json(ground):
-    return "N" if ground is NATURALS else list(ground)
-
-
-def _json_list(value, what):
-    """A JSON array: a string is refused, never read as its characters."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, got {value!r}")
-    return value
-
-
-def _ground_from_json(ground):
-    return ground if ground == "N" else _json_list(ground, "a ground")
-
-
-def _sets_from_json(sets):
-    return [_json_list(s, "a set") for s in _json_list(sets, "a list of sets")]
-
-
 def _sorted_sets(ground, sets):
     order = {x: i for i, x in enumerate(ground)}
     listed = [sorted(s, key=order.__getitem__) for s in sets]
     return sorted(listed, key=lambda xs: (len(xs), [order[x] for x in xs]))
 
 
-# kind -> (the JSON fields a reader needs past the kind, the writer of the
-# fields past ground and kind, the constructor from JSON); "ground" may
-# always be given, and defaults to "N"
+# kind -> the writer of the fields past ground and kind
 _FAMILY_JSON = {
-    "empty": ((), lambda fam: {}, lambda obj: EmptyFamily(obj.get("ground", "N"))),
-    "all": ((), lambda fam: {}, lambda obj: AllFamily(obj.get("ground", "N"))),
-    "cofinite": ((), lambda fam: {}, lambda obj: CofiniteFamily()),
-    "infinite": ((), lambda fam: {}, lambda obj: InfiniteFamily()),
-    "cogap_level": (
-        ("c",),
-        lambda fam: {"c": fam.c.to_json()},
-        lambda obj: CoGapLevelFamily(ExtNat.from_json(obj["c"])),
-    ),
-    "indicator": (
-        ("ground", "sets"),
-        lambda fam: {"sets": _sorted_sets(fam.ground, fam.sets)},
-        lambda obj: IndicatorFamily(obj["ground"], _sets_from_json(obj["sets"])),
-    ),
+    "empty": lambda fam: {},
+    "all": lambda fam: {},
+    "cofinite": lambda fam: {},
+    "infinite": lambda fam: {},
+    "cogap_level": lambda fam: {"c": fam.c.to_json()},
+    "indicator": lambda fam: {"sets": _sorted_sets(fam.ground, fam.sets)},
 }
 
 
 def family_to_json(family):
     if family.kind not in _FAMILY_JSON:
         raise ValueError(f"family kind {family.kind!r} has no JSON form")
-    _, fields, _ = _FAMILY_JSON[family.kind]
-    return {"ground": _ground_to_json(family.ground), "kind": family.kind, **fields(family)}
-
-
-def family_from_json(obj):
-    kind, (required, _, build) = _json_kind(_FAMILY_JSON, "family", obj)
-    _json_object(obj, f"the {kind} family", required, ("kind", "ground", *required))
-    ground = _ground_from_json(obj.get("ground", "N"))
-    if ground != "N" and kind in ("cofinite", "infinite", "cogap_level"):
-        raise ValueError(f"a {kind} family lives over N, not over {ground!r}")
-    return build(obj)
-
-
-def topology_to_json(topology):
-    return {
-        "ground": list(topology.ground),
-        "opens": _sorted_sets(topology.ground, topology.opens),
-    }
-
-
-def topology_from_json(obj):
-    _json_object(obj, "the topology", ("ground", "opens"), ("ground", "opens"))
-    return FiniteTopology(_ground_from_json(obj["ground"]), _sets_from_json(obj["opens"]))
+    ground = "N" if family.ground is NATURALS else list(family.ground)
+    return {"ground": ground, "kind": family.kind, **_FAMILY_JSON[family.kind](family)}

@@ -95,12 +95,6 @@ class ExtNat:
         return "inf" if self.value is None else self.value
 
     @classmethod
-    def from_json(cls, obj):
-        if obj == "inf":
-            return INF
-        return cls(obj)
-
-    @classmethod
     def of(cls, value):
         """Coerce an int, "inf", math.inf, None, or ExtNat to an ExtNat."""
         if isinstance(value, cls):
@@ -111,29 +105,6 @@ class ExtNat:
 
 
 INF = ExtNat(None)
-
-
-def _json_object(obj, what, required=(), allowed=None):
-    """``obj``, refused unless it is a JSON object holding every ``required``
-    key and, when ``allowed`` is given, no other key.  The one key check of
-    every JSON reader, on the solver side and the set side."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"{what} lacks the field {key!r}")
-    unknown = [key for key in obj if key not in allowed] if allowed is not None else []
-    if unknown:
-        raise ValueError(f"{what} has an unknown key {unknown[0]!r}")
-    return obj
-
-
-def _json_kind(table, what, obj):
-    """The kind of ``obj``, a JSON object, and its entry in ``table``."""
-    kind = _json_object(obj, f"the {what}", required=("kind",))["kind"]
-    if not isinstance(kind, str) or kind not in table:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    return kind, table[kind]
 
 
 def _check_index(n, many=False):

@@ -27,19 +27,15 @@ from .families import (
     _covering_scan,
     _exact,
     _finite_ground,
-    _ground_from_json,
     _indicator,
-    _json_list,
     _OverGround,
     _preimage,
     _push_codomain,
     _sorted_sets,
     _subsets,
     check_set_arg,
-    family_from_json,
-    family_to_json,
 )
-from .intseq import EPSet, ExtNat, _json_kind, _json_object, cogap, gap
+from .intseq import EPSet, ExtNat, cogap, gap
 
 ZERO = ExtNat(0)
 ONE = ExtNat(1)
@@ -227,7 +223,10 @@ class ExplicitMultifamily(Multifamily):
         return self.table.get(self._arg(s), ZERO)
 
     def __repr__(self):
-        rows = _explicit_fields(self)["table"]
+        rows = [
+            [xs, self.table[frozenset(xs)].to_json()]
+            for xs in _sorted_sets(self.ground, self.table)
+        ]
         return f"ExplicitMultifamily({self.ground!r}, {rows})"
 
 
@@ -313,53 +312,3 @@ def multiset_limit(mf, topology):
         for i, x in enumerate(topology.ground)
     }
     return Multiset(topology.ground, mult)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def _explicit_fields(mf):
-    rows = [
-        [xs, mf.table[frozenset(xs)].to_json()] for xs in _sorted_sets(mf.ground, mf.table)
-    ]
-    return {"ground": list(mf.ground), "table": rows}
-
-
-# kind -> (the JSON fields past the kind, their writer, the constructor
-# from JSON)
-_MF_JSON = {
-    "gap": ((), lambda mf: {}, lambda obj: GapMultifamily()),
-    "cogap": ((), lambda mf: {}, lambda obj: CoGapMultifamily()),
-    "complement": (
-        ("inner",),
-        lambda mf: {"inner": mf_to_json(mf.inner)},
-        lambda obj: ComplementMultifamily(mf_from_json(obj["inner"])),
-    ),
-    "indicator": (
-        ("family",),
-        lambda mf: {"family": family_to_json(mf.family)},
-        lambda obj: IndicatorMultifamily(family_from_json(obj["family"])),
-    ),
-    "explicit": (
-        ("ground", "table"),
-        _explicit_fields,
-        lambda obj: ExplicitMultifamily(
-            _ground_from_json(obj["ground"]),
-            {frozenset(_json_list(s, "a set")): ExtNat.from_json(v) for s, v in obj["table"]},
-        ),
-    ),
-}
-
-
-def mf_to_json(mf):
-    if mf.kind not in _MF_JSON:
-        raise ValueError(f"multifamily kind {mf.kind!r} has no JSON form")
-    _, fields, _ = _MF_JSON[mf.kind]
-    return {"kind": mf.kind, **fields(mf)}
-
-
-def mf_from_json(obj):
-    kind, (fields, _, build) = _json_kind(_MF_JSON, "multifamily", obj)
-    _json_object(obj, f"the {kind} multifamily", fields, ("kind", *fields))
-    return build(obj)

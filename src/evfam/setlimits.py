@@ -16,10 +16,9 @@ from .families import (
     EmptyFamily,
     Family,
     _finite_ground,
-    _ground_from_json,
     check_set_arg,
 )
-from .intseq import EPSet, _json_object
+from .intseq import EPSet
 
 
 class SetSequence:
@@ -140,24 +139,3 @@ def verify_limit_theorem(seq, family):
         f"family limit differs from the classical limit on {sorted(off, key=repr)}",
         witnesses=(frozenset(off),),
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def sequence_to_json(seq):
-    for x in seq.ground:
-        if not isinstance(x, str):
-            raise ValueError("the JSON form needs string ground elements")
-    return {
-        "ground": list(seq.ground),
-        "traces": {x: seq.traces[x].to_text() for x in seq.ground},
-    }
-
-
-def sequence_from_json(obj):
-    _json_object(obj, "the set sequence", ("ground", "traces"), ("ground", "traces"))
-    traces = _json_object(obj["traces"], "the traces")
-    traces = {x: EPSet.from_text(t) for x, t in traces.items()}
-    return SetSequence(_ground_from_json(obj["ground"]), traces)

@@ -231,6 +231,9 @@ def test_demo_families_tour(tmp_path, capsys):
     assert by_name["infinite-subsets"]["filter"] is False
     assert by_name["cofinite-subsets"]["filter"] is True
     assert by_name["cogap-level-3"]["contains_evens"] is False
+    assert by_name["infinite-subsets"]["family"] == {"ground": "N", "kind": "infinite"}
+    assert by_name["cofinite-subsets"]["family"] == {"ground": "N", "kind": "cofinite"}
+    assert by_name["cogap-level-3"]["family"] == {"c": 3, "ground": "N", "kind": "cogap_level"}
 
 
 def test_check_command(tmp_path, capsys, monkeypatch):
@@ -388,6 +391,14 @@ def test_analyze_rejects_non_object_record(demo_dir, tmp_path, capsys):
         "-o", str(tmp_path / "r"),
     )
     assert code == 1 and err.startswith("error:") and "JSON objects" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "demo"])
+def test_an_out_path_that_names_a_file_is_an_error(demo_dir, capsys, command):
+    problem, trace = str(demo_dir / "problem.json"), str(demo_dir / "trace.jsonl")
+    args = {"solve": [problem], "analyze": [trace, problem], "demo": ["two-halfspaces"]}
+    code, _, err = run_cli(capsys, command, *args[command], "-o", problem)
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["solve", "analyze"])

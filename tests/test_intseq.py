@@ -66,9 +66,9 @@ def test_extnat_rejects_bad_values():
         ExtNat(2.5)
 
 
-def test_extnat_json_round_trip():
-    assert ExtNat.from_json(ExtNat(9).to_json()) == ExtNat(9)
-    assert ExtNat.from_json(INF.to_json()) == INF
+def test_extnat_to_json():
+    assert ExtNat(9).to_json() == 9
+    assert INF.to_json() == "inf"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 classification, star/push, closures, and multiset limits."""
 
 import random
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,8 +37,6 @@ from evfam.multisets import (
     level_family,
     mf_closure,
     mf_complement,
-    mf_from_json,
-    mf_to_json,
     mstar,
     multiset_limit,
 )
@@ -364,67 +361,6 @@ def test_closure_dominates_nowhere_below():
         cl = mf_closure(mf, t)
         for s in powerset(ground):
             assert cl.value(s) >= mf.value(s)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def test_multifamily_json_round_trip():
-    mfs = [
-        GAP,
-        COGAP,
-        ComplementMultifamily(GAP),
-        IndicatorMultifamily(CofiniteFamily()),
-        ExplicitMultifamily(("a", "b"), {frozenset({"a"}): 2, frozenset({"a", "b"}): INF}),
-    ]
-    for mf in mfs:
-        obj = mf_to_json(mf)
-        assert mf_to_json(mf_from_json(obj)) == obj
-    assert mf_to_json(COGAP) == {"kind": "cogap"}
-    assert mf_to_json(ComplementMultifamily(GAP)) == {
-        "kind": "complement",
-        "inner": {"kind": "gap"},
-    }
-    explicit = mf_to_json(
-        ExplicitMultifamily(("a", "b"), {frozenset({"a"}): 2, frozenset({"a", "b"}): INF})
-    )
-    assert explicit == {
-        "kind": "explicit",
-        "ground": ["a", "b"],
-        "table": [[["a"], 2], [["a", "b"], "inf"]],
-    }
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"kind": "explicit", "ground": ["a", "b"], "table": [["ab", 2]]},
-        {"kind": "explicit", "ground": "ab", "table": [[["a"], 2]]},
-        {"kind": "indicator", "family": {"ground": "ab", "kind": "all"}},
-    ],
-)
-def test_mf_json_refuses_a_string_as_a_set_or_a_ground(obj):
-    with pytest.raises(ValueError, match="must be a JSON list"):
-        mf_from_json(obj)
-
-
-@pytest.mark.parametrize(
-    "obj, message",
-    [
-        ({"kind": "gap", "ground": ["a"]}, "the gap multifamily has an unknown key 'ground'"),
-        ({"kind": "explicit", "ground": ["a"]}, "the explicit multifamily lacks the field 'table'"),
-        ({"kind": "complement"}, "the complement multifamily lacks the field 'inner'"),
-        ({"kind": "complement", "inner": {"kind": "gap", "c": 1}},
-         "the gap multifamily has an unknown key 'c'"),
-        ({"kind": "indicator", "family": {"kind": "cofinite", "sets": []}},
-         "the cofinite family has an unknown key 'sets'"),
-        ({"family": {"kind": "all"}}, "the multifamily lacks the field 'kind'"),
-    ],
-)
-def test_mf_json_refuses_unknown_and_missing_keys(obj, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        mf_from_json(obj)
 
 
 def test_multifamily_reprs_name_the_class_and_its_parameters():

@@ -21,8 +21,6 @@ from evfam.setlimits import (
     SetSequence,
     classical_limits,
     e_limit,
-    sequence_from_json,
-    sequence_to_json,
     verify_limit_theorem,
 )
 
@@ -194,37 +192,3 @@ def test_sandwich_on_arbitrary_sequences():
         for fam in families:
             mid = e_limit(fam, seq)
             assert c.liminf <= mid <= c.limsup
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def test_sequence_json():
-    obj = sequence_to_json(ALTERNATING)
-    assert obj == {
-        "ground": ["a", "b"],
-        "traces": {"a": "prefix=;period=10", "b": "prefix=;period=01"},
-    }
-    assert sequence_from_json(obj) == ALTERNATING
-
-
-def test_sequence_json_refuses_a_string_ground():
-    obj = {"ground": "ab", "traces": {"a": "prefix=;period=10"}}
-    with pytest.raises(ValueError, match="must be a JSON list"):
-        sequence_from_json(obj)
-
-
-@pytest.mark.parametrize(
-    "obj, message",
-    [
-        ({"ground": ["a"], "traces": {"a": "prefix=;period=1"}, "kind": "sequence"},
-         "the set sequence has an unknown key 'kind'"),
-        ({"ground": ["a"]}, "the set sequence lacks the field 'traces'"),
-        ({"ground": ["a"], "traces": [["a", "prefix=;period=1"]]},
-         "the traces must be a JSON object"),
-    ],
-)
-def test_sequence_json_refuses_unknown_and_missing_keys(obj, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        sequence_from_json(obj)
