@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cfp import ResidualBank, Trace, row_distances
+from .cfp import ResidualBank, Trace, relaxed_update, row_distances
 from .intseq import ExtNat, INF, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
@@ -74,7 +74,7 @@ _BLOCK = 256
 def _hits(x, x_next, lam, tx, tol):
     """Per row: is x_next within tol of x + lam (tx - x), for tx the
     operator applied at x?"""
-    return row_distances(x_next, x + lam[:, None] * (tx - x)) <= tol
+    return row_distances(x_next, relaxed_update(x, lam, tx)) <= tol
 
 
 def _inactive(bank, x):
@@ -98,8 +98,9 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     unit steps.  min_c is the smallest window length such that every window
     of that many consecutive steps contains a witness.
 
-    The witnesses are those of applying each operator at each candidate
-    step, bit for bit.  The residual bank (``cfp.ResidualBank``) decides
+    Every step is checked, and a mask keeps the eligible ones.  The
+    witnesses are those of applying each operator at each step, bit for
+    bit.  The residual bank (``cfp.ResidualBank``) decides
     where a half-space returns x itself, from the slacks that ``apply``
     computes: there the target x + lam (x - x) is the same for every such
     operator, so one distance per step, ``held``, decides them all.  Every
@@ -110,26 +111,23 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     criterion = "relaxed" if relaxed else "strict"
     lam = trace.relaxations
     # a zero step is consistent with every operator; no evidence
-    qs = np.flatnonzero(lam != 0.0 if relaxed else lam == 1.0)
-    if qs.size == trace.n_steps:  # every step: views, not gathered copies
-        x, x_next, lam_q = trace.iterates[:-1], trace.iterates[1:], lam
-    else:
-        x, x_next, lam_q = trace.iterates[qs], trace.iterates[qs + 1], lam[qs]
+    eligible = lam != 0.0 if relaxed else lam == 1.0
+    x, x_next = trace.iterates[:-1], trace.iterates[1:]
     inactive = _inactive(ResidualBank(ops), x)
-    held = _hits(x, x_next, lam_q, x, tol) if inactive else None
+    held = _hits(x, x_next, lam, x, tol) if inactive else None
     reports = []
     for label, op in enumerate(ops, start=1):
         skip = inactive.get(label - 1)
         rows = None if skip is None else np.flatnonzero(~skip)
         # most rows left: one pass over views beats gathered copies
         if rows is None or 2 * rows.size > len(x):
-            hit = _hits(x, x_next, lam_q, op.apply_many(x), tol)
+            hit = _hits(x, x_next, lam, op.apply_many(x), tol)
         else:
             hit = held.copy()
             if rows.size:
                 xr = x[rows]
-                hit[rows] = _hits(xr, x_next[rows], lam_q[rows], op.apply_many(xr), tol)
-        hits = qs[hit]
+                hit[rows] = _hits(xr, x_next[rows], lam[rows], op.apply_many(xr), tol)
+        hits = np.flatnonzero(hit & eligible)
         min_c = window_cover(hits.tolist(), trace.n_steps) if hits.size else None
         reports.append(FollowsReport(label, criterion, None, min_c, False, hits).graded(None))
     return reports

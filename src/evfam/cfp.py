@@ -77,6 +77,13 @@ def row_distances(points, ref):
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
 
 
+def relaxed_update(x, lam, tx):
+    """x + lam (tx - x) for each row x, its image tx under the row's
+    operator and the row's relaxation lam: the iteration's update bit for
+    bit, as replay and the follows check recompute it."""
+    return x + lam[:, None] * (tx - x)
+
+
 def norm(d):
     """Euclidean norm of a float vector d, equal bit for bit to
     ``np.linalg.norm(d)``, which takes sqrt(d.d) for a real 1-D vector: the
@@ -392,39 +399,42 @@ class ControlExhausted(Exception):
 
 
 class Control:
-    kind = "abstract"
+    """A control n -> i(n): a nonempty word of 1-based labels over the
+    operators 1..m (m is the largest label when not given), repeated
+    forever unless ``repeats`` is false."""
 
-    def label(self, n) -> int:
-        """1-based operator index at step n (n counts from 0)."""
-        raise NotImplementedError
+    kind = "abstract"
+    repeats = True
+
+    def __init__(self, labels, m=None, what="pattern"):
+        self.labels = tuple(_integer(i, "a control label") for i in labels)
+        if not self.labels:
+            raise ValueError(f"the {what} must be nonempty")
+        self.m = int(m) if m is not None else max(self.labels)
+        for i in self.labels:
+            if not 1 <= i <= self.m:
+                raise ValueError(f"label {i} outside 1..{self.m}")
+
+    def label(self, n):
+        """1-based operator index at step n (n counts from 0); a word that
+        does not repeat runs out at its end."""
+        if not self.repeats and n >= len(self.labels):
+            raise ControlExhausted(n)
+        return self.labels[n % len(self.labels)]
 
 
 class CyclicControl(Control):
+    """The word 1, 2, ..., m."""
+
     kind = "cyclic"
 
     def __init__(self, m):
-        self.m = int(m)
-        if self.m < 1:
+        if int(m) < 1:
             raise ValueError("need at least one operator")
-
-    def label(self, n):
-        return n % self.m + 1
+        super().__init__(range(1, int(m) + 1), m)
 
     def __repr__(self):
         return f"CyclicControl(m={self.m})"
-
-
-def _labels(labels, m, what):
-    """Nonempty 1-based labels as a tuple, and the operator count m they
-    range over (their maximum when m is not given)."""
-    labels = tuple(_integer(i, "a control label") for i in labels)
-    if not labels:
-        raise ValueError(f"the {what} must be nonempty")
-    m = int(m) if m is not None else max(labels)
-    for i in labels:
-        if not 1 <= i <= m:
-            raise ValueError(f"label {i} outside 1..{m}")
-    return labels, m
 
 
 class AlmostCyclicControl(Control):
@@ -432,61 +442,42 @@ class AlmostCyclicControl(Control):
 
     kind = "almost_cyclic"
 
-    def __init__(self, pattern, m=None):
-        self.pattern, self.m = _labels(pattern, m, "pattern")
-
-    def label(self, n):
-        return self.pattern[n % len(self.pattern)]
-
     def __repr__(self):
-        return f"AlmostCyclicControl(pattern={self.pattern}, m={self.m})"
+        return f"AlmostCyclicControl(pattern={self.labels}, m={self.m})"
 
 
 class ExplicitControl(Control):
     """A finite list of labels; running past the end stops the solver."""
 
     kind = "explicit"
+    repeats = False
 
     def __init__(self, indices, m=None):
-        self.indices, self.m = _labels(indices, m, "index list")
-
-    def label(self, n):
-        if n >= len(self.indices):
-            raise ControlExhausted(n)
-        return self.indices[n]
+        super().__init__(indices, m, "index list")
 
     def __repr__(self):
-        return f"ExplicitControl(indices={self.indices}, m={self.m})"
+        return f"ExplicitControl(indices={self.labels}, m={self.m})"
 
 
-def _window_constant(labels, m, cyclic):
-    """Smallest window length covering every label, by gap analysis."""
-    worst = 0
-    for j in range(1, m + 1):
-        pos = [k for k, i in enumerate(labels) if i == j]
-        if not pos:
-            raise ValueError(f"operator {j} never appears: no finite window constant")
-        worst = max(worst, window_cover(pos, len(labels), cyclic))
-    return worst
-
-
-def control_validate(ctrl, m=None, horizon=None):
-    """Minimal validated almost-cyclicality constant of a control."""
+def control_validate(ctrl, m=None):
+    """Minimal validated almost-cyclicality constant of a control: the
+    smallest c such that every c consecutive steps apply every operator,
+    the cover of each label's positions in the word, taken cyclically when
+    the word repeats.  A word that does not repeat must hold 2c steps to
+    certify c."""
     m = ctrl.m if m is None else int(m)
     if m != ctrl.m:
         raise ValueError(f"control covers {ctrl.m} operators, problem has {m}")
-    if isinstance(ctrl, CyclicControl):
-        return ctrl.m
-    if isinstance(ctrl, AlmostCyclicControl):
-        c = _window_constant(ctrl.pattern, m, cyclic=True)
-    elif isinstance(ctrl, ExplicitControl):
-        c = _window_constant(ctrl.indices, m, cyclic=False)
-        if len(ctrl.indices) < 2 * c:
-            raise ValueError("the index list is too short to certify its window constant")
-    else:
-        raise TypeError(f"unknown control {ctrl!r}")
-    if horizon is not None and horizon < 2 * c:
-        raise ValueError("the horizon is too short to certify the window constant")
+    positions = {j: [] for j in range(1, m + 1)}
+    for k, i in enumerate(ctrl.labels):
+        positions[i].append(k)
+    c = 0
+    for j, pos in positions.items():
+        if not pos:
+            raise ValueError(f"operator {j} never appears: no finite window constant")
+        c = max(c, window_cover(pos, len(ctrl.labels), ctrl.repeats))
+    if not ctrl.repeats and len(ctrl.labels) < 2 * c:
+        raise ValueError("the index list is too short to certify its window constant")
     return c
 
 
@@ -494,23 +485,9 @@ def control_validate(ctrl, m=None, horizon=None):
 # relaxation schedules
 
 
-class ConstantRelaxation:
-    kind = "constant"
-
-    def __init__(self, value=1.0):
-        self.value = _number(value, "a relaxation parameter", 0.0, 2.0)
-
-    def lam(self, n):
-        return self.value
-
-    def bounds(self):
-        return (self.value, self.value)
-
-    def __repr__(self):
-        return f"ConstantRelaxation({self.value})"
-
-
 class CyclicRelaxation:
+    """A word of relaxation values in [0, 2], repeated forever."""
+
     kind = "cyclic"
 
     def __init__(self, values):
@@ -526,6 +503,22 @@ class CyclicRelaxation:
 
     def __repr__(self):
         return f"CyclicRelaxation({self.values})"
+
+
+class ConstantRelaxation(CyclicRelaxation):
+    """The one-value word."""
+
+    kind = "constant"
+
+    def __init__(self, value=1.0):
+        super().__init__((value,))
+
+    @property
+    def value(self):
+        return self.values[0]
+
+    def __repr__(self):
+        return f"ConstantRelaxation({self.value})"
 
 
 # ---------------------------------------------------------------------------
@@ -732,20 +725,16 @@ def replay_trace(ops, trace):
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"step {k + 1} names operator {labels[k]}, outside 1..{len(ops)}")
-    steps = np.empty_like(points)
+    tx = np.empty_like(points)
     # a finite but huge point overflows the squared distances: inf or NaN,
     # which the caller refuses, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         # bincount, not np.unique, which imports numpy.ma: a megabyte of RSS
         for label in np.flatnonzero(np.bincount(labels)).tolist():
             rows = np.flatnonzero(labels == label)
-            steps[rows] = ops[label - 1].apply_many(points[rows])
-        steps -= points
-        # lambda * step + x, the bits of x + lambda * step
-        moved = trace.relaxations[:, None] * steps
-        moved += points
-        dev = row_distances(moved, trace.iterates[1:])
-        res_dev = np.abs(row_distances(steps, 0.0) - trace.residuals)
+            tx[rows] = ops[label - 1].apply_many(points[rows])
+        dev = row_distances(relaxed_update(points, trace.relaxations, tx), trace.iterates[1:])
+        res_dev = np.abs(row_distances(tx, points) - trace.residuals)
     # NaN, from a step that left the finite numbers, must not pass as 0
     return float(np.max(np.concatenate(([0.0], dev, res_dev))))
 
@@ -806,8 +795,8 @@ _OPERATOR_JSON = {
 }
 _CONTROL_JSON = {
     "cyclic": (CyclicControl, {}),
-    "almost_cyclic": (AlmostCyclicControl, {"pattern": "pattern"}),
-    "explicit": (ExplicitControl, {"indices": "indices"}),
+    "almost_cyclic": (AlmostCyclicControl, {"pattern": "labels"}),
+    "explicit": (ExplicitControl, {"indices": "labels"}),
 }
 _RELAXATION_JSON = {
     "constant": (ConstantRelaxation, {"value": "value"}),
@@ -842,17 +831,12 @@ def _json_object(obj, what, required=(), allowed=None):
     return obj
 
 
-def _json_kind(table, what, obj):
-    """The kind of ``obj``, a JSON object, and its entry in ``table``."""
+def _from_json(table, what, obj, normalize=False):
+    """The class of ``obj``'s kind and its constructor arguments."""
     kind = _json_object(obj, f"the {what}", required=("kind",))["kind"]
     if not isinstance(kind, str) or kind not in table:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    return kind, table[kind]
-
-
-def _from_json(table, what, obj, normalize=False):
-    """The class of ``obj``'s kind and its constructor arguments."""
-    kind, (cls, fields) = _json_kind(table, what, obj)
+    cls, fields = table[kind]
     _json_object(obj, f"the {kind} {what}", required=fields, allowed=("kind", *fields))
     args = [
         operator_from_json(obj[key], normalize) if key == "inner" else obj[key]
@@ -874,32 +858,17 @@ def operator_from_json(obj, normalize=False):
     return op
 
 
-def control_to_json(ctrl):
-    return _to_json(_CONTROL_JSON, "control", ctrl)
-
-
-def control_from_json(obj, m):
-    cls, args = _from_json(_CONTROL_JSON, "control", obj)
-    return cls(*args, m)
-
-
-def relaxation_to_json(sched):
-    return _to_json(_RELAXATION_JSON, "relaxation", sched)
-
-
-def relaxation_from_json(obj):
-    cls, args = _from_json(_RELAXATION_JSON, "relaxation", obj)
-    return cls(*args)
+_STOP_FIELDS = ("tol", "max_iter", "stride")
 
 
 def problem_to_json(ops, ctrl, sched, x0, stop):
     return {
         "dim": ops[0].dim,
         "operators": [operator_to_json(op) for op in ops],
-        "control": control_to_json(ctrl),
-        "relaxation": relaxation_to_json(sched),
+        "control": _to_json(_CONTROL_JSON, "control", ctrl),
+        "relaxation": _to_json(_RELAXATION_JSON, "relaxation", sched),
         "x0": list(np.asarray(x0, dtype=float)),
-        "stop": {"tol": stop.tol, "max_iter": stop.max_iter, "stride": stop.stride},
+        "stop": {key: getattr(stop, key) for key in _STOP_FIELDS},
     }
 
 
@@ -924,15 +893,19 @@ def problem_from_json(obj, normalize=False):
     for k, op in enumerate(ops, start=1):
         if op.dim != dim:
             raise ValueError(f"operator {k}: dimension {op.dim} disagrees with the problem's {dim}")
-    ctrl = control_from_json(obj["control"], len(ops))
-    sched = relaxation_from_json(obj.get("relaxation", {"kind": "constant", "value": 1.0}))
+    cls, args = _from_json(_CONTROL_JSON, "control", obj["control"])
+    ctrl = cls(*args, len(ops))
+    # an absent relaxation or stop field takes the class's default
+    sched = ConstantRelaxation()
+    if "relaxation" in obj:
+        cls, args = _from_json(_RELAXATION_JSON, "relaxation", obj["relaxation"])
+        sched = cls(*args)
     x0 = _vec(obj["x0"], dim)
-    s = _json_object(obj.get("stop", {}), "the stop rule", allowed=("tol", "max_iter", "stride"))
-    stop = StopRule(
-        tol=_number(s.get("tol", 1e-6), "the stop rule's tol"),
-        max_iter=_integer(s.get("max_iter", 100000), "max_iter"),
-        stride=_integer(s.get("stride", 10), "stride"),
-    )
+    s = _json_object(obj.get("stop", {}), "the stop rule", allowed=_STOP_FIELDS)
+    stop = StopRule(**{
+        key: _number(s[key], "the stop rule's tol") if key == "tol" else _integer(s[key], key)
+        for key in _STOP_FIELDS if key in s
+    })
     return ops, ctrl, sched, x0, stop
 
 
@@ -956,52 +929,91 @@ def trace_records(trace):
     return records
 
 
-def _checked_columns(points, lams, res):
-    """The written points as one float array, and the relaxations and
-    residuals, or None when a column fails a check that _checked_records
-    would make record by record.  The checks may refuse more than it does
-    (an integer coordinate beyond int64), never less."""
+_STEP_FIELDS = ("i", "lambda", "res")  # besides n, on every step record
+_START_KEYS = frozenset(("n", "x"))
+_STEP_KEYS = _START_KEYS | set(_STEP_FIELDS)
+
+
+def _trace_columns(records):
+    """The iterates, labels, relaxations and residuals of trace records,
+    read column by column, or None at any doubt: when a check that
+    _checked_records makes record by record might fail.  It may refuse more
+    than those checks (an integer coordinate beyond int64), never less."""
+    if not records or not set(map(type, records)) <= {dict}:
+        return None
+    steps = records[1:]
+    ns = [rec.get("n") for rec in records]
+    if not (ns == list(range(len(ns))) and "x" in records[0]
+            and _START_KEYS.issuperset(records[0]) and _STEP_KEYS.issuperset(set().union(*steps))):
+        return None
+    try:
+        labels, lams, res = ([rec[key] for rec in steps] for key in _STEP_FIELDS)
+    except KeyError:
+        return None
+    points = [rec["x"] for rec in records if "x" in rec]
     if not set(map(type, points)) <= {list} or len(set(map(len, points))) != 1:
         return None
     coords = list(itertools.chain.from_iterable(points))
     types = set(map(type, itertools.chain(coords, lams, res)))
-    # a bool is an int to isinstance, and numpy reads it as a number
-    if not types <= {int, float}:
+    # True == 1 == 1.0, a bool is an int to isinstance, and numpy reads it
+    # as a number: only the types tell them apart
+    if not (set(map(type, ns + labels)) <= {int} and types <= {int, float}):
         return None
     # np.array turns an int beyond int64 into an object or a float; _vec refuses it
     if int in types and not all(-2**63 <= c < 2**63 for c in coords if type(c) is int):
         return None
     try:
+        labels = np.array(labels, dtype=np.int64)
         X, L, R = (np.array(col, dtype=float) for col in (points, lams, res))
-    except OverflowError:  # an int beyond the float range
+    except OverflowError:  # an int beyond int64 or the float range
         return None
     if not (np.isfinite(X).all() and ((L >= 0.0) & (L <= 2.0)).all() and not np.isnan(R).any()):
         return None
-    return X, L, R
+    written = np.array(["x" in rec for rec in records])
+    return X[np.cumsum(written) - 1], labels, L, R
 
 
 def _checked_records(records):
-    """The points, relaxations and residuals of trace records, checked one
-    record at a time; the error names the first bad step.  A record
-    without "x" repeats the previous point."""
-    dim, xs, lams, res = None, [], [], []
+    """The columns of trace records, checked one record at a time, each
+    field in turn; the error names the first bad record.  A record without
+    "x" repeats the previous point."""
+    if not records or isinstance(records[0], dict) and records[0].get("n") != 0:
+        raise ValueError("trace records must start at n = 0")
+    dim, xs, labels, lams, res = None, [], [], [], []
     for k, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError("trace records must be JSON objects")
+        # trace_records writes indices and labels as JSON integers: true or 1.0
+        # is an edit, though _integer takes 1.0 elsewhere ("max_iter": 1e5)
+        n = rec.get("n")
+        if type(n) is not int or n != k:
+            raise ValueError(f"the index of record {k} must be the integer {k}, got {n!r}")
+        for key in rec:
+            if key not in (_STEP_KEYS if k else _START_KEYS):
+                raise ValueError(f"the record of step {k} has the unexpected field {key!r}")
         if "x" in rec:
             try:
                 x = _vec(rec["x"], dim)
             except ValueError as exc:
                 raise ValueError(f"the point at step {k}: {exc}") from None
             dim = len(x)
+        elif not k:
+            raise ValueError("the record of step 0 lacks the start point 'x'")
         xs.append(x)
         if k:
+            for key in _STEP_FIELDS:
+                if key not in rec:
+                    raise ValueError(f"the record of step {k} lacks the field {key!r}")
+            i = rec["i"]
+            if type(i) is not int:
+                raise ValueError(f"the label at step {k} must be an integer, got {i!r}")
+            if not -2**63 <= i < 2**63:
+                raise ValueError(
+                    f"the label at step {k} is too large for a 64-bit integer, got {i}")
+            labels.append(i)
             lams.append(_number(rec["lambda"], f"the relaxation at step {k}", 0.0, 2.0))
             res.append(_number(rec["res"], f"the residual at step {k}"))
-    return xs, lams, res
-
-
-_STEP_FIELDS = ("i", "lambda", "res")  # besides n, on every step record
-_START_KEYS = frozenset(("n", "x"))
-_STEP_KEYS = _START_KEYS | set(_STEP_FIELDS)
+    return xs, np.array(labels, dtype=np.int64), lams, res
 
 
 def trace_from_records(records):
@@ -1010,49 +1022,10 @@ def trace_from_records(records):
     must be finite and share the start point's dimension, every relaxation
     must lie in [0, 2], and a step record holds no key besides n, i,
     lambda, res and x, the start record none besides n and x.  The checks
-    run over whole columns; only when one fails are the records checked one
-    by one, to name the first bad step."""
+    run over whole columns; only when one may fail are the records checked
+    one by one, to name the first bad record."""
     records = list(records)
-    if not all(isinstance(rec, dict) for rec in records):
-        raise ValueError("trace records must be JSON objects")
-    if not records or records[0].get("n") != 0:
-        raise ValueError("trace records must start at n = 0")
-    if "x" not in records[0]:
-        raise ValueError("the record of step 0 lacks the start point 'x'")
-    # trace_records writes indices and labels as JSON integers: true or 1.0
-    # is an edit, though _integer takes 1.0 elsewhere (a hand-written
-    # "max_iter": 1e5)
-    ns = [rec.get("n") for rec in records]
-    if not set(map(type, ns)) <= {int} or ns != list(range(len(ns))):
-        k = next(k for k, n in enumerate(ns) if type(n) is not int or n != k)
-        raise ValueError(f"the index of record {k} must be the integer {k}, got {ns[k]!r}")
-    steps = records[1:]
-    if not (_START_KEYS.issuperset(records[0]) and _STEP_KEYS.issuperset(set().union(*steps))):
-        k, key = next((k, key) for k, rec in enumerate(records)
-                      for key in rec if key not in (_STEP_KEYS if k else _START_KEYS))
-        raise ValueError(f"the record of step {k} has the unexpected field {key!r}")
-    try:
-        labels, lams, res = ([rec[key] for rec in steps] for key in _STEP_FIELDS)
-    except KeyError:
-        k, key = next((k, key) for k, rec in enumerate(steps, start=1)
-                      for key in _STEP_FIELDS if key not in rec)
-        raise ValueError(f"the record of step {k} lacks the field {key!r}") from None
-    if not set(map(type, labels)) <= {int}:
-        k, i = next((k, i) for k, i in enumerate(labels, start=1) if type(i) is not int)
-        raise ValueError(f"the label at step {k} must be an integer, got {i!r}")
-    try:
-        labels = np.array(labels, dtype=np.int64)
-    except OverflowError:
-        k, i = next((k, i) for k, i in enumerate(labels, start=1) if not -2**63 <= i < 2**63)
-        raise ValueError(
-            f"the label at step {k} is too large for a 64-bit integer, got {i}") from None
-    columns = _checked_columns([rec["x"] for rec in records if "x" in rec], lams, res)
-    if columns is None:
-        iterates, lams, res = _checked_records(records)
-    else:
-        points, lams, res = columns
-        written = np.array(["x" in rec for rec in records])
-        iterates = points[np.cumsum(written) - 1]
+    iterates, labels, lams, res = _trace_columns(records) or _checked_records(records)
     return Trace(iterates=iterates, controls=labels, relaxations=lams, residuals=res)
 
 

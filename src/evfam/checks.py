@@ -5,10 +5,11 @@ the point is a fast, seedable smoke screen against regressions, not a proof.
 A sampled law is a generator named after its check: called once per case,
 it draws the case from its suite's random source and yields a note for
 each way the case fails.  ``_sample`` runs the laws one after another,
-``budget`` cases each, so the seed fixes every draw.  The exhaustive scan
-and the per-instance solver checks keep their own loops.  Budget counts
-sampled cases per check; a budget of zero short-circuits every suite to a
-vacuous pass so pipelines can disable the sampling cheaply.
+``budget`` cases each, so the seed fixes every draw.  Only the exhaustive
+scan keeps its own loop.  Budget counts sampled cases per check, and the
+solver laws run on max(1, budget // 25) instances; a budget of zero
+short-circuits every suite to a vacuous pass so pipelines can disable the
+sampling cheaply.
 
 On failure a check keeps scanning and reports the failure count and the
 shortest note, ties broken by text.  A note names its input by values and
@@ -63,8 +64,6 @@ from .multisets import (
 from .setlimits import SetSequence, classical_limits, e_limit, verify_limit_theorem
 
 DEFAULT_BUDGET = 500
-
-SUITE_NAMES = ("intseq", "families", "multisets", "setlimits", "cfp", "analysis")
 
 
 @dataclass(frozen=True)
@@ -355,32 +354,9 @@ def _point(rng, dim=2):
     return np.array([rng.uniform(-5, 5) for _ in range(dim)])
 
 
-def _fejer_replay(seed, budget):
-    instances = max(1, budget // 25)
-    nprng = np.random.default_rng(seed)
-    failures = []
-    for k in range(instances):
-        ops, center = cfp.random_feasible_instance(3, 6, nprng)
-        pattern = cfp.random_almost_cyclic_pattern(6, nprng)
-        trace = cfp.acsa_run(
-            ops,
-            cfp.AlmostCyclicControl(pattern),
-            cfp.ConstantRelaxation(1.0),
-            nprng.uniform(-5, 5, size=3),
-            cfp.StopRule(tol=1e-7, max_iter=20000),
-        )
-        if not trace.converged:
-            failures.append(f"instance {k}: {trace.stop_reason}")
-            continue
-        if cfp.fejer_slack(trace, center) > 1e-10:
-            failures.append(f"instance {k}: fejer slack")
-        elif cfp.replay_trace(ops, trace) > 1e-12:
-            failures.append(f"instance {k}: replay drift")
-    return _result("cfp.fejer-replay", instances, failures)
-
-
 def check_cfp(seed, budget):
     rng = random.Random(seed)
+    nprng = np.random.default_rng(seed)
 
     # projections are idempotent, so one application lands on Fix
     def cutter(_):
@@ -401,8 +377,25 @@ def check_cfp(seed, budget):
         if not cfp.cutter_check(op, x, op.inner.apply(_point(rng)), tol=1e-10):
             yield f"{op!r} at x={x.tolist()}"
 
+    def fejer_replay(k):
+        ops, center = cfp.random_feasible_instance(3, 6, nprng)
+        pattern = cfp.random_almost_cyclic_pattern(6, nprng)
+        trace = cfp.acsa_run(
+            ops,
+            cfp.AlmostCyclicControl(pattern),
+            cfp.ConstantRelaxation(1.0),
+            nprng.uniform(-5, 5, size=3),
+            cfp.StopRule(tol=1e-7, max_iter=20000),
+        )
+        if not trace.converged:
+            yield f"instance {k}: {trace.stop_reason}"
+        elif cfp.fejer_slack(trace, center) > 1e-10:
+            yield f"instance {k}: fejer slack"
+        elif cfp.replay_trace(ops, trace) > 1e-12:
+            yield f"instance {k}: replay drift"
+
     laws = (cutter, firmly_nonexpansive, relax_preserves_cutter)
-    return [*_sample("cfp", budget, *laws), _fejer_replay(seed, budget)]
+    return [*_sample("cfp", budget, *laws), *_sample("cfp", max(1, budget // 25), fejer_replay)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,62 +413,68 @@ def check_analysis(seed, budget):
             if any(a < b for a, b in zip(values, values[1:])):
                 yield f"walk {k}"
 
-    out = _sample("analysis", budget, estimate_monotone)
-
-    instances = max(1, budget // 25)
-    fail_cert = []
-    fail_window = []
-    fail_level = []
-    for k in range(instances):
+    def instance():
+        """The operator count of a random feasible instance, a run on it,
+        and the run's certification (None when the run did not converge)."""
         ops, _ = cfp.random_feasible_instance(3, 6, nprng)
-        m = len(ops)
         x0 = nprng.uniform(-5, 5, size=3)
         residual = cfp.ResidualBank(ops)
         while residual.max_residual(x0) <= 1e-3:
             x0 = nprng.uniform(-30, 30, size=3)
         trace = cfp.acsa_run(
             ops,
-            cfp.CyclicControl(m),
+            cfp.CyclicControl(len(ops)),
             cfp.ConstantRelaxation(1.0),
             x0,
             cfp.StopRule(tol=1e-6, max_iter=20000),
         )
-        if not trace.converged:
-            fail_cert.append(f"instance {k}: {trace.stop_reason}")
-            continue
-        cert = analysis.certify_fixed_points(trace, ops, tol=1e-5)
-        if cert.status != "certified":
-            fail_cert.append(f"instance {k}: {cert.status}")
-        for rep in cert.follows:
-            if rep.min_c is None or rep.min_c > m:
-                fail_window.append(f"instance {k} op {rep.operator}")
+        cert = analysis.certify_fixed_points(trace, ops, tol=1e-5) if trace.converged else None
+        return len(ops), trace, cert
 
-        # a certified window c promises: every stretch of c+1 consecutive
-        # 1-based iterate indices inside the range contains an adjacent
-        # witness pair; spot-check with EPSets built to carry such runs
-        rep = cert.follows[0]
-        if rep.min_c is not None:
-            c = rep.min_c
-            # a run of members n = start+1 .. start+length holds the pair of
-            # step q iff start <= q <= start + length - 2; the sentinel
-            # n_steps lies past every such range
-            steps = np.append(rep.witnesses, trace.n_steps)
-            for _ in range(3):
-                pre = tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
-                per = tuple(rng.randrange(2) for _ in range(rng.randrange(8)))
-                s = EPSet(pre, per + (1,) * (c + 1))
-                if cogap(s) < c + 1:
-                    fail_level.append(f"instance {k}: corpus cogap below c+1")
-                    continue
-                flags = [s.member(n) for n in range(1, trace.n_steps + 2)]
-                starts, lengths = analysis._runs(flags)
-                held = steps[np.searchsorted(steps, starts)] <= starts + lengths - 2
-                for start in starts[(lengths >= c + 1) & ~held]:
-                    fail_level.append(f"instance {k}: run at {start + 1}")
-    out.append(_result("analysis.theorem1-consistency", instances, fail_cert))
-    out.append(_result("analysis.follows-window", instances, fail_window))
-    out.append(_result("analysis.level-soundness", instances, fail_level))
-    return out
+    out = _sample("analysis", budget, estimate_monotone)
+    corpus = [instance() for _ in range(max(1, budget // 25))]
+
+    def theorem1_consistency(k):
+        _, trace, cert = corpus[k]
+        if cert is None:
+            yield f"instance {k}: {trace.stop_reason}"
+        elif cert.status != "certified":
+            yield f"instance {k}: {cert.status}"
+
+    def follows_window(k):
+        m, _, cert = corpus[k]
+        for rep in cert.follows if cert else ():
+            if rep.min_c is None or rep.min_c > m:
+                yield f"instance {k} op {rep.operator}"
+
+    # a certified window c promises: every stretch of c+1 consecutive
+    # 1-based iterate indices inside the range contains an adjacent witness
+    # pair; spot-check with EPSets built to carry such runs
+    def level_soundness(k):
+        _, trace, cert = corpus[k]
+        rep = cert.follows[0] if cert else None
+        if rep is None or rep.min_c is None:
+            return
+        c = rep.min_c
+        # a run of members n = start+1 .. start+length holds the pair of
+        # step q iff start <= q <= start + length - 2; the sentinel n_steps
+        # lies past every such range
+        steps = np.append(rep.witnesses, trace.n_steps)
+        for _ in range(3):
+            pre = tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
+            per = tuple(rng.randrange(2) for _ in range(rng.randrange(8)))
+            s = EPSet(pre, per + (1,) * (c + 1))
+            if cogap(s) < c + 1:
+                yield f"instance {k}: corpus cogap below c+1"
+                continue
+            flags = [s.member(n) for n in range(1, trace.n_steps + 2)]
+            starts, lengths = analysis._runs(flags)
+            held = steps[np.searchsorted(steps, starts)] <= starts + lengths - 2
+            for start in starts[(lengths >= c + 1) & ~held]:
+                yield f"instance {k}: run at {start + 1}"
+
+    laws = (theorem1_consistency, follows_window, level_soundness)
+    return out + _sample("analysis", len(corpus), *laws)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +489,7 @@ SUITES = {
     "cfp": check_cfp,
     "analysis": check_analysis,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name, seed=0, budget=DEFAULT_BUDGET):

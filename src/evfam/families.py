@@ -348,12 +348,11 @@ class IndicatorFamily(Family):
 
     @property
     def sets(self):
-        """The member sets; a computed family lists them in powerset order."""
+        """The member sets, a frozenset of frozensets."""
         if self._sets is None:
             subsets = _subsets(self.ground)
-            self._sets = frozenset(
-                subsets[m] for m in _powerset_masks(len(self.ground)) if self.bits >> m & 1
-            )
+            self._sets = frozenset(subsets[m] for m in range(1 << len(self.ground))
+                                   if self.bits >> m & 1)
         return self._sets
 
     def contains(self, s):

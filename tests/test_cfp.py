@@ -28,7 +28,6 @@ from evfam.cfp import (
     SubgradientProjector,
     Trace,
     acsa_run,
-    control_from_json,
     control_validate,
     cutter_check,
     fejer_slack,
@@ -41,7 +40,6 @@ from evfam.cfp import (
     random_almost_cyclic_pattern,
     random_feasible_instance,
     relax,
-    relaxation_from_json,
     replay_trace,
     row_distances,
     trace_from_records,
@@ -276,6 +274,43 @@ def test_explicit_control_window():
 def test_cyclic_labels_follow_the_mod_rule():
     ctrl = CyclicControl(3)
     assert [ctrl.label(n) for n in range(7)] == [1, 2, 3, 1, 2, 3, 1]
+
+
+def _brute_window_constant(word, m, repeats):
+    """The smallest w such that every w consecutive steps of the word,
+    repeated when ``repeats``, hold every label 1..m, by scanning every
+    window; None when no w does."""
+    seen = word * 2 if repeats else word
+    for w in range(1, len(word) + 1):
+        starts = range(len(word) if repeats else len(word) - w + 1)
+        if all(set(seen[s:s + w]) >= set(range(1, m + 1)) for s in starts):
+            return w
+    return None
+
+
+def test_control_validate_equals_a_brute_force_window_scan():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(1, 6))
+        word = [int(i) for i in rng.integers(1, m + 1, size=int(rng.integers(1, 16)))]
+        cases = [
+            (CyclicControl(m), list(range(1, m + 1)), True),
+            (AlmostCyclicControl(word, m), word, True),
+            (ExplicitControl(word, m), word, False),
+        ]
+        for ctrl, w, repeats in cases:
+            assert [ctrl.label(n) for n in range(len(w))] == w
+            if repeats:
+                assert [ctrl.label(n) for n in range(len(w), 3 * len(w))] == w * 2
+            else:
+                with pytest.raises(ControlExhausted):
+                    ctrl.label(len(w))
+            c = _brute_window_constant(w, m, repeats)
+            if c is None or not repeats and len(w) < 2 * c:
+                with pytest.raises(ValueError):
+                    control_validate(ctrl)
+            else:
+                assert control_validate(ctrl) == c
 
 
 def test_random_patterns_stay_within_twice_m():
@@ -631,6 +666,42 @@ def test_trace_records_round_trip_and_replay():
     assert records[1]["i"] == 1 and records[1]["res"] == 1.0
     back = trace_from_records(records)
     assert replay_trace(ops, back) <= 1e-12
+
+
+def _ten_step_records():
+    # two lines through the origin at 0.1 rad: every step moves the point
+    ops = [Hyperplane([0.0, 1.0], 0.0), Hyperplane([-math.sin(0.1), math.cos(0.1)], 0.0)]
+    trace = acsa_run(ops, CyclicControl(2), ConstantRelaxation(1.0), [1.0, 1.0],
+                     StopRule(tol=0.0, max_iter=10))
+    records = trace_records(trace)
+    assert len(records) == 11 and all("x" in rec for rec in records)
+    return records
+
+
+@pytest.mark.parametrize("step, fields", [(7, {"foo": 1}), (5, {"i": True}), (6, {"n": 6.0})])
+def test_a_trace_with_two_faults_names_the_first_bad_record(step, fields):
+    records = _ten_step_records()
+    records[3]["lambda"] = 5.0
+    records[step].update(fields)
+    with pytest.raises(ValueError) as err:
+        trace_from_records(records)
+    assert str(err.value) == "the relaxation at step 3 must be a number in [0, 2], got 5.0"
+
+
+def test_a_non_object_first_record_is_named_as_such():
+    records = _ten_step_records()
+    records[0] = [1, 2]
+    with pytest.raises(ValueError, match="^trace records must be JSON objects$"):
+        trace_from_records(records)
+
+
+def test_the_record_walk_reads_what_the_column_pass_refuses():
+    # numpy reads an int coordinate in [2^63, 2^64) as a float; the column
+    # pass refuses every int beyond int64, and the record walk reads it
+    records = _ten_step_records()
+    records[0]["x"] = [2**63, 0.0]
+    trace = trace_from_records(records)
+    assert trace.iterates[0].tolist() == [2.0**63, 0.0]
 
 
 def _same_bytes(a, b):
