@@ -276,7 +276,7 @@ def test_cyclic_labels_follow_the_mod_rule():
     assert [ctrl.label(n) for n in range(7)] == [1, 2, 3, 1, 2, 3, 1]
 
 
-def _brute_window_constant(word, m, repeats):
+def _brute_almost_cyclicity(word, m, repeats):
     """The smallest w such that every w consecutive steps of the word,
     repeated when ``repeats``, hold every label 1..m, by scanning every
     window; None when no w does."""
@@ -305,7 +305,7 @@ def test_control_validate_equals_a_brute_force_window_scan():
             else:
                 with pytest.raises(ControlExhausted):
                     ctrl.label(len(w))
-            c = _brute_window_constant(w, m, repeats)
+            c = _brute_almost_cyclicity(w, m, repeats)
             if c is None or not repeats and len(w) < 2 * c:
                 with pytest.raises(ValueError):
                     control_validate(ctrl)
