@@ -305,9 +305,6 @@ class SubgradientProjector(Operator):
         self.slopes = slopes
         self.offsets = offsets
 
-    def value(self, x):
-        return float(np.max(self.slopes @ x + self.offsets))
-
     def apply(self, x):
         vals = self.slopes @ x + self.offsets
         fx = float(vals.max())

@@ -12,9 +12,13 @@ measures the recurring runs of consecutive integers inside S itself.  Both
 are read off the tail word by one helper, ``_recurring_gap``, so cogap
 builds no complement.
 
-``EPSet(prefix, period)`` and ``EPSet.from_text`` check every bit of their
-input.  The operations here build their results with ``EPSet._of``, which
-trusts its 0/1 int tuples and only puts them in canonical form.
+Both words are ``bytes`` whose bytes are all 0 or 1, so the operations are
+byte-string built-ins: ``find`` for the minimal period, ``rstrip`` and
+slices for canonical form, ``translate`` for complement, and one int OR or
+AND for union and intersection.  ``EPSet(prefix, period)`` and
+``EPSet.from_text`` check every bit of their input.  The operations here
+build their results with ``EPSet._of``, which trusts its 0/1 words and
+only puts them in canonical form.
 """
 
 from __future__ import annotations
@@ -115,15 +119,12 @@ def _check_index(n, many=False):
 
 
 def _bits(seq):
-    out = []
+    out = bytearray()
     for b in seq:
-        if b in (0, 1, False, True):
-            out.append(int(b))
-        elif b in ("0", "1"):
-            out.append(int(b))
-        else:
+        if b not in (0, 1, "0", "1"):
             raise ValueError(f"membership bits must be 0 or 1, got {b!r}")
-    return tuple(out)
+        out.append(int(b))
+    return bytes(out)
 
 
 def _minimal_word_period(word):
@@ -131,27 +132,18 @@ def _minimal_word_period(word):
     # Wilf, the shortest period of the infinite repetition divides q.  It is
     # also the least rotation that maps the word onto itself, i.e. the first
     # place past 0 where the word occurs in two copies of itself.
-    b = bytes(word)
-    return (b + b).find(b, 1)
+    return (word + word).find(word, 1)
 
 
 def _canonicalize(prefix, period):
-    if period and not any(period):
-        period = ()
-    if not period:
-        pre = list(prefix)
-        while pre and pre[-1] == 0:
-            pre.pop()
-        return tuple(pre), ()
-    q = _minimal_word_period(period)
-    per = list(period[:q])
-    pre = list(prefix)
+    if 1 not in period:
+        return prefix.rstrip(b"\0"), b""
+    period = period[:_minimal_word_period(period)]
     # a trailing prefix bit that matches what the period (rotated one step
     # right) would produce there is redundant
-    while pre and pre[-1] == per[-1]:
-        per.insert(0, per.pop())
-        pre.pop()
-    return tuple(pre), tuple(per)
+    while prefix and prefix[-1] == period[-1]:
+        prefix, period = prefix[:-1], period[-1:] + period[:-1]
+    return prefix, period
 
 
 @dataclass(frozen=True)
@@ -165,8 +157,8 @@ class EPSet:
     when they compare equal.
     """
 
-    prefix: tuple[int, ...] = ()
-    period: tuple[int, ...] = ()
+    prefix: bytes = b""
+    period: bytes = b""
 
     def __post_init__(self):
         pre, per = _canonicalize(_bits(self.prefix), _bits(self.period))
@@ -175,21 +167,21 @@ class EPSet:
 
     @classmethod
     def _of(cls, prefix, period):
-        """The canonical EPSet of two tuples of 0/1 ints, unchecked: for
-        words this module and its callers build themselves."""
+        """The canonical EPSet of two iterables of 0/1 ints, unchecked:
+        for words this module and its callers build themselves."""
         s = object.__new__(cls)
-        pre, per = _canonicalize(prefix, period)
+        pre, per = _canonicalize(bytes(prefix), bytes(period))
         object.__setattr__(s, "prefix", pre)
         object.__setattr__(s, "period", per)
         return s
 
     @classmethod
     def empty(cls):
-        return cls._of((), ())
+        return cls._of(b"", b"")
 
     @classmethod
     def naturals(cls):
-        return cls._of((), (1,))
+        return cls._of(b"", b"\1")
 
     @classmethod
     def finite(cls, indices):
@@ -209,7 +201,10 @@ class EPSet:
             key, sep, val = chunk.partition("=")
             if not sep:
                 raise ValueError(f"bad EPSet field {chunk!r}")
-            fields[key.strip()] = val.strip()
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"repeated EPSet field {key!r}")
+            fields[key] = val.strip()
         unknown = set(fields) - {"prefix", "period"}
         if unknown:
             raise ValueError(f"unknown EPSet fields {sorted(unknown)}")
@@ -226,8 +221,8 @@ class EPSet:
 
     @property
     def is_cofinite(self):
-        # canonical form reduces any all-ones period word to (1,)
-        return self.period == (1,)
+        # canonical form reduces any all-ones period word to b"\1"
+        return self.period == b"\1"
 
     def member(self, n):
         _check_index(n)
@@ -258,12 +253,12 @@ class EPSet:
         return f"EPSet({self.to_text()!r})"
 
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def complement(s):
-    flipped = tuple(1 - b for b in s.prefix)
-    if s.period:
-        return EPSet._of(flipped, tuple(1 - b for b in s.period))
-    # finite set: the complement's tail is everything
-    return EPSet._of(flipped, (1,))
+    # a finite set's tail word is b"\0", so its complement's is b"\1"
+    return EPSet._of(s.prefix.translate(_FLIP), (s.period or b"\0").translate(_FLIP))
 
 
 def finitely_change(s, add=(), remove=()):
@@ -275,37 +270,29 @@ def finitely_change(s, add=(), remove=()):
     overlap = add & remove
     if overlap:
         raise ValueError(f"add and remove overlap: {sorted(overlap)}")
-    top = max([len(s.prefix), *add, *remove])
-    bits = list(_word(s, top))
-    for n in add:
-        bits[n - 1] = 1
-    for n in remove:
-        bits[n - 1] = 0
-    if s.period:
-        shift = (top - len(s.prefix)) % len(s.period)
-        per = s.period[shift:] + s.period[:shift]
-    else:
-        per = ()
-    return EPSet._of(tuple(bits), per)
+    return (s | EPSet.finite(add)) & ~EPSet.finite(remove)
 
 
 def _word(s, n):
     """The first n membership bits of ``s`` (bit j for the integer j + 1):
     its prefix, then its period repeated, or zeros past a finite set."""
-    tail = s.period or (0,)
+    tail = s.period or b"\0"
     reps = -(-max(n - len(s.prefix), 0) // len(tail))
     return (s.prefix + tail * reps)[:n]
 
 
 def _pointwise(a, b, op):
-    """``op`` bit by bit over the aligned words of a and b: the longer
-    prefix, then one lcm of the two periods."""
+    """``op`` over the aligned words of a and b, the longer prefix and then
+    one lcm of the two periods, read as ints: exact for OR and AND, as every
+    byte is 0 or 1 and neither operation carries."""
     if not isinstance(a, EPSet) or not isinstance(b, EPSet):
         raise TypeError("pointwise operations need two EPSets")
     p = max(len(a.prefix), len(b.prefix))
     qa, qb = len(a.period), len(b.period)
     q = math.lcm(qa, qb) if qa and qb else (qa or qb)
-    bits = tuple(map(op, _word(a, p + q), _word(b, p + q)))
+    n = p + q
+    word = op(int.from_bytes(_word(a, n), "big"), int.from_bytes(_word(b, n), "big"))
+    bits = word.to_bytes(n, "big")
     return EPSet._of(bits[:p], bits[p:])
 
 
@@ -340,14 +327,14 @@ def window_cover(positions, length, cyclic=False):
 
 def _recurring_gap(s, bit):
     """Longest run of integers without ``bit`` that recurs forever, read
-    off the tail word ``s.period or (0,)`` (as in ``_word``): infinite when
+    off the tail word ``s.period or b"\\0"`` (as in ``_word``): infinite when
     the word lacks ``bit``, else its cyclic window cover minus one.
 
     The finitely many runs that touch the prefix never recur, and every run
     in the tail, the wrap between period copies included, recurs once per
     period.
     """
-    word = s.period or (0,)
+    word = s.period or b"\0"
     where = [i for i, b in enumerate(word) if b == bit]
     if not where:
         return INF

@@ -110,6 +110,13 @@ def test_text_round_trip():
     assert EPSet.from_text(s.to_text()) == s
 
 
+def test_from_text_refuses_a_repeated_field():
+    with pytest.raises(ValueError, match="repeated EPSet field 'prefix'"):
+        EPSet.from_text("prefix=1;prefix=0;period=1")
+    with pytest.raises(ValueError, match="repeated EPSet field 'period'"):
+        EPSet.from_text("period=1; period =1")
+
+
 # ---------------------------------------------------------------------------
 # membership and editing
 
@@ -148,6 +155,11 @@ def test_finitely_change_rejects_overlap():
         finitely_change(EVENS, add={2}, remove={2})
     with pytest.raises(ValueError):
         finitely_change(EVENS, add={0})
+    # a bad index is named before an overlap
+    with pytest.raises(ValueError, match=r"indices must be integers >= 1, got 0"):
+        finitely_change(EVENS, add={0, 2}, remove={2})
+    with pytest.raises(ValueError, match=r"add and remove overlap: \[2, 5\]"):
+        finitely_change(EVENS, add={2, 5}, remove={5, 2, 9})
 
 
 def test_union_intersection():
@@ -325,6 +337,7 @@ def test_pointwise_words_match_member_reference(a, b):
 @example(EPSet((1, 0, 1), ()), {5}, {1})  # an empty period
 @example(EPSet((0,), (0, 1, 1)), {2, 9}, {3})  # edits past the prefix
 @example(EPSet((1, 1, 0, 0, 1, 0), (1, 0, 0, 0)), set(), {2})
+@example(EPSet((1,), (1, 1, 0)), {9, 14}, {10, 11})  # across period copies
 def test_finitely_change_matches_member_reference(s, add, remove):
     remove = remove - add
     t = finitely_change(s, add=add, remove=remove)
@@ -349,7 +362,7 @@ EDGE_SETS = [
 def assert_canonical(r):
     checked = EPSet(r.prefix, r.period)
     assert (r.prefix, r.period) == (checked.prefix, checked.period)
-    assert all(type(b) is int for b in r.prefix + r.period)
+    assert type(r.prefix) is type(r.period) is bytes
 
 
 def assert_operations_canonical(a, b, add=frozenset(), remove=frozenset()):
@@ -359,10 +372,16 @@ def assert_operations_canonical(a, b, add=frozenset(), remove=frozenset()):
     assert_canonical(EPSet.finite(add | remove))
 
 
+# (add, remove) pairs: inside the prefix, past it, and across the
+# boundaries between period copies
+EDGE_EDITS = [({1, 7}, {2}), ({9, 14}, set()), (set(), {10, 11}), ({4, 5}, {3, 6})]
+
+
 def test_trusted_results_on_edge_sets_are_canonical():
     for a in EDGE_SETS:
         for b in EDGE_SETS:
-            assert_operations_canonical(a, b, {1, 7}, {2})
+            for add, remove in EDGE_EDITS:
+                assert_operations_canonical(a, b, add, remove)
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,7 +407,7 @@ def test_preimages_are_canonical(prefix, period, values):
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=24))
 def test_minimal_word_period_is_least_dividing_repeat(word):
-    word = tuple(word)
+    word = bytes(word)
     q = len(word)
     want = min(d for d in range(1, q + 1) if q % d == 0 and word[:d] * (q // d) == word)
     assert _minimal_word_period(word) == want
