@@ -127,8 +127,9 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
             if rows.size:
                 xr = x[rows]
                 hit[rows] = _hits(xr, x_next[rows], lam[rows], op.apply_many(xr), tol)
-        hits = np.flatnonzero(hit & eligible)
-        min_c = window_cover(hits.tolist(), trace.n_steps) if hits.size else None
+        hit &= eligible
+        hits = np.flatnonzero(hit)
+        min_c = window_cover(hit.tobytes()) if hits.size else None
         reports.append(FollowsReport(label, criterion, None, min_c, False, hits).graded(None))
     return reports
 

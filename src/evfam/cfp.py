@@ -459,20 +459,19 @@ class ExplicitControl(Control):
 def control_validate(ctrl, m=None):
     """Minimal validated almost-cyclicality constant of a control: the
     smallest c such that every c consecutive steps apply every operator,
-    the cover of each label's positions in the word, taken cyclically when
-    the word repeats.  A word that does not repeat must hold 2c steps to
+    the cover of each label's 0/1 word of steps, taken cyclically when the
+    word repeats.  A word that does not repeat must hold 2c steps to
     certify c."""
     m = ctrl.m if m is None else int(m)
     if m != ctrl.m:
         raise ValueError(f"control covers {ctrl.m} operators, problem has {m}")
-    positions = {j: [] for j in range(1, m + 1)}
-    for k, i in enumerate(ctrl.labels):
-        positions[i].append(k)
+    labels = np.array(ctrl.labels)
     c = 0
-    for j, pos in positions.items():
-        if not pos:
+    for j in range(1, m + 1):
+        word = (labels == j).tobytes()
+        if 1 not in word:
             raise ValueError(f"operator {j} never appears: no finite window constant")
-        c = max(c, window_cover(pos, len(ctrl.labels), ctrl.repeats))
+        c = max(c, window_cover(word, cyclic=ctrl.repeats))
     if not ctrl.repeats and len(ctrl.labels) < 2 * c:
         raise ValueError("the index list is too short to certify its window constant")
     return c
@@ -529,6 +528,9 @@ class StopRule:
     stride: int = 10
 
     def __post_init__(self):
+        self.tol = _number(self.tol, "the stop rule's tol")
+        self.max_iter = _integer(self.max_iter, "max_iter")
+        self.stride = _integer(self.stride, "stride")
         if not 0 <= self.tol < math.inf:
             raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
         if self.max_iter < 0:
@@ -898,11 +900,7 @@ def problem_from_json(obj, normalize=False):
         cls, args = _from_json(_RELAXATION_JSON, "relaxation", obj["relaxation"])
         sched = cls(*args)
     x0 = _vec(obj["x0"], dim)
-    s = _json_object(obj.get("stop", {}), "the stop rule", allowed=_STOP_FIELDS)
-    stop = StopRule(**{
-        key: _number(s[key], "the stop rule's tol") if key == "tol" else _integer(s[key], key)
-        for key in _STOP_FIELDS if key in s
-    })
+    stop = StopRule(**_json_object(obj.get("stop", {}), "the stop rule", allowed=_STOP_FIELDS))
     return ops, ctrl, sched, x0, stop
 
 

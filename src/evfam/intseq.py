@@ -10,7 +10,9 @@ successive elements of S that keeps recurring forever; it is infinite for
 finite S (the empty set included).  cogap(S) = gap of the complement, which
 measures the recurring runs of consecutive integers inside S itself.  Both
 are read off the tail word by one helper, ``_recurring_gap``, so cogap
-builds no complement.
+builds no complement.  That helper hands the word itself to
+``window_cover``, the one window statistic, which reads the runs of a 0/1
+word without a given bit.
 
 Both words are ``bytes`` whose bytes are all 0 or 1, so the operations are
 byte-string built-ins: ``find`` for the minimal period, ``rstrip`` and
@@ -304,25 +306,23 @@ def intersection(a, b):
     return _pointwise(a, b, operator.and_)
 
 
-def window_cover(positions, length, cyclic=False):
-    """Smallest w such that every w consecutive indices of range(length)
-    contain one of the sorted, nonempty ``positions``; with ``cyclic`` the
-    windows wrap around, as for a period word repeated forever.
+def window_cover(word, bit=1, cyclic=False):
+    """Smallest w such that every w consecutive places of the 0/1 byte
+    string ``word`` hold ``bit``: one more than its longest run without
+    ``bit``.  With ``cyclic`` the windows wrap around, as for a period word
+    repeated forever, so the runs at its two ends join.
 
-    gap is the cyclic cover of a period word's members, minus one.  A
-    control's window constant and a trace's follows window are the covers
-    of the steps that apply each operator.
+    gap is the cyclic cover of a period word minus one, and cogap the same
+    with ``bit`` 0.  A control's window constant and a trace's follows
+    window are the covers of the 0/1 words of the steps that apply each
+    operator.
     """
-    if not positions:
-        raise ValueError("no positions: no window length covers the range")
+    runs = word.split(bytes((bit,)))
+    if len(runs) == 1:
+        raise ValueError(f"no {bit} in the word: no window length covers it")
     if cyclic:
-        worst = positions[0] + length - positions[-1]
-    else:
-        worst = max(positions[0] + 1, length - positions[-1])
-    for a, b in zip(positions, positions[1:]):
-        if b - a > worst:
-            worst = b - a
-    return worst
+        runs[0] += runs.pop()
+    return 1 + max(map(len, runs))
 
 
 def _recurring_gap(s, bit):
@@ -335,10 +335,9 @@ def _recurring_gap(s, bit):
     period.
     """
     word = s.period or b"\0"
-    where = [i for i, b in enumerate(word) if b == bit]
-    if not where:
+    if bit not in word:
         return INF
-    return ExtNat(window_cover(where, len(word), cyclic=True) - 1)
+    return ExtNat(window_cover(word, bit, cyclic=True) - 1)
 
 
 def gap(s):

@@ -151,6 +151,44 @@ def test_follows_needs_a_step():
     assert not rep
 
 
+def brute_min_c(mask):
+    """Smallest w whose every window of w consecutive steps, read off a
+    scan of all windows, holds a witness; None without one."""
+    n = len(mask)
+    for w in range(1, n + 1):
+        if all(mask[a:a + w].any() for a in range(n - w + 1)):
+            return w
+    return None
+
+
+def masked_trace(mask, lams):
+    """A run on the line under the cut x <= 0 whose witnesses are ``mask``:
+    from 1 or 0 the cut's update is 0, so step q is a witness exactly
+    when x_{q+1} is 0."""
+    iterates = [[1.0]] + [[0.0] if hit else [1.0] for hit in mask]
+    n = len(mask)
+    return Trace(iterates, [1] * n, lams, [0.0] * n)
+
+
+@pytest.mark.parametrize("relaxed", [True, False])
+def test_follows_min_c_matches_a_window_scan(relaxed):
+    rng = np.random.default_rng(22)
+    masks = [rng.random(int(rng.integers(1, 40))) < p for p in rng.random(150)]
+    masks += [np.eye(1, 17, k, dtype=bool)[0] for k in (0, 8, 16)]  # one witness
+    masks += [np.array([True] + [False] * 15 + [True]), np.ones(12, dtype=bool),
+              np.zeros(9, dtype=bool), np.ones(1, dtype=bool)]
+    op = Halfspace([1.0], 0.0)
+    for mask in masks:
+        lams = np.where(rng.random(len(mask)) < 0.2, 0.0, 1.0)
+        rep = follows_reports(masked_trace(mask, lams), [op], relaxed)[0]
+        eligible = lams != 0.0
+        assert rep.witnesses.tolist() == np.flatnonzero(mask & eligible).tolist()
+        assert rep.min_c == brute_min_c(mask & eligible)
+        # every step eligible: the mask itself is the witness word
+        rep = follows_reports(masked_trace(mask, np.ones(len(mask))), [op], relaxed)[0]
+        assert rep.min_c == brute_min_c(mask)
+
+
 def reference_witnesses(trace, op, relaxed=True, tol=1e-9):
     """The witness test written point by point, one norm per step."""
     out = []

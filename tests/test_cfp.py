@@ -271,6 +271,34 @@ def test_explicit_control_window():
         control_validate(short)  # too short to certify
 
 
+def brute_window_constant(labels, m, cyclic):
+    """Smallest c whose every window of c consecutive steps, read off a
+    scan of all windows (wrapping when ``cyclic``), applies all m labels."""
+    n, every = len(labels), set(range(1, m + 1))
+    for c in range(1, n + 1):
+        starts = range(n) if cyclic else range(n - c + 1)
+        if all({labels[(a + k) % n] for k in range(c)} == every for a in starts):
+            return c
+    return None
+
+
+def test_control_validate_matches_a_window_scan():
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        labels = rng.integers(1, m + 1, size=int(rng.integers(1, 25))).tolist()
+        for ctrl in (AlmostCyclicControl(labels, m=m), ExplicitControl(labels, m=m)):
+            c = brute_window_constant(labels, m, ctrl.repeats)
+            if c is None:
+                with pytest.raises(ValueError, match="never appears"):
+                    control_validate(ctrl)
+            elif not ctrl.repeats and len(labels) < 2 * c:
+                with pytest.raises(ValueError, match="too short"):
+                    control_validate(ctrl)
+            else:
+                assert control_validate(ctrl) == c
+
+
 def test_cyclic_labels_follow_the_mod_rule():
     ctrl = CyclicControl(3)
     assert [ctrl.label(n) for n in range(7)] == [1, 2, 3, 1, 2, 3, 1]
@@ -339,6 +367,27 @@ def test_two_halfspace_run():
     assert np.array_equal(trace.iterates[1], [0.0, -1.0])
     assert np.array_equal(trace.iterates[2], [0.0, 0.0])
     assert trace_summary(ops, trace)["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        # each was once read silently: checkpoints at 0, 5, 10, ..., four
+        # steps, and a tol of 1.0
+        ({"stride": 2.5}, "stride must be an integer"),
+        ({"max_iter": 3.5}, "max_iter must be an integer"),
+        ({"tol": True}, "tol must be a number"),
+    ],
+)
+def test_stop_rule_refuses_misread_fields(fields, needle):
+    with pytest.raises(ValueError, match=needle):
+        StopRule(**fields)
+
+
+def test_stop_rule_reads_integral_floats_as_ints():
+    stop = StopRule(tol=0, max_iter=3.0, stride=np.int64(2))
+    assert (stop.tol, stop.max_iter, stop.stride) == (0.0, 3, 2)
+    assert type(stop.max_iter) is int and type(stop.stride) is int and type(stop.tol) is float
 
 
 def test_feasible_start_stops_immediately():

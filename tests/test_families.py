@@ -512,7 +512,9 @@ def _assert_matches_references(family, topology):
     listed = IndicatorFamily(topology.ground, members)  # built from frozensets
     cl = closure_family(family, topology)
     assert cl.sets == frozenset(members)
-    assert list(cl.sets) == list(listed.sets)
+    # equal frozensets built in other orders iterate in an order that the
+    # hash seed picks; the sorted listing of repr is the order promised
+    assert repr(cl) == repr(listed)
     assert cl.classify() == listed.classify()
     assert star(cl) == frozenset(x for x in topology.ground if frozenset({x}) in listed.sets)
     assert limit_set(family, topology) == _reference_limit(family, topology)

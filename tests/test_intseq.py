@@ -233,23 +233,30 @@ def cover_oracle(positions, length, cyclic):
 
 
 def test_window_cover_examples():
-    assert window_cover([0, 2, 4], 6) == 2
-    assert window_cover([1], 6) == 5  # the last five indices miss it
-    assert window_cover([1], 6, cyclic=True) == 6
-    assert window_cover([0, 1], 6, cyclic=True) == 5
+    assert window_cover(b"\1\0\1\0\1\0") == 2
+    assert window_cover(b"\0\1\0\0\0\0") == 5  # the last five indices miss it
+    assert window_cover(b"\0\1\0\0\0\0", cyclic=True) == 6
+    assert window_cover(b"\1\1\0\0\0\0", cyclic=True) == 5
+    assert window_cover(b"\1\1\0\0\0\0", bit=0) == 3
+    assert window_cover(b"\1\1\0\0\0\0", bit=0, cyclic=True) == 3
+    for word in (b"", b"\0\0\0\0"):
+        with pytest.raises(ValueError):
+            window_cover(word)
     with pytest.raises(ValueError):
-        window_cover([], 4)
+        window_cover(b"\1\1", bit=0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.booleans(), min_size=1, max_size=16), st.booleans())
 def test_window_cover_matches_window_scan(bits, cyclic):
-    positions = [i for i, b in enumerate(bits) if b]
-    if not positions:
-        return
-    assert window_cover(positions, len(bits), cyclic) == cover_oracle(
-        positions, len(bits), cyclic
-    )
+    word = bytes(bits)
+    for bit in (1, 0):
+        positions = [i for i, b in enumerate(bits) if b == bit]
+        if positions:
+            assert window_cover(word, bit, cyclic) == cover_oracle(positions, len(bits), cyclic)
+        else:
+            with pytest.raises(ValueError):
+                window_cover(word, bit, cyclic)
 
 
 # ---------------------------------------------------------------------------
