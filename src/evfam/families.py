@@ -14,8 +14,16 @@ monotone iff it is monotone on covering pairs.
 
 On a finite ground a subset is a mask, bit i standing for ground[i], and
 an indicator family is one 2^n-bit int whose bit s is set iff the subset
-with mask s belongs.  A topology keeps each open's mask and down-set, so
-limit sets and closure families are ORs over the opens outside a family.
+with mask s belongs; a set of opens is such a bitset too.  The subsets of
+a ground, indexed by mask, are one shared table, cached under a key that
+carries each element's identity and so its type: (1, 2) and (1.0, 2.0),
+which compare equal, each get subsets of their own elements.  A topology
+keeps, once, the bitset of its open masks, each point's neighborhood
+bitset (the opens that contain it), each open's down-set and its
+ground's table.  The opens outside an indicator family are one AND of two
+bitsets.  A limit set is then one AND per point and an entry of the
+table; a closure family is one OR of down-sets, and carries the table,
+so its star is an entry too.
 """
 
 from __future__ import annotations
@@ -94,12 +102,26 @@ def _mask(index, s):
     return m
 
 
-def _subsets(ground):
-    """The subsets of a finite ground as frozensets, indexed by mask."""
+@functools.lru_cache(maxsize=64)
+def _subset_table(ground, ids):
+    # ``ids`` only keys the cache: see _subsets
     subsets = [frozenset()]
     for x in ground:
         subsets += [s | {x} for s in subsets]  # bit i of the index <-> ground[i]
-    return subsets
+    return tuple(subsets)
+
+
+def _subsets(ground):
+    """The subsets of a finite ground as frozensets, indexed by mask.
+
+    The table is shared by every caller with the same ground, and the cache
+    that holds the tables is bounded: it keeps the 64 grounds used last.
+    Its key carries each element's identity, and so its type: (1, 2),
+    (1.0, 2.0) and (True, 2) compare and hash equal, yet never share a
+    table, and every ground gets subsets of its own element objects.  A
+    cached table holds its elements, so no id in a live key is reused.
+    """
+    return _subset_table(ground, tuple(map(id, ground)))
 
 
 def _powerset_masks(n):
@@ -335,24 +357,30 @@ class IndicatorFamily(Family):
         self.bits = sum(1 << _mask(self._index, s) for s in self._sets)
 
     @classmethod
-    def _from_bits(cls, ground, bits):
+    def _from_bits(cls, ground, bits, table=None):
         """A family valid by construction: ``ground`` a checked tuple and
-        ``bits`` inside its 2^n subset masks."""
+        ``bits`` inside its 2^n subset masks; ``table``, when given, is
+        ``_subsets(ground)``."""
         fam = cls.__new__(cls)
         fam.ground, fam.bits, fam._sets = ground, bits, None
+        if table is not None:
+            fam._table = table
         return fam
 
     @functools.cached_property
     def _index(self):
         return _ground_bits(self.ground)
 
+    @functools.cached_property
+    def _table(self):
+        return _subsets(self.ground)
+
     @property
     def sets(self):
         """The member sets, a frozenset of frozensets."""
         if self._sets is None:
-            subsets = _subsets(self.ground)
-            self._sets = frozenset(subsets[m] for m in range(1 << len(self.ground))
-                                   if self.bits >> m & 1)
+            bits = self.bits
+            self._sets = frozenset(s for m, s in enumerate(self._table) if bits >> m & 1)
         return self._sets
 
     def contains(self, s):
@@ -367,8 +395,7 @@ class IndicatorFamily(Family):
         inter_wit = None
         for a, b in itertools.combinations([m for m in masks if bits >> m & 1], 2):
             if not bits >> (a & b) & 1:
-                subsets = _subsets(self.ground)
-                inter_wit = (subsets[a], subsets[b])
+                inter_wit = (self._table[a], self._table[b])
                 break
         return Classification(
             eventual=_exact(fall is None, fall),
@@ -481,8 +508,9 @@ SYMBOLIC_KINDS = (
 
 def _indicator(ground, test):
     """The indicator family of the subsets S of a checked ground with test(S)."""
-    bits = sum(1 << m for m, s in enumerate(_subsets(ground)) if test(s))
-    return IndicatorFamily._from_bits(ground, bits)
+    subsets = _subsets(ground)
+    bits = sum(1 << m for m, s in enumerate(subsets) if test(s))
+    return IndicatorFamily._from_bits(ground, bits, subsets)
 
 
 def to_indicator(family):
@@ -495,8 +523,11 @@ def to_indicator(family):
 def star(family):
     """The set of points whose singleton belongs to the family."""
     if isinstance(family, IndicatorFamily):
-        bits = family.bits
-        return frozenset(x for i, x in enumerate(family.ground) if bits >> (1 << i) & 1)
+        bits, mask = family.bits, 0
+        for i in range(len(family.ground)):
+            if bits >> (1 << i) & 1:
+                mask |= 1 << i
+        return family._table[mask]
     if not family.over_naturals:
         return frozenset(x for x in family.ground if family.contains({x}))
     if isinstance(family, AllFamily):
@@ -634,18 +665,34 @@ class FiniteTopology:
         return [u for u, m, _ in self._lattice if m & bit]
 
     @functools.cached_property
+    def _table(self):
+        """The ground's subsets, indexed by mask: ``_subsets(ground)``."""
+        return _subsets(self.ground)
+
+    @functools.cached_property
     def _lattice(self):
         """Each open U as (U, its mask, its down-set), in mask order: bit s
         of the down-set is set iff the subset with mask s lies inside U."""
-        subsets = _subsets(self.ground)
         rows = []
         for m in self._masks:
             down, s = 1, m
             while s:  # the nonempty submasks of m, downward
                 down |= 1 << s
                 s = (s - 1) & m
-            rows.append((subsets[m], m, down))
+            rows.append((self._table[m], m, down))
         return tuple(rows)
+
+    @functools.cached_property
+    def _open_bits(self):
+        """The open masks as one bitset: bit m is set iff mask m is open."""
+        return sum(1 << m for m in self._masks)
+
+    @functools.cached_property
+    def _neighborhood_bits(self):
+        """Per point, in ground order, the bitset of the masks of the opens
+        that contain it."""
+        return tuple(sum(1 << m for m in self._masks if m >> i & 1)
+                     for i in range(len(self.ground)))
 
     @classmethod
     def discrete(cls, ground):
@@ -700,34 +747,34 @@ def _check_same_ground(family, topology):
         raise ValueError("the family and the topology must share a finite ground")
 
 
-def _opens_outside(family, topology):
-    """The ``_lattice`` rows of the opens that are not in the family: one
-    bit test each when the family's masks are the topology's."""
-    _check_same_ground(family, topology)
-    rows = topology._lattice
+def _missing_opens(family, topology):
+    """The bitset of the open masks not in the family: one AND when the
+    family's masks are the topology's, one ``contains`` per open else."""
     if isinstance(family, IndicatorFamily) and family.ground == topology.ground:
-        bits = family.bits
-        return [row for row in rows if not bits >> row[1] & 1]
-    return [row for row in rows if not family.contains(row[0])]
+        return topology._open_bits & ~family.bits
+    _check_same_ground(family, topology)
+    return sum(1 << m for u, m, _ in topology._lattice if not family.contains(u))
 
 
 def limit_set(family, topology):
-    """Points all of whose open neighborhoods belong to the family: the
-    ground minus the union of the opens outside it."""
-    hit = 0
-    for _, m, _ in _opens_outside(family, topology):
-        hit |= m
-    return frozenset(x for i, x in enumerate(topology.ground) if not hit >> i & 1)
+    """Points all of whose open neighborhoods belong to the family: those
+    whose neighborhood bitset misses every open outside it."""
+    outside, mask = _missing_opens(family, topology), 0
+    for i, nbhd in enumerate(topology._neighborhood_bits):
+        if not nbhd & outside:
+            mask |= 1 << i
+    return topology._table[mask]
 
 
 def closure_family(family, topology):
     """Sets all of whose open supersets belong to the family: those outside
     the down-set of every open outside it."""
-    out = 0
-    for _, _, down in _opens_outside(family, topology):
-        out |= down
+    outside, out = _missing_opens(family, topology), 0
+    for _, m, down in topology._lattice:
+        if outside >> m & 1:
+            out |= down
     every = (1 << (1 << len(topology.ground))) - 1
-    return IndicatorFamily._from_bits(topology.ground, every ^ out)
+    return IndicatorFamily._from_bits(topology.ground, every ^ out, topology._table)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,16 @@ def _check_index(n, many=False):
 
 
 def _bits(seq):
+    if isinstance(seq, (tuple, list, bytes)):
+        try:
+            word = bytes(seq)
+        except (TypeError, ValueError):  # str or float items, ints past a byte
+            pass
+        else:
+            if not word.translate(None, b"\0\1"):
+                return word
+    # anything else, and any word that fails the fast check, is read (and
+    # refused) item by item
     out = bytearray()
     for b in seq:
         if b not in (0, 1, "0", "1"):

@@ -9,11 +9,14 @@ multifamilies lift ordinary families, and the complement wrapper evaluates
 on complements (which exchanges increasing and decreasing).  Multifamilies
 over a finite ground are classified exactly in one pass over the covering
 pairs (S, S | {x}) of the subset lattice.  Closures and limits are defined
-for increasing multifamilies over finite topologies only.
+for increasing multifamilies over finite topologies only; they read the
+values once over the topology's subset table and take their minimums on
+plain keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .families import (
@@ -49,6 +52,14 @@ class Multiset:
         mult = dict(mult or {})
         check_set_arg(self.ground, mult)
         self._mult = {x: ExtNat.of(mult.get(x, 0)) for x in self.ground}
+
+    @classmethod
+    def _of(cls, ground, mult):
+        """A multiset valid by construction: ``ground`` a checked tuple and
+        ``mult`` a dict from each of its elements, in order, to an ExtNat."""
+        ms = cls.__new__(cls)
+        ms.ground, ms._mult = ground, mult
+        return ms
 
     def mult(self, x):
         if x not in self._mult:
@@ -219,6 +230,14 @@ class ExplicitMultifamily(Multifamily):
         self.table = {frozenset(s): ExtNat.of(v) for s, v in dict(table).items()}
         check_set_arg(self.ground, frozenset().union(*self.table))
 
+    @classmethod
+    def _of(cls, ground, table):
+        """A multifamily valid by construction: ``ground`` a checked tuple
+        and ``table`` a dict from subsets of it to ExtNats."""
+        mf = cls.__new__(cls)
+        mf.ground, mf.table = ground, table
+        return mf
+
     def value(self, s):
         return self.table.get(self._arg(s), ZERO)
 
@@ -282,33 +301,36 @@ def mstar(mf):
 
 
 def _open_values(mf, topology):
-    """(mask, down-set, value) of each open of the topology, from one value
-    table over the subsets; refused unless the values never fall along a
-    covering pair, i.e. unless the multifamily is increasing."""
+    """(mask, down-set, key) of each open of the topology, and the map from
+    keys back to values.  The values are read once over the subsets, as
+    plain keys (the int, math.inf for INF); refused unless they never fall
+    along a covering pair, i.e. unless the multifamily is increasing."""
     _check_same_ground(mf, topology)
-    vals = [mf.value(s) for s in _subsets(topology.ground)]
-    if _covering_scan(topology.ground, vals)[0] is not None:
+    vals = [mf.value(s) for s in topology._table]
+    keys = [math.inf if v.value is None else v.value for v in vals]
+    if _covering_scan(topology.ground, keys)[0] is not None:
         raise ValueError(
             "closure and limits are defined for increasing multifamilies only"
         )
-    return [(m, down, vals[m]) for _, m, down in topology._lattice]
+    rows = [(m, down, keys[m]) for _, m, down in topology._lattice]
+    return rows, dict(zip(keys, vals))
 
 
 def mf_closure(mf, topology):
     """Increasing multifamily with value(S) = min over open supersets."""
-    rows = _open_values(mf, topology)
+    rows, value = _open_values(mf, topology)
     table = {
-        s: min(v for _, down, v in rows if down >> sm & 1)
-        for sm, s in enumerate(_subsets(topology.ground))
+        s: value[min(k for _, down, k in rows if down >> sm & 1)]
+        for sm, s in enumerate(topology._table)
     }
-    return ExplicitMultifamily(topology.ground, table)
+    return ExplicitMultifamily._of(topology.ground, table)
 
 
 def multiset_limit(mf, topology):
     """Pointwise limit multiset: min multiplicity over open neighborhoods."""
-    rows = _open_values(mf, topology)
+    rows, value = _open_values(mf, topology)
     mult = {
-        x: min(v for m, _, v in rows if m >> i & 1)
+        x: value[min(k for m, _, k in rows if m >> i & 1)]
         for i, x in enumerate(topology.ground)
     }
-    return Multiset(topology.ground, mult)
+    return Multiset._of(topology.ground, mult)

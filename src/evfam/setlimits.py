@@ -44,12 +44,13 @@ class SetSequence:
         prefix_sets = [check_set_arg(ground, s) for s in prefix_sets]
         if not period_sets:
             raise ValueError("a set sequence needs at least one period entry")
-        traces = {}
-        for x in ground:
-            pre = tuple(1 if x in s else 0 for s in prefix_sets)
-            per = tuple(1 if x in s else 0 for s in period_sets)
-            traces[x] = EPSet._of(pre, per)
-        return cls(ground, traces)
+        seq = cls.__new__(cls)
+        seq.ground = ground
+        seq.traces = {
+            x: EPSet._of(bytes(x in s for s in prefix_sets), bytes(x in s for s in period_sets))
+            for x in ground
+        }
+        return seq
 
     def trace(self, x):
         if x not in self.traces:
@@ -72,7 +73,7 @@ def e_limit(family, seq):
     """Points whose membership index set belongs to the family."""
     if not isinstance(family, SYMBOLIC_KINDS) or not family.over_naturals:
         raise TypeError("e-limits evaluate against symbolic families over N")
-    return frozenset(x for x in seq.ground if family.contains(seq.trace(x)))
+    return frozenset(x for x, t in seq.traces.items() if family.contains(t))
 
 
 @dataclass(frozen=True)

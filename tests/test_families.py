@@ -546,6 +546,52 @@ def test_masks_match_frozenset_definitions_beyond_indicators():
             _assert_matches_references(fam, t)
 
 
+def test_masks_match_frozenset_definitions_on_sampled_four_point_topologies():
+    # the exhaustive test above stops at 3 points; a 4-point topology has
+    # up to 16 opens, the discrete one all 16
+    ground = tuple("abcd")
+    ps = list(powerset(ground))
+    tops = all_topologies(ground)
+    assert max(len(t.opens) for t in tops) == 16
+    rng = random.Random(37)
+    sampled = [tops[rng.randrange(len(tops))] for _ in range(120)]
+    for t in [FiniteTopology.discrete(ground), FiniteTopology.indiscrete(ground), *sampled]:
+        seeds = [s for s in ps if rng.random() < 0.2]
+        for fam in (
+            IndicatorFamily(ground, [s for s in ps if rng.random() < 0.5]),
+            # upward closed, so that limit sets are often nonempty
+            IndicatorFamily(ground, [s for s in ps if any(seed <= s for seed in seeds)]),
+        ):
+            _assert_matches_references(fam, t)
+    reordered = ("d", "b", "a", "c")
+    for t in sampled[:20]:
+        for fam in (
+            PredicateFamily(ground, lambda s: len(s) != 2),
+            IndicatorFamily(reordered, [s for s in ps if rng.random() < 0.5]),
+        ):
+            _assert_matches_references(fam, t)
+
+
+def test_equal_grounds_of_other_types_get_their_own_elements():
+    # (1, 2), (1.0, 2.0) and (True, 2) compare and hash equal, and so do
+    # the nested grounds; a subset table shared between them would hand
+    # one the other's elements
+    def own(xs, ground):
+        return all(any(x is y for y in ground) for x in xs)
+
+    grounds = [(1, 2), (1.0, 2.0), (True, 2), ((1,), (2,)), ((1.0,), (2.0,))]
+    for ground in grounds + [(float("1"), float("2"))]:
+        fam = IndicatorFamily(ground, [s for s in powerset(ground) if ground[0] in s])
+        disc = FiniteTopology.discrete(ground)
+        for got in (limit_set(fam, disc), star(fam), star(closure_family(fam, disc))):
+            assert got == {ground[0]} and own(got, ground)
+        assert own(limit_set(AllFamily(ground), disc), ground)
+        assert all(own(s, ground) for s in closure_family(fam, disc).sets)
+    fam = IndicatorFamily((1.0, 2.0), [{1.0}, {1.0, 2.0}])
+    assert [type(x) for x in star(fam)] == [float]
+    assert [type(x[0]) for x in star(IndicatorFamily(grounds[-1], [{(1.0,)}]))] == [float]
+
+
 # ---------------------------------------------------------------------------
 # the sandwich between cofinite and infinite families
 

@@ -100,6 +100,35 @@ def test_rejects_bad_bits():
         EPSet.from_text("prefix=abc;period=")
 
 
+@pytest.mark.parametrize(
+    "word", [(1, 0), [1, 0], b"\1\0", "10", ("1", "0"), (True, False), (1.0, 0)]
+)
+def test_bits_accepts_every_spelling_of_a_word(word):
+    # tuples, lists and bytes of 0/1 ints take one bytes() pass; the rest
+    # are read item by item
+    s = EPSet(word, word)
+    assert (s.prefix, s.period) == (b"", b"\1\0")
+    assert s == ODDS
+    assert EPSet(word) == EPSet.finite({1})
+
+
+@pytest.mark.parametrize("word, bad", [((2,), "2"), (b"10", "49"), ((256,), "256"),
+                                       ([0, -1], "-1"), ((1, "2"), "'2'")])
+def test_bits_refuses_a_bad_bit_by_name(word, bad):
+    with pytest.raises(ValueError, match=f"^membership bits must be 0 or 1, got {bad}$"):
+        EPSet(word)
+    with pytest.raises(ValueError, match=f"^membership bits must be 0 or 1, got {bad}$"):
+        EPSet((), word)
+
+
+def test_bits_refuses_a_non_word():
+    # an int is no word; bytes(5) would be five zero bits
+    with pytest.raises(TypeError):
+        EPSet(5)
+    with pytest.raises(TypeError):
+        EPSet((), 5)
+
+
 def test_text_round_trip():
     # prefix 101 followed by period 01 is the odds; formatting emits the
     # canonical spelling but the value survives the round trip

@@ -100,6 +100,31 @@ def test_from_sets_refuses_elements_outside_the_ground():
         SetSequence.from_sets("N", [], [{"N"}])
 
 
+def test_from_sets_refuses_a_stray_element_and_an_empty_period():
+    with pytest.raises(ValueError, match=re.escape("elements [3] not in the ground")):
+        SetSequence.from_sets((1, 2), [], [{1}, {2, 3}])
+    with pytest.raises(ValueError, match="at least one period entry"):
+        SetSequence.from_sets(("a", "b"), [{"a"}], [])
+    with pytest.raises(ValueError, match="at least one period entry"):
+        SetSequence.from_sets(("a", "b"), [], iter(()))
+
+
+def test_from_sets_builds_what_the_checked_constructor_builds():
+    ground = ("a", "b", "c")
+    seq = SetSequence.from_sets(ground, [{"a"}, set(), {"b", "c"}], [{"b"}, {"a", "b"}])
+    assert list(seq.traces) == list(ground)
+    assert seq == SetSequence(ground, seq.traces)
+    assert seq.trace("a") == EPSet((1, 0, 0), (0, 1))
+    assert seq.trace("c") == EPSet.finite({3})
+
+
+def test_constructor_keeps_its_checks():
+    with pytest.raises(ValueError, match=re.escape("elements ['z'] not in the ground")):
+        SetSequence(("a",), {"z": EPSet.empty()})
+    with pytest.raises(TypeError, match="traces must be EPSets"):
+        SetSequence(("a",), {"a": frozenset({1})})
+
+
 # ---------------------------------------------------------------------------
 # classical limits
 
