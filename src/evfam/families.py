@@ -749,7 +749,7 @@ def _check_same_ground(family, topology):
 
 def _missing_opens(family, topology):
     """The bitset of the open masks not in the family: one AND when the
-    family's masks are the topology's, one ``contains`` per open else."""
+    family's masks are the topology's, one ``contains`` per open otherwise."""
     if isinstance(family, IndicatorFamily) and family.ground == topology.ground:
         return topology._open_bits & ~family.bits
     _check_same_ground(family, topology)
