@@ -14,13 +14,11 @@ monotone iff it is monotone on covering pairs.
 
 On a finite ground a subset is a mask, bit i standing for ground[i], and
 an indicator family is one 2^n-bit int whose bit s is set iff the subset
-with mask s belongs; a set of opens is such a bitset too.  The subsets of
-a ground, indexed by mask, are one shared table, cached under a key that
-carries each element's identity and so its type: (1, 2) and (1.0, 2.0),
-which compare equal, each get subsets of their own elements.  A topology
+with mask s belongs; a set of opens is such a bitset too.  A topology
 keeps, once, the bitset of its open masks, each point's neighborhood
-bitset (the opens that contain it), each open's down-set and its
-ground's table.  The opens outside an indicator family are one AND of two
+bitset (the opens that contain it), each open's down-set and the table
+of its ground's subsets, indexed by mask and built from its own element
+objects.  The opens outside an indicator family are one AND of two
 bitsets.  A limit set is then one AND per point and an entry of the
 table; a closure family is one OR of down-sets, and carries the table,
 so its star is an entry too.
@@ -102,26 +100,17 @@ def _mask(index, s):
     return m
 
 
-@functools.lru_cache(maxsize=64)
-def _subset_table(ground, ids):
-    # ``ids`` only keys the cache: see _subsets
+def _subset(ground, m):
+    """The subset of a finite ground with mask ``m``."""
+    return frozenset(x for i, x in enumerate(ground) if m >> i & 1)
+
+
+def _subsets(ground):
+    """The subsets of a finite ground as frozensets, indexed by mask."""
     subsets = [frozenset()]
     for x in ground:
         subsets += [s | {x} for s in subsets]  # bit i of the index <-> ground[i]
     return tuple(subsets)
-
-
-def _subsets(ground):
-    """The subsets of a finite ground as frozensets, indexed by mask.
-
-    The table is shared by every caller with the same ground, and the cache
-    that holds the tables is bounded: it keeps the 64 grounds used last.
-    Its key carries each element's identity, and so its type: (1, 2),
-    (1.0, 2.0) and (True, 2) compare and hash equal, yet never share a
-    table, and every ground gets subsets of its own element objects.  A
-    cached table holds its elements, so no id in a live key is reused.
-    """
-    return _subset_table(ground, tuple(map(id, ground)))
 
 
 def _powerset_masks(n):
@@ -137,16 +126,16 @@ def powerset(elems):
     return (subsets[m] for m in _powerset_masks(len(elems)))
 
 
-def _covering_scan(ground, vals):
-    """The first covering pairs (S, S | {x}) of a finite ground's subset
-    lattice along which the mask-indexed values ``vals`` fall, rise and
-    change, None for each that never happens.
+def _covering_masks(n, vals):
+    """The first covering pairs (s, s | bit) of the masks of an n-point
+    ground along which the mask-indexed values ``vals`` fall, rise and
+    change, as mask pairs, None for each that never happens.
 
     Over the n 2^(n-1) covering pairs this decides exactly whether the map
     is increasing (it never falls), decreasing (it never rises) and
     finitely insensitive (it never changes, i.e. it is constant).
     """
-    bits = [1 << i for i in range(len(ground))]
+    bits = [1 << i for i in range(n)]
     fall = rise = change = None
     for m, a in enumerate(vals):
         if fall and rise:
@@ -160,8 +149,14 @@ def _covering_scan(ground, vals):
                 fall = fall or pair
             else:
                 rise = rise or pair
-    subsets = _subsets(ground) if change else None
-    return tuple(p and (subsets[p[0]], subsets[p[1]]) for p in (fall, rise, change))
+    return fall, rise, change
+
+
+def _covering_scan(ground, vals):
+    """``_covering_masks`` of a finite ground, each pair of masks as the
+    pair of subsets (S, S | {x})."""
+    return tuple(p and (_subset(ground, p[0]), _subset(ground, p[1]))
+                 for p in _covering_masks(len(ground), vals))
 
 
 @dataclass(frozen=True)
@@ -355,25 +350,20 @@ class IndicatorFamily(Family):
         super().__init__(_finite_ground(ground, "indicator families"))
         self._sets = frozenset(map(frozenset, sets))
         self.bits = sum(1 << _mask(self._index, s) for s in self._sets)
+        self._table = None
 
     @classmethod
-    def _from_bits(cls, ground, bits, table=None):
-        """A family valid by construction: ``ground`` a checked tuple and
-        ``bits`` inside its 2^n subset masks; ``table``, when given, is
-        ``_subsets(ground)``."""
+    def _from_bits(cls, ground, bits, table):
+        """A family valid by construction: ``ground`` a checked tuple,
+        ``bits`` inside its 2^n subset masks and ``table`` its
+        ``_subsets(ground)``, which the family keeps."""
         fam = cls.__new__(cls)
-        fam.ground, fam.bits, fam._sets = ground, bits, None
-        if table is not None:
-            fam._table = table
+        fam.ground, fam.bits, fam._sets, fam._table = ground, bits, None, table
         return fam
 
     @functools.cached_property
     def _index(self):
         return _ground_bits(self.ground)
-
-    @functools.cached_property
-    def _table(self):
-        return _subsets(self.ground)
 
     @property
     def sets(self):
@@ -395,7 +385,7 @@ class IndicatorFamily(Family):
         inter_wit = None
         for a, b in itertools.combinations([m for m in masks if bits >> m & 1], 2):
             if not bits >> (a & b) & 1:
-                inter_wit = (self._table[a], self._table[b])
+                inter_wit = (_subset(self.ground, a), _subset(self.ground, b))
                 break
         return Classification(
             eventual=_exact(fall is None, fall),
@@ -527,6 +517,8 @@ def star(family):
         for i in range(len(family.ground)):
             if bits >> (1 << i) & 1:
                 mask |= 1 << i
+        if family._table is None:  # the public constructor keeps no table
+            return _subset(family.ground, mask)
         return family._table[mask]
     if not family.over_naturals:
         return frozenset(x for x in family.ground if family.contains({x}))
@@ -623,7 +615,7 @@ class FiniteTopology:
             raise ValueError("opens must contain the empty set and the ground")
         for u, v, op, _ in _unclosed(masks):
             word = "union" if op == "|" else "intersection"
-            left, right = (sorted(_subsets(self.ground)[m], key=repr) for m in (u, v))
+            left, right = (sorted(_subset(self.ground, m), key=repr) for m in (u, v))
             raise ValueError(f"opens not closed under {word}: {left} {op} {right}")
         self._masks = tuple(sorted(masks))
 

@@ -27,6 +27,7 @@ from .families import (
     PredicateFamily,
     Verdict,
     _check_same_ground,
+    _covering_masks,
     _covering_scan,
     _exact,
     _finite_ground,
@@ -308,7 +309,7 @@ def _open_values(mf, topology):
     _check_same_ground(mf, topology)
     vals = [mf.value(s) for s in topology._table]
     keys = [math.inf if v.value is None else v.value for v in vals]
-    if _covering_scan(topology.ground, keys)[0] is not None:
+    if _covering_masks(len(topology.ground), keys)[0] is not None:
         raise ValueError(
             "closure and limits are defined for increasing multifamilies only"
         )

@@ -592,6 +592,20 @@ def test_equal_grounds_of_other_types_get_their_own_elements():
     assert [type(x[0]) for x in star(IndicatorFamily(grounds[-1], [{(1.0,)}]))] == [float]
 
 
+def test_star_of_a_large_indicator_family_tests_only_its_singletons(monkeypatch):
+    # a 20-point ground has about a million subsets; star needs only the
+    # 20 singleton bits, and must not build the subset table
+    import evfam.families as families
+
+    def refuse(ground):
+        raise AssertionError("star built the subset table")
+
+    monkeypatch.setattr(families, "_subsets", refuse)
+    fam = IndicatorFamily(tuple(range(20)), [{0}, {7}, {3, 4}])
+    assert star(fam) == {0, 7}
+    assert fam._table is None
+
+
 # ---------------------------------------------------------------------------
 # the sandwich between cofinite and infinite families
 
