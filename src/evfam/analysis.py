@@ -67,26 +67,10 @@ class FollowsReport:
         return replace(self, window=c, ok=ok)
 
 
-#: steps whose slacks the residual bank stacks at once in follows_reports
-_BLOCK = 256
-
-
 def _hits(x, x_next, lam, tx, tol):
     """Per row: is x_next within tol of x + lam (tx - x), for tx the
     operator applied at x?"""
     return row_distances(x_next, relaxed_update(x, lam, tx)) <= tol
-
-
-def _inactive(bank, x):
-    """For each banked operator's position in the ops, the rows of x at
-    which it returns x itself: a half-space whose slack is <= 0 there."""
-    if not bank.banked.size:
-        return {}
-    out = np.empty((bank.banked.size, len(x)), dtype=bool)
-    for start in range(0, len(x), _BLOCK):
-        slack = bank.slacks(x[start:start + _BLOCK])
-        out[:, start:start + _BLOCK] = (bank.halfspace & (slack <= 0.0)).T
-    return dict(zip(bank.banked.tolist(), out))
 
 
 def follows_reports(trace, ops, relaxed=True, tol=1e-9):
@@ -100,12 +84,11 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
 
     Every step is checked, and a mask keeps the eligible ones.  The
     witnesses are those of applying each operator at each step, bit for
-    bit.  The residual bank (``cfp.ResidualBank``) decides
-    where a half-space returns x itself, from the slacks that ``apply``
-    computes: there the target x + lam (x - x) is the same for every such
-    operator, so one distance per step, ``held``, decides them all.  Every
-    other pair, and every operator outside the bank, is applied with
-    ``apply_many``.
+    bit.  ``cfp.ResidualBank.holds`` marks the (operator, step) pairs where
+    the operator returns x itself: there the target x + lam (x - x) is the
+    same for every operator, so one distance per step, ``held``, decides
+    them all.  The other pairs are applied with ``apply_many``, on every
+    row at once when they are most of the rows.
     """
     ops = list(ops)
     criterion = "relaxed" if relaxed else "strict"
@@ -113,14 +96,12 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     # a zero step is consistent with every operator; no evidence
     eligible = lam != 0.0 if relaxed else lam == 1.0
     x, x_next = trace.iterates[:-1], trace.iterates[1:]
-    inactive = _inactive(ResidualBank(ops), x)
-    held = _hits(x, x_next, lam, x, tol) if inactive else None
+    held = _hits(x, x_next, lam, x, tol)
     reports = []
-    for label, op in enumerate(ops, start=1):
-        skip = inactive.get(label - 1)
-        rows = None if skip is None else np.flatnonzero(~skip)
+    for label, (op, holds) in enumerate(zip(ops, ResidualBank(ops).holds(x)), start=1):
+        rows = np.flatnonzero(~holds)
         # most rows left: one pass over views beats gathered copies
-        if rows is None or 2 * rows.size > len(x):
+        if 2 * rows.size > len(x):
             hit = _hits(x, x_next, lam, op.apply_many(x), tol)
         else:
             hit = held.copy()

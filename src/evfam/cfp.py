@@ -391,14 +391,11 @@ def fne_check(op, x, y, tol=1e-10):
 # controls
 
 
-class ControlExhausted(Exception):
-    pass
-
-
 class Control:
     """A control n -> i(n): a nonempty word of 1-based labels over the
-    operators 1..m (m is the largest label when not given), repeated
-    forever unless ``repeats`` is false."""
+    operators 1..m (m is the largest label when not given).  Step n, counted
+    from 0, applies i(n) = labels[n mod len(labels)]; a word that does not
+    repeat (``repeats`` false) ends at n = len(labels)."""
 
     kind = "abstract"
     repeats = True
@@ -411,13 +408,6 @@ class Control:
         for i in self.labels:
             if not 1 <= i <= self.m:
                 raise ValueError(f"label {i} outside 1..{self.m}")
-
-    def label(self, n):
-        """1-based operator index at step n (n counts from 0); a word that
-        does not repeat runs out at its end."""
-        if not self.repeats and n >= len(self.labels):
-            raise ControlExhausted(n)
-        return self.labels[n % len(self.labels)]
 
 
 class CyclicControl(Control):
@@ -482,7 +472,8 @@ def control_validate(ctrl, m=None):
 
 
 class CyclicRelaxation:
-    """A word of relaxation values in [0, 2], repeated forever."""
+    """A word of relaxation values in [0, 2], repeated forever: step n
+    uses lambda_n = values[n mod len(values)]."""
 
     kind = "cyclic"
 
@@ -490,12 +481,6 @@ class CyclicRelaxation:
         self.values = tuple(_number(v, "a relaxation parameter", 0.0, 2.0) for v in values)
         if not self.values:
             raise ValueError("need at least one relaxation value")
-
-    def lam(self, n):
-        return self.values[n % len(self.values)]
-
-    def bounds(self):
-        return (min(self.values), max(self.values))
 
     def __repr__(self):
         return f"CyclicRelaxation({self.values})"
@@ -581,6 +566,10 @@ def _residual(op, x):
     return norm(op.apply(x) - x)
 
 
+#: rows whose slacks ResidualBank.holds stacks at once
+_BLOCK = 256
+
+
 class ResidualBank:
     """max over ops of |T(x) - x|, equal bit for bit to the scalar loop
     ``max(_residual(op, x) for op in ops)``.
@@ -617,13 +606,27 @@ class ResidualBank:
         (N, K) at the rows of a block X of shape (N, J)."""
         return _slacks(X, self._A, self._b)
 
+    def _held(self, slack):
+        """apply's hold rule: a stacked half-space with slack <= 0 returns x."""
+        return self.halfspace & (slack <= 0.0)
+
+    def holds(self, X):
+        """(m, N) bool: does operator k return row n of the float (N, J)
+        array X itself?  Only a stacked half-space ever does; the slacks are
+        taken _BLOCK rows at a time."""
+        out = np.zeros((len(self.ops), len(X)), dtype=bool)
+        for start in range(0, len(X), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            out[self.banked, block] = self._held(self.slacks(X[block])).T
+        return out
+
     def max_residual(self, x):
         """max over the ops of |T(x) - x|, for a float point x of their
         dimension."""
         values = np.zeros(len(self.ops))
         if self.banked.size:
             slack = self.slacks(x)
-            moved = ~(self.halfspace & (slack <= 0.0))  # the others return x
+            moved = ~self._held(slack)  # the others return x
             step = (slack[moved] / self._norm2[moved])[:, None] * self._A[moved]
             values[self.banked[moved]] = row_distances((x - step) - x, 0.0)
         for k, op in self._others:
@@ -633,7 +636,11 @@ class ResidualBank:
 
 def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     """Runs the sequential iteration until a checkpoint meets the residual
-    tolerance, the iteration cap, or an explicit control runs out."""
+    tolerance, the iteration cap, or an explicit control runs out.  Step n
+    applies operator i(n) = ctrl.labels[n mod len] with relaxation
+    lambda_n = relaxation.values[n mod len]; a control word that does not
+    repeat ends the run at n = len(ctrl.labels), after a checkpoint there.
+    Both words were checked when they were built."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
@@ -660,6 +667,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
         checkpoints.append((n, last[1]))
         return last[1]
 
+    labels, lams = ctrl.labels, relaxation.values
     n = 0
     while True:
         at_cap = n >= stop.max_iter
@@ -669,16 +677,13 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
         if at_cap:
             stop_reason = "max_iter"
             break
-        try:
-            label = ctrl.label(n)
-        except ControlExhausted:
+        if not ctrl.repeats and n == len(labels):
             if checkpoints[-1][0] != n:  # step 0 always has a checkpoint
                 checkpoint(n, x)
             stop_reason = "control_exhausted"
             break
-        lam = relaxation.lam(n)
-        if not 0.0 <= lam <= 2.0:
-            raise ValueError(f"relaxation {lam} at step {n} outside [0, 2]")
+        label = labels[n % len(labels)]
+        lam = lams[n % len(lams)]
         tx = ops[label - 1].apply(x)
         if tx is x:
             # a held point, as at an inactive cut: x is finite, so x - x is

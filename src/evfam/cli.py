@@ -105,13 +105,12 @@ def _load_problem(path, normalize):
 
 
 def _warn_relaxation_bounds(sched):
-    lo, hi = sched.bounds()
-    if lo <= 0.0:
+    if min(sched.values) <= 0.0:
         print(
             "warning: relaxation schedule reaches 0; steps there make no progress",
             file=sys.stderr,
         )
-    if hi >= 2.0:
+    if max(sched.values) >= 2.0:
         print(
             "warning: relaxation schedule reaches 2; convergence guarantees need "
             "lambda bounded away from 2",

@@ -240,6 +240,9 @@ class ExplicitMultifamily(Multifamily):
         return mf
 
     def value(self, s):
+        # a key was checked against the ground when the table was built
+        if isinstance(s, frozenset) and s in self.table:
+            return self.table[s]
         return self.table.get(self._arg(s), ZERO)
 
     def __repr__(self):

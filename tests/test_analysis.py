@@ -11,7 +11,6 @@ import pytest
 from evfam.analysis import (
     DEFAULT_LADDER,
     _cluster_tail,
-    _inactive,
     _run_lengths,
     _runs,
     accumulation_points,
@@ -366,26 +365,29 @@ def test_boundary_trace_covers_both_sides_of_the_filter():
     # the build must hold skipped pairs, exactly applied pairs beside them,
     # and a banked half-space with no skipped row at all
     ops, trace = boundary_trace()
-    inactive = _inactive(ResidualBank(ops), trace.iterates[:-1])
-    assert sorted(inactive) == list(range(10))
-    partial = [k for k in range(8) if 0 < inactive[k].sum() < trace.n_steps]
+    holds = ResidualBank(ops).holds(trace.iterates[:-1])
+    assert holds.shape == (len(ops), trace.n_steps)
+    partial = [k for k in range(8) if 0 < holds[k].sum() < trace.n_steps]
     assert len(partial) == 8
-    assert not inactive[8].any()
+    # the half-space every point lies outside, the hyperplane, and the
+    # unstacked subclass, though it is inactive everywhere
+    assert not holds[8:].any()
 
 
-def test_inactive_marks_exactly_the_half_space_pairs_whose_slack_is_at_most_zero():
-    # the mask against apply's own slack, pair by pair; the last half-space
-    # has slack exactly 0 at the first two points
+def test_holds_marks_exactly_the_half_space_pairs_whose_slack_is_at_most_zero():
+    # the mask against apply's own slack, pair by pair, on fewer and on more
+    # rows than one block of slacks; the last half-space has slack exactly 0
+    # at the first two points
     ops, trace = boundary_trace()
     x = trace.iterates[:-1]
     ops.append(Halfspace(np.eye(x.shape[1])[0], float(x[0, 0])))
-    inactive = _inactive(ResidualBank(ops), x)
-    assert sorted(inactive) == [k for k, op in enumerate(ops) if type(op) in (Halfspace, Hyperplane)]
-    for k, mask in inactive.items():
-        op = ops[k]
-        want = [type(op) is Halfspace and float(op.a @ row) - op.b <= 0.0 for row in x]
-        assert mask.tolist() == want
-    assert float(ops[-1].a @ x[0]) - ops[-1].b == 0.0 and inactive[len(ops) - 1][:2].all()
+    for X in (x, np.tile(x, (3, 1))):
+        holds = ResidualBank(ops).holds(X)
+        assert holds.shape == (len(ops), len(X))
+        for op, mask in zip(ops, holds):
+            want = [type(op) is Halfspace and float(op.a @ row) - op.b <= 0.0 for row in X]
+            assert mask.tolist() == want
+    assert float(ops[-1].a @ x[0]) - ops[-1].b == 0.0 and holds[-1][:2].all()
 
 
 def test_follows_reports_fall_back_where_the_stacked_values_overflow():

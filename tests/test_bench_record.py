@@ -1,8 +1,11 @@
 """The benchmark recorder: one run per call, appended runs summarised."""
 
 import json
+import os
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -90,3 +93,53 @@ def test_trace_flag_reaches_the_harness(tmp_path, monkeypatch):
     cmd = seen["cmd"]
     assert cmd[cmd.index("--trace") + 1] == "1"
     assert cmd[cmd.index("--seed") + 1] == "7" and cmd[cmd.index("--seconds") + 1] == "30"
+
+
+def test_pytest_summary_lines_give_passed_and_failed_counts():
+    assert bench_record._counts("517 passed in 14.70s") == (517, 0)
+    assert bench_record._counts("1 failed, 515 passed, 2 warnings, 1 error in 9.1s") == (515, 2)
+    assert bench_record._counts("3 passed, 2 xfailed, 1 xpassed, 2 errors in 1s") == (3, 2)
+    assert bench_record._counts("") == (0, 0)
+
+
+def test_the_tier1_workload_times_the_checkout_suite(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    calls = []
+
+    def fake_run(cmd, cwd, **kw):
+        calls.append((cmd, cwd, kw))
+        if cmd[1:] == ["-c", bench_record.MACHINE]:
+            out = json.dumps({"git_commit": "abc", "nproc": 2})
+        else:
+            out = "....F\n1 failed, 4 passed in 0.50s\n"
+        return type("Done", (), {"stdout": out, "returncode": 1})()
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    argv = ["--label", "t", "--workload", "tier-1", "--checkout", str(tmp_path)]
+    assert bench_record.main(argv) == 0
+    assert bench_record.main(argv + ["--append"]) == 0
+    (cmd, cwd, kw), machine = calls[0], calls[1]
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert cwd == tmp_path and machine[1] == tmp_path
+    assert kw["env"]["PYTHONPATH"] == os.pathsep.join((str(tmp_path / "src"), "elsewhere"))
+    rec = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (rec["workload"], rec["seed"], rec["seconds"], rec["commit"]) == ("tier-1", None,
+                                                                             None, "abc")
+    assert len(rec["runs"]) == 2 and set(rec["summary"]) == {"tier1_s", "passed", "failed"}
+    assert rec["summary"]["passed"]["median"] == 4 and rec["summary"]["failed"]["median"] == 1
+    assert rec["summary"]["tier1_s"]["n"] == 2 and rec["summary"]["tier1_s"]["unit"] == "s"
+    assert rec["runs"][0]["detail"]["summary_line"] == "1 failed, 4 passed in 0.50s"
+    assert rec["runs"][0]["detail"]["returncode"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workload", "tier-1", "--seed", "1"],
+    ["--workload", "tier-1", "--trace", "1"],
+    ["--workload", "set-calculus"],
+])
+def test_seed_and_trace_go_with_perfbench_workloads_only(tmp_path, argv, capsys):
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 30}')
+    with pytest.raises(SystemExit):
+        bench_record.parse_args(["--label", "x", "--checkout", str(tmp_path), *argv])
+    assert "error:" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 firm-nonexpansiveness properties, control validation, runs, and replay."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from evfam.cfp import (
     Ball,
     Box,
     ConstantRelaxation,
-    ControlExhausted,
     CyclicControl,
     CyclicRelaxation,
     ExplicitControl,
@@ -134,6 +134,23 @@ def test_apply_many_equals_apply_bit_for_bit():
             got = op.apply_many(rows)
             assert got.shape == rows.shape and got.dtype == float, op
             assert got.tobytes() == expected.tobytes(), op
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Ball([0.0, 0.0], 0.0), "the radius must be positive"),
+    (lambda: Box([0.0, 0.0], [1.0]), "bound shapes differ"),
+    (lambda: Box([0.0, 2.0], [1.0, 1.0]), "need lo <= hi componentwise"),
+    (lambda: AffineEquality([[1.0, 0.0]], [1.0, 2.0]), "matrix and right-hand side shapes differ"),
+    (lambda: AffineEquality([1.0, 0.0], [1.0, 2.0]), "matrix and right-hand side shapes differ"),
+    (lambda: AffineEquality([[1.0, math.inf]], [1.0]), "matrix entries must be finite"),
+    (lambda: SubgradientProjector([[1.0, 0.0]], [0.0, 1.0]), "slope and offset shapes differ"),
+    (lambda: SubgradientProjector(np.zeros((0, 2)), []), "need at least one affine piece"),
+    (lambda: SubgradientProjector([[1.0, math.nan]], [0.0]), "pieces must be finite"),
+    (lambda: SubgradientProjector([[1.0, 0.0]], [math.inf]), "pieces must be finite"),
+])
+def test_operator_constructors_refuse_malformed_data(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_projections_are_idempotent():
@@ -299,9 +316,18 @@ def test_control_validate_matches_a_window_scan():
                 assert control_validate(ctrl) == c
 
 
+def _run_words(ctrl, relaxation, steps):
+    """acsa_run for at most ``steps`` steps over one hyperplane per label in
+    one dimension, checkpointed only at the start (never held there) and at
+    the cap: its labels and relaxations are the words the solver read."""
+    ops = [Hyperplane([1.0], float(k)) for k in range(1, ctrl.m + 1)]
+    stop = StopRule(tol=0.0, max_iter=steps, stride=steps + 1)
+    return acsa_run(ops, ctrl, relaxation, [0.0], stop)
+
+
 def test_cyclic_labels_follow_the_mod_rule():
-    ctrl = CyclicControl(3)
-    assert [ctrl.label(n) for n in range(7)] == [1, 2, 3, 1, 2, 3, 1]
+    trace = _run_words(CyclicControl(3), ConstantRelaxation(1.0), 7)
+    assert trace.controls.tolist() == [1, 2, 3, 1, 2, 3, 1]
 
 
 def _brute_almost_cyclicity(word, m, repeats):
@@ -327,18 +353,35 @@ def test_control_validate_equals_a_brute_force_window_scan():
             (ExplicitControl(word, m), word, False),
         ]
         for ctrl, w, repeats in cases:
-            assert [ctrl.label(n) for n in range(len(w))] == w
+            assert ctrl.labels == tuple(w) and ctrl.repeats == repeats
+            trace = _run_words(ctrl, ConstantRelaxation(1.0), 3 * len(w))
             if repeats:
-                assert [ctrl.label(n) for n in range(len(w), 3 * len(w))] == w * 2
+                assert trace.controls.tolist() == w * 3
             else:
-                with pytest.raises(ControlExhausted):
-                    ctrl.label(len(w))
+                # the word ends the run, with a checkpoint at its end
+                assert trace.controls.tolist() == w
+                assert trace.stop_reason == "control_exhausted"
+                assert trace.checkpoints[-1][0] == len(w)
             c = _brute_almost_cyclicity(w, m, repeats)
             if c is None or not repeats and len(w) < 2 * c:
                 with pytest.raises(ValueError):
                     control_validate(ctrl)
             else:
                 assert control_validate(ctrl) == c
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AlmostCyclicControl([]), "the pattern must be nonempty"),
+    (lambda: ExplicitControl([]), "the index list must be nonempty"),
+    (lambda: AlmostCyclicControl([1, 3], m=2), "label 3 outside 1..2"),
+    (lambda: ExplicitControl([0, 1]), "label 0 outside 1..1"),
+    (lambda: CyclicControl(0), "need at least one operator"),
+    (lambda: CyclicRelaxation(()), "need at least one relaxation value"),
+    (lambda: control_validate(CyclicControl(3), 4), "control covers 3 operators, problem has 4"),
+])
+def test_controls_and_schedules_refuse_malformed_words(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_random_patterns_stay_within_twice_m():
@@ -422,6 +465,16 @@ def test_control_exhaustion():
 def test_empty_operator_list():
     with pytest.raises(ValueError):
         acsa_run([], CyclicControl(1), ConstantRelaxation(1.0), [0.0])
+
+
+def test_acsa_run_refuses_operators_the_problem_cannot_hold():
+    one = ConstantRelaxation(1.0)
+    mixed = [Halfspace([1.0, 0.0], 1.0), Halfspace([1.0], 1.0)]
+    with pytest.raises(ValueError, match="^operator dimensions differ$"):
+        acsa_run(mixed, CyclicControl(2), one, [0.0, 0.0])
+    ops, _, _ = two_halfspace_problem()
+    with pytest.raises(ValueError, match="^control covers 3 operators, problem has 2$"):
+        acsa_run(ops, CyclicControl(3), one, [0.0, 0.0])
 
 
 def test_divergence_detection():
@@ -528,14 +581,13 @@ def _reference_run(ops, ctrl, relaxation, x0, stop):
         if at_cap:
             reason = "max_iter"
             break
-        try:
-            label = ctrl.label(n)
-        except ControlExhausted:
+        if not ctrl.repeats and n == len(ctrl.labels):
             if checkpoints[-1][0] != n:
                 checkpoints.append((n, max_residual(x)))
             reason = "control_exhausted"
             break
-        lam = relaxation.lam(n)
+        label = ctrl.labels[n % len(ctrl.labels)]
+        lam = relaxation.values[n % len(relaxation.values)]
         step = ops[label - 1].apply(x) - x
         x = x + lam * step
         iterates.append(x)
@@ -639,8 +691,9 @@ def test_a_checkpoint_after_negative_zero_turns_positive_evaluates_again(monkeyp
 
 def test_relaxation_schedules():
     sched = CyclicRelaxation([0.5, 1.5])
-    assert sched.lam(0) == 0.5 and sched.lam(3) == 1.5
-    assert sched.bounds() == (0.5, 1.5)
+    assert sched.values == (0.5, 1.5)
+    trace = _run_words(CyclicControl(3), sched, 5)
+    assert trace.relaxations.tolist() == [0.5, 1.5, 0.5, 1.5, 0.5]
     with pytest.raises(ValueError):
         CyclicRelaxation([0.5, 2.5])
 

@@ -77,6 +77,32 @@ def test_solve_warns_on_degenerate_relaxation(demo_dir, tmp_path, capsys):
     assert "warning" in err and "2" in err
     assert code in (0, 2)
 
+    prob["relaxation"] = {"kind": "cyclic", "values": [0.0, 1.0, 1.0]}
+    path.write_text(json.dumps(prob))
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "z"))
+    assert err == "warning: relaxation schedule reaches 0; steps there make no progress\n"
+    assert code == 0
+
+
+def test_solve_reports_an_overflowing_iterate_as_an_error(tmp_path, capsys):
+    # the averaged half-space is outside the residual bank, and its slack
+    # overflows to inf in a Python float: the first step leaves the finite
+    # numbers without a floating-point warning
+    prob = {
+        "dim": 1,
+        "operators": [{"kind": "firmly_nonexpansive_avg",
+                       "inner": {"kind": "halfspace", "a": [1.0], "b": -1.7e308}}],
+        "control": {"kind": "cyclic"},
+        "x0": [1.7e308],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "solve", str(path), "-o", str(out))
+    assert code == 1 and stdout == ""
+    assert err == "error: non-finite iterate at step 0 (operator 1, lambda 1.0)\n"
+    assert not out.exists()
+
 
 def test_analyze_certified_round_trip(demo_dir, tmp_path, capsys):
     out = tmp_path / "report"
@@ -155,6 +181,12 @@ def test_analyze_bad_ladder(demo_dir, tmp_path, capsys):
         "-o", str(tmp_path / "r3"), "--ladder", "0.1,0.2",
     )
     assert code == 1 and "ladder" in err
+    code, _, err = run_cli(
+        capsys, "analyze", str(demo_dir / "trace.jsonl"), str(demo_dir / "problem.json"),
+        "-o", str(tmp_path / "r4"), "--ladder", "0.1,x",
+    )
+    assert code == 1
+    assert err == "error: bad ladder '0.1,x'; expected comma-separated floats\n"
 
 
 THREE_BALLS = {
@@ -300,6 +332,16 @@ def test_the_shared_encoder_refuses_non_finite_numbers(tmp_path, value):
 def test_atomic_writes_leave_no_temp_files(demo_dir):
     leftovers = [name for name in os.listdir(demo_dir) if name.startswith(".evfam-")]
     assert leftovers == []
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._write_text(tmp_path / "summary.json", "{}")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])

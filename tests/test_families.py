@@ -290,6 +290,15 @@ def test_star_examples():
     assert star(CoGapLevelFamily(1)) == EPSet.empty()
 
 
+def test_snapshots_over_n_are_refused():
+    with pytest.raises(ValueError, match="^star over N needs a symbolic family$"):
+        star(PredicateFamily("N", lambda s: not s.is_finite))
+    with pytest.raises(ValueError, match="^cannot snapshot a family over N$"):
+        to_indicator(G)
+    with pytest.raises(ValueError, match="^complement families are computed on finite grounds$"):
+        family_complement(H)
+
+
 def test_push_identity_is_identity():
     ground = ("a", "b", "c")
     fam = IndicatorFamily(ground, [{"a"}, {"a", "b"}, {"a", "b", "c"}])
@@ -324,6 +333,16 @@ def test_push_refuses_values_outside_the_codomain():
         push({1: "a", 2: "b"}, fam, codomain=("a",))
     with pytest.raises(ValueError, match="leave the codomain"):
         push(PeriodicSeq((), (1, 2)), H, codomain=(1,))
+
+
+def test_push_refuses_maps_of_the_wrong_kind():
+    fam = IndicatorFamily((1, 2), [{1}])
+    with pytest.raises(ValueError, match="^a PeriodicSeq pushes from N only$"):
+        push(PeriodicSeq((), ("a",)), fam)
+    with pytest.raises(TypeError, match="^push takes a dict or a PeriodicSeq$"):
+        push([(1, "a"), (2, "a")], fam)
+    with pytest.raises(TypeError, match="^dict maps push from finite grounds only$"):
+        push({1: "a"}, H)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,6 +385,17 @@ def test_topology_validation():
 def test_topology_counts():
     # 1, 1, 4, 29, 355 topologies on 0..4 points
     assert [len(all_topologies("abcd"[:n])) for n in range(5)] == [1, 1, 4, 29, 355]
+    with pytest.raises(ValueError, match=re.escape("limited to |X| <= 4")):
+        all_topologies("abcde")
+
+
+def test_topology_equality_ignores_the_order_of_the_ground():
+    t = FiniteTopology(("a", "b"), [(), "a", "ab"])
+    u = FiniteTopology(("b", "a"), [(), "a", "ab"])
+    assert t == u and hash(t) == hash(u)
+    assert t != FiniteTopology(("b", "a"), [(), "b", "ab"])
+    assert t != FiniteTopology(("a", "b", "c"), [(), "a", "abc"])
+    assert t != frozenset(t.opens)
 
 
 @pytest.mark.parametrize("build", [

@@ -2,6 +2,7 @@
 classification, star/push, closures, and multiset limits."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,6 +362,31 @@ def test_closure_dominates_nowhere_below():
         cl = mf_closure(mf, t)
         for s in powerset(ground):
             assert cl.value(s) >= mf.value(s)
+
+
+def test_multisets_compare_by_multiplicity_whatever_the_ground_order():
+    ms = Multiset(("a", "b", "c"), {"a": 1, "b": INF})
+    same = Multiset(("c", "b", "a"), {"b": INF, "a": 1, "c": 0})
+    assert ms == same and hash(ms) == hash(same)
+    assert ms != Multiset(("a", "b", "c"), {"a": 2, "b": INF})
+    assert ms != Multiset(("a", "b"), {"a": 1, "b": INF})
+    assert ms != {"a": 1, "b": INF}
+    # zero multiplicities are left out
+    assert repr(same) == "Multiset(ground=('c', 'b', 'a'), mult={'b': ExtNat(inf), 'a': ExtNat(1)})"
+
+
+def test_indicator_multifamilies_wrap_families_only():
+    with pytest.raises(TypeError, match="^indicator multifamilies wrap a family$"):
+        IndicatorMultifamily(GAP)
+
+
+def test_explicit_values_read_keys_and_check_every_other_argument():
+    mf = ExplicitMultifamily(("a", "b"), {frozenset("a"): 2, frozenset("ab"): INF})
+    assert mf.value(frozenset("a")) == ExtNat(2) and mf.value({"b", "a"}) == INF
+    assert mf.value(frozenset("b")) == ExtNat(0) and mf.value(()) == ExtNat(0)
+    for stray in (frozenset("c"), frozenset("ac"), ["c"]):
+        with pytest.raises(ValueError, match=re.escape("elements ['c'] not in the ground")):
+            mf.value(stray)
 
 
 def test_multifamily_reprs_name_the_class_and_its_parameters():

@@ -256,7 +256,7 @@ def test_random_lists_match_the_scalar_loop():
 
 def test_slacks_equal_the_slacks_of_apply_bit_for_bit():
     # every dimension the dot kernel unrolls differently, a strided point,
-    # and blocks on either side of the follows block of 256 rows
+    # and blocks on either side of the holds block of 256 rows
     rng = np.random.default_rng(14)
     for dim in [*range(1, 130), 200, 257, 500]:
         ops = [(Hyperplane if k % 3 else Halfspace)(rng.normal(size=dim), rng.normal())

@@ -15,6 +15,7 @@ from evfam.families import (
     EmptyFamily,
     IndicatorFamily,
     InfiniteFamily,
+    PredicateFamily,
 )
 from evfam.intseq import EPSet, random_epset
 from evfam.setlimits import (
@@ -75,6 +76,11 @@ def test_e_limit_rejects_finite_ground_families():
     fam = IndicatorFamily(("a",), [{"a"}])
     with pytest.raises(TypeError):
         e_limit(fam, ALTERNATING)
+
+
+def test_e_limit_rejects_non_symbolic_families():
+    with pytest.raises(TypeError, match="^e-limits evaluate against symbolic families over N$"):
+        e_limit(PredicateFamily("N", lambda s: not s.is_finite), ALTERNATING)
 
 
 def test_from_sets_round_trip():
@@ -192,6 +198,8 @@ def test_verify_preconditions():
     assert v.status == "preconditions-unmet"
     assert "limit" in v.reason
     assert not v
+    v = verify_limit_theorem(constant, EmptyFamily(("a",)))
+    assert (v.status, v.reason) == ("preconditions-unmet", "family is not over N")
 
 
 def test_verify_on_random_convergent_corpus():

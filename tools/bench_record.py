@@ -2,6 +2,8 @@
 
     python3 tools/bench_record.py --label NAME --workload W --seed N \
         [--checkout DIR] [--append] [--trace 0|1]
+    python3 tools/bench_record.py --label NAME --workload tier-1 \
+        [--checkout DIR] [--append]
 
 Runs ``perfbench/run.py`` of a source checkout (this repository unless
 ``--checkout`` names another, e.g. a clone of an earlier commit) in a
@@ -14,34 +16,86 @@ run goes to ``runs`` and its end-to-end metrics to ``summary``; a
 ``--trace 1`` run goes to ``trace_runs`` and its per-layer metrics to
 ``layers``.  Each summary gives a metric's median and quartiles over the
 recorded runs of its kind.
+
+The workload ``tier-1`` instead times one run of the checkout's tier-1
+test suite, ``python -m pytest -q --continue-on-collection-errors`` in the
+checkout with its ``src`` first on PYTHONPATH, and records its wall time
+``tier1_s`` with the ``passed`` and ``failed`` counts of pytest's summary
+line (errors count as failed).  It takes no seed and no trace.
 """
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KEYS = ("workload", "seed", "seconds")
+TIER1 = "tier-1"
+PYTEST = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# perfbench's machine facts of the checkout, the git commit among them
+MACHINE = ("import json, sys; sys.path.insert(0, 'perfbench'); import run; "
+           "print(json.dumps(run.machine_facts()))")
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True)
     p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int)
     p.add_argument("--checkout", type=Path, default=ROOT)
     p.add_argument("--append", action="store_true")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
+    if args.workload == TIER1:
+        if args.seed is not None or args.trace:
+            p.error("the tier-1 workload takes no --seed and no --trace")
+        args.seconds = None
+        return args
+    if args.seed is None:
+        p.error("a perfbench workload needs --seed")
     args.seconds = json.loads((args.checkout / "BENCHMARK.json").read_text())["run_seconds"]
     return args
 
 
+def _counts(summary_line):
+    """The passed and failed counts of pytest's summary line."""
+    found = dict.fromkeys(("passed", "failed", "error"), 0)
+    for count, outcome in re.findall(r"(\d+) (passed|failed|error)s?\b", summary_line):
+        found[outcome] += int(count)
+    return found["passed"], found["failed"] + found["error"]
+
+
+def run_tier1(args):
+    """The detail record and the metrics of one timed tier-1 run."""
+    env = dict(os.environ)
+    src = str(args.checkout.resolve() / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, *PYTEST], cwd=args.checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = done.stdout.strip().splitlines()
+    summary_line = lines[-1] if lines else ""
+    passed, failed = _counts(summary_line)
+    machine = json.loads(subprocess.run([sys.executable, "-c", MACHINE], cwd=args.checkout,
+                                        check=True, capture_output=True, text=True).stdout)
+    detail = {"machine": machine, "returncode": done.returncode, "summary_line": summary_line}
+    metrics = {"tier1_s": {"value": wall, "unit": "s"},
+               "passed": {"value": passed, "unit": "count"},
+               "failed": {"value": failed, "unit": "count"}}
+    return {"detail": detail, "result": {"metrics": metrics}}
+
+
 def run_bench(args):
     """The detail record and the metrics line of one perfbench run."""
+    if args.workload == TIER1:
+        return run_tier1(args)
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
