@@ -669,41 +669,46 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
 
     labels, lams = ctrl.labels, relaxation.values
     n = 0
-    while True:
-        at_cap = n >= stop.max_iter
-        if (n % stop.stride == 0 or at_cap) and checkpoint(n, x) <= stop.tol:
-            stop_reason = "converged"
-            break
-        if at_cap:
-            stop_reason = "max_iter"
-            break
-        if not ctrl.repeats and n == len(labels):
-            if checkpoints[-1][0] != n:  # step 0 always has a checkpoint
-                checkpoint(n, x)
-            stop_reason = "control_exhausted"
-            break
-        label = labels[n % len(labels)]
-        lam = lams[n % len(lams)]
-        tx = ops[label - 1].apply(x)
-        if tx is x:
-            # a held point, as at an inactive cut: x is finite, so x - x is
-            # +0.0, lam * +0.0 is +0.0 for lam in [0, 2], and x + 0.0 is the
-            # full step's point bit for bit (-0.0 turns into +0.0)
-            x_next, res = x + 0.0, 0.0
-        else:
-            step = tx - x
-            x_next = x + lam * step
-            if not np.isfinite(x_next).all():
-                raise AcsaDivergence(
-                    f"non-finite iterate at step {n} (operator {label}, lambda {lam})"
-                )
-            res = norm(step)
-        controls.append(label)
-        relaxations.append(lam)
-        residuals.append(res)
-        iterates.append(x_next)
-        x = x_next
-        n += 1
+    # a finite but huge point overflows a slack, a norm or a step: inf or NaN,
+    # which the checks below refuse by step and operator, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            at_cap = n >= stop.max_iter
+            if (n % stop.stride == 0 or at_cap) and checkpoint(n, x) <= stop.tol:
+                stop_reason = "converged"
+                break
+            if at_cap:
+                stop_reason = "max_iter"
+                break
+            if not ctrl.repeats and n == len(labels):
+                if checkpoints[-1][0] != n:  # step 0 always has a checkpoint
+                    checkpoint(n, x)
+                stop_reason = "control_exhausted"
+                break
+            label = labels[n % len(labels)]
+            lam = lams[n % len(lams)]
+            tx = ops[label - 1].apply(x)
+            if tx is x:
+                # a held point, as at an inactive cut: x is finite, so x - x is
+                # +0.0, lam * +0.0 is +0.0 for lam in [0, 2], and x + 0.0 is the
+                # full step's point bit for bit (-0.0 turns into +0.0)
+                x_next, res = x + 0.0, 0.0
+            else:
+                step = tx - x
+                x_next = x + lam * step
+                if not np.isfinite(x_next).all():
+                    raise AcsaDivergence(
+                        f"non-finite iterate at step {n} (operator {label}, lambda {lam})"
+                    )
+                res = norm(step)
+                if not math.isfinite(res):
+                    raise AcsaDivergence(f"non-finite residual at step {n} (operator {label})")
+            controls.append(label)
+            relaxations.append(lam)
+            residuals.append(res)
+            iterates.append(x_next)
+            x = x_next
+            n += 1
     return Trace(iterates, controls, relaxations, residuals, checkpoints,
                  converged=stop_reason == "converged", stop_reason=stop_reason)
 

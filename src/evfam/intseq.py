@@ -12,7 +12,8 @@ measures the recurring runs of consecutive integers inside S itself.  Both
 are read off the tail word by one helper, ``_recurring_gap``, so cogap
 builds no complement.  That helper hands the word itself to
 ``window_cover``, the one window statistic, which reads the runs of a 0/1
-word without a given bit.
+word without a given bit: it translates the bit to whitespace and every
+other byte to a letter, and ``bytes.split()`` returns the nonempty runs.
 
 Both words are ``bytes`` whose bytes are all 0 or 1, so the operations are
 byte-string built-ins: ``find`` for the minimal period, ``rstrip`` and
@@ -316,23 +317,35 @@ def intersection(a, b):
     return _pointwise(a, b, operator.and_)
 
 
+#: per bit, the translation that turns the bit into b" " and every other
+#: byte into b"x", so that ``bytes.split()`` returns the runs without it
+_BLANK_AT = {bit: bytes(32 if v == bit else 120 for v in range(256)) for bit in (0, 1)}
+
+
 def window_cover(word, bit=1, cyclic=False):
     """Smallest w such that every w consecutive places of the 0/1 byte
-    string ``word`` hold ``bit``: one more than its longest run without
-    ``bit``.  With ``cyclic`` the windows wrap around, as for a period word
-    repeated forever, so the runs at its two ends join.
+    string ``word`` hold ``bit`` (1 or 0): one more than its longest run
+    without ``bit``.  With ``cyclic`` the windows wrap around, as for a
+    period word repeated forever, so the runs at its two ends join when
+    neither end holds ``bit``.
+
+    The runs are read in C: ``word`` is translated so that ``bit`` becomes
+    whitespace and every other byte a letter, and ``bytes.split()`` with no
+    argument drops the empty runs between adjacent ``bit`` bytes, so a word
+    full of ``bit`` lists no runs at all.
 
     gap is the cyclic cover of a period word minus one, and cogap the same
     with ``bit`` 0.  A control's window constant and a trace's follows
     window are the covers of the 0/1 words of the steps that apply each
     operator.
     """
-    runs = word.split(bytes((bit,)))
-    if len(runs) == 1:
+    if bit not in word:
         raise ValueError(f"no {bit} in the word: no window length covers it")
-    if cyclic:
+    runs =word.translate(_BLANK_AT[bit]).split()
+    if cyclic and word[0] != bit and word[-1] != bit:
         runs[0] += runs.pop()
-    return 1 + max(map(len, runs))
+    # every run is b"x" repeated, so the greatest in byte order is the longest
+    return 1 + len(max(runs, default=b""))
 
 
 def _recurring_gap(s, bit):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import pytest
 from test_analysis import (
@@ -101,6 +102,29 @@ def test_solve_reports_an_overflowing_iterate_as_an_error(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "solve", str(path), "-o", str(out))
     assert code == 1 and stdout == ""
     assert err == "error: non-finite iterate at step 0 (operator 1, lambda 1.0)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("operators, x0, message", [
+    # a stacked cut whose slack overflows at the first checkpoint
+    ([{"kind": "hyperplane", "a": [1.0], "b": -1.7e308}], [1.7e308],
+     "non-finite iterate at step 0 (operator 1, lambda 1.0)"),
+    # a finite step whose norm overflows to a residual of inf
+    ([{"kind": "ball", "center": [0.0], "radius": 1.0},
+      {"kind": "ball", "center": [0.5], "radius": 1.0}], [1e200],
+     "non-finite residual at step 0 (operator 1)"),
+])
+def test_solve_refuses_an_overflow_without_a_warning(tmp_path, capsys, operators, x0, message):
+    prob = {"dim": 1, "operators": operators, "control": {"kind": "cyclic"}, "x0": x0}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, "solve", str(path), "-o", str(out))
+    assert code == 1 and stdout == ""
+    assert err == f"error: {message}\n"
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 

@@ -269,9 +269,9 @@ def test_window_cover_examples():
     assert window_cover(b"\1\1\0\0\0\0", bit=0) == 3
     assert window_cover(b"\1\1\0\0\0\0", bit=0, cyclic=True) == 3
     for word in (b"", b"\0\0\0\0"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^no 1 in the word: no window length covers it$"):
             window_cover(word)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no 0 in the word: no window length covers it$"):
         window_cover(b"\1\1", bit=0)
 
 
@@ -285,6 +285,38 @@ def test_window_cover_matches_window_scan(bits, cyclic):
             assert window_cover(word, bit, cyclic) == cover_oracle(positions, len(bits), cyclic)
         else:
             with pytest.raises(ValueError):
+                window_cover(word, bit, cyclic)
+
+
+def linear_cover(positions, length, cyclic):
+    """The cover read off the sorted positions that hold the bit: the
+    largest step from one position to the next, from the start to the
+    first and from the last to the end, or with ``cyclic`` from the last
+    around to the first."""
+    steps = [b - a for a, b in zip(positions, positions[1:])]
+    if cyclic:
+        steps.append(positions[0] + length - positions[-1])
+    else:
+        steps += [positions[0] + 1, length - positions[-1]]
+    return max(steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from([0.86, 0.11]), st.integers(0, 2**32 - 1),
+       st.booleans())
+@example(3000, 1.0, 0, False)  # all ones: no run without bit 1
+@example(3000, 0.86, 7, True)
+def test_window_cover_matches_positions_on_long_words(length, density, seed, cyclic):
+    # dense words like halfspace-large's follows masks, sparse ones like
+    # ball-bounce's, read with either bit
+    rng = random.Random(seed)
+    word = bytes(rng.random() < density for _ in range(length))
+    for bit in (1, 0):
+        positions = [i for i, b in enumerate(word) if b == bit]
+        if positions:
+            assert window_cover(word, bit, cyclic) == linear_cover(positions, length, cyclic)
+        else:
+            with pytest.raises(ValueError, match=f"^no {bit} in the word"):
                 window_cover(word, bit, cyclic)
 
 
