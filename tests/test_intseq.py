@@ -290,9 +290,9 @@ def test_window_cover_matches_window_scan(bits, cyclic):
 
 def linear_cover(positions, length, cyclic):
     """The cover read off the sorted positions that hold the bit: the
-    largest step from one position to the next, from the start to the
-    first and from the last to the end, or with ``cyclic`` from the last
-    around to the first."""
+    largest step from one position to the next, from just before the word
+    to the first and from the last to just past the word, or with
+    ``cyclic`` from the last around to the first."""
     steps = [b - a for a, b in zip(positions, positions[1:])]
     if cyclic:
         steps.append(positions[0] + length - positions[-1])
