@@ -622,15 +622,17 @@ class ResidualBank:
 
     def max_residual(self, x):
         """max over the ops of |T(x) - x|, for a float point x of their
-        dimension."""
+        dimension.  At a huge point a slack or a norm overflows to inf or
+        NaN, without a floating-point warning: the caller judges the value."""
         values = np.zeros(len(self.ops))
-        if self.banked.size:
-            slack = self.slacks(x)
-            moved = ~self._held(slack)  # the others return x
-            step = (slack[moved] / self._norm2[moved])[:, None] * self._A[moved]
-            values[self.banked[moved]] = row_distances((x - step) - x, 0.0)
-        for k, op in self._others:
-            values[k] = _residual(op, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.banked.size:
+                slack = self.slacks(x)
+                moved = ~self._held(slack)  # the others return x
+                step = (slack[moved] / self._norm2[moved])[:, None] * self._A[moved]
+                values[self.banked[moved]] = row_distances((x - step) - x, 0.0)
+            for k, op in self._others:
+                values[k] = _residual(op, x)
         return max(values.tolist())
 
 
@@ -640,7 +642,8 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     applies operator i(n) = ctrl.labels[n mod len] with relaxation
     lambda_n = relaxation.values[n mod len]; a control word that does not
     repeat ends the run at n = len(ctrl.labels), after a checkpoint there.
-    Both words were checked when they were built."""
+    Both words were checked when they were built.  A non-finite iterate,
+    step residual or final checkpoint maximum raises AcsaDivergence."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
@@ -709,6 +712,9 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             iterates.append(x_next)
             x = x_next
             n += 1
+    # the final point always has a checkpoint, and its maximum is the summary's
+    if not math.isfinite(checkpoints[-1][1]):
+        raise AcsaDivergence(f"non-finite maximum residual at the final checkpoint (step {n})")
     return Trace(iterates, controls, relaxations, residuals, checkpoints,
                  converged=stop_reason == "converged", stop_reason=stop_reason)
 

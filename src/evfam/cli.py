@@ -3,10 +3,13 @@ and worked demos.
 
 Artifacts are JSON/JSONL/CSV, written atomically (temp file + rename) so a
 crashed run never leaves a half-written report, with the permissions the
-umask gives a new file.  JSON artifacts are one line of sorted keys, which
-the C encoder writes.  Identical inputs and seed produce byte-identical
-outputs; floats are serialized with Python's repr, which round-trips
-exactly.
+umask gives a new file.  Each artifact costs one call, not one per line:
+JSON artifacts are one line of sorted keys, which the C encoder writes; a
+trace is that encoder's output for the whole record list, split into one
+line per record; a trace is read back by one json.loads over its lines;
+runs.csv is one string format per row, joined once.  Identical inputs and
+seed produce byte-identical outputs; floats are serialized with Python's
+repr, which round-trips exactly.
 
 Exit codes: 0 success/converged/certified; 1 input, replay or write error;
 2 iteration cap or inconclusive; 3 certification violation.
@@ -15,8 +18,6 @@ Exit codes: 0 success/converged/certified; 1 input, replay or write error;
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -73,16 +74,15 @@ def _write_json(path, obj):
     _write_text(path, _dump_json(obj))
 
 
+def _dump_jsonl(records):
+    """One line of _JSON per trace record, from one encode of the whole
+    list.  A trace record holds no nested object and no string value, so
+    "}, {" occurs in the encoded list only between two records."""
+    return _JSON.encode(records)[1:-1].replace("}, {", "}\n{") + "\n"
+
+
 def _write_jsonl(path, records):
-    _write_text(path, "\n".join(map(_JSON.encode, records)) + "\n")
-
-
-def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, buf.getvalue())
+    _write_text(path, _dump_jsonl(records))
 
 
 def _fail(msg):
@@ -92,7 +92,10 @@ def _fail(msg):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"problem {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +132,10 @@ def cmd_solve(args):
     except cfp.AcsaDivergence as exc:
         return _fail(exc)
     summary = cfp.trace_summary(ops, trace)
-    _write_jsonl(os.path.join(args.out, "trace.jsonl"), cfp.trace_records(trace))
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    # both encoded before either is written: a failed encode leaves no artifact
+    texts = _dump_jsonl(cfp.trace_records(trace)), _dump_json(summary)
+    for name, text in zip(("trace.jsonl", "summary.json"), texts):
+        _write_text(os.path.join(args.out, name), text)
     print(
         f"{summary['stop_reason']} after {summary['iterations']} steps; "
         f"final {summary['final']} (max residual {summary['max_residual']})"
@@ -144,6 +149,26 @@ def cmd_solve(args):
 
 
 def _read_trace(path):
+    """The trace of a JSONL file, read by one json.loads over its non-blank
+    lines, joined into a list.  That read is taken only when the list holds
+    one value per line, every line ends in "}" and trace_from_records
+    accepts the values.  Then every value is a record with no nested object
+    and no string but its keys, so every "}" ends a record, each line holds
+    exactly one record, and the per-line read gives the same records.  At
+    any doubt the lines are read one at a time, from the file again so that
+    each keeps its newline for the error position, and the first bad line
+    is named."""
+    try:
+        with open(path) as fh:
+            # split on "\n" alone, as file iteration does; str.splitlines
+            # also splits on U+2028 and other characters inside a line
+            lines = [line for line in fh.read().split("\n") if line.strip()]
+        if all(line.rstrip().endswith("}") for line in lines):
+            records = json.loads("[" + ",".join(lines) + "]")
+            if len(records) == len(lines):
+                return cfp.trace_from_records(records)
+    except _INPUT_ERRORS:
+        pass
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -162,6 +187,16 @@ def _parse_ladder(text):
     except ValueError:
         raise ValueError(f"bad ladder {text!r}; expected comma-separated floats")
     return ladder
+
+
+def _dump_runs(trace):
+    """runs.csv: one row per step.  Ints and float reprs need no CSV
+    quoting, so these are the bytes csv.writer writes."""
+    columns = (trace.controls, trace.relaxations, trace.residuals,
+               cfp.row_distances(trace.iterates[1:], trace.final))
+    rows = map("{},{},{!r},{!r},{!r}\n".format, range(1, trace.n_steps + 1),
+               *(col.tolist() for col in columns))
+    return "n,i,lambda,res,dist_to_final\n" + "".join(rows)
 
 
 def cmd_analyze(args):
@@ -203,13 +238,7 @@ def cmd_analyze(args):
     }
     _write_json(os.path.join(args.out, "report.json"), report)
 
-    columns = (trace.controls, trace.relaxations, trace.residuals,
-               cfp.row_distances(trace.iterates[1:], trace.final))
-    _write_csv(
-        os.path.join(args.out, "runs.csv"),
-        ("n", "i", "lambda", "res", "dist_to_final"),
-        zip(range(1, trace.n_steps + 1), *(col.tolist() for col in columns)),
-    )
+    _write_text(os.path.join(args.out, "runs.csv"), _dump_runs(trace))
 
     for rep in follows:
         window = "none" if rep.min_c is None else rep.min_c

@@ -341,7 +341,7 @@ def window_cover(word, bit=1, cyclic=False):
     """
     if bit not in word:
         raise ValueError(f"no {bit} in the word: no window length covers it")
-    runs =word.translate(_BLANK_AT[bit]).split()
+    runs = word.translate(_BLANK_AT[bit]).split()
     if cyclic and word[0] != bit and word[-1] != bit:
         runs[0] += runs.pop()
     # every run is b"x" repeated, so the greatest in byte order is the longest

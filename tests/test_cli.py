@@ -1,9 +1,13 @@
 """End-to-end command tests: demo/solve/analyze round trips on disk, exit
 codes, determinism of the written artifacts, and the check runner."""
 
+import collections
+import csv
+import io
 import json
 import math
 import os
+import random
 import stat
 import warnings
 
@@ -13,12 +17,22 @@ from test_analysis import (
     ball_bounce_run,
     halfspace_problem,
     halfspace_run,
+    mixed_kind_run,
     reference_witnesses,
+    zero_step_trace,
 )
 
 from evfam import cli
 from evfam.analysis import follows_check
-from evfam.cfp import acsa_run, problem_to_json, trace_records, trace_summary
+from evfam.cfp import (
+    Trace,
+    acsa_run,
+    problem_to_json,
+    row_distances,
+    trace_from_records,
+    trace_records,
+    trace_summary,
+)
 from evfam.cli import main
 
 
@@ -105,17 +119,24 @@ def test_solve_reports_an_overflowing_iterate_as_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("operators, x0, message", [
+TWO_BALLS = [{"kind": "ball", "center": [0.0], "radius": 1.0},
+             {"kind": "ball", "center": [0.5], "radius": 1.0}]
+
+
+@pytest.mark.parametrize("operators, x0, message, stop", [
     # a stacked cut whose slack overflows at the first checkpoint
     ([{"kind": "hyperplane", "a": [1.0], "b": -1.7e308}], [1.7e308],
-     "non-finite iterate at step 0 (operator 1, lambda 1.0)"),
+     "non-finite iterate at step 0 (operator 1, lambda 1.0)", {}),
     # a finite step whose norm overflows to a residual of inf
-    ([{"kind": "ball", "center": [0.0], "radius": 1.0},
-      {"kind": "ball", "center": [0.5], "radius": 1.0}], [1e200],
-     "non-finite residual at step 0 (operator 1)"),
+    (TWO_BALLS, [1e200], "non-finite residual at step 0 (operator 1)", {}),
+    # no step at all: only the final checkpoint's maximum overflows
+    (TWO_BALLS, [1e200], "non-finite maximum residual at the final checkpoint (step 0)",
+     {"max_iter": 0}),
 ])
-def test_solve_refuses_an_overflow_without_a_warning(tmp_path, capsys, operators, x0, message):
-    prob = {"dim": 1, "operators": operators, "control": {"kind": "cyclic"}, "x0": x0}
+def test_solve_refuses_an_overflow_without_a_warning(tmp_path, capsys, operators, x0, message,
+                                                      stop):
+    prob = {"dim": 1, "operators": operators, "control": {"kind": "cyclic"}, "x0": x0,
+            "stop": stop}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(prob))
     out = tmp_path / "o"
@@ -126,6 +147,36 @@ def test_solve_refuses_an_overflow_without_a_warning(tmp_path, capsys, operators
     assert err == f"error: {message}\n"
     assert "RuntimeWarning" not in err
     assert not out.exists()
+
+
+def test_a_held_point_whose_slack_overflows_solves_without_a_warning(tmp_path, capsys):
+    # the slack at x0 is -inf: the half-space holds the point, and the
+    # maximum residual of summary.json and of analyze's stop check is 0.0
+    prob = {"dim": 1, "operators": [{"kind": "halfspace", "a": [1.0], "b": 1.7e308}],
+            "control": {"kind": "cyclic"}, "x0": [-1.7e308], "stop": {"max_iter": 0}}
+    path, out = tmp_path / "held.json", tmp_path / "o"
+    path.write_text(json.dumps(prob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved = run_cli(capsys, "solve", str(path), "-o", str(out))
+        analyzed = run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(path), "-o", str(out))
+    assert solved[0] == 0 and solved[2] == ""
+    assert json.loads((out / "summary.json").read_text())["max_residual"] == 0.0
+    assert analyzed[0] == 2 and analyzed[2] == ""
+
+
+def test_problem_read_errors_name_the_problem_file(demo_dir, tmp_path, capsys):
+    trace, problem = demo_dir / "trace.jsonl", demo_dir / "problem.json"
+    try:
+        json.loads(trace.read_text())
+    except ValueError as exc:
+        expected = f"error: problem {trace}: {exc}\n"
+    # analyze with the two paths swapped, and solve given a trace
+    for args in (["analyze", str(problem), str(trace)], ["solve", str(trace)]):
+        code, stdout, err = run_cli(capsys, *args, "-o", str(tmp_path / "r"))
+        assert (code, stdout, err) == (1, "", expected)
+    assert expected.startswith(f"error: problem {trace}: Extra data: line 2 column 1")
+    assert not (tmp_path / "r").exists()
 
 
 def test_analyze_certified_round_trip(demo_dir, tmp_path, capsys):
@@ -351,6 +402,171 @@ def test_the_shared_encoder_refuses_non_finite_numbers(tmp_path, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli._write_jsonl(tmp_path / "trace.jsonl", [{"n": 0}, {"x": [0.0, value]}])
     assert os.listdir(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# one call per artifact: the trace writer, the trace reader and runs.csv
+
+
+def test_trace_records_are_flat_so_one_encode_splits_into_lines():
+    held = 0
+    for _, trace in (ball_bounce_run(), halfspace_run(), zero_step_trace(), mixed_kind_run()):
+        records = trace_records(trace)
+        # no nested object and no string value: "}, {" only between records
+        for rec in records:
+            for value in rec.values():
+                assert type(value) in (int, float) or (
+                    type(value) is list and set(map(type, value)) == {float})
+        held += sum("x" not in rec for rec in records)
+        assert cli._dump_jsonl(records) == "".join(dumps(rec) + "\n" for rec in records)
+    assert held  # a held point's record has no "x"
+    assert cli._dump_jsonl([]) == "\n"
+
+
+def _per_line_read(path):
+    """The reader that parses one line at a time: the oracle of
+    cli._read_trace, which must give the same trace or the same error."""
+    records = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except ValueError as exc:
+                raise ValueError(f"trace line {lineno}: {exc}") from None
+    return trace_from_records(records)
+
+
+def _outcome(read, path):
+    try:
+        trace = read(path)
+    except cli._INPUT_ERRORS as exc:
+        return type(exc).__name__, str(exc)
+    columns = (trace.iterates, trace.controls, trace.relaxations, trace.residuals)
+    return "trace", [(col.dtype.str, col.shape, col.tobytes()) for col in columns]
+
+
+def _same_read(path):
+    got = _outcome(cli._read_trace, path)
+    assert got == _outcome(_per_line_read, path)
+    return got
+
+
+def _joined_checks_pass(text):
+    """Does text pass the one-parse read's line checks: one value per
+    non-blank line, each ending in "}"?"""
+    lines = [line for line in text.split("\n") if line.strip()]
+    values = json.loads("[" + ",".join(lines) + "]")
+    return len(values) == len(lines) and all(line.rstrip().endswith("}") for line in lines)
+
+
+STEP = '{"i": 1, "lambda": 1.0, "n": %d, "res": 0.0}'
+
+
+def test_a_count_check_alone_would_misread_a_split_record(tmp_path):
+    text = ('{"n": 0, "x": [0.12\n5, 2.0]}\n'
+            f"{STEP % 1}, {STEP % 2}\n{STEP % 3}\n")
+    lines = [line for line in text.split("\n") if line.strip()]
+    values = json.loads("[" + ",".join(lines) + "]")
+    # one value per line, and a valid trace with 3 coordinates: a read on
+    # the count alone takes it
+    assert len(values) == len(lines)
+    assert trace_from_records(values).iterates.shape == (4, 3)
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    assert _same_read(path) == (
+        "ValueError", "trace line 1: Expecting ',' delimiter: line 2 column 1 (char 20)")
+
+
+@pytest.mark.parametrize("text", [
+    # a nested object's "}" ends a line, and the count still matches
+    '{"n": 0, "x": [{}\n{}], "q": 1}, ' + STEP % 1 + "\n",
+    # a string that spans the join: "}\n" inside it becomes "},"
+    '{"n": 0, "x": [0.0], "s": "}\n"}, ' + STEP % 1 + "\n",
+])
+def test_the_line_checks_cannot_pass_a_misread_trace(tmp_path, text):
+    assert _joined_checks_pass(text)
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    kind, message = _same_read(path)
+    assert kind == "ValueError" and message.startswith("trace line 1: ")
+
+
+@pytest.mark.parametrize("edit, accepted", [
+    (lambda text: text, True),
+    (lambda text: text.replace("\n", "\r\n"), True),
+    (lambda text: text.replace("\n", "\n\n  \n\t\n\x0c\n\u2028\n"), True),
+    (lambda text: "\n \n" + text + "\n\n", True),
+    (lambda text: text.rstrip("\n"), True),
+    (lambda text: text.replace("}\n", "}  \n"), True),
+    # U+2028 is whitespace to str.strip, but neither a line break nor JSON
+    # whitespace: inside a line, and at its end, it is an error
+    (lambda text: text.replace(", ", ",\u2028", 1), False),
+    (lambda text: text.replace("}\n", "}\u2028\n", 1), False),
+    (lambda text: text.replace("}\n", "}\x0c\n", 1), False),
+    (lambda text: text.replace("}\n", "} x\n", 2), False),
+    (lambda text: text.replace("}\n{", "}, {", 1), False),
+    (lambda text: "", False),
+])
+def test_the_one_parse_read_equals_the_per_line_read(demo_dir, tmp_path, edit, accepted):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(edit((demo_dir / "trace.jsonl").read_text()).encode())
+    assert (_same_read(path)[0] == "trace") == accepted
+
+
+def test_the_one_parse_read_equals_the_per_line_read_under_mutation(tmp_path):
+    _, trace = ball_bounce_run()
+    lines = cli._dump_jsonl(trace_records(trace)[:12]).split("\n")[:-1]
+    blanks = ("", " ", "\t", "\x0c", "\u2028", "\xa0")
+    garbage = '{}[],:" 01e.-x\t\x0c\u2028'
+    rng = random.Random(2026)
+    path = tmp_path / "t.jsonl"
+    kinds = collections.Counter()
+    for _ in range(2000):
+        mutated = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(mutated))
+            op = rng.randrange(4)
+            if op == 0 and k + 1 < len(mutated):  # merge two lines
+                joint = rng.choice(("", " ", ",", ", "))
+                mutated[k:k + 2] = [mutated[k] + joint + mutated[k + 1]]
+            elif op == 1:  # split a line
+                cut = rng.randrange(len(mutated[k]) + 1)
+                mutated[k:k + 1] = [mutated[k][:cut], mutated[k][cut:]]
+            elif op == 2:  # insert a blank line
+                mutated.insert(k, rng.choice(blanks))
+            else:  # insert garbage, at the end of the line or inside it
+                at = rng.choice((len(mutated[k]), rng.randrange(len(mutated[k]) + 1)))
+                junk = "".join(rng.choices(garbage, k=rng.randint(1, 3)))
+                mutated[k] = mutated[k][:at] + junk + mutated[k][at:]
+        newline = rng.choice(("\n", "\r\n"))
+        text = newline.join(mutated) + rng.choice((newline, ""))
+        path.write_bytes(text.encode())
+        kinds[_same_read(path)[0]] += 1
+    assert kinds["trace"] >= 200 and kinds["ValueError"] >= 200
+
+
+def test_runs_csv_has_the_bytes_of_csv_writer():
+    values = [-0.0, 5e-324, 1e308, 1e16, 3.0, 1.0, 0.1, -2.0]
+    n = len(values)
+    traces = [
+        Trace(iterates=[[v] for v in [0.0, 5e-324, -0.0, 1e16, 3.0, 0.1, 1e150, -2.0, 2.0]],
+              controls=range(1, n + 1), relaxations=values[::-1], residuals=values),
+        Trace(iterates=[[1.0]]),
+        ball_bounce_run()[1],
+        halfspace_run()[1],
+    ]
+    for trace in traces:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("n", "i", "lambda", "res", "dist_to_final"))
+        columns = (trace.controls, trace.relaxations, trace.residuals,
+                   row_distances(trace.iterates[1:], trace.final))
+        writer.writerows(zip(range(1, trace.n_steps + 1), *(col.tolist() for col in columns)))
+        assert cli._dump_runs(trace) == buf.getvalue()
+    text = cli._dump_runs(traces[0])
+    assert all(repr(v) in text for v in values) and "1e+308" in text
 
 
 def test_atomic_writes_leave_no_temp_files(demo_dir):
