@@ -133,9 +133,9 @@ def cmd_solve(args):
         return _fail(exc)
     summary = cfp.trace_summary(ops, trace)
     # both encoded before either is written: a failed encode leaves no artifact
-    texts = _dump_jsonl(cfp.trace_records(trace)), _dump_json(summary)
-    for name, text in zip(("trace.jsonl", "summary.json"), texts):
-        _write_text(os.path.join(args.out, name), text)
+    trace_text, summary_text = _dump_jsonl(cfp.trace_records(trace)), _dump_json(summary)
+    _write_text(os.path.join(args.out, "trace.jsonl"), trace_text)
+    _write_text(os.path.join(args.out, "summary.json"), summary_text)
     print(
         f"{summary['stop_reason']} after {summary['iterations']} steps; "
         f"final {summary['final']} (max residual {summary['max_residual']})"

@@ -374,13 +374,22 @@ def dumps(obj):
 
 
 def test_the_shared_encoder_writes_the_bytes_of_json_dumps(tmp_path, capsys):
-    for ops, trace in (ball_bounce_run(), halfspace_run()):
+    held = 0
+    for ops, trace in (ball_bounce_run(), halfspace_run(), zero_step_trace(), mixed_kind_run()):
         records = trace_records(trace)
+        # no nested object and no string value: the one-encode trace writer
+        # finds "}, {" only between two records
+        for rec in records:
+            for value in rec.values():
+                assert type(value) in (int, float) or (
+                    type(value) is list and set(map(type, value)) == {float})
+        held += sum("x" not in rec for rec in records)
         cli._write_jsonl(tmp_path / "trace.jsonl", records)
         lines = (tmp_path / "trace.jsonl").read_text()
         assert lines == "\n".join(map(dumps, records)) + "\n"
         summary = trace_summary(ops, trace)
         assert cli._dump_json(summary) == dumps(summary) + "\n"
+    assert held  # a held point's record has no "x"
     cli._write_jsonl(tmp_path / "empty.jsonl", [])
     assert (tmp_path / "empty.jsonl").read_text() == "\n"
     problem = tmp_path / "balls.json"
@@ -406,21 +415,6 @@ def test_the_shared_encoder_refuses_non_finite_numbers(tmp_path, value):
 
 # ---------------------------------------------------------------------------
 # one call per artifact: the trace writer, the trace reader and runs.csv
-
-
-def test_trace_records_are_flat_so_one_encode_splits_into_lines():
-    held = 0
-    for _, trace in (ball_bounce_run(), halfspace_run(), zero_step_trace(), mixed_kind_run()):
-        records = trace_records(trace)
-        # no nested object and no string value: "}, {" only between records
-        for rec in records:
-            for value in rec.values():
-                assert type(value) in (int, float) or (
-                    type(value) is list and set(map(type, value)) == {float})
-        held += sum("x" not in rec for rec in records)
-        assert cli._dump_jsonl(records) == "".join(dumps(rec) + "\n" for rec in records)
-    assert held  # a held point's record has no "x"
-    assert cli._dump_jsonl([]) == "\n"
 
 
 def _per_line_read(path):
