@@ -150,6 +150,8 @@ class _AffineCut(Operator):
             raise ValueError("the normal vector's squared norm a.a overflows")
         self.a = a
         self.b = _number(b, "the offset b")
+        if not math.isfinite(self.b):
+            raise ValueError(f"the offset b must be finite, got {self.b!r}")
 
     def _slacks(self, X):
         """<a, x> - b for each row x of X, bit for bit float(a @ x) - b."""
@@ -201,6 +203,8 @@ class Ball(Operator):
         radius = _number(radius, "the radius")
         if not radius > 0:
             raise ValueError("the radius must be positive")
+        if radius == math.inf:
+            raise ValueError("the radius must be finite, got inf")
         self.center = center
         self.radius = float(radius)
 
@@ -539,7 +543,6 @@ class Trace:
     relaxations: np.ndarray = ()  # (N,) float: lambda_n
     residuals: np.ndarray = ()  # (N,) float: |T(x_n) - x_n|
     checkpoints: list = field(default_factory=list)  # (n, max residual)
-    converged: bool = False
     stop_reason: str = ""
 
     def __post_init__(self):
@@ -551,6 +554,10 @@ class Trace:
             raise ValueError("a trace's iterates are one point per row, the start point first")
         if not len(self.controls) == len(self.relaxations) == len(self.residuals) == self.n_steps:
             raise ValueError("a trace needs one label, relaxation and residual per step")
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
     @property
     def final(self):
@@ -637,13 +644,13 @@ class ResidualBank:
 
 
 def acsa_run(ops, ctrl, relaxation, x0, stop=None):
-    """Runs the sequential iteration until a checkpoint meets the residual
-    tolerance, the iteration cap, or an explicit control runs out.  Step n
-    applies operator i(n) = ctrl.labels[n mod len] with relaxation
-    lambda_n = relaxation.values[n mod len]; a control word that does not
-    repeat ends the run at n = len(ctrl.labels), after a checkpoint there.
-    Both words were checked when they were built.  A non-finite iterate,
-    step residual or final checkpoint maximum raises AcsaDivergence."""
+    """Runs the sequential iteration: step n applies operator ctrl.labels[n
+    mod len] with relaxation relaxation.values[n mod len], words checked when
+    built.  The run ends at stop.max_iter, or where a word that does not
+    repeat runs out first.  A checkpoint every stop.stride steps and at the
+    end takes max_i |T_i(x) - x|; the first within stop.tol stops the run as
+    converged, else it stops at its end as max_iter or control_exhausted.  A
+    non-finite iterate, step residual or final maximum raises AcsaDivergence."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
@@ -658,35 +665,25 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     bank = ResidualBank(ops)
 
     iterates, controls, relaxations, residuals, checkpoints = [x], [], [], [], []
+    labels, lams = ctrl.labels, relaxation.values
+    end = stop.max_iter if ctrl.repeats else min(stop.max_iter, len(labels))
     # the bytes and maximum of the last evaluated checkpoint: max_residual
     # is a function of the point's bits, so a bit-identical point reuses it
-    last = (None, None)
-
-    def checkpoint(n, x):
-        nonlocal last
-        key = x.tobytes()
-        if key != last[0]:
-            last = (key, bank.max_residual(x))
-        checkpoints.append((n, last[1]))
-        return last[1]
-
-    labels, lams = ctrl.labels, relaxation.values
+    key = worst = None
     n = 0
     # a finite but huge point overflows a slack, a norm or a step: inf or NaN,
     # which the checks below refuse by step and operator, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            at_cap = n >= stop.max_iter
-            if (n % stop.stride == 0 or at_cap) and checkpoint(n, x) <= stop.tol:
-                stop_reason = "converged"
-                break
-            if at_cap:
-                stop_reason = "max_iter"
-                break
-            if not ctrl.repeats and n == len(labels):
-                if checkpoints[-1][0] != n:  # step 0 always has a checkpoint
-                    checkpoint(n, x)
-                stop_reason = "control_exhausted"
+            if n % stop.stride == 0 or n == end:
+                if x.tobytes() != key:
+                    key, worst = x.tobytes(), bank.max_residual(x)
+                checkpoints.append((n, worst))
+                if worst <= stop.tol:
+                    stop_reason = "converged"
+                    break
+            if n == end:
+                stop_reason = "max_iter" if end == stop.max_iter else "control_exhausted"
                 break
             label = labels[n % len(labels)]
             lam = lams[n % len(lams)]
@@ -713,10 +710,9 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             x = x_next
             n += 1
     # the final point always has a checkpoint, and its maximum is the summary's
-    if not math.isfinite(checkpoints[-1][1]):
+    if not math.isfinite(worst):
         raise AcsaDivergence(f"non-finite maximum residual at the final checkpoint (step {n})")
-    return Trace(iterates, controls, relaxations, residuals, checkpoints,
-                 converged=stop_reason == "converged", stop_reason=stop_reason)
+    return Trace(iterates, controls, relaxations, residuals, checkpoints, stop_reason)
 
 
 def replay_trace(ops, trace):
@@ -731,7 +727,10 @@ def replay_trace(ops, trace):
     guarantee.  A label outside 1..m is an error that names the first such
     step, and a column of another length than the number of steps is an
     error too."""
-    _vec(trace.iterates[0], ops[0].dim)
+    try:
+        _vec(trace.iterates[0], ops[0].dim)
+    except ValueError as exc:
+        raise ValueError(f"the trace's start point: {exc}") from None
     labels = trace.controls
     points = trace.iterates[:-1]
     if not len(labels) == len(trace.relaxations) == len(trace.residuals) == len(points):

@@ -494,6 +494,8 @@ SUITE_NAMES = tuple(SUITES)
 
 def run_suite(name, seed=0, budget=DEFAULT_BUDGET):
     """Runs one named suite (or ``all``) and returns its CheckResults."""
+    if seed < 0:
+        raise ValueError(f"the seed must be an integer >= 0, got {seed}")
     if name == "all":
         results = []
         for sub in SUITE_NAMES:

@@ -11,8 +11,8 @@ runs.csv is one string format per row, joined once.  Identical inputs and
 seed produce byte-identical outputs; floats are serialized with Python's
 repr, which round-trips exactly.
 
-Exit codes: 0 success/converged/certified; 1 input, replay or write error;
-2 iteration cap or inconclusive; 3 certification violation.
+Exit codes: 0 success/converged/certified; 1 usage, input, replay or write
+error; 2 unconverged (cap or exhausted control) or inconclusive; 3 violation.
 """
 
 from __future__ import annotations
@@ -90,20 +90,16 @@ def _fail(msg):
     return 1
 
 
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"problem {path}: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # solve
 
 
 def _load_problem(path, normalize):
-    obj = _load_json(path)
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"problem {path}: {exc}") from None
     return cfp.problem_from_json(obj, normalize=normalize)
 
 
@@ -218,7 +214,6 @@ def cmd_analyze(args):
     # the iterate log does not carry the solver's verdict; recompute it
     # from the problem's own stop rule
     if cfp.ResidualBank(ops).max_residual(trace.final) <= stop.tol:
-        trace.converged = True
         trace.stop_reason = "converged"
 
     try:
@@ -380,8 +375,17 @@ def cmd_demo(args):
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, as any input error, not 2, which means unconverged
+    or inconclusive here.  Subparsers are built of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evfam",
         description="Feasibility solver and trace analyzer over set-family limits.",
     )

@@ -68,7 +68,6 @@ def constant_trace(point, n_steps, lam=1.0, controls=None):
         relaxations=[lam] * n_steps,
         residuals=[0.0] * n_steps,
         checkpoints=[(0, 0.0)],
-        converged=False,
         stop_reason="max_iter",
     )
 
@@ -599,7 +598,6 @@ def test_certify_truncated_run_is_inconclusive():
         relaxations=full.relaxations[:10],
         residuals=full.residuals[:10],
         checkpoints=[c for c in full.checkpoints if c[0] <= 10],
-        converged=False,
         stop_reason="max_iter",
     )
     cert = certify_fixed_points(cut, [op])
@@ -627,7 +625,6 @@ def test_certify_flags_inconsistent_trace():
         relaxations=[1.0] * 15,
         residuals=[0.0] * 15,
         checkpoints=[(0, 2.0)],
-        converged=False,
         stop_reason="max_iter",
     )
     cert = certify_fixed_points(trace, [op])
@@ -654,7 +651,6 @@ def test_certify_respects_coverage_eligibility():
         relaxations=[1.0] * 40,
         residuals=[5.0] * 40,
         checkpoints=[(0, 5.0)],
-        converged=False,
         stop_reason="max_iter",
     )
     rep = follows_check(trace, checked)

@@ -138,6 +138,9 @@ def test_apply_many_equals_apply_bit_for_bit():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: Ball([0.0, 0.0], 0.0), "the radius must be positive"),
+    (lambda: Ball([0.0, 0.0], math.inf), "the radius must be finite, got inf"),
+    (lambda: Halfspace([1.0, 0.0], math.inf), "the offset b must be finite, got inf"),
+    (lambda: Hyperplane([1.0, 0.0], -math.inf), "the offset b must be finite, got -inf"),
     (lambda: Box([0.0, 0.0], [1.0]), "bound shapes differ"),
     (lambda: Box([0.0, 2.0], [1.0, 1.0]), "need lo <= hi componentwise"),
     (lambda: AffineEquality([[1.0, 0.0]], [1.0, 2.0]), "matrix and right-hand side shapes differ"),
@@ -358,9 +361,11 @@ def test_control_validate_equals_a_brute_force_window_scan():
             if repeats:
                 assert trace.controls.tolist() == w * 3
             else:
-                # the word ends the run, with a checkpoint at its end
+                # the word ends the run, with a checkpoint at its end; for
+                # m = 1 the one hyperplane x = 1 is met after the first step,
+                # so that checkpoint is within tol = 0
                 assert trace.controls.tolist() == w
-                assert trace.stop_reason == "control_exhausted"
+                assert trace.stop_reason == ("converged" if m == 1 else "control_exhausted")
                 assert trace.checkpoints[-1][0] == len(w)
             c = _brute_almost_cyclicity(w, m, repeats)
             if c is None or not repeats and len(w) < 2 * c:
@@ -570,21 +575,16 @@ def _reference_run(ops, ctrl, relaxation, x0, stop):
     def max_residual(x):
         return max(float(np.linalg.norm(op.apply(x) - x)) for op in ops)
 
+    end = stop.max_iter if ctrl.repeats else min(stop.max_iter, len(ctrl.labels))
     n = 0
     while True:
-        at_cap = n >= stop.max_iter
-        if n % stop.stride == 0 or at_cap:
+        if n % stop.stride == 0 or n == end:
             checkpoints.append((n, max_residual(x)))
             if checkpoints[-1][1] <= stop.tol:
                 reason = "converged"
                 break
-        if at_cap:
-            reason = "max_iter"
-            break
-        if not ctrl.repeats and n == len(ctrl.labels):
-            if checkpoints[-1][0] != n:
-                checkpoints.append((n, max_residual(x)))
-            reason = "control_exhausted"
+        if n == end:
+            reason = "max_iter" if end == stop.max_iter else "control_exhausted"
             break
         label = ctrl.labels[n % len(ctrl.labels)]
         lam = relaxation.values[n % len(relaxation.values)]
@@ -595,8 +595,7 @@ def _reference_run(ops, ctrl, relaxation, x0, stop):
         lams.append(lam)
         residuals.append(float(np.linalg.norm(step)))
         n += 1
-    return Trace(iterates, labels, lams, residuals, checkpoints,
-                 converged=reason == "converged", stop_reason=reason)
+    return Trace(iterates, labels, lams, residuals, checkpoints, reason)
 
 
 def _three_cuts():
@@ -632,6 +631,11 @@ REFERENCE_RUNS = {
         [Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, -1.0], 0.0), Halfspace([1.0, 1.0], -1.0)],
         ExplicitControl([1, 2, 1, 2, 1], m=3), ConstantRelaxation(1.0), [-1.0, -1.0],
         StopRule(stride=3)),
+    # the word runs out at step 3, between strides, at a point within tol
+    "explicit-control-runs-out-converged-between-strides": (
+        [Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, -1.0], 0.0)],
+        ExplicitControl([1, 2, 1], m=2), ConstantRelaxation(1.0), [-1.0, -1.0],
+        StopRule(stride=10)),
     "stops-at-max-iter-on-a-limit-cycle": (
         [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0)], CyclicControl(2),
         ConstantRelaxation(1.0), [2.0, -0.0], StopRule(max_iter=57, stride=10)),

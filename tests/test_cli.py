@@ -82,6 +82,51 @@ def test_solve_exit_codes(demo_dir, tmp_path, capsys):
     assert code == 1 and "empty" in err
 
 
+@pytest.mark.parametrize("stride", [1, 2, 10])
+def test_a_control_word_that_runs_out_within_tol_converges(tmp_path, capsys, stride):
+    # [1, 2, 1] reaches (0, 0) at step 2 and runs out at step 3: a checkpoint
+    # at either is within tol, whether or not a stride falls there
+    prob = {"dim": 2,
+            "operators": [{"kind": "halfspace", "a": [-1.0, 0.0], "b": 0.0},
+                          {"kind": "halfspace", "a": [0.0, -1.0], "b": 0.0}],
+            "control": {"kind": "explicit", "indices": [1, 2, 1]},
+            "x0": [-1.0, -1.0], "stop": {"stride": stride}}
+    path, out = tmp_path / "word.json", tmp_path / "out"
+    path.write_text(json.dumps(prob))
+    code, stdout, _ = run_cli(capsys, "solve", str(path), "-o", str(out))
+    summary = json.loads((out / "summary.json").read_text())
+    assert code == 0 and stdout.startswith("converged after ")
+    assert summary["converged"] is True and summary["stop_reason"] == "converged"
+    assert summary["iterations"] == (3 if stride == 10 else 2)
+    code, stdout, _ = run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(path),
+                              "-o", str(out))
+    assert code == 0 and "certification: certified" in stdout
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve"],
+    ["analyze", "t.jsonl", "p.json", "--window", "1.5"],
+    ["analyze", "t.jsonl", "p.json", "--tol", "abc"],
+    ["check", "nope"],
+    ["demo", "nope"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse's own code, 2, would read as an iteration cap or inconclusive
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 1
+    assert err.startswith("usage: evfam") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0 and capsys.readouterr().out
+
+
 def test_solve_warns_on_degenerate_relaxation(demo_dir, tmp_path, capsys):
     prob = json.loads((demo_dir / "problem.json").read_text())
     prob["relaxation"] = {"kind": "constant", "value": 2.0}
@@ -367,6 +412,14 @@ def test_check_command(tmp_path, capsys, monkeypatch):
 def test_check_rejects_negative_budget(capsys):
     code, _, err = run_cli(capsys, "check", "intseq", "--budget", "-1")
     assert code == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("suite", ["intseq", "cfp", "all"])
+def test_check_rejects_a_negative_seed(capsys, monkeypatch, suite):
+    message = "error: the seed must be an integer >= 0, got -1\n"
+    assert run_cli(capsys, "check", suite, "--seed", "-1") == (1, "", message)
+    monkeypatch.setenv("EVFAM_SEED", "-1")
+    assert run_cli(capsys, "check", suite) == (1, "", message)
 
 
 def dumps(obj):
@@ -656,6 +709,35 @@ def test_analyze_rejects_wrong_dimension_start(demo_dir, tmp_path, capsys):
         "-o", str(tmp_path / "r"),
     )
     assert code == 1 and err.startswith("error:") and "dimension" in err
+
+
+def test_replay_names_the_trace_in_its_dimension_error(demo_dir, tmp_path, capsys):
+    prob = json.loads((demo_dir / "problem.json").read_text())
+    prob["dim"] = 3
+    prob["x0"] = [-1.0, -1.0, 0.0]
+    for op in prob["operators"]:
+        op["a"] = op["a"] + [0.0]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(prob))
+    code, _, err = run_cli(capsys, "analyze", str(demo_dir / "trace.jsonl"), str(path),
+                           "-o", str(tmp_path / "r"))
+    assert (code, err) == (1, "error: the trace's start point: expected dimension 3, got 2\n")
+
+
+@pytest.mark.parametrize("op, field", [
+    ({"kind": "hyperplane", "a": [-1.0, 0.0], "b": 1e400}, "the offset b"),
+    ({"kind": "halfspace", "a": [-1.0, 0.0], "b": -1e400}, "the offset b"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": 1e400}, "the radius"),
+])
+def test_problem_refuses_non_finite_operator_scalars(demo_dir, tmp_path, capsys, op, field):
+    # json reads 1e400 as inf, which no operator may hold
+    prob = json.loads((demo_dir / "problem.json").read_text())
+    prob["operators"][1] = op
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(prob).replace("Infinity", "1e400"))
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
+    assert code == 1 and err.startswith(f"error: operator 2: {field} must be finite, got ")
+    assert not (tmp_path / "r").exists()
 
 
 def test_analyze_rejects_non_object_record(demo_dir, tmp_path, capsys):
