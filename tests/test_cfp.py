@@ -655,6 +655,18 @@ def test_acsa_run_matches_the_plain_recurrence_bit_for_bit(name):
     assert (got.stop_reason, got.converged) == (want.stop_reason, want.converged)
 
 
+def test_a_trace_converged_exactly_when_its_stop_reason_says_so():
+    trace = Trace([[0.0]], stop_reason="converged")
+    assert trace.converged
+    trace.stop_reason = "control_exhausted"
+    assert not trace.converged
+    # the verdict is read off the stop reason, never held apart from it
+    with pytest.raises(AttributeError):
+        trace.converged = True
+    with pytest.raises(TypeError):
+        Trace([[0.0]], converged=True)
+
+
 def _counting_evaluations(monkeypatch):
     """The points, as bytes, at which ResidualBank.max_residual runs."""
     points = []

@@ -724,18 +724,21 @@ def test_replay_names_the_trace_in_its_dimension_error(demo_dir, tmp_path, capsy
     assert (code, err) == (1, "error: the trace's start point: expected dimension 3, got 2\n")
 
 
-@pytest.mark.parametrize("op, field", [
-    ({"kind": "hyperplane", "a": [-1.0, 0.0], "b": 1e400}, "the offset b"),
-    ({"kind": "halfspace", "a": [-1.0, 0.0], "b": -1e400}, "the offset b"),
-    ({"kind": "ball", "center": [0.0, 0.0], "radius": 1e400}, "the radius"),
+@pytest.mark.parametrize("op, field, flags", [
+    ({"kind": "hyperplane", "a": [-1.0, 0.0], "b": 1e400}, "the offset b", []),
+    ({"kind": "halfspace", "a": [-1.0, 0.0], "b": -1e400}, "the offset b", []),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": 1e400}, "the radius", []),
+    # finite as read, but b / |a| overflows when the normal is rescaled
+    ({"kind": "halfspace", "a": [1e-160, 0.0], "b": 1e200}, "the offset b", ["--normalize"]),
 ])
-def test_problem_refuses_non_finite_operator_scalars(demo_dir, tmp_path, capsys, op, field):
+def test_problem_refuses_non_finite_operator_scalars(demo_dir, tmp_path, capsys, op, field,
+                                                     flags):
     # json reads 1e400 as inf, which no operator may hold
     prob = json.loads((demo_dir / "problem.json").read_text())
     prob["operators"][1] = op
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(prob).replace("Infinity", "1e400"))
-    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"), *flags)
     assert code == 1 and err.startswith(f"error: operator 2: {field} must be finite, got ")
     assert not (tmp_path / "r").exists()
 
