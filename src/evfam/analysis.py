@@ -40,7 +40,7 @@ def _tail_start(n_points, n0):
         return n_points // 2
     n0 = int(n0)
     if not 0 <= n0 < n_points:
-        raise ValueError("the tail start must precede the trace end")
+        raise ValueError(f"the tail start must lie in 0..{n_points - 1}, got {n0}")
     return n0
 
 

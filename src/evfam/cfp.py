@@ -145,6 +145,8 @@ class _AffineCut(Operator):
         with np.errstate(over="ignore"):
             self.norm2 = float(a @ a)
         if self.norm2 == 0.0:
+            if a.any():
+                raise ValueError("the normal vector's squared norm a.a underflows to 0")
             raise ValueError("the normal vector must be nonzero")
         if self.norm2 == math.inf:
             raise ValueError("the normal vector's squared norm a.a overflows")
@@ -715,6 +717,10 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     return Trace(iterates, controls, relaxations, residuals, checkpoints, stop_reason)
 
 
+#: the largest one-step deviation a trace may show and still replay
+REPLAY_TOL = 1e-12
+
+
 def replay_trace(ops, trace):
     """Checks every recorded step from its recorded point; returns the
     largest one-step deviation: of x_q + lambda_q (T(x_q) - x_q) from the
@@ -890,8 +896,6 @@ _PROBLEM_FIELDS = ("dim", "operators", "control", "relaxation", "x0", "stop")
 
 
 def problem_from_json(obj, normalize=False):
-    if not isinstance(obj, dict):
-        raise ValueError("a problem is a JSON object")
     _json_object(obj, "the problem", ("dim", "operators", "control", "x0"), _PROBLEM_FIELDS)
     if not isinstance(obj["operators"], list):
         raise ValueError(f"the problem's operators must be a JSON list, got {obj['operators']!r}")

@@ -389,9 +389,9 @@ def check_cfp(seed, budget):
         )
         if not trace.converged:
             yield f"instance {k}: {trace.stop_reason}"
-        elif cfp.fejer_slack(trace, center) > 1e-10:
+        elif not cfp.fejer_slack(trace, center) <= 1e-10:
             yield f"instance {k}: fejer slack"
-        elif cfp.replay_trace(ops, trace) > 1e-12:
+        elif not cfp.replay_trace(ops, trace) <= cfp.REPLAY_TOL:
             yield f"instance {k}: replay drift"
 
     laws = (cutter, firmly_nonexpansive, relax_preserves_cutter)

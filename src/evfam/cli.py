@@ -1,9 +1,11 @@
 """Command-line front end: solver runs, trace analysis, property suites,
 and worked demos.
 
-Artifacts are JSON/JSONL/CSV, written atomically (temp file + rename) so a
-crashed run never leaves a half-written report, with the permissions the
-umask gives a new file.  Each artifact costs one call, not one per line:
+Artifacts are JSON/JSONL/CSV.  Every command encodes all its artifacts
+before it writes the first, so a failed encode leaves none; one writer then
+writes each atomically (temp file + rename), so a crashed run never leaves a
+half-written report, with the permissions the umask gives a new file.  Each
+artifact costs one call, not one per line:
 JSON artifacts are one line of sorted keys, which the C encoder writes; a
 trace is that encoder's output for the whole record list, split into one
 line per record; a trace is read back by one json.loads over its lines;
@@ -29,7 +31,7 @@ from . import __version__, analysis, cfp, checks
 from .families import CoGapLevelFamily, CofiniteFamily, InfiniteFamily, family_to_json
 from .intseq import EPSet, cogap
 
-REPLAY_TOL = 1e-12
+REPLAY_TOL = cfp.REPLAY_TOL
 
 #: what reading a malformed problem or trace raises; each exits 1 (an
 #: OverflowError is an integer too large for an index array, a
@@ -70,10 +72,6 @@ def _dump_json(obj):
     return _JSON.encode(obj) + "\n"
 
 
-def _write_json(path, obj):
-    _write_text(path, _dump_json(obj))
-
-
 def _dump_jsonl(records):
     """One line of _JSON per trace record, from one encode of the whole
     list.  A trace record holds no nested object and no string value, so
@@ -81,8 +79,18 @@ def _dump_jsonl(records):
     return _JSON.encode(records)[1:-1].replace("}, {", "}\n{") + "\n"
 
 
-def _write_jsonl(path, records):
-    _write_text(path, _dump_jsonl(records))
+def _write_artifacts(out, texts):
+    """Writes each encoded text to out/<name>, in order: the one artifact
+    writer.  Its callers encode every text first."""
+    for name, text in texts.items():
+        _write_text(os.path.join(out, name), text)
+
+
+def _run_artifacts(ops, trace):
+    """A run's summary, and its trace.jsonl and summary.json encoded."""
+    summary = cfp.trace_summary(ops, trace)
+    return summary, {"trace.jsonl": _dump_jsonl(cfp.trace_records(trace)),
+                     "summary.json": _dump_json(summary)}
 
 
 def _fail(msg):
@@ -127,11 +135,8 @@ def cmd_solve(args):
         trace = cfp.acsa_run(ops, ctrl, sched, x0, stop)
     except cfp.AcsaDivergence as exc:
         return _fail(exc)
-    summary = cfp.trace_summary(ops, trace)
-    # both encoded before either is written: a failed encode leaves no artifact
-    trace_text, summary_text = _dump_jsonl(cfp.trace_records(trace)), _dump_json(summary)
-    _write_text(os.path.join(args.out, "trace.jsonl"), trace_text)
-    _write_text(os.path.join(args.out, "summary.json"), summary_text)
+    summary, texts = _run_artifacts(ops, trace)
+    _write_artifacts(args.out, texts)
     print(
         f"{summary['stop_reason']} after {summary['iterations']} steps; "
         f"final {summary['final']} (max residual {summary['max_residual']})"
@@ -231,9 +236,7 @@ def cmd_analyze(args):
         "estimate": analysis.limit_estimate_json(estimate),
         "certification": analysis.certification_json(cert),
     }
-    _write_json(os.path.join(args.out, "report.json"), report)
-
-    _write_text(os.path.join(args.out, "runs.csv"), _dump_runs(trace))
+    _write_artifacts(args.out, {"report.json": _dump_json(report), "runs.csv": _dump_runs(trace)})
 
     for rep in follows:
         window = "none" if rep.min_c is None else rep.min_c
@@ -300,7 +303,7 @@ def demo_counterexample(out):
         print(f"  multiplicity estimate {cand.estimate}")
     verdict = "a classical limit" if est.convergent else "no classical limit"
     print(f"the detector reports {verdict}")
-    _write_json(os.path.join(out, "report.json"), analysis.limit_estimate_json(est))
+    _write_artifacts(out, {"report.json": _dump_json(analysis.limit_estimate_json(est))})
     print(f"wrote {out}/report.json")
     return 0
 
@@ -310,15 +313,11 @@ def demo_two_halfspaces(out):
     trace = cfp.acsa_run(ops, ctrl, sched, x0, stop)
     for k, x in enumerate(trace.iterates):
         print(f"x_{k} = {x.tolist()}")
-    summary = cfp.trace_summary(ops, trace)
+    summary, texts = _run_artifacts(ops, trace)
     print(f"{summary['stop_reason']} in {summary['iterations']} steps at "
           f"{summary['final']}")
-    _write_json(
-        os.path.join(out, "problem.json"),
-        cfp.problem_to_json(ops, ctrl, sched, x0, stop),
-    )
-    _write_jsonl(os.path.join(out, "trace.jsonl"), cfp.trace_records(trace))
-    _write_json(os.path.join(out, "summary.json"), summary)
+    problem = _dump_json(cfp.problem_to_json(ops, ctrl, sched, x0, stop))
+    _write_artifacts(out, {"problem.json": problem, **texts})
     print(f"wrote {out}/problem.json, {out}/trace.jsonl, {out}/summary.json")
     return 0
 
@@ -357,7 +356,7 @@ def demo_families_tour(out):
             "contains_evens": level.contains(evens),
         }
     )
-    _write_json(os.path.join(out, "tour.json"), tour)
+    _write_artifacts(out, {"tour.json": _dump_json(tour)})
     print(f"wrote {out}/tour.json")
     return 0
 

@@ -679,13 +679,6 @@ class FiniteTopology:
         """The open masks as one bitset: bit m is set iff mask m is open."""
         return sum(1 << m for m in self._masks)
 
-    @functools.cached_property
-    def _neighborhood_bits(self):
-        """Per point, in ground order, the bitset of the masks of the opens
-        that contain it."""
-        return tuple(sum(1 << m for m in self._masks if m >> i & 1)
-                     for i in range(len(self.ground)))
-
     @classmethod
     def discrete(cls, ground):
         return cls(ground, powerset(ground))
@@ -749,13 +742,14 @@ def _missing_opens(family, topology):
 
 
 def limit_set(family, topology):
-    """Points all of whose open neighborhoods belong to the family: those
-    whose neighborhood bitset misses every open outside it."""
-    outside, mask = _missing_opens(family, topology), 0
-    for i, nbhd in enumerate(topology._neighborhood_bits):
-        if not nbhd & outside:
-            mask |= 1 << i
-    return topology._table[mask]
+    """Points all of whose open neighborhoods belong to the family: the
+    ground minus the union of the opens outside it."""
+    outside, covered = _missing_opens(family, topology), 0
+    while outside:
+        low = outside & -outside
+        covered |= low.bit_length() - 1  # the open mask of this set bit
+        outside ^= low
+    return topology._table[((1 << len(topology.ground)) - 1) ^ covered]
 
 
 def closure_family(family, topology):

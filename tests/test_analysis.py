@@ -498,11 +498,11 @@ def test_accumulation_transient_never_qualifies():
 
 
 def test_accumulation_tail_start_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the tail start must lie in 0\.\.1, got 2$"):
         accumulation_points([1.0, 2.0], n0=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the tail start must lie in 0\.\.1, got -1$"):
         accumulation_points([1.0, 2.0], n0=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one point$"):
         accumulation_points([])
 
 

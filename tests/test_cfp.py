@@ -138,6 +138,10 @@ def test_apply_many_equals_apply_bit_for_bit():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: Ball([0.0, 0.0], 0.0), "the radius must be positive"),
+    (lambda: Halfspace([0.0, 0.0], 0.0), "the normal vector must be nonzero"),
+    (lambda: Hyperplane([1e-162, 0.0], 0.0),
+     "the normal vector's squared norm a.a underflows to 0"),
+    (lambda: Halfspace([1e308, 1e308], 0.0), "the normal vector's squared norm a.a overflows"),
     (lambda: Ball([0.0, 0.0], math.inf), "the radius must be finite, got inf"),
     (lambda: Halfspace([1.0, 0.0], math.inf), "the offset b must be finite, got inf"),
     (lambda: Hyperplane([1.0, 0.0], -math.inf), "the offset b must be finite, got -inf"),

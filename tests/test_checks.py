@@ -2,6 +2,7 @@
 witness reporting on failure, including each suite run against a wrong
 library function."""
 
+import math
 import os
 import subprocess
 import sys
@@ -94,6 +95,10 @@ FAULTS = [
         "FAIL cfp.relax-preserves-cutter: 25 cases  [17 failed, e.g. "
         "Relaxed(Hyperplane(a=[0.7926939484229538, 0.2683670644955436], b=0.6805967016016674), "
         "lam=1.391184753296883) at x=[4.8340994677469435, -3.71523800552515]]",
+    ]),
+    # a NaN replay deviation must fail the replay gate, as in analyze
+    ("cfp", cfp, "replay_trace", lambda ops, trace: math.nan, [
+        "FAIL cfp.fejer-replay: 1 cases  [1 failed, e.g. instance 0: replay drift]",
     ]),
     ("analysis", checks, "cogap", lambda s: ExtNat(0), [
         "FAIL analysis.level-soundness: 1 cases  [3 failed, e.g. instance 0: corpus cogap below c+1]",

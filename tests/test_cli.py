@@ -22,7 +22,7 @@ from test_analysis import (
     zero_step_trace,
 )
 
-from evfam import cli
+from evfam import cfp, cli
 from evfam.analysis import follows_check
 from evfam.cfp import (
     Trace,
@@ -437,13 +437,13 @@ def test_the_shared_encoder_writes_the_bytes_of_json_dumps(tmp_path, capsys):
                 assert type(value) in (int, float) or (
                     type(value) is list and set(map(type, value)) == {float})
         held += sum("x" not in rec for rec in records)
-        cli._write_jsonl(tmp_path / "trace.jsonl", records)
+        cli._write_artifacts(tmp_path, {"trace.jsonl": cli._dump_jsonl(records)})
         lines = (tmp_path / "trace.jsonl").read_text()
         assert lines == "\n".join(map(dumps, records)) + "\n"
         summary = trace_summary(ops, trace)
         assert cli._dump_json(summary) == dumps(summary) + "\n"
     assert held  # a held point's record has no "x"
-    cli._write_jsonl(tmp_path / "empty.jsonl", [])
+    cli._write_artifacts(tmp_path, {"empty.jsonl": cli._dump_jsonl([])})
     assert (tmp_path / "empty.jsonl").read_text() == "\n"
     problem = tmp_path / "balls.json"
     problem.write_text(json.dumps(THREE_BALLS))
@@ -461,9 +461,31 @@ def test_the_shared_encoder_writes_the_bytes_of_json_dumps(tmp_path, capsys):
 def test_the_shared_encoder_refuses_non_finite_numbers(tmp_path, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli._dump_json({"res": value})
+    records = [{"n": 0}, {"x": [0.0, value]}]
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._write_jsonl(tmp_path / "trace.jsonl", [{"n": 0}, {"x": [0.0, value]}])
+        cli._write_artifacts(tmp_path, {"trace.jsonl": cli._dump_jsonl(records)})
     assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_encode_leaves_no_artifact_of_any_command(demo_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    # runs.csv is encoded after report.json: neither may be written
+    def refuse(trace):
+        raise ValueError("runs.csv refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_dump_runs", refuse)
+        with pytest.raises(ValueError, match="runs.csv refused"):
+            cli.main(["analyze", str(demo_dir / "trace.jsonl"), str(demo_dir / "problem.json"),
+                      "-o", str(tmp_path / "report")])
+    # summary.json is encoded after problem.json and trace.jsonl
+    real = cfp.trace_summary
+    monkeypatch.setattr(cfp, "trace_summary",
+                        lambda ops, trace: dict(real(ops, trace), max_residual=math.nan))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.main(["demo", "two-halfspaces", "-o", str(tmp_path / "again")])
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == ["demo"]
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +793,23 @@ def test_problem_must_be_a_json_object(demo_dir, tmp_path, capsys, command):
     assert code == 1 and err.startswith("error:") and "JSON object" in err
 
 
+@pytest.mark.parametrize("text, shown", [("5", "5"), ("[]", "[]"), ('"x"', "'x'")])
+def test_a_problem_that_is_no_object_has_one_message(tmp_path, capsys, text, shown):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    assert run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r")) == (
+        1, "", f"error: the problem must be a JSON object, got {shown}\n")
+
+
+@pytest.mark.parametrize("tail", ["-1", "3"])
+def test_analyze_names_the_tail_range_and_value(demo_dir, tmp_path, capsys, tail):
+    out = tmp_path / "r"
+    assert run_cli(capsys, "analyze", str(demo_dir / "trace.jsonl"),
+                   str(demo_dir / "problem.json"), "--tail", tail, "-o", str(out)) == (
+        1, "", f"error: the tail start must lie in 0..2, got {tail}\n")
+    assert not out.exists()
+
+
 def test_analyze_slow_unconverged_run_is_inconclusive(tmp_path, capsys):
     # two half-spaces meeting at a 1e-3 rad wedge: after 400 steps the run
     # still drifts toward the apex, which is no evidence of a faulty operator
@@ -1059,6 +1098,7 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(demo_dir, tmp_pa
         ([-1.0, 0.0], None, "the offset b must be a number"),
         ([0.0, 0.0], 0.0, "nonzero"),
         ([1e308, 1e308], 0.0, "a.a overflows"),
+        ([1e-162, 0.0], 0.0, "the normal vector's squared norm a.a underflows to 0"),
     ],
 )
 def test_normalize_reads_only_what_the_checks_accept(demo_dir, tmp_path, capsys, a, b, needle,
