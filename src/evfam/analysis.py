@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cfp import ResidualBank, Trace, relaxed_update, row_distances
+from .cfp import ResidualBank, Trace, _integer, relaxed_update, row_distances
 from .intseq import ExtNat, INF, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
@@ -38,7 +38,7 @@ def _points(source):
 def _tail_start(n_points, n0):
     if n0 is None:
         return n_points // 2
-    n0 = int(n0)
+    n0 = _integer(n0, "the tail start")
     if not 0 <= n0 < n_points:
         raise ValueError(f"the tail start must lie in 0..{n_points - 1}, got {n0}")
     return n0
@@ -54,17 +54,20 @@ class FollowsReport:
     criterion: str  # "relaxed" | "strict"
     window: object  # requested window length, or None
     min_c: object  # smallest certified window length, or None
-    ok: bool
     witnesses: np.ndarray  # sorted witness steps q, each meaning x_{q+1} follows x_q
+
+    @property
+    def ok(self):
+        """Whether a witness exists in every window of the requested length
+        (None: any window passes once a witness exists)."""
+        return self.min_c is not None and (self.window is None or self.min_c <= self.window)
 
     def __bool__(self):
         return self.ok
 
     def graded(self, c):
-        """This report judged against window length c (None: any window
-        passes once a witness exists)."""
-        ok = self.min_c is not None and (c is None or self.min_c <= c)
-        return replace(self, window=c, ok=ok)
+        """This report judged against window length c."""
+        return replace(self, window=c)
 
 
 def _hits(x, x_next, lam, tx, tol):
@@ -111,7 +114,7 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
         hit &= eligible
         hits = np.flatnonzero(hit)
         min_c = window_cover(hit.tobytes()) if hits.size else None
-        reports.append(FollowsReport(label, criterion, None, min_c, False, hits).graded(None))
+        reports.append(FollowsReport(label, criterion, None, min_c, hits))
     return reports
 
 
@@ -119,7 +122,7 @@ def follows_check(trace, op, relaxed=True, c=None, tol=1e-9, label=None):
     """The follows report of one operator (see follows_reports), under the
     given label and judged against window length c."""
     rep = follows_reports(trace, [op], relaxed, tol)[0]
-    return replace(rep, operator=label).graded(c)
+    return replace(rep, operator=label, window=c)
 
 
 # ---------------------------------------------------------------------------

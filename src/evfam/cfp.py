@@ -851,17 +851,14 @@ def _json_object(obj, what, required=(), allowed=None):
     return obj
 
 
-def _from_json(table, what, obj, normalize=False):
+def _from_json(table, what, obj):
     """The class of ``obj``'s kind and its constructor arguments."""
     kind = _json_object(obj, f"the {what}", required=("kind",))["kind"]
     if not isinstance(kind, str) or kind not in table:
         raise ValueError(f"unknown {what} kind {kind!r}")
     cls, fields = table[kind]
     _json_object(obj, f"the {kind} {what}", required=fields, allowed=("kind", *fields))
-    args = [
-        operator_from_json(obj[key], normalize) if key == "inner" else obj[key]
-        for key in fields
-    ]
+    args = [operator_from_json(obj[key]) if key == "inner" else obj[key] for key in fields]
     return cls, args
 
 
@@ -869,13 +866,9 @@ def operator_to_json(op):
     return _to_json(_OPERATOR_JSON, "operator", op)
 
 
-def operator_from_json(obj, normalize=False):
-    cls, args = _from_json(_OPERATOR_JSON, "operator", obj, normalize)
-    op = cls(*args)
-    if normalize and cls in (Halfspace, Hyperplane):
-        s = math.sqrt(op.norm2)  # np.linalg.norm(a), bit for bit
-        return cls(op.a / s, op.b / s)
-    return op
+def operator_from_json(obj):
+    cls, args = _from_json(_OPERATOR_JSON, "operator", obj)
+    return cls(*args)
 
 
 _STOP_FIELDS = ("tol", "max_iter", "stride")
@@ -895,14 +888,14 @@ def problem_to_json(ops, ctrl, sched, x0, stop):
 _PROBLEM_FIELDS = ("dim", "operators", "control", "relaxation", "x0", "stop")
 
 
-def problem_from_json(obj, normalize=False):
+def problem_from_json(obj):
     _json_object(obj, "the problem", ("dim", "operators", "control", "x0"), _PROBLEM_FIELDS)
     if not isinstance(obj["operators"], list):
         raise ValueError(f"the problem's operators must be a JSON list, got {obj['operators']!r}")
     ops = []
     for k, o in enumerate(obj["operators"], start=1):
         try:
-            ops.append(operator_from_json(o, normalize))
+            ops.append(operator_from_json(o))
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"operator {k}: {exc}") from None
     if not ops:

@@ -102,13 +102,13 @@ def _fail(msg):
 # solve
 
 
-def _load_problem(path, normalize):
+def _load_problem(path):
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except ValueError as exc:
             raise ValueError(f"problem {path}: {exc}") from None
-    return cfp.problem_from_json(obj, normalize=normalize)
+    return cfp.problem_from_json(obj)
 
 
 def _warn_relaxation_bounds(sched):
@@ -127,7 +127,7 @@ def _warn_relaxation_bounds(sched):
 
 def cmd_solve(args):
     try:
-        ops, ctrl, sched, x0, stop = _load_problem(args.problem, args.normalize)
+        ops, ctrl, sched, x0, stop = _load_problem(args.problem)
     except _INPUT_ERRORS as exc:
         return _fail(exc)
     _warn_relaxation_bounds(sched)
@@ -204,7 +204,7 @@ def cmd_analyze(args):
     try:
         if args.window is not None and args.window < 1:
             raise ValueError(f"--window must be an integer >= 1, got {args.window}")
-        ops, _, _, _, stop = _load_problem(args.problem, args.normalize)
+        ops, _, _, _, stop = _load_problem(args.problem)
         trace = _read_trace(args.trace)
         ladder = _parse_ladder(args.ladder)
         deviation = cfp.replay_trace(ops, trace)
@@ -252,15 +252,8 @@ def cmd_analyze(args):
 
 
 def cmd_check(args):
-    seed = args.seed
-    env = os.environ.get("EVFAM_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            return _fail(f"EVFAM_SEED must be an integer, got {env!r}")
     try:
-        results = checks.run_suite(args.suite, seed=seed, budget=args.budget)
+        results = checks.run_suite(args.suite, seed=args.seed, budget=args.budget)
     except ValueError as exc:
         return _fail(exc)
     for res in results:
@@ -268,9 +261,9 @@ def cmd_check(args):
     failed = [res for res in results if not res.passed]
     total = sum(res.cases for res in results)
     if failed:
-        print(f"{len(failed)}/{len(results)} checks failed ({total} cases, seed {seed})")
+        print(f"{len(failed)}/{len(results)} checks failed ({total} cases, seed {args.seed})")
         return 1
-    print(f"all {len(results)} checks passed ({total} cases, seed {seed})")
+    print(f"all {len(results)} checks passed ({total} cases, seed {args.seed})")
     return 0
 
 
@@ -394,8 +387,6 @@ def build_parser():
     p = sub.add_parser("solve", help="run the sequential projection iteration")
     p.add_argument("problem", help="problem JSON path")
     p.add_argument("-o", "--out", default="evfam-out", help="output directory")
-    p.add_argument("--normalize", action="store_true",
-                   help="rescale halfspace/hyperplane normals to unit length")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("analyze", help="replay a trace and certify fixed points")
@@ -412,14 +403,12 @@ def build_parser():
                    help="admit only unit-relaxation steps as witnesses")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="fixed-point residual tolerance for certification")
-    p.add_argument("--normalize", action="store_true",
-                   help="rescale halfspace/hyperplane normals to unit length")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("suite", choices=checks.SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=0,
-                   help="sampling seed (EVFAM_SEED overrides)")
+                   help="sampling seed (>= 0)")
     p.add_argument("--budget", type=int, default=checks.DEFAULT_BUDGET,
                    help="sampled cases per check; 0 passes vacuously")
     p.set_defaults(func=cmd_check)

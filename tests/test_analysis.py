@@ -502,6 +502,15 @@ def test_accumulation_tail_start_validation():
         accumulation_points([1.0, 2.0], n0=2)
     with pytest.raises(ValueError, match=r"^the tail start must lie in 0\.\.1, got -1$"):
         accumulation_points([1.0, 2.0], n0=-1)
+    # read, not cast: 1.5 and True are not tail starts, and neither is "2"
+    with pytest.raises(ValueError, match=r"^the tail start must be an integer, got 1\.5$"):
+        accumulation_points([1.0, 2.0, 3.0], n0=1.5)
+    with pytest.raises(ValueError, match=r"^the tail start must be an integer, got True$"):
+        accumulation_points([1.0, 2.0, 3.0], n0=True)
+    with pytest.raises(ValueError, match=r"^the tail start must be an integer, got '2'$"):
+        cogap_limit_estimate([1.0, 2.0, 3.0], n0="2")
+    xs = [1.0, 2.0, 3.0]
+    assert np.array_equal(accumulation_points(xs, n0=2.0), accumulation_points(xs, n0=2))
     with pytest.raises(ValueError, match="^need at least one point$"):
         accumulation_points([])
 

@@ -748,15 +748,6 @@ def test_operator_json_rejects_non_numbers(obj):
         operator_from_json(obj)
 
 
-def test_normalization_rescales_halfspaces():
-    op = operator_from_json({"kind": "halfspace", "a": [3.0, 4.0], "b": 10.0}, normalize=True)
-    assert np.isclose(np.linalg.norm(op.a), 1.0)
-    assert np.isclose(op.b, 2.0)
-    raw = operator_from_json({"kind": "halfspace", "a": [3.0, 4.0], "b": 10.0})
-    x = np.array([5.0, 5.0])
-    assert np.allclose(op(x), raw(x))
-
-
 def test_problem_json_round_trip():
     ops, ctrl, sched = two_halfspace_problem()
     stop = StopRule(tol=1e-8, max_iter=500, stride=2)

@@ -1,6 +1,7 @@
 """End-to-end command tests: demo/solve/analyze round trips on disk, exit
 codes, determinism of the written artifacts, and the check runner."""
 
+import argparse
 import collections
 import csv
 import io
@@ -110,6 +111,8 @@ def test_a_control_word_that_runs_out_within_tol_converges(tmp_path, capsys, str
     ["analyze", "t.jsonl", "p.json", "--tol", "abc"],
     ["check", "nope"],
     ["demo", "nope"],
+    ["solve", "p.json", "--normalize"],
+    ["analyze", "t.jsonl", "p.json", "--normalize"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     # argparse's own code, 2, would read as an iteration cap or inconclusive
@@ -125,6 +128,27 @@ def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 0 and capsys.readouterr().out
+
+
+def _options(parser):
+    return {tuple(action.option_strings) for action in parser._actions if action.option_strings}
+
+
+def test_each_command_takes_only_its_pinned_options():
+    # a new option is a deliberate edit here: the problem file and these
+    # flags are all that fixes a run
+    parser = cli.build_parser()
+    assert _options(parser) == {("-h", "--help"), ("--version",)}
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: _options(sub) - {("-h", "--help")} for name, sub in commands.choices.items()}
+    assert all(("-h", "--help") in _options(sub) for sub in commands.choices.values())
+    assert got == {
+        "solve": {("-o", "--out")},
+        "analyze": {("-o", "--out"), ("--ladder",), ("--tail",), ("--window",), ("--strict",),
+                    ("--tol",)},
+        "check": {("--seed",), ("--budget",)},
+        "demo": {("-o", "--out")},
+    }
 
 
 def test_solve_warns_on_degenerate_relaxation(demo_dir, tmp_path, capsys):
@@ -397,16 +421,11 @@ def test_check_command(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert stdout.count(".vacuous: 0 cases") == 6
 
+    # --seed alone picks the seed: the environment does not reach it
+    monkeypatch.delenv("EVFAM_SEED", raising=False)
+    direct = run_cli(capsys, "check", "intseq", "--budget", "40", "--seed", "3")
     monkeypatch.setenv("EVFAM_SEED", "9")
-    code, with_env, _ = run_cli(capsys, "check", "intseq", "--budget", "40", "--seed", "3")
-    assert code == 0
-    monkeypatch.delenv("EVFAM_SEED")
-    code, direct, _ = run_cli(capsys, "check", "intseq", "--budget", "40", "--seed", "9")
-    assert with_env == direct
-
-    monkeypatch.setenv("EVFAM_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "check", "intseq", "--budget", "1")
-    assert code == 1 and "EVFAM_SEED" in err
+    assert run_cli(capsys, "check", "intseq", "--budget", "40", "--seed", "3") == direct
 
 
 def test_check_rejects_negative_budget(capsys):
@@ -415,11 +434,9 @@ def test_check_rejects_negative_budget(capsys):
 
 
 @pytest.mark.parametrize("suite", ["intseq", "cfp", "all"])
-def test_check_rejects_a_negative_seed(capsys, monkeypatch, suite):
+def test_check_rejects_a_negative_seed(capsys, suite):
     message = "error: the seed must be an integer >= 0, got -1\n"
     assert run_cli(capsys, "check", suite, "--seed", "-1") == (1, "", message)
-    monkeypatch.setenv("EVFAM_SEED", "-1")
-    assert run_cli(capsys, "check", suite) == (1, "", message)
 
 
 def dumps(obj):
@@ -746,21 +763,18 @@ def test_replay_names_the_trace_in_its_dimension_error(demo_dir, tmp_path, capsy
     assert (code, err) == (1, "error: the trace's start point: expected dimension 3, got 2\n")
 
 
-@pytest.mark.parametrize("op, field, flags", [
-    ({"kind": "hyperplane", "a": [-1.0, 0.0], "b": 1e400}, "the offset b", []),
-    ({"kind": "halfspace", "a": [-1.0, 0.0], "b": -1e400}, "the offset b", []),
-    ({"kind": "ball", "center": [0.0, 0.0], "radius": 1e400}, "the radius", []),
-    # finite as read, but b / |a| overflows when the normal is rescaled
-    ({"kind": "halfspace", "a": [1e-160, 0.0], "b": 1e200}, "the offset b", ["--normalize"]),
+@pytest.mark.parametrize("op, field", [
+    ({"kind": "hyperplane", "a": [-1.0, 0.0], "b": 1e400}, "the offset b"),
+    ({"kind": "halfspace", "a": [-1.0, 0.0], "b": -1e400}, "the offset b"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": 1e400}, "the radius"),
 ])
-def test_problem_refuses_non_finite_operator_scalars(demo_dir, tmp_path, capsys, op, field,
-                                                     flags):
+def test_problem_refuses_non_finite_operator_scalars(demo_dir, tmp_path, capsys, op, field):
     # json reads 1e400 as inf, which no operator may hold
     prob = json.loads((demo_dir / "problem.json").read_text())
     prob["operators"][1] = op
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(prob).replace("Infinity", "1e400"))
-    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"), *flags)
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
     assert code == 1 and err.startswith(f"error: operator 2: {field} must be finite, got ")
     assert not (tmp_path / "r").exists()
 
@@ -1085,7 +1099,6 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(demo_dir, tmp_pa
         assert where != "operator" or err.startswith("error: operator 1: ")
 
 
-@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
 @pytest.mark.parametrize(
     "a, b, needle",
     [
@@ -1101,12 +1114,12 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(demo_dir, tmp_pa
         ([1e-162, 0.0], 0.0, "the normal vector's squared norm a.a underflows to 0"),
     ],
 )
-def test_normalize_reads_only_what_the_checks_accept(demo_dir, tmp_path, capsys, a, b, needle,
-                                                    normalize):
+def test_halfspace_reader_refuses_what_the_checks_refuse(demo_dir, tmp_path, capsys, a, b,
+                                                         needle):
     prob = json.loads((demo_dir / "problem.json").read_text())
     prob["operators"][0] = {"kind": "halfspace", "a": a, "b": b}
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(prob))
-    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"), *normalize)
+    code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
     assert code == 1 and err.startswith("error: operator 1: ") and needle in err
     assert "Warning" not in err

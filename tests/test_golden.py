@@ -116,8 +116,7 @@ def test_analyze_unconverged_outputs_are_golden(tmp_path, monkeypatch, capsys):
     assert got == UNCONVERGED_BALLS
 
 
-def test_check_all_stdout_is_golden(monkeypatch, capsys):
-    monkeypatch.delenv("EVFAM_SEED", raising=False)
+def test_check_all_stdout_is_golden(capsys):
     assert main(["check", "all", "--seed", "7", "--budget", "200"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == CHECK_ALL_SEED_7_BUDGET_200
 
@@ -126,7 +125,6 @@ def test_check_all_stdout_is_golden_under_another_hash_seed():
     # the same line in any process: string hashing must not reach the output
     env = dict(os.environ, PYTHONHASHSEED="4",
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    env.pop("EVFAM_SEED", None)
     out = subprocess.run(
         [sys.executable, "-m", "evfam.cli", "check", "all", "--seed", "7", "--budget", "200"],
         env=env, check=True, capture_output=True,

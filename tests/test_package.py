@@ -34,6 +34,5 @@ def test_readme_evfam_commands_run(tmp_path, monkeypatch):
     commands = [argv[1:] for argv in lines if argv[:1] == ["evfam"]]
     assert commands
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EVFAM_SEED", raising=False)
     for argv in commands:
         assert cli.main(argv) == 0, argv
