@@ -230,8 +230,9 @@ def _checked_ladder(ladder):
     ladder = tuple(float(e) for e in ladder)
     if not ladder:
         raise ValueError("the epsilon ladder is empty")
-    if not all(0 < e < math.inf for e in ladder):
-        raise ValueError("the epsilon ladder needs positive finite radii")
+    bad = [e for e in ladder if not 0 < e < math.inf]
+    if bad:
+        raise ValueError(f"the epsilon ladder needs positive finite radii, got {bad[0]!r}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("the epsilon ladder must decrease strictly")
     return ladder
@@ -293,7 +294,7 @@ def certify_fixed_points(trace, ops, eps=DEFAULT_LADDER[0], n0=None, tol=1e-6, r
     stays within tol of its final point: a slow run is not a faulty
     operator."""
     if not 0 <= tol < math.inf:
-        raise ValueError("the residual tolerance must be finite and >= 0")
+        raise ValueError(f"the residual tolerance must be finite and >= 0, got {tol!r}")
     est = _limit_estimate(trace, _checked_ladder((eps,)), n0, tol)
     follows = tuple(follows_reports(trace, ops, relaxed=relaxed))
     followed = [(rep.operator, rep.min_c) for rep in follows if rep.min_c is not None]

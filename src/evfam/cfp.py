@@ -538,12 +538,13 @@ class AcsaDivergence(Exception):
 class Trace:
     """A run as a struct of arrays; lists given to the constructor are
     converted.  The iterates hold one point per row, and every step column
-    one entry per step."""
+    one entry per step.  Step n is x_n, its label i(n), lambda_n and
+    x_{n+1}; its residual |T(x_n) - x_n| is not stored, since replay
+    recomputes T(x_n) from these."""
 
     iterates: np.ndarray  # (N+1, J) float: row n is x_n
     controls: np.ndarray = ()  # (N,) int: 1-based operator label of step n
     relaxations: np.ndarray = ()  # (N,) float: lambda_n
-    residuals: np.ndarray = ()  # (N,) float: |T(x_n) - x_n|
     checkpoints: list = field(default_factory=list)  # (n, max residual)
     stop_reason: str = ""
 
@@ -551,11 +552,10 @@ class Trace:
         self.iterates = np.asarray(self.iterates, dtype=float)
         self.controls = np.asarray(self.controls, dtype=int)
         self.relaxations = np.asarray(self.relaxations, dtype=float)
-        self.residuals = np.asarray(self.residuals, dtype=float)
         if self.iterates.ndim != 2 or not len(self.iterates):
             raise ValueError("a trace's iterates are one point per row, the start point first")
-        if not len(self.controls) == len(self.relaxations) == len(self.residuals) == self.n_steps:
-            raise ValueError("a trace needs one label, relaxation and residual per step")
+        if not len(self.controls) == len(self.relaxations) == self.n_steps:
+            raise ValueError("a trace needs one label and relaxation per step")
 
     @property
     def converged(self):
@@ -652,7 +652,8 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     repeat runs out first.  A checkpoint every stop.stride steps and at the
     end takes max_i |T_i(x) - x|; the first within stop.tol stops the run as
     converged, else it stops at its end as max_iter or control_exhausted.  A
-    non-finite iterate, step residual or final maximum raises AcsaDivergence."""
+    non-finite iterate, step residual or final maximum raises AcsaDivergence.
+    Each step's residual |T(x_n) - x_n| guards the run and is not kept."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
@@ -666,7 +667,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     x = _vec(x0, dim)
     bank = ResidualBank(ops)
 
-    iterates, controls, relaxations, residuals, checkpoints = [x], [], [], [], []
+    iterates, controls, relaxations, checkpoints = [x], [], [], []
     labels, lams = ctrl.labels, relaxation.values
     end = stop.max_iter if ctrl.repeats else min(stop.max_iter, len(labels))
     # the bytes and maximum of the last evaluated checkpoint: max_residual
@@ -694,27 +695,31 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
                 # a held point, as at an inactive cut: x is finite, so x - x is
                 # +0.0, lam * +0.0 is +0.0 for lam in [0, 2], and x + 0.0 is the
                 # full step's point bit for bit (-0.0 turns into +0.0)
-                x_next, res = x + 0.0, 0.0
+                x_next = x + 0.0
             else:
                 step = tx - x
                 x_next = x + lam * step
-                if not np.isfinite(x_next).all():
-                    raise AcsaDivergence(
-                        f"non-finite iterate at step {n} (operator {label}, lambda {lam})"
-                    )
-                res = norm(step)
-                if not math.isfinite(res):
+                # the one finiteness check of a step.  A finite |step| means
+                # step @ step, a sum of non-negative squares, did not overflow,
+                # so every |step_i| < 2^512 and lam |step_i| <= 2^513, far
+                # below half an ulp of the largest float (2^970): x is finite,
+                # so x + lam step cannot round to inf or NaN.  Only a
+                # non-finite residual leaves x_next to be checked.
+                if not math.isfinite(norm(step)):
+                    if not np.isfinite(x_next).all():
+                        raise AcsaDivergence(
+                            f"non-finite iterate at step {n} (operator {label}, lambda {lam})"
+                        )
                     raise AcsaDivergence(f"non-finite residual at step {n} (operator {label})")
             controls.append(label)
             relaxations.append(lam)
-            residuals.append(res)
             iterates.append(x_next)
             x = x_next
             n += 1
     # the final point always has a checkpoint, and its maximum is the summary's
     if not math.isfinite(worst):
         raise AcsaDivergence(f"non-finite maximum residual at the final checkpoint (step {n})")
-    return Trace(iterates, controls, relaxations, residuals, checkpoints, stop_reason)
+    return Trace(iterates, controls, relaxations, checkpoints, stop_reason)
 
 
 #: the largest one-step deviation a trace may show and still replay
@@ -723,24 +728,23 @@ REPLAY_TOL = 1e-12
 
 def replay_trace(ops, trace):
     """Checks every recorded step from its recorded point; returns the
-    largest one-step deviation: of x_q + lambda_q (T(x_q) - x_q) from the
-    recorded x_{q+1}, and of |T(x_q) - x_q| from the recorded residual, with
-    T the step's operator.  When every deviation is 0, re-running the
-    recurrence from x_0 gives the recorded trace bit for bit, by induction
-    over the steps.  The steps are grouped by label, one ``apply_many`` per
-    operator, which equals ``apply`` bit for bit.  The iterates must share
-    the start point's dimension, as acsa_run and trace_from_records
-    guarantee.  A label outside 1..m is an error that names the first such
-    step, and a column of another length than the number of steps is an
-    error too."""
+    largest one-step deviation of x_q + lambda_q (T(x_q) - x_q) from the
+    recorded x_{q+1}, with T the step's operator.  When every deviation is
+    0, re-running the recurrence from x_0 gives the recorded trace bit for
+    bit, by induction over the steps.  The steps are grouped by label, one
+    ``apply_many`` per operator, which equals ``apply`` bit for bit.  The
+    iterates must share the start point's dimension, as acsa_run and
+    trace_from_records guarantee.  A label outside 1..m is an error that
+    names the first such step, and a column of another length than the
+    number of steps is an error too."""
     try:
         _vec(trace.iterates[0], ops[0].dim)
     except ValueError as exc:
         raise ValueError(f"the trace's start point: {exc}") from None
     labels = trace.controls
     points = trace.iterates[:-1]
-    if not len(labels) == len(trace.relaxations) == len(trace.residuals) == len(points):
-        raise ValueError("a trace needs one label, relaxation and residual per step")
+    if not len(labels) == len(trace.relaxations) == len(points):
+        raise ValueError("a trace needs one label and relaxation per step")
     bad = np.flatnonzero((labels < 1) | (labels > len(ops)))
     if bad.size:
         k = int(bad[0])
@@ -754,9 +758,8 @@ def replay_trace(ops, trace):
             rows = np.flatnonzero(labels == label)
             tx[rows] = ops[label - 1].apply_many(points[rows])
         dev = row_distances(relaxed_update(points, trace.relaxations, tx), trace.iterates[1:])
-        res_dev = np.abs(row_distances(tx, points) - trace.residuals)
     # NaN, from a step that left the finite numbers, must not pass as 0
-    return float(np.max(np.concatenate(([0.0], dev, res_dev))))
+    return float(np.max(dev, initial=0.0))
 
 
 def fejer_slack(trace, z):
@@ -918,32 +921,33 @@ def problem_from_json(obj):
 
 def trace_records(trace):
     """Flat per-iterate records.  The first carries only the start point.
-    A step carries n, its label i, lambda and res, and its point x unless
-    the point's bytes equal the previous point's: a held point, as at an
+    A step carries n, its label i and lambda, and its point x unless the
+    point's bytes equal the previous point's: a held point, as at an
     inactive half-space cut.  Bytes, not values: a zero step can still turn
-    -0.0 into +0.0."""
+    -0.0 into +0.0.  No step carries its residual |T(x_n) - x_n|: replay
+    recomputes T(x_n) from the record."""
     X = np.ascontiguousarray(trace.iterates)
     bits = X.view(np.uint64)
     moved = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
     points = dict(zip(moved.tolist(), X[moved].tolist()))
-    steps = zip(trace.controls.tolist(), trace.relaxations.tolist(), trace.residuals.tolist())
+    steps = zip(trace.controls.tolist(), trace.relaxations.tolist())
     records = [{"n": 0, "x": X[0].tolist()}]
-    for n, (i, lam, res) in enumerate(steps, start=1):
-        rec = {"n": n, "i": i, "lambda": lam, "res": res}
+    for n, (i, lam) in enumerate(steps, start=1):
+        rec = {"n": n, "i": i, "lambda": lam}
         if n in points:
             rec["x"] = points[n]
         records.append(rec)
     return records
 
 
-_STEP_FIELDS = ("i", "lambda", "res")  # besides n, on every step record
+_STEP_FIELDS = ("i", "lambda")  # besides n, on every step record
 _START_KEYS = frozenset(("n", "x"))
 _STEP_KEYS = _START_KEYS | set(_STEP_FIELDS)
 
 
 def _trace_columns(records):
-    """The iterates, labels, relaxations and residuals of trace records,
-    read column by column, or None at any doubt: when a check that
+    """The iterates, labels and relaxations of trace records, read column
+    by column, or None at any doubt: when a check that
     _checked_records makes record by record might fail.  It may refuse more
     than those checks (an integer coordinate beyond int64), never less."""
     if not records or not set(map(type, records)) <= {dict}:
@@ -954,14 +958,14 @@ def _trace_columns(records):
             and _START_KEYS.issuperset(records[0]) and _STEP_KEYS.issuperset(set().union(*steps))):
         return None
     try:
-        labels, lams, res = ([rec[key] for rec in steps] for key in _STEP_FIELDS)
+        labels, lams = ([rec[key] for rec in steps] for key in _STEP_FIELDS)
     except KeyError:
         return None
     points = [rec["x"] for rec in records if "x" in rec]
     if not set(map(type, points)) <= {list} or len(set(map(len, points))) != 1:
         return None
     coords = list(itertools.chain.from_iterable(points))
-    types = set(map(type, itertools.chain(coords, lams, res)))
+    types = set(map(type, itertools.chain(coords, lams)))
     # True == 1 == 1.0, a bool is an int to isinstance, and numpy reads it
     # as a number: only the types tell them apart
     if not (set(map(type, ns + labels)) <= {int} and types <= {int, float}):
@@ -971,13 +975,13 @@ def _trace_columns(records):
         return None
     try:
         labels = np.array(labels, dtype=np.int64)
-        X, L, R = (np.array(col, dtype=float) for col in (points, lams, res))
+        X, L = (np.array(col, dtype=float) for col in (points, lams))
     except OverflowError:  # an int beyond int64 or the float range
         return None
-    if not (np.isfinite(X).all() and ((L >= 0.0) & (L <= 2.0)).all() and not np.isnan(R).any()):
+    if not (np.isfinite(X).all() and ((L >= 0.0) & (L <= 2.0)).all()):
         return None
     written = np.array(["x" in rec for rec in records])
-    return X[np.cumsum(written) - 1], labels, L, R
+    return X[np.cumsum(written) - 1], labels, L
 
 
 def _checked_records(records):
@@ -986,7 +990,7 @@ def _checked_records(records):
     "x" repeats the previous point."""
     if not records or isinstance(records[0], dict) and records[0].get("n") != 0:
         raise ValueError("trace records must start at n = 0")
-    dim, xs, labels, lams, res = None, [], [], [], []
+    dim, xs, labels, lams = None, [], [], []
     for k, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ValueError("trace records must be JSON objects")
@@ -1019,8 +1023,7 @@ def _checked_records(records):
                     f"the label at step {k} is too large for a 64-bit integer, got {i}")
             labels.append(i)
             lams.append(_number(rec["lambda"], f"the relaxation at step {k}", 0.0, 2.0))
-            res.append(_number(rec["res"], f"the residual at step {k}"))
-    return xs, np.array(labels, dtype=np.int64), lams, res
+    return xs, np.array(labels, dtype=np.int64), lams
 
 
 def trace_from_records(records):
@@ -1028,12 +1031,13 @@ def trace_from_records(records):
     point, and a trace with "x" on every record reads too.  Every point
     must be finite and share the start point's dimension, every relaxation
     must lie in [0, 2], and a step record holds no key besides n, i,
-    lambda, res and x, the start record none besides n and x.  The checks
-    run over whole columns; only when one may fail are the records checked
-    one by one, to name the first bad record."""
+    lambda and x, the start record none besides n and x: a record of the
+    earlier format, whose steps carried "res", is refused by that rule.
+    The checks run over whole columns; only when one may fail are the
+    records checked one by one, to name the first bad record."""
     records = list(records)
-    iterates, labels, lams, res = _trace_columns(records) or _checked_records(records)
-    return Trace(iterates=iterates, controls=labels, relaxations=lams, residuals=res)
+    iterates, labels, lams = _trace_columns(records) or _checked_records(records)
+    return Trace(iterates=iterates, controls=labels, relaxations=lams)
 
 
 def trace_summary(ops, trace):

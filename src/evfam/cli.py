@@ -191,13 +191,12 @@ def _parse_ladder(text):
 
 
 def _dump_runs(trace):
-    """runs.csv: one row per step.  Ints and float reprs need no CSV
-    quoting, so these are the bytes csv.writer writes."""
-    columns = (trace.controls, trace.relaxations, trace.residuals,
-               cfp.row_distances(trace.iterates[1:], trace.final))
-    rows = map("{},{},{!r},{!r},{!r}\n".format, range(1, trace.n_steps + 1),
-               *(col.tolist() for col in columns))
-    return "n,i,lambda,res,dist_to_final\n" + "".join(rows)
+    """runs.csv: one row per step n, the distance of x_n to the final point.
+    The trace itself holds each step's label and relaxation.  Ints and float
+    reprs need no CSV quoting, so these are the bytes csv.writer writes."""
+    dists = cfp.row_distances(trace.iterates[1:], trace.final).tolist()
+    rows = map("{},{!r}\n".format, range(1, trace.n_steps + 1), dists)
+    return "n,dist_to_final\n" + "".join(rows)
 
 
 def cmd_analyze(args):

@@ -66,7 +66,6 @@ def constant_trace(point, n_steps, lam=1.0, controls=None):
         iterates=[x.copy() for _ in range(n_steps + 1)],
         controls=list(controls),
         relaxations=[lam] * n_steps,
-        residuals=[0.0] * n_steps,
         checkpoints=[(0, 0.0)],
         stop_reason="max_iter",
     )
@@ -165,7 +164,7 @@ def masked_trace(mask, lams):
     when x_{q+1} is 0."""
     iterates = [[1.0]] + [[0.0] if hit else [1.0] for hit in mask]
     n = len(mask)
-    return Trace(iterates, [1] * n, lams, [0.0] * n)
+    return Trace(iterates, [1] * n, lams)
 
 
 @pytest.mark.parametrize("relaxed", [True, False])
@@ -239,7 +238,7 @@ def zero_step_trace():
         iterates.append(x)
         controls.append(label)
         lams.append(lam)
-    return ops, Trace(iterates, controls, lams, [0.0] * 24)
+    return ops, Trace(iterates, controls, lams)
 
 
 def mixed_kind_run():
@@ -322,7 +321,7 @@ def boundary_trace():
         iterates += [p, after]
         lams += [(1.0, 0.5, 0.0, 1.5)[k % 4], lam]
     n = len(lams)
-    return ops, Trace(iterates, [1] * n, lams, [0.0] * n)
+    return ops, Trace(iterates, [1] * n, lams)
 
 
 @pytest.mark.parametrize("relaxed", [True, False])
@@ -398,7 +397,7 @@ def test_follows_reports_fall_back_where_the_stacked_values_overflow():
     small = np.array([-3.0, 2.0, 0.0])
     iterates = [big, big, small, small, big, -big, -big, small]
     n = len(iterates) - 1
-    trace = Trace(iterates, [1] * n, [1.0] * n, [0.0] * n)
+    trace = Trace(iterates, [1] * n, [1.0] * n)
     with np.errstate(all="ignore"):
         assert not np.isfinite(ResidualBank(ops).slacks(trace.iterates[:-1])).all()
         reports = follows_reports(trace, ops)
@@ -605,7 +604,6 @@ def test_certify_truncated_run_is_inconclusive():
         iterates=full.iterates[:11],
         controls=full.controls[:10],
         relaxations=full.relaxations[:10],
-        residuals=full.residuals[:10],
         checkpoints=[c for c in full.checkpoints if c[0] <= 10],
         stop_reason="max_iter",
     )
@@ -632,7 +630,6 @@ def test_certify_flags_inconsistent_trace():
         iterates=iterates,
         controls=[1] * 15,
         relaxations=[1.0] * 15,
-        residuals=[0.0] * 15,
         checkpoints=[(0, 2.0)],
         stop_reason="max_iter",
     )
@@ -658,7 +655,6 @@ def test_certify_respects_coverage_eligibility():
         iterates=iterates,
         controls=[1, 2] * 20,
         relaxations=[1.0] * 40,
-        residuals=[5.0] * 40,
         checkpoints=[(0, 5.0)],
         stop_reason="max_iter",
     )

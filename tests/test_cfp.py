@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evfam.cfp import (
     AcsaDivergence,
@@ -501,6 +503,60 @@ def test_divergence_detection():
         )
 
 
+DBL_MAX = np.finfo(float).max
+# the largest float whose square is finite: a step of norm at most this
+ROOT_MAX = math.sqrt(DBL_MAX)
+
+
+def _steps(dim):
+    """Finite steps, half of whose entries lie within 2^512, where a step's
+    norm can be finite."""
+    entry = st.one_of(st.floats(-2.0**512, 2.0**512), st.floats(allow_nan=False,
+                                                                allow_infinity=False))
+    return st.lists(entry, min_size=dim, max_size=dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+           _steps(dim))),
+       st.floats(0.0, 2.0))
+@example(([DBL_MAX], [ROOT_MAX]), 2.0)
+@example(([-DBL_MAX, DBL_MAX], [-ROOT_MAX / 2, ROOT_MAX / 2]), 2.0)
+@example(([DBL_MAX, -DBL_MAX, 0.0], [ROOT_MAX / 2, -ROOT_MAX / 2, 5e-324]), 1.0)
+def test_a_step_of_finite_norm_keeps_the_iterate_finite(point_and_step, lam):
+    # the fact behind acsa_run's one finiteness check per step: a finite
+    # norm(step) bounds every |step_i| below 2^512, and x + lam step, with x
+    # finite and lam <= 2, then cannot round past the largest float
+    x, step = map(np.array, point_and_step)
+    with np.errstate(over="ignore"):
+        finite_norm = math.isfinite(norm(step))
+    if finite_norm:
+        assert np.isfinite(x + lam * step).all()
+
+
+def test_the_step_loop_tests_finiteness_only_after_a_non_finite_residual(monkeypatch):
+    ops = [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0)]
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(x):
+        calls.append(np.array(x).tolist())
+        return isfinite(x)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    trace = acsa_run(ops, CyclicControl(2), ConstantRelaxation(1.0), [2.0, 3.0],
+                     StopRule(max_iter=200))
+    assert trace.n_steps == 200
+    assert calls == [[2.0, 3.0]]  # the start point, as it is read
+    # the first step's norm overflows: only then is its iterate tested
+    calls.clear()
+    with pytest.raises(AcsaDivergence, match=r"^non-finite residual at step 0 \(operator 1\)$"):
+        acsa_run(ops, CyclicControl(2), ConstantRelaxation(1.0), [1e200, 0.0],
+                 StopRule(max_iter=5))
+    assert calls == [[1e200, 0.0], [0.0, 0.0]]
+
+
 def test_fejer_monotone_on_random_instances():
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -546,20 +602,20 @@ def test_trace_is_a_struct_of_arrays():
     assert trace.iterates.shape == (3, 2) and trace.iterates.dtype == float
     assert trace.controls.tolist() == [1, 2]
     assert trace.relaxations.tolist() == [1.0, 1.0]
-    assert trace.residuals.tolist() == [1.0, 1.0]
-    built = Trace([[0.0, 1.0], [2.0, 3.0]], [1], [0.5], [2.0])
+    built = Trace([[0.0, 1.0], [2.0, 3.0]], [1], [0.5], [(1, 0.0)])
     assert built.iterates.shape == (2, 2) and built.n_steps == 1
-    assert built.controls.dtype.kind == "i" and built.residuals.dtype == float
+    assert built.controls.dtype.kind == "i" and built.relaxations.dtype == float
+    assert built.checkpoints == [(1, 0.0)]
 
 
 @pytest.mark.parametrize("columns", [
-    ([1], [1.0], [2.0]),
-    ([1, 1], [1.0] * 3, [2.0] * 3),
-    ([1] * 3, [1.0] * 4, [2.0] * 3),
-    ([1] * 3, [1.0] * 3, [2.0] * 2),
+    ([1], [1.0]),
+    ([1, 1], [1.0] * 3),
+    ([1] * 3, [1.0] * 4),
+    ([1] * 4, [1.0] * 4),  # the columns agree, but not with the iterates
 ])
 def test_trace_refuses_columns_of_another_length(columns):
-    with pytest.raises(ValueError, match="^a trace needs one label, relaxation and residual per step$"):
+    with pytest.raises(ValueError, match="^a trace needs one label and relaxation per step$"):
         Trace([[3.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], *columns)
 
 
@@ -574,7 +630,7 @@ def _reference_run(ops, ctrl, relaxation, x0, stop):
     maximum of |T(x) - x| at every checkpoint: no held-step shortcut and no
     reuse of an earlier checkpoint."""
     x = np.asarray(x0, dtype=float)
-    iterates, labels, lams, residuals, checkpoints = [x], [], [], [], []
+    iterates, labels, lams, checkpoints = [x], [], [], []
 
     def max_residual(x):
         return max(float(np.linalg.norm(op.apply(x) - x)) for op in ops)
@@ -597,9 +653,8 @@ def _reference_run(ops, ctrl, relaxation, x0, stop):
         iterates.append(x)
         labels.append(label)
         lams.append(lam)
-        residuals.append(float(np.linalg.norm(step)))
         n += 1
-    return Trace(iterates, labels, lams, residuals, checkpoints, reason)
+    return Trace(iterates, labels, lams, checkpoints, reason)
 
 
 def _three_cuts():
@@ -652,7 +707,7 @@ def test_acsa_run_matches_the_plain_recurrence_bit_for_bit(name):
     got = acsa_run(ops, ctrl, sched, x0, stop)
     want = _reference_run(ops, ctrl, sched, x0, stop)
     assert got.n_steps == want.n_steps > 0
-    for column in ("iterates", "controls", "relaxations", "residuals"):
+    for column in ("iterates", "controls", "relaxations"):
         assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
     hexed = [[(n, v.hex()) for n, v in run.checkpoints] for run in (got, want)]
     assert hexed[0] == hexed[1]
@@ -776,7 +831,7 @@ def test_trace_records_round_trip_and_replay():
     trace = acsa_run(ops, ctrl, sched, [-1.0, -1.0], StopRule(stride=1))
     records = trace_records(trace)
     assert records[0] == {"n": 0, "x": [-1.0, -1.0]}
-    assert records[1]["i"] == 1 and records[1]["res"] == 1.0
+    assert records[1] == {"n": 1, "i": 1, "lambda": 1.0, "x": [0.0, -1.0]}
     back = trace_from_records(records)
     assert replay_trace(ops, back) <= 1e-12
 
@@ -822,7 +877,7 @@ def _same_bytes(a, b):
         getattr(a, col).dtype == getattr(b, col).dtype
         and getattr(a, col).shape == getattr(b, col).shape
         and getattr(a, col).tobytes() == getattr(b, col).tobytes()
-        for col in ("iterates", "controls", "relaxations", "residuals")
+        for col in ("iterates", "controls", "relaxations")
     )
 
 
@@ -832,11 +887,10 @@ def test_trace_records_omit_held_points_and_read_back_byte_for_byte():
         iterates=[[1.0, 2.0], [1.0, 2.0], [0.5, 2.0], [0.5, 2.0], [0.5, 2.0]],
         controls=[1, 2, 1, 2],
         relaxations=[1.0, 1.0, 0.5, 1.0],
-        residuals=[0.0, 0.5, 0.0, 0.0],
     )
     records = trace_records(trace)
     assert ["x" in rec for rec in records] == [True, False, True, False, False]
-    assert records[3] == {"n": 3, "i": 1, "lambda": 0.5, "res": 0.0}
+    assert records[3] == {"n": 3, "i": 1, "lambda": 0.5}
     assert _same_bytes(trace_from_records(records), trace)
 
 
@@ -912,19 +966,18 @@ def test_a_zero_step_trace_replays_to_zero():
 ])
 def test_replay_names_the_first_step_with_a_label_outside_the_operators(labels, step, label):
     ops, _, _ = two_halfspace_problem()
-    trace = Trace(np.zeros((len(labels) + 1, 2)), labels, [1.0] * len(labels),
-                  [0.0] * len(labels))
+    trace = Trace(np.zeros((len(labels) + 1, 2)), labels, [1.0] * len(labels))
     with pytest.raises(ValueError, match=rf"^step {step} names operator {label}, outside 1\.\.2$"):
         replay_trace(ops, trace)
 
 
-@pytest.mark.parametrize("column", ["controls", "relaxations", "residuals", "iterates"])
+@pytest.mark.parametrize("column", ["controls", "relaxations", "iterates"])
 def test_replay_refuses_columns_of_another_length(column):
     ops = [Ball([0.0, 0.0], 1.0)]
     trace = acsa_run(ops, CyclicControl(1), ConstantRelaxation(1.0), [3.0, 0.0],
                      StopRule(max_iter=3, stride=1))
     setattr(trace, column, getattr(trace, column)[:-1])
-    with pytest.raises(ValueError, match="^a trace needs one label, relaxation and residual per step$"):
+    with pytest.raises(ValueError, match="^a trace needs one label and relaxation per step$"):
         replay_trace(ops, trace)
 
 
@@ -945,15 +998,14 @@ def test_a_huge_start_point_is_refused_without_a_warning(ops, x0):
 
 def test_every_one_step_edit_is_refused():
     # each recorded step is checked from its recorded point, so an edit of
-    # any one point, relaxation, residual or label shows in the deviation
+    # any one point, relaxation or label shows in the deviation
     ops = [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0), Ball([0.0, 4.0], 1.5)]
     trace = acsa_run(ops, AlmostCyclicControl((1, 3, 2, 3)), CyclicRelaxation([1.0, 0.8]),
                      [5.0, 5.0], StopRule(max_iter=40))
     assert replay_trace(ops, trace) == 0.0
 
     def edited(column, q, value):
-        copy = Trace(trace.iterates.copy(), trace.controls.copy(),
-                     trace.relaxations.copy(), trace.residuals.copy())
+        copy = Trace(trace.iterates.copy(), trace.controls.copy(), trace.relaxations.copy())
         getattr(copy, column)[q] = value
         return replay_trace(ops, copy)
 
@@ -961,7 +1013,6 @@ def test_every_one_step_edit_is_refused():
         x = trace.iterates[q + 1]
         assert edited("iterates", q + 1, [math.nextafter(x[0], math.inf), x[1]]) > 0.0
         assert edited("relaxations", q, 0.5) > 0.0
-        assert edited("residuals", q, math.nextafter(trace.residuals[q], math.inf)) > 0.0
         assert edited("controls", q, trace.controls[q] % 3 + 1) > 0.0
 
 

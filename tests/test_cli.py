@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import warnings
 
@@ -269,9 +270,7 @@ def test_analyze_certified_round_trip(demo_dir, tmp_path, capsys):
     assert report["estimate"]["convergent"] is True
 
     rows = (out / "runs.csv").read_text().splitlines()
-    assert rows[0] == "n,i,lambda,res,dist_to_final"
-    assert rows[1] == "1,1,1.0,1.0,1.0"
-    assert rows[2] == "2,2,1.0,1.0,0.0"
+    assert rows == ["n,dist_to_final", "1,1.0", "2,0.0"]
 
 
 @pytest.mark.parametrize("build, codes", [(halfspace_problem, (0, 0)),
@@ -529,7 +528,7 @@ def _outcome(read, path):
         trace = read(path)
     except cli._INPUT_ERRORS as exc:
         return type(exc).__name__, str(exc)
-    columns = (trace.iterates, trace.controls, trace.relaxations, trace.residuals)
+    columns = (trace.iterates, trace.controls, trace.relaxations)
     return "trace", [(col.dtype.str, col.shape, col.tobytes()) for col in columns]
 
 
@@ -547,7 +546,7 @@ def _joined_checks_pass(text):
     return len(values) == len(lines) and all(line.rstrip().endswith("}") for line in lines)
 
 
-STEP = '{"i": 1, "lambda": 1.0, "n": %d, "res": 0.0}'
+STEP = '{"i": 1, "lambda": 1.0, "n": %d}'
 
 
 def test_a_count_check_alone_would_misread_a_split_record(tmp_path):
@@ -634,11 +633,9 @@ def test_the_one_parse_read_equals_the_per_line_read_under_mutation(tmp_path):
 
 
 def test_runs_csv_has_the_bytes_of_csv_writer():
-    values = [-0.0, 5e-324, 1e308, 1e16, 3.0, 1.0, 0.1, -2.0]
-    n = len(values)
     traces = [
         Trace(iterates=[[v] for v in [0.0, 5e-324, -0.0, 1e16, 3.0, 0.1, 1e150, -2.0, 2.0]],
-              controls=range(1, n + 1), relaxations=values[::-1], residuals=values),
+              controls=range(1, 9), relaxations=[1.0] * 8),
         Trace(iterates=[[1.0]]),
         ball_bounce_run()[1],
         halfspace_run()[1],
@@ -646,13 +643,14 @@ def test_runs_csv_has_the_bytes_of_csv_writer():
     for trace in traces:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("n", "i", "lambda", "res", "dist_to_final"))
-        columns = (trace.controls, trace.relaxations, trace.residuals,
-                   row_distances(trace.iterates[1:], trace.final))
-        writer.writerows(zip(range(1, trace.n_steps + 1), *(col.tolist() for col in columns)))
+        writer.writerow(("n", "dist_to_final"))
+        dists = row_distances(trace.iterates[1:], trace.final).tolist()
+        writer.writerows(zip(range(1, trace.n_steps + 1), dists))
         assert cli._dump_runs(trace) == buf.getvalue()
-    text = cli._dump_runs(traces[0])
-    assert all(repr(v) in text for v in values) and "1e+308" in text
+    # float reprs, as csv.writer writes them: 1e+150, not 1e150 or 1.0e+150
+    assert cli._dump_runs(traces[0]) == (
+        "n,dist_to_final\n1,2.0\n2,2.0\n3,9999999999999998.0\n4,1.0\n5,1.9\n6,1e+150\n"
+        "7,4.0\n8,0.0\n")
 
 
 def test_atomic_writes_leave_no_temp_files(demo_dir):
@@ -714,15 +712,15 @@ def _edited_trace(demo_dir, tmp_path, step, drop=(), **fields):
         ({"x": [0.0, 0.0, 0.0]}, "dimension"),
         ({"x": [float("nan"), 0.0]}, "finite"),
         ({"lambda": 2.5}, "[0, 2]"),
-        ({"res": 123.0}, "replay"),
+        ({"res": 123.0}, "the record of step 1 has the unexpected field 'res'"),
         ({"i": 1.5}, "integer"),
         ({"n": True}, "integer"),
         ({"n": 1.0}, "integer"),
         ({"i": 1.0}, "integer"),
         ({"i": True}, "integer"),
         ({"i": 10**30}, "too large"),
-        ({"res": 10**400}, "the residual at step 1 lies beyond the float range"),
-        ({"res": -10**400}, "the residual at step 1 lies beyond the float range"),
+        ({"res": 10**400}, "the record of step 1 has the unexpected field 'res'"),
+        ({"res": -10**400}, "the record of step 1 has the unexpected field 'res'"),
     ],
 )
 def test_analyze_rejects_edited_trace(demo_dir, tmp_path, capsys, fields, needle):
@@ -865,6 +863,27 @@ def test_analyze_rejects_non_finite_options(demo_dir, tmp_path, capsys, flags, n
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "nan"], "the residual tolerance must be finite and >= 0, got nan"),
+        (["--tol", "-1"], "the residual tolerance must be finite and >= 0, got -1.0"),
+        (["--tol", "inf"], "the residual tolerance must be finite and >= 0, got inf"),
+        (["--ladder", "0.1,inf"], "the epsilon ladder needs positive finite radii, got inf"),
+        (["--ladder", "0.1,nan"], "the epsilon ladder needs positive finite radii, got nan"),
+        (["--ladder=-1"], "the epsilon ladder needs positive finite radii, got -1.0"),
+        (["--ladder", "0.1,0.0"], "the epsilon ladder needs positive finite radii, got 0.0"),
+    ],
+)
+def test_analyze_names_the_bad_value_of_an_option(demo_dir, tmp_path, capsys, flags, message):
+    code, _, err = run_cli(
+        capsys, "analyze", str(demo_dir / "trace.jsonl"), str(demo_dir / "problem.json"),
+        "-o", str(tmp_path / "r"), *flags,
+    )
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
     "stop, needle",
     [
         ([], "stop rule"),
@@ -910,7 +929,7 @@ def test_problem_rejects_non_numeric_json(demo_dir, tmp_path, capsys, edit, need
     "fields, needle",
     [
         ({"lambda": True}, "relaxation"),
-        ({"res": "1"}, "residual"),
+        ({"res": "1"}, "the record of step 1 has the unexpected field 'res'"),
         ({"x": ["0", "-1"]}, "numbers"),
         ({"x": [True, -1.0]}, "numbers"),
     ],
@@ -968,7 +987,7 @@ def test_analyze_refuses_a_huge_start_point_without_a_warning(demo_dir, tmp_path
     assert code == 1 and err.startswith("error: trace does not replay")
 
 
-@pytest.mark.parametrize("field", ["i", "lambda", "res"])
+@pytest.mark.parametrize("field", ["i", "lambda"])
 def test_analyze_names_the_step_record_that_lacks_a_field(demo_dir, tmp_path, capsys, field):
     trace = _edited_trace(demo_dir, tmp_path, 2, drop=(field,))
     code, _, err = run_cli(
@@ -986,6 +1005,46 @@ def test_analyze_names_the_record_with_an_unexpected_key(demo_dir, tmp_path, cap
     )
     assert code == 1
     assert err == f"error: the record of step {step} has the unexpected field {key!r}\n"
+
+
+def _old_format_trace(demo_dir, tmp_path, steps):
+    """The demo trace with a residual "res" on the records of ``steps``, as
+    the earlier trace format wrote it on every step."""
+    records = [json.loads(line) for line in (demo_dir / "trace.jsonl").read_text().splitlines()]
+    for k in steps:
+        records[k]["res"] = 1.0
+    path = tmp_path / "old.jsonl"
+    path.write_text(cli._dump_jsonl(records))
+    return path, records
+
+
+@pytest.mark.parametrize("steps, step", [((1, 2), 1), ((2,), 2)])
+def test_a_trace_of_the_earlier_format_is_refused(demo_dir, tmp_path, capsys, monkeypatch,
+                                                   steps, step):
+    path, records = _old_format_trace(demo_dir, tmp_path, steps)
+    message = f"the record of step {step} has the unexpected field 'res'"
+    assert _joined_checks_pass(path.read_text())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_from_records(records)
+    # cli._read_trace hands the records to trace_from_records twice: from the
+    # one-parse read, which is refused, then from the per-line read
+    seen = []
+
+    def recorded(got):
+        seen.append(got)
+        return trace_from_records(got)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cfp, "trace_from_records", recorded)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli._read_trace(path)
+    assert seen == [records, records]
+    assert _same_read(path) == ("ValueError", message)
+    code, stdout, err = run_cli(
+        capsys, "analyze", str(path), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
+    )
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("label", [99999999999999999999999, -2**63 - 1, 2**63])
@@ -1079,7 +1138,7 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(demo_dir, tmp_pa
     elif where == "trace":
         lines = trace.read_text().splitlines()
         deep = "[" * 50_000 + "]" * 50_000
-        lines[1] = f'{{"n": 1, "i": 1, "lambda": 1.0, "res": 0.0, "x": {deep}}}'
+        lines[1] = f'{{"n": 1, "i": 1, "lambda": 1.0, "x": {deep}}}'
         trace = tmp_path / "deep.jsonl"
         trace.write_text("\n".join(lines) + "\n")
     else:

@@ -34,14 +34,14 @@ DEMOS = {
         "stdout": "f1701aa1da568898dddd31915469f4f85f2eaec4f1a6fcbe95236d71d1925a26",
         "problem.json": "40b399c86ef3d0367bc82b01fb5738556ba83228b5fe5f383af1802612c53119",
         "summary.json": "d5e7c3b8caf74bf59cfb5073723d97d409b6b20fa7b01965d84b9d121b6013c6",
-        "trace.jsonl": "589af0df0e3e1030880c954cc4c51e41298486a958de45cc9ce0ee4af2688fca",
+        "trace.jsonl": "7e1c66007e86b16849c83d63da5f525fec9c470589df868767b6ca3928d931e2",
     },
 }
 
 ANALYZE_TWO_HALFSPACES = {
     "stdout": "6b6dd99cf85d45b082afa70b20c5acb79dc88132823f89e1f08b16d8598ce0e8",
     "report.json": "3f82c70e0f43629397a5375567a9b427ac4e5791ac6169d71dfac9ffe1ec4663",
-    "runs.csv": "96d4af379e27e570a1cc3ac11c396dd5b9fa7e47bb59db33cf2b72d3e04476f5",
+    "runs.csv": "5fb5de1485f9462dd4f2caaea564ebe2fa0bb51c0fe740ae4ec7349bfc2a7bba",
 }
 
 # three unit discs on an almost-cyclic pattern that applies the middle one
@@ -61,10 +61,10 @@ THREE_BALLS_ALMOST_CYCLIC = {
 UNCONVERGED_BALLS = {
     "solve stdout": "8deac84d845974b6bb5d2146d14bf29944fb8959ca3e0a70f24ba8f40466ccc1",
     "analyze stdout": "10cead84703c344dcd1045bf316063c37b938acee81baf042af04fac14afe261",
-    "trace.jsonl": "6a0d3f16daa89d1bb009a6d7d217f6cd76113f59d9367e75680c6ebb5ecfb8d7",
+    "trace.jsonl": "fa990219b53d5d587300853f15ef108460167eccc3c8cc633ed5a3798a4295f2",
     "summary.json": "833b0367486b78cebed6a404e34331b064c841f467e7893a52e11c9d131c19d6",
     "report.json": "8ec447c44c7d643d4c5e91d28d5ea8b211208cf0e987971564f4b72c3a49e04e",
-    "runs.csv": "13de191cdce3e0085f9ea61765ed1b9ad1d1d764b15fbf6ce75cf826b36ce4a4",
+    "runs.csv": "c5ead2d81d200b88c87500e8cfcbd656830be7bd651212c0a66a855be6976d4f",
 }
 
 CHECK_ALL_SEED_7_BUDGET_200 = "f36b3e6a1fc10cc946f22ba5e105cafd4b2830e23fcba415d7fc7ead4bd1e771"

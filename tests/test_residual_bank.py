@@ -303,7 +303,7 @@ def test_a_nan_slack_moves_the_point():
         assert math.isnan(assert_exact(ops, x))
         assert assert_exact(ops[::-1], x) == 0.0
         # a held step is no witness of a half-space that moves the point
-        held = Trace([x, x], [1], [1.0], [0.0])
+        held = Trace([x, x], [1], [1.0])
         assert follows_reports(held, ops)[0].witnesses.size == 0
         assert follows_reports(held, ops)[1].witnesses.tolist() == [0]
 
