@@ -7,8 +7,11 @@ of x_q) as a sorted int array; JSON writes them as [start, length] runs.
 A finite trace cannot witness a lim sup, so run statistics are reported as
 lower bounds; the per-epsilon estimates are clamped to be non-increasing
 down the ladder (nested neighborhoods cannot honestly raise the bound).
-Convergence certificates (a converged solver flag, or a Cauchy tail) short
-circuit to multiplicity infinity at the final point.
+Convergence certificates (a converged solver flag, or a tail whose second
+half stays within the residual tolerance of the final point) short circuit
+to multiplicity infinity at the final point.  A run has one limit estimate:
+certification asserts its pairs on the candidates and estimates that the
+report's ``estimate`` shows.
 """
 
 from __future__ import annotations
@@ -213,38 +216,23 @@ class LimitEstimate:
     classical_limit: object  # final point when convergent, else None
 
 
-def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None):
+def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None, tol=1e-6):
     """Estimates, per accumulation point, the recurring-run statistic of
     the index sets {n : x_n near the point} down the epsilon ladder.
 
-    The reported multiplicity is the minimum over the ladder, a lower
-    bound; certified-convergent inputs report infinity at the limit.  A
-    tail within half the finest radius of the final point counts as
-    convergent.
+    Candidates are the accumulation points at the coarsest radius.  The
+    reported multiplicity is the minimum over the ladder, a lower bound.  A
+    converged solver trace, or a tail whose second half stays within tol of
+    the final point, counts as convergent and reports infinity at that
+    point; a tail that drifts farther is not taken for a limit.
     """
     ladder = _checked_ladder(ladder)
-    return _limit_estimate(source, ladder, n0, min(ladder) / 2)
-
-
-def _checked_ladder(ladder):
-    ladder = tuple(float(e) for e in ladder)
-    if not ladder:
-        raise ValueError("the epsilon ladder is empty")
-    bad = [e for e in ladder if not 0 < e < math.inf]
-    if bad:
-        raise ValueError(f"the epsilon ladder needs positive finite radii, got {bad[0]!r}")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("the epsilon ladder must decrease strictly")
-    return ladder
-
-
-def _limit_estimate(source, ladder, n0, cauchy_radius):
-    """cogap_limit_estimate on a checked ladder, taking a tail within
-    cauchy_radius of the final point as convergent."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"the residual tolerance must be finite and >= 0, got {tol!r}")
     pts = _points(source)
     n0 = _tail_start(len(pts), n0)
     converged = isinstance(source, Trace) and source.converged
-    convergent = converged or _cauchy_tail(pts, n0, cauchy_radius)
+    convergent = converged or _cauchy_tail(pts, n0, tol)
 
     if convergent:
         final = pts[-1]
@@ -266,39 +254,54 @@ def _limit_estimate(source, ladder, n0, cauchy_radius):
     return LimitEstimate(tuple(candidates), ladder, n0, False, None)
 
 
+def _checked_ladder(ladder):
+    ladder = tuple(float(e) for e in ladder)
+    if not ladder:
+        raise ValueError("the epsilon ladder is empty")
+    bad = [e for e in ladder if not 0 < e < math.inf]
+    if bad:
+        raise ValueError(f"the epsilon ladder needs positive finite radii, got {bad[0]!r}")
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("the epsilon ladder must decrease strictly")
+    return ladder
+
+
 # ---------------------------------------------------------------------------
 # certification
 
 
-@dataclass(frozen=True, eq=False)  # candidates and follows hold arrays
+@dataclass(frozen=True, eq=False)  # estimate and follows hold arrays
 class Certification:
     status: str  # "certified" | "inconclusive" | "violation"
-    entries: tuple  # {"candidate": index into candidates, "operator", "residual", "ok"}
-    candidates: tuple
+    entries: tuple  # {"candidate": index into estimate.candidates, "operator", "residual", "ok"}
+    estimate: LimitEstimate  # the run's one limit estimate
     follows: tuple
+
+    @property
+    def candidates(self):
+        """The candidate points, in the order the entries index them."""
+        return tuple(c.point for c in self.estimate.candidates)
 
     def __bool__(self):
         return self.status == "certified"
 
 
-def certify_fixed_points(trace, ops, eps=DEFAULT_LADDER[0], n0=None, tol=1e-6, relaxed=True):
-    """Checks accumulation-point candidates against the operators the trace
-    demonstrably follows.
+def certify_fixed_points(trace, ops, ladder=DEFAULT_LADDER, n0=None, tol=1e-6, relaxed=True):
+    """Checks the candidates of the run's limit estimate against the
+    operators the trace demonstrably follows.
 
-    A pair (candidate, operator) is asserted only when the candidate's
-    recurring-run estimate reaches min_c + 1, i.e. the candidate is a
-    level-family accumulation point for the window the operator was
-    certified at; a residual above tolerance then flags a genuine
-    implementation violation, while absence of covered pairs is merely
-    inconclusive.  An unconverged tail stands in for a limit only when it
-    stays within tol of its final point: a slow run is not a faulty
-    operator."""
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"the residual tolerance must be finite and >= 0, got {tol!r}")
-    est = _limit_estimate(trace, _checked_ladder((eps,)), n0, tol)
+    The estimate is cogap_limit_estimate's, on the same ladder, tail and
+    tol, and is returned with the verdict.  A pair (candidate, operator) is
+    asserted only when the candidate's estimate down the whole ladder
+    reaches min_c + 1, i.e. the candidate is a level-family accumulation
+    point for the window the operator was certified at; a residual above
+    tol then flags a genuine implementation violation, while absence of
+    asserted pairs is merely inconclusive.  An unconverged tail stands in
+    for a limit only when it stays within tol of its final point: a slow
+    run is not a faulty operator."""
+    est = cogap_limit_estimate(trace, ladder, n0, tol)
     follows = tuple(follows_reports(trace, ops, relaxed=relaxed))
     followed = [(rep.operator, rep.min_c) for rep in follows if rep.min_c is not None]
-    candidates = tuple(c.point for c in est.candidates)
     entries = []
     for k, cand in enumerate(est.candidates):
         for label, min_c in followed:
@@ -308,9 +311,9 @@ def certify_fixed_points(trace, ops, eps=DEFAULT_LADDER[0], n0=None, tol=1e-6, r
             ok = residual <= tol
             entries.append({"candidate": k, "operator": label, "residual": residual, "ok": ok})
     if not entries:
-        return Certification("inconclusive", (), candidates, follows)
+        return Certification("inconclusive", (), est, follows)
     status = "certified" if all(e["ok"] for e in entries) else "violation"
-    return Certification(status, tuple(entries), candidates, follows)
+    return Certification(status, tuple(entries), est, follows)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +361,5 @@ def limit_estimate_json(est):
 
 
 def certification_json(cert):
-    """The verdict and its entries, which index the candidates."""
-    return {
-        "status": cert.status,
-        "entries": list(cert.entries),
-        "candidates": [list(map(float, y)) for y in cert.candidates],
-    }
+    """The verdict and its entries, which index the estimate's candidates."""
+    return {"status": cert.status, "entries": list(cert.entries)}

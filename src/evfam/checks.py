@@ -496,6 +496,8 @@ def run_suite(name, seed=0, budget=DEFAULT_BUDGET):
     """Runs one named suite (or ``all``) and returns its CheckResults."""
     if seed < 0:
         raise ValueError(f"the seed must be an integer >= 0, got {seed}")
+    if budget < 0:
+        raise ValueError(f"the budget must be an integer >= 0, got {budget}")
     if name == "all":
         results = []
         for sub in SUITE_NAMES:
@@ -505,6 +507,4 @@ def run_suite(name, seed=0, budget=DEFAULT_BUDGET):
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES + ('all',)}")
     if budget == 0:
         return [CheckResult(f"{name}.vacuous", True, 0, "vacuous pass at budget 0")]
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
     return SUITES[name](seed, budget)

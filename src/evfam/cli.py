@@ -221,9 +221,8 @@ def cmd_analyze(args):
         trace.stop_reason = "converged"
 
     try:
-        estimate = analysis.cogap_limit_estimate(trace, ladder=ladder, n0=args.tail)
         cert = analysis.certify_fixed_points(
-            trace, ops, eps=ladder[0], n0=args.tail, tol=args.tol, relaxed=not args.strict
+            trace, ops, ladder=ladder, n0=args.tail, tol=args.tol, relaxed=not args.strict
         )
     except ValueError as exc:
         return _fail(exc)
@@ -232,7 +231,7 @@ def cmd_analyze(args):
     report = {
         "replay_max_deviation": deviation,
         "follows": [analysis.follows_report_json(rep) for rep in follows],
-        "estimate": analysis.limit_estimate_json(estimate),
+        "estimate": analysis.limit_estimate_json(cert.estimate),
         "certification": analysis.certification_json(cert),
     }
     _write_artifacts(args.out, {"report.json": _dump_json(report), "runs.csv": _dump_runs(trace)})
@@ -401,7 +400,9 @@ def build_parser():
     p.add_argument("--strict", action="store_true",
                    help="admit only unit-relaxation steps as witnesses")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="fixed-point residual tolerance for certification")
+                   help="fixed-point residual tolerance; also how near its final "
+                        "point the tail of an unconverged run must stay to count "
+                        "as convergent")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check", help="run a property suite")

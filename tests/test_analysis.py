@@ -638,6 +638,41 @@ def test_certify_flags_inconsistent_trace():
     assert any(not e["ok"] for e in cert.entries)
 
 
+def _fuzz_instance(k, rng):
+    """Run k of a seeded corpus: feasible half-spaces, radius-1 balls that
+    may not meet, or hyperplanes through the origin, in turn, under an
+    almost-cyclic control, with a cap that may stop the run early."""
+    dim, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    if k % 3 == 0:
+        ops, _ = random_feasible_instance(dim, m, rng)
+    elif k % 3 == 1:
+        c0 = rng.normal(size=dim)
+        ops = [Ball(c0 + 0.5 * rng.normal(size=dim), 1.0) for _ in range(m)]
+    else:
+        e1 = np.eye(dim)[0]
+        ops = [Hyperplane(e1 + 0.1 * rng.normal(size=dim), 0.0) for _ in range(m)]
+    ctrl = AlmostCyclicControl(random_almost_cyclic_pattern(m, rng), m)
+    x0 = rng.normal(size=dim) * float(rng.choice([1.0, 10.0, 100.0]))
+    stop = StopRule(tol=float(rng.choice([1e-6, 1e-9, 1e-12])),
+                    max_iter=int(rng.integers(5, 3000)), stride=int(rng.integers(1, 20)))
+    lam = float(rng.choice([0.5, 1.0, 1.5]))
+    return ops, acsa_run(ops, ctrl, ConstantRelaxation(lam), x0, stop)
+
+
+def test_no_correct_operator_gives_violation_on_a_seeded_corpus():
+    # projections are nonexpansive, so a violation here would blame a
+    # correct operator for a run that was cut off while its tail drifted
+    rng = np.random.default_rng(1)
+    capped, verdicts = 0, {}
+    for k in range(200):
+        ops, trace = _fuzz_instance(k, rng)
+        capped += not trace.converged
+        cert = certify_fixed_points(trace, ops)
+        verdicts.setdefault(cert.status, []).append(k)
+    assert capped >= 50 and "certified" in verdicts
+    assert "violation" not in verdicts, verdicts["violation"]
+
+
 def test_certify_respects_coverage_eligibility():
     # alternating projections between x1 <= 0 and x1 >= 5, certified against
     # the first operator only: every other step is a genuine witness
@@ -705,12 +740,16 @@ def test_estimate_json_inf_marker():
 
 def test_certification_json():
     ops, trace = two_halfspace_trace()
-    data = json.loads(json.dumps(certification_json(certify_fixed_points(trace, ops))))
+    cert = certify_fixed_points(trace, ops)
+    data = json.loads(json.dumps(certification_json(cert)))
+    assert set(data) == {"status", "entries"}
     assert data["status"] == "certified"
     assert data["entries"][0]["ok"] is True
-    assert data["candidates"] == [[0.0, 0.0]]
+    # the entries index the candidates of the estimate, stated there once
+    points = [c["point"] for c in limit_estimate_json(cert.estimate)["candidates"]]
+    assert points == [[0.0, 0.0]]
     for entry in data["entries"]:
-        assert data["candidates"][entry["candidate"]] == [0.0, 0.0]
+        assert points[entry["candidate"]] == [0.0, 0.0]
 
 
 def test_default_ladder_shape():

@@ -264,7 +264,7 @@ def test_analyze_certified_round_trip(demo_dir, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["replay_max_deviation"] == 0.0
     assert report["certification"]["status"] == "certified"
-    assert report["certification"]["candidates"] == [[0.0, 0.0]]
+    assert [c["point"] for c in report["estimate"]["candidates"]] == [[0.0, 0.0]]
     mins = [rep["min_c"] for rep in report["follows"]]
     assert mins == [2, 2]
     assert report["estimate"]["convergent"] is True
@@ -316,6 +316,45 @@ def test_analyze_truncated_trace_inconclusive(demo_dir, tmp_path, capsys):
     )
     assert code == 2
     assert "inconclusive" in stdout
+
+
+def _hyperplanes_through_0(angle, x0, max_iter):
+    """Two lines through the origin at the given angle, under a cyclic
+    control: the run creeps toward 0 and stops at its cap."""
+    return {
+        "dim": 2,
+        "operators": [
+            {"kind": "hyperplane", "a": [0.0, 1.0], "b": 0.0},
+            {"kind": "hyperplane", "a": [-math.sin(angle), math.cos(angle)], "b": 0.0},
+        ],
+        "control": {"kind": "cyclic"},
+        "x0": x0,
+        "stop": {"tol": 1e-12, "max_iter": max_iter, "stride": 10},
+    }
+
+
+@pytest.mark.parametrize("angle, x0, max_iter", [
+    (0.1, [1.0, 1.0], 3070),
+    # its final residual is 9.5e-6: a tail taken for a limit at a radius
+    # looser than --tol would assert it and exit 3
+    (0.01, [1e-3, 0.0], 1000),
+])
+def test_the_report_explains_an_unconverged_exit_code(tmp_path, capsys, angle, x0, max_iter):
+    problem, out = tmp_path / "problem.json", tmp_path / "out"
+    problem.write_text(json.dumps(_hyperplanes_through_0(angle, x0, max_iter)))
+    assert run_cli(capsys, "solve", str(problem), "-o", str(out))[0] == 2
+    code, stdout, _ = run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(problem),
+                              "-o", str(out))
+    assert code == 2 and "certification: inconclusive" in stdout
+    report = json.loads((out / "report.json").read_text())
+    # the one estimate: the tail still drifts, so no candidate reaches the
+    # level any operator needs, and certification asserts no pair
+    assert report["estimate"]["convergent"] is False
+    needs = [rep["min_c"] + 1 for rep in report["follows"] if rep["min_c"] is not None]
+    assert needs
+    for cand in report["estimate"]["candidates"]:
+        assert all(cand["estimate"] != "inf" and cand["estimate"] < need for need in needs)
+    assert report["certification"] == {"status": "inconclusive", "entries": []}
 
 
 def test_analyze_bad_ladder(demo_dir, tmp_path, capsys):
@@ -428,8 +467,9 @@ def test_check_command(tmp_path, capsys, monkeypatch):
 
 
 def test_check_rejects_negative_budget(capsys):
-    code, _, err = run_cli(capsys, "check", "intseq", "--budget", "-1")
-    assert code == 1 and "budget" in err
+    message = "error: the budget must be an integer >= 0, got -1\n"
+    for suite in ("intseq", "cfp", "all"):
+        assert run_cli(capsys, "check", suite, "--budget", "-1") == (1, "", message)
 
 
 @pytest.mark.parametrize("suite", ["intseq", "cfp", "all"])

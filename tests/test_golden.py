@@ -40,7 +40,7 @@ DEMOS = {
 
 ANALYZE_TWO_HALFSPACES = {
     "stdout": "6b6dd99cf85d45b082afa70b20c5acb79dc88132823f89e1f08b16d8598ce0e8",
-    "report.json": "3f82c70e0f43629397a5375567a9b427ac4e5791ac6169d71dfac9ffe1ec4663",
+    "report.json": "b408e8e192c38acf3759a183b14e5b601c422b42e53decb8ca37d9892ab85b25",
     "runs.csv": "5fb5de1485f9462dd4f2caaea564ebe2fa0bb51c0fe740ae4ec7349bfc2a7bba",
 }
 
@@ -63,7 +63,7 @@ UNCONVERGED_BALLS = {
     "analyze stdout": "10cead84703c344dcd1045bf316063c37b938acee81baf042af04fac14afe261",
     "trace.jsonl": "fa990219b53d5d587300853f15ef108460167eccc3c8cc633ed5a3798a4295f2",
     "summary.json": "833b0367486b78cebed6a404e34331b064c841f467e7893a52e11c9d131c19d6",
-    "report.json": "8ec447c44c7d643d4c5e91d28d5ea8b211208cf0e987971564f4b72c3a49e04e",
+    "report.json": "9f005091061ebd87211bfd89a441a5db83550ccf140a703665f3139f84cf9353",
     "runs.csv": "c5ead2d81d200b88c87500e8cfcbd656830be7bd651212c0a66a855be6976d4f",
 }
 
