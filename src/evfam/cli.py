@@ -400,9 +400,8 @@ def build_parser():
     p.add_argument("--strict", action="store_true",
                    help="admit only unit-relaxation steps as witnesses")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="fixed-point residual tolerance; also how near its final "
-                        "point the tail of an unconverged run must stay to count "
-                        "as convergent")
+                   help="fixed-point residual tolerance, also the convergence radius "
+                        "of an unconverged tail")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check", help="run a property suite")
