@@ -5,7 +5,7 @@ box, affine equality) plus the subgradient projector for piecewise-affine
 convex level sets, with averaging and relaxation wrappers.  The iteration
 x_{n+1} = x_n + lambda_n (T_{i(n)}(x_n) - x_n) runs under cyclic,
 almost-cyclic, or explicit index controls and records a full replayable
-trace.
+trace, copied from its cycle once the run is exactly periodic.
 
 Operator indices are 1-based in every public artifact (patterns, trace
 records, reports) and 0-based only inside internal lists.
@@ -97,7 +97,8 @@ class Operator:
 
     Certification assumes that I - T is demiclosed at 0, as it is for
     every shipped operator, so that a limit of points whose residual
-    vanishes is a fixed point.
+    vanishes is a fixed point.  ``apply`` must be a function of x's bits:
+    checkpoint reuse, the periodic tail and replay rely on it.
     """
 
     kind = "abstract"
@@ -645,6 +646,36 @@ class ResidualBank:
         return max(values.tolist())
 
 
+def _periodic_tail(bank, seen, cycle, n, end, stop, labels, lams):
+    """Given x_{n+k} = cycle[k mod L] for all k >= 0, the iterates x_{n+1..N},
+    labels and relaxations of steps n..N-1, checkpoints after n and stop
+    reason.  seen maps a point's bytes to its maximum residual, and the
+    multiples of stride revisit the cycle after L / gcd(L, stride) of them."""
+    lag = len(cycle)
+
+    def worst(m):
+        point = cycle[(m - n) % lag]
+        if point.tobytes() not in seen:
+            seen[point.tobytes()] = bank.max_residual(point)
+        return seen[point.tobytes()]
+
+    marks = range((n // stop.stride + 1) * stop.stride, end + 1, stop.stride)
+    last = next((m for m in marks[: lag // math.gcd(lag, stop.stride)]
+                 if worst(m) <= stop.tol), end)
+    reason = "converged" if worst(last) <= stop.tol else "max_iter"
+    # arrays before per-checkpoint work; np.arange counts exactly below 2**53
+    if last - n >= 2**53:
+        raise MemoryError(f"a tail of {last - n} steps exceeds any address space")
+    steps, marks = np.arange(n, last), np.arange(marks.start, last + 1, stop.stride)
+    tail = (cycle[(steps - n + 1) % lag], np.array(labels)[steps % len(labels)],
+            np.array(lams)[steps % len(lams)])
+    table = np.array([seen.get(point.tobytes(), math.nan) for point in cycle])
+    checkpoints = list(zip(marks.tolist(), table[(marks - n) % lag].tolist()))
+    if last % stop.stride:
+        checkpoints.append((last, worst(last)))
+    return (*tail, checkpoints, reason)
+
+
 def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     """Runs the sequential iteration: step n applies operator ctrl.labels[n
     mod len] with relaxation relaxation.values[n mod len], words checked when
@@ -653,7 +684,11 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     end takes max_i |T_i(x) - x|; the first within stop.tol stops the run as
     converged, else it stops at its end as max_iter or control_exhausted.  A
     non-finite iterate, step residual or final maximum raises AcsaDivergence.
-    Each step's residual |T(x_n) - x_n| guards the run and is not kept."""
+    Each step's residual |T(x_n) - x_n| guards the run and is not kept.
+    Step n is a function of x_n's bits and of n mod P, P the lcm of the word
+    lengths: once a repeating word's x at a multiple of P equals a mark, x
+    at the 1st, 2nd, 4th, ... such boundary (Brent's scheme), the rest of
+    the run repeats the steps since the mark and is copied from them."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
@@ -670,9 +705,10 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     iterates, controls, relaxations, checkpoints = [x], [], [], []
     labels, lams = ctrl.labels, relaxation.values
     end = stop.max_iter if ctrl.repeats else min(stop.max_iter, len(labels))
+    period = math.lcm(len(labels), len(lams))
     # the bytes and maximum of the last evaluated checkpoint: max_residual
     # is a function of the point's bits, so a bit-identical point reuses it
-    key = worst = None
+    key = worst = mark = None
     n = 0
     # a finite but huge point overflows a slack, a norm or a step: inf or NaN,
     # which the checks below refuse by step and operator, not a warning
@@ -688,6 +724,17 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             if n == end:
                 stop_reason = "max_iter" if end == stop.max_iter else "control_exhausted"
                 break
+            if ctrl.repeats and n % period == 0:
+                if x.tobytes() == mark:
+                    *tail, later, stop_reason = _periodic_tail(
+                        bank, {key: worst}, np.array(iterates[marked:n]), n, end, stop,
+                        labels, lams)
+                    columns = zip((iterates, controls, relaxations), tail)
+                    iterates, controls, relaxations = map(np.concatenate, columns)
+                    checkpoints += later
+                    break
+                if (n // period) & (n // period - 1) == 0:
+                    mark, marked = x.tobytes(), n
             label = labels[n % len(labels)]
             lam = lams[n % len(lams)]
             tx = ops[label - 1].apply(x)
@@ -717,6 +764,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             x = x_next
             n += 1
     # the final point always has a checkpoint, and its maximum is the summary's
+    n, worst = checkpoints[-1]
     if not math.isfinite(worst):
         raise AcsaDivergence(f"non-finite maximum residual at the final checkpoint (step {n})")
     return Trace(iterates, controls, relaxations, checkpoints, stop_reason)

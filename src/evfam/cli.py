@@ -133,9 +133,11 @@ def cmd_solve(args):
     _warn_relaxation_bounds(sched)
     try:
         trace = cfp.acsa_run(ops, ctrl, sched, x0, stop)
+        summary, texts = _run_artifacts(ops, trace)
     except cfp.AcsaDivergence as exc:
         return _fail(exc)
-    summary, texts = _run_artifacts(ops, trace)
+    except MemoryError as exc:
+        return _fail(f"the run does not fit in memory: {exc}")
     _write_artifacts(args.out, texts)
     print(
         f"{summary['stop_reason']} after {summary['iterations']} steps; "

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evfam import cfp
 from evfam.cfp import (
     AcsaDivergence,
     AffineEquality,
@@ -666,6 +667,24 @@ def _random_cuts(seed, dim, m):
     return random_feasible_instance(dim, m, np.random.default_rng(seed))[0]
 
 
+def _seeded_balls(seed):
+    """2 or 3 balls in dimension 2 or 3, which may share no point, and a
+    start point, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    m, dim = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    ops = [Ball(rng.uniform(-4.0, 4.0, dim), float(rng.uniform(0.5, 1.5))) for _ in range(m)]
+    return ops, np.round(rng.uniform(-6.0, 6.0, dim), 2)
+
+
+def _two_balls():
+    return [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0)]
+
+
+def _three_balls():
+    # on a line: the limit cycle's points lie 4.0 to 8.0 from the farthest ball
+    return [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0), Ball([10.0, 0.0], 1.0)]
+
+
 # (ops, control, relaxation, x0, stop rule)
 REFERENCE_RUNS = {
     "halfspaces-from-negative-zeros": (
@@ -696,8 +715,31 @@ REFERENCE_RUNS = {
         ExplicitControl([1, 2, 1], m=2), ConstantRelaxation(1.0), [-1.0, -1.0],
         StopRule(stride=10)),
     "stops-at-max-iter-on-a-limit-cycle": (
-        [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0)], CyclicControl(2),
-        ConstantRelaxation(1.0), [2.0, -0.0], StopRule(max_iter=57, stride=10)),
+        _two_balls(), CyclicControl(2), ConstantRelaxation(1.0), [2.0, -0.0],
+        StopRule(max_iter=57, stride=10)),
+    # the rows below reach an exactly periodic point, past which acsa_run
+    # copies the cycle.  Here x at a boundary of the 3-step word first
+    # equals x two words back (seed 53 of _seeded_balls' draw)
+    "bits-cycle-with-period-2p": (
+        _seeded_balls(53)[0], CyclicControl(3), ConstantRelaxation(1.0), _seeded_balls(53)[1],
+        StopRule(max_iter=500)),
+    # word lengths 4 and 3: the period is 12
+    "relaxation-word-coprime-to-the-pattern": (
+        _three_balls(), AlmostCyclicControl((1, 2, 1, 3)), CyclicRelaxation([1.0, 0.5, 1.5]),
+        [2.0, -0.0], StopRule(max_iter=500)),
+    # the cycle repeats from step 6; stride 11 lands on a point 6.0 from its
+    # farthest ball, within tol
+    "converges-at-the-first-tail-checkpoint": (
+        _three_balls(), CyclicControl(3), ConstantRelaxation(1.0), [2.0, -0.0],
+        StopRule(tol=6.0, max_iter=500, stride=11)),
+    # the tail's checkpoints at 22 and 33 miss tol, the one at 44 meets it
+    "converges-at-a-later-tail-checkpoint": (
+        _three_balls(), AlmostCyclicControl((1, 2, 3, 2)), ConstantRelaxation(1.0),
+        [2.0, -0.0], StopRule(tol=5.0, max_iter=500, stride=11)),
+    # 1003 is a multiple of neither the stride nor the period 2
+    "max-iter-off-stride-and-period": (
+        _two_balls(), CyclicControl(2), ConstantRelaxation(1.0), [2.0, -0.0],
+        StopRule(max_iter=1003, stride=7)),
 }
 
 
@@ -712,6 +754,94 @@ def test_acsa_run_matches_the_plain_recurrence_bit_for_bit(name):
     hexed = [[(n, v.hex()) for n, v in run.checkpoints] for run in (got, want)]
     assert hexed[0] == hexed[1]
     assert (got.stop_reason, got.converged) == (want.stop_reason, want.converged)
+
+
+def test_the_period_2p_row_repeats_its_bits_only_two_periods_back():
+    ops, ctrl, sched, x0, stop = REFERENCE_RUNS["bits-cycle-with-period-2p"]
+    bounds = [x.tobytes() for x in _reference_run(ops, ctrl, sched, x0, stop).iterates[::3]]
+    assert not any(a == b for a, b in zip(bounds, bounds[1:]))
+    assert any(a == b for a, b in zip(bounds, bounds[2:]))
+
+
+def _periodic_corpus(count=60):
+    """Seeded runs over balls (which may share no point), half-spaces and
+    hyperplanes, with random patterns, relaxation words of length 1-3 and
+    strides 1-12."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        dim, m = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        if seed % 3 == 0:
+            ops = [Ball(rng.uniform(-3.0, 3.0, dim), float(rng.uniform(0.5, 1.5)))
+                   for _ in range(m)]
+        else:
+            kind = (Halfspace, Hyperplane)[seed % 3 - 1]
+            ops = [kind(rng.normal(size=dim), float(rng.normal())) for _ in range(m)]
+        ctrl = AlmostCyclicControl(random_almost_cyclic_pattern(m, rng), m)
+        lams = rng.choice([0.5, 1.0, 1.5, 1.0], size=int(rng.integers(1, 4))).tolist()
+        stop = StopRule(tol=1e-9, max_iter=int(rng.integers(50, 400)),
+                        stride=int(rng.integers(1, 13)))
+        yield ops, ctrl, CyclicRelaxation(lams), rng.normal(size=dim) * 4, stop
+
+
+def _spying_tails(monkeypatch):
+    """The steps at which acsa_run hands a run to its periodic tail."""
+    tails = []
+    periodic_tail = cfp._periodic_tail
+
+    def spied(*args):
+        tails.append(args[3])
+        return periodic_tail(*args)
+
+    monkeypatch.setattr(cfp, "_periodic_tail", spied)
+    return tails
+
+
+def test_the_periodic_rows_copy_their_tail(monkeypatch):
+    tails = _spying_tails(monkeypatch)
+    names = list(REFERENCE_RUNS)
+    for name in names[names.index("stops-at-max-iter-on-a-limit-cycle"):]:
+        tails.clear()
+        acsa_run(*REFERENCE_RUNS[name])
+        assert len(tails) == 1, name
+
+
+def test_periodic_runs_match_the_plain_recurrence_on_a_seeded_corpus(monkeypatch):
+    tails = _spying_tails(monkeypatch)
+    for k, run in enumerate(_periodic_corpus()):
+        got, want = acsa_run(*run), _reference_run(*run)
+        for column in ("iterates", "controls", "relaxations"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), (k, column)
+        hexed = [[(n, v.hex()) for n, v in trace.checkpoints] for trace in (got, want)]
+        assert (hexed[0], got.stop_reason) == (hexed[1], want.stop_reason), k
+    # 24 of the 60 runs reach an exactly periodic point and copy their tail
+    assert len(tails) == 24
+
+
+def _counting_applies(monkeypatch, cls):
+    calls = []
+    apply = cls.apply
+    monkeypatch.setattr(cls, "apply", lambda op, x: calls.append(1) or apply(op, x))
+    return calls
+
+
+def test_a_limit_cycle_stops_calling_apply_and_an_explicit_word_never_does(monkeypatch):
+    calls = _counting_applies(monkeypatch, Ball)
+    ops, ctrl, sched, x0, _ = REFERENCE_RUNS["stops-at-max-iter-on-a-limit-cycle"]
+    trace = acsa_run(ops, ctrl, sched, x0, StopRule(max_iter=100000))
+    assert (trace.n_steps, len(trace.checkpoints), trace.stop_reason) == (100000, 10001, "max_iter")
+    assert np.array_equal(trace.iterates[-3:], [[3.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    assert len(calls) < 200
+    # the same bits cycle under an explicit word, which is never copied; cuts
+    # take their checkpoint maxima without apply, so every call is a step
+    calls = _counting_applies(monkeypatch, Halfspace)
+    cuts = [Halfspace([1.0], -1.0), Halfspace([-1.0], -1.0)]
+    trace = acsa_run(cuts, ExplicitControl([1, 2] * 50), ConstantRelaxation(1.0), [0.0],
+                     StopRule(max_iter=1000))
+    assert trace.stop_reason == "control_exhausted"
+    assert len(calls) == trace.n_steps == 100
+    calls.clear()
+    trace = acsa_run(cuts, CyclicControl(2), ConstantRelaxation(1.0), [0.0], StopRule(max_iter=100))
+    assert trace.n_steps == 100 and len(calls) < 10
 
 
 def test_a_trace_converged_exactly_when_its_stop_reason_says_so():

@@ -219,6 +219,26 @@ def test_solve_refuses_an_overflow_without_a_warning(tmp_path, capsys, operators
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_iter, needle", [
+    # numpy refuses the tail's arrays at once: they exceed the address space
+    (10**15, "Unable to allocate"),
+    # past 2**53, where numpy would size the arrays wrongly
+    (10**20, "a tail of 99999999999999999996 steps exceeds any address space"),
+])
+def test_solve_refuses_a_periodic_run_too_long_to_hold(tmp_path, capsys, max_iter, needle):
+    prob = {"dim": 2, "operators": [{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                                    {"kind": "ball", "center": [4.0, 0.0], "radius": 1.0}],
+            "control": {"kind": "cyclic"}, "x0": [2.0, -0.0], "stop": {"max_iter": max_iter}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(prob))
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "solve", str(path), "-o", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: the run does not fit in memory: ") and needle in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_held_point_whose_slack_overflows_solves_without_a_warning(tmp_path, capsys):
     # the slack at x0 is -inf: the half-space holds the point, and the
     # maximum residual of summary.json and of analyze's stop check is 0.0
