@@ -724,7 +724,8 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             if n == end:
                 stop_reason = "max_iter" if end == stop.max_iter else "control_exhausted"
                 break
-            if ctrl.repeats and n % period == 0:
+            # an explicit word ends by step len(labels) <= P: no second boundary
+            if n % period == 0:
                 if x.tobytes() == mark:
                     *tail, later, stop_reason = _periodic_tail(
                         bank, {key: worst}, np.array(iterates[marked:n]), n, end, stop,

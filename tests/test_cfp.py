@@ -681,7 +681,8 @@ def _two_balls():
 
 
 def _three_balls():
-    # on a line: the limit cycle's points lie 4.0 to 8.0 from the farthest ball
+    # on a line: from a start on it, the iterates stay on it and repeat
+    # bit for bit within a few words
     return [Ball([0.0, 0.0], 1.0), Ball([4.0, 0.0], 1.0), Ball([10.0, 0.0], 1.0)]
 
 
