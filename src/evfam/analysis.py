@@ -26,6 +26,8 @@ from .intseq import ExtNat, INF, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
 DEFAULT_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
+#: fixed-point residual tolerance, also the convergence radius of a tail
+DEFAULT_TOL = 1e-6
 
 
 def _points(source):
@@ -216,7 +218,7 @@ class LimitEstimate:
     classical_limit: object  # final point when convergent, else None
 
 
-def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None, tol=1e-6):
+def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT_TOL):
     """Estimates, per accumulation point, the recurring-run statistic of
     the index sets {n : x_n near the point} down the epsilon ladder.
 
@@ -286,7 +288,8 @@ class Certification:
         return self.status == "certified"
 
 
-def certify_fixed_points(trace, ops, ladder=DEFAULT_LADDER, n0=None, tol=1e-6, relaxed=True):
+def certify_fixed_points(trace, ops, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT_TOL,
+                         relaxed=True):
     """Checks the candidates of the run's limit estimate against the
     operators the trace demonstrably follows.
 
@@ -298,8 +301,13 @@ def certify_fixed_points(trace, ops, ladder=DEFAULT_LADDER, n0=None, tol=1e-6, r
     tol then flags a genuine implementation violation, while absence of
     asserted pairs is merely inconclusive.  An unconverged tail stands in
     for a limit only when it stays within tol of its final point: a slow
-    run is not a faulty operator."""
-    est = cogap_limit_estimate(trace, ladder, n0, tol)
+    run is not a faulty operator.  A converged run counts as converged only
+    when its final point's maximum residual is also within tol, which may
+    be tighter than the tol it stopped at."""
+    source = trace
+    if trace.converged and not ResidualBank(ops).max_residual(trace.final) <= tol:
+        source = trace.iterates  # judged as an unconverged tail
+    est = cogap_limit_estimate(source, ladder, n0, tol)
     follows = tuple(follows_reports(trace, ops, relaxed=relaxed))
     followed = [(rep.operator, rep.min_c) for rep in follows if rep.min_c is not None]
     entries = []

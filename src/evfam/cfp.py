@@ -9,6 +9,11 @@ trace, copied from its cycle once the run is exactly periodic.
 
 Operator indices are 1-based in every public artifact (patterns, trace
 records, reports) and 0-based only inside internal lists.
+
+Each shortcut here gives the bits of the plain per-step recurrence, and
+says how where it is defined: the stacked slacks of ``ResidualBank``, a
+held step and a reused checkpoint maximum in ``acsa_run``, the periodic
+tail, each operator's ``apply_many`` and the grouped ``replay_trace``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,13 @@ FIX_TOL = 1e-9
 def _floats(x):
     """x as a float array: strings, booleans and null are errors, not casts."""
     v = np.asarray(x)
+    if v.dtype == object and {type(c) for c in v.flat} <= {int, float}:
+        # numpy holds an int beyond 64 bits as an object
+        try:
+            np.array(x, dtype=float)
+        except OverflowError:
+            raise ValueError("a coordinate lies beyond the float range") from None
+        raise ValueError("an integer coordinate must fit in 64 bits")
     # a list mixing booleans with numbers still gets a numeric dtype
     mixed = isinstance(x, list) and bool in map(type, np.asarray(x, dtype=object).flat)
     if mixed or v.dtype.kind not in "iuf":
@@ -666,7 +678,9 @@ def _periodic_tail(bank, seen, cycle, n, end, stop, labels, lams):
     # arrays before per-checkpoint work; np.arange counts exactly below 2**53
     if last - n >= 2**53:
         raise MemoryError(f"a tail of {last - n} steps exceeds any address space")
-    steps, marks = np.arange(n, last), np.arange(marks.start, last + 1, stop.stride)
+    steps = np.arange(n, last)
+    # a stride past last leaves no mark; np.arange would leave int64 there
+    marks = np.arange(marks.start, last + 1, stop.stride) if marks.start <= last else steps[:0]
     tail = (cycle[(steps - n + 1) % lag], np.array(labels)[steps % len(labels)],
             np.array(lams)[steps % len(lams)])
     table = np.array([seen.get(point.tobytes(), math.nan) for point in cycle])
@@ -821,7 +835,7 @@ def fejer_slack(trace, z):
 # random instances
 
 
-def random_feasible_instance(dim, m, rng, radius=0.1, margin=0.5):
+def random_feasible_instance(dim, m, rng, radius=0.1):
     """Half-space problem built around a known interior ball.
 
     Returns (operators, center): each half-space contains the closed ball
@@ -833,7 +847,7 @@ def random_feasible_instance(dim, m, rng, radius=0.1, margin=0.5):
     for _ in range(m):
         a = rng.normal(size=dim)
         a = a / np.linalg.norm(a)
-        b = float(a @ center) + radius + float(rng.uniform(0.0, margin))
+        b = float(a @ center) + radius + float(rng.uniform(0.0, 0.5))
         ops.append(Halfspace(a, b))
     return ops, center
 
@@ -874,6 +888,8 @@ _RELAXATION_JSON = {
     "constant": (ConstantRelaxation, {"value": "value"}),
     "cyclic": (CyclicRelaxation, {"values": "values"}),
 }
+# the fields above that hold a word, which a constructor reads item by item
+_WORD_FIELDS = frozenset(("pattern", "indices", "values"))
 
 
 def _to_json(table, what, obj):
@@ -910,6 +926,9 @@ def _from_json(table, what, obj):
         raise ValueError(f"unknown {what} kind {kind!r}")
     cls, fields = table[kind]
     _json_object(obj, f"the {kind} {what}", required=fields, allowed=("kind", *fields))
+    for key in _WORD_FIELDS.intersection(fields):
+        if not isinstance(obj[key], list):
+            raise ValueError(f"the {kind} {what}'s {key} must be a JSON list, got {obj[key]!r}")
     args = [operator_from_json(obj[key]) if key == "inner" else obj[key] for key in fields]
     return cls, args
 
@@ -998,7 +1017,7 @@ def _trace_columns(records):
     """The iterates, labels and relaxations of trace records, read column
     by column, or None at any doubt: when a check that
     _checked_records makes record by record might fail.  It may refuse more
-    than those checks (an integer coordinate beyond int64), never less."""
+    than those checks (an integer coordinate or relaxation), never less."""
     if not records or not set(map(type, records)) <= {dict}:
         return None
     steps = records[1:]
@@ -1013,20 +1032,16 @@ def _trace_columns(records):
     points = [rec["x"] for rec in records if "x" in rec]
     if not set(map(type, points)) <= {list} or len(set(map(len, points))) != 1:
         return None
-    coords = list(itertools.chain.from_iterable(points))
-    types = set(map(type, itertools.chain(coords, lams)))
+    types = set(map(type, itertools.chain(*points, lams)))
     # True == 1 == 1.0, a bool is an int to isinstance, and numpy reads it
     # as a number: only the types tell them apart
-    if not (set(map(type, ns + labels)) <= {int} and types <= {int, float}):
-        return None
-    # np.array turns an int beyond int64 into an object or a float; _vec refuses it
-    if int in types and not all(-2**63 <= c < 2**63 for c in coords if type(c) is int):
+    if not (set(map(type, ns + labels)) <= {int} and types <= {float}):
         return None
     try:
         labels = np.array(labels, dtype=np.int64)
-        X, L = (np.array(col, dtype=float) for col in (points, lams))
-    except OverflowError:  # an int beyond int64 or the float range
+    except OverflowError:  # a label beyond int64
         return None
+    X, L = (np.array(col, dtype=float) for col in (points, lams))
     if not (np.isfinite(X).all() and ((L >= 0.0) & (L <= 2.0)).all()):
         return None
     written = np.array(["x" in rec for rec in records])

@@ -104,13 +104,11 @@ def _member_gaps(s, horizon):
     return [b - a - 1 for a, b in zip(elems, elems[1:])]
 
 
-def _brute_gap(s, horizon=None):
+def _brute_gap(s):
     # membership-only tail scan; horizon p + 4q always sees a full period
     if s.is_finite:
         return INF
-    if horizon is None:
-        horizon = len(s.prefix) + 4 * len(s.period)
-    return ExtNat(max(_member_gaps(s, horizon)))
+    return ExtNat(max(_member_gaps(s, len(s.prefix) + 4 * len(s.period))))
 
 
 # ---------------------------------------------------------------------------

@@ -393,7 +393,7 @@ def build_parser():
     p.add_argument("trace", help="trace JSONL path")
     p.add_argument("problem", help="problem JSON path")
     p.add_argument("-o", "--out", default="evfam-out", help="output directory")
-    p.add_argument("--ladder", default="0.1,0.01,0.001,0.0001",
+    p.add_argument("--ladder", default=",".join(map(str, analysis.DEFAULT_LADDER)),
                    help="comma-separated neighborhood radii, strictly decreasing")
     p.add_argument("--tail", type=int, default=None,
                    help="first tail index analyzed (default: half the trace)")
@@ -401,7 +401,7 @@ def build_parser():
                    help="window length (>= 1) the follows reports are graded against")
     p.add_argument("--strict", action="store_true",
                    help="admit only unit-relaxation steps as witnesses")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=analysis.DEFAULT_TOL,
                    help="fixed-point residual tolerance, also the convergence radius "
                         "of an unconverged tail")
     p.set_defaults(func=cmd_analyze)

@@ -13,15 +13,28 @@ grounds are classified exhaustively in one pass over the covering pairs
 monotone iff it is monotone on covering pairs.
 
 On a finite ground a subset is a mask, bit i standing for ground[i], and
-an indicator family is one 2^n-bit int whose bit s is set iff the subset
-with mask s belongs; a set of opens is such a bitset too.  A topology
-keeps, once, the bitset of its open masks, each point's neighborhood
-bitset (the opens that contain it), each open's down-set and the table
-of its ground's subsets, indexed by mask and built from its own element
-objects.  The opens outside an indicator family are one AND of two
-bitsets.  A limit set is then one AND per point and an entry of the
-table; a closure family is one OR of down-sets, and carries the table,
-so its star is an entry too.
+an indicator family is one 2^n-bit int, ``bits``, whose bit s is set iff
+the subset with mask s belongs; a set of opens is such a bitset too.
+Frozensets appear only at the edge: ``.sets``, ``.opens``, witnesses,
+``powerset`` and the arguments of ``contains`` and ``value``.
+Classification scans the masks in ascending order, so every witness is
+the first in mask order whatever the hash seed.  One routine,
+``_unclosed``, lists the pairs of masks whose union or intersection a set
+of opens lacks; it validates a topology, closes a subbasis and filters
+the candidates of ``all_topologies``.
+
+A topology keeps its open masks in ascending order and builds, once each,
+the bitset of those masks, each open's down-set (the masks of the subsets
+inside it) and the table of its ground's subsets, indexed by mask and
+built from its own element objects, so a float ground (1.0, 2.0) gets
+float points back although it equals (1, 2).  The opens outside an
+indicator family on the topology's own ground order are one AND of two
+bitsets; any other family is asked about each open with ``contains``.  A
+limit set is the table's entry at the complement of the OR of the masks
+of those opens.  A closure family is the complement of the OR of their
+down-sets, and carries the table, so its ``star`` is an entry too; a
+family of the public constructor keeps no table, and its ``star`` builds
+the set from the singleton bits.
 """
 
 from __future__ import annotations
@@ -713,9 +726,9 @@ def all_topologies(ground):
     return out
 
 
-def random_topology(ground, rng, max_generators=4):
+def random_topology(ground, rng):
     ground = _finite_ground(ground, "topologies")
-    k = rng.randrange(max_generators + 1)
+    k = rng.randrange(5)  # at most four subbasis sets
     subbasis = [[x for x in ground if rng.random() < 0.5] for _ in range(k)]
     return FiniteTopology.from_subbasis(ground, subbasis)
 

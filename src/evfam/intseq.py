@@ -19,9 +19,11 @@ Both words are ``bytes`` whose bytes are all 0 or 1, so the operations are
 byte-string built-ins: ``find`` for the minimal period, ``rstrip`` and
 slices for canonical form, ``translate`` for complement, and one int OR or
 AND for union and intersection.  ``EPSet(prefix, period)`` and
-``EPSet.from_text`` check every bit of their input.  The operations here
-build their results with ``EPSet._of``, which trusts its 0/1 words and
-only puts them in canonical form.
+``EPSet.from_text`` check every bit of their input: a tuple, list or
+``bytes`` of 0/1 ints is read in one ``bytes`` call, and anything else, or
+a word with a bad bit, item by item, so a refusal names the first bad
+item.  The operations here build their results with ``EPSet._of``, which
+trusts its 0/1 words and only puts them in canonical form.
 """
 
 from __future__ import annotations
@@ -402,12 +404,7 @@ class PeriodicSeq:
 
     def alphabet(self):
         """Distinct values, in first-appearance order."""
-        seen, out = set(), []
-        for v in self.prefix + self.period:
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-        return tuple(out)
+        return tuple(dict.fromkeys(self.prefix + self.period))
 
     def preimage(self, values):
         values = set(values)

@@ -123,7 +123,6 @@ class GapMultifamily(Multifamily):
     """Multiplicity = recurring count of missing integers between
     consecutive elements; infinite for finite sets."""
 
-    kind = "gap"
     flags = {"increasing": False, "decreasing": True, "finitely_insensitive": True}
 
     def __init__(self):
@@ -144,7 +143,6 @@ class CoGapMultifamily(Multifamily):
     """Multiplicity = gap of the complement: recurring runs of consecutive
     members."""
 
-    kind = "cogap"
     flags = {"increasing": True, "decreasing": False, "finitely_insensitive": True}
 
     def __init__(self):
@@ -162,8 +160,6 @@ class CoGapMultifamily(Multifamily):
 
 class IndicatorMultifamily(Multifamily):
     """Lifts a family to multiplicities in {0, 1}."""
-
-    kind = "indicator"
 
     def __init__(self, family):
         if not isinstance(family, Family):
@@ -190,8 +186,6 @@ class IndicatorMultifamily(Multifamily):
 
 class ComplementMultifamily(Multifamily):
     """Evaluates the inner multifamily on complements."""
-
-    kind = "complement"
 
     def __init__(self, inner):
         self.inner = inner
@@ -224,8 +218,6 @@ class ExplicitMultifamily(Multifamily):
     """Finite table of multiplicities over a finite ground; absent sets
     have multiplicity 0."""
 
-    kind = "explicit"
-
     def __init__(self, ground, table):
         super().__init__(_finite_ground(ground, "explicit multifamilies"))
         self.table = {frozenset(s): ExtNat.of(v) for s, v in dict(table).items()}
@@ -255,8 +247,6 @@ class ExplicitMultifamily(Multifamily):
 
 class PushedMultifamily(Multifamily):
     """Evaluates the inner multifamily on preimages under a fixed map."""
-
-    kind = "pushed"
 
     def __init__(self, f, inner, codomain=None):
         codomain = _push_codomain(f, inner, codomain)

@@ -613,6 +613,18 @@ def test_certify_truncated_run_is_inconclusive():
     assert not cert
 
 
+def test_a_tighter_tol_than_the_run_stopped_at_is_no_violation():
+    # converged at tol 1e-6 after 40 halving steps, with max residual
+    # 2**-20 at (-2**-20, -2**-20): a tighter tol judges the tail instead
+    ops = two_halfspace_ops()
+    trace = acsa_run(ops, CyclicControl(2), ConstantRelaxation(0.5), [-1.0, -1.0],
+                     StopRule(tol=1e-6, max_iter=1000, stride=1))
+    assert (trace.n_steps, trace.stop_reason) == (40, "converged")
+    assert certify_fixed_points(trace, ops, tol=1e-6).status == "certified"
+    cert = certify_fixed_points(trace, ops, tol=1e-9)
+    assert (cert.status, cert.entries, cert.estimate.convergent) == ("inconclusive", (), False)
+
+
 def test_certify_no_followed_operator_is_inconclusive():
     # the stall provides candidates but no witnesses for a foreign operator
     trace = constant_trace([5.0, 5.0], 10, lam=0.0)

@@ -741,6 +741,11 @@ REFERENCE_RUNS = {
     "max-iter-off-stride-and-period": (
         _two_balls(), CyclicControl(2), ConstantRelaxation(1.0), [2.0, -0.0],
         StopRule(max_iter=1003, stride=7)),
+    # no multiple of a stride beyond int64 falls in the tail: only the end
+    # checkpoints it
+    "stride-beyond-int64": (
+        [Halfspace([1.0], 0.0)], CyclicControl(1), ConstantRelaxation(1.0), [1.0],
+        StopRule(max_iter=50, stride=2**63)),
 }
 
 

@@ -24,7 +24,7 @@ from test_analysis import (
     zero_step_trace,
 )
 
-from evfam import cfp, cli
+from evfam import analysis, cfp, cli
 from evfam.analysis import follows_check
 from evfam.cfp import (
     Trace,
@@ -152,6 +152,12 @@ def test_each_command_takes_only_its_pinned_options():
     }
 
 
+def test_analyze_takes_its_defaults_from_analysis():
+    args = cli.build_parser().parse_args(["analyze", "trace.jsonl", "problem.json"])
+    assert cli._parse_ladder(args.ladder) == analysis.DEFAULT_LADDER
+    assert args.tol == analysis.DEFAULT_TOL
+
+
 def test_solve_warns_on_degenerate_relaxation(demo_dir, tmp_path, capsys):
     prob = json.loads((demo_dir / "problem.json").read_text())
     prob["relaxation"] = {"kind": "constant", "value": 2.0}
@@ -237,6 +243,23 @@ def test_solve_refuses_a_periodic_run_too_long_to_hold(tmp_path, capsys, max_ite
     assert err.startswith("error: the run does not fit in memory: ") and needle in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stride", [2**63, 1e19, 10**30])
+def test_solve_takes_a_stride_beyond_int64(tmp_path, capsys, stride):
+    # the run turns periodic at step 1, and no multiple of the stride falls
+    # in its tail: it is the run of stride 2**62, bit for bit
+    traces = []
+    for k, value in enumerate((2**62, stride)):
+        prob = {"dim": 1, "operators": [{"kind": "halfspace", "a": [1.0], "b": 0.0}],
+                "control": {"kind": "cyclic"}, "x0": [1.0],
+                "stop": {"stride": value, "max_iter": 1000}}
+        path, out = tmp_path / f"p{k}.json", tmp_path / f"o{k}"
+        path.write_text(json.dumps(prob))
+        code, stdout, err = run_cli(capsys, "solve", str(path), "-o", str(out))
+        assert (code, err) == (0, "") and stdout.startswith("converged after ")
+        traces.append((out / "trace.jsonl").read_bytes() + (out / "summary.json").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_a_held_point_whose_slack_overflows_solves_without_a_warning(tmp_path, capsys):
@@ -905,6 +928,26 @@ def test_analyze_slow_unconverged_run_is_inconclusive(tmp_path, capsys):
     assert "certification: inconclusive" in stdout
 
 
+@pytest.mark.parametrize("tol, code, status", [("1e-6", 0, "certified"),
+                                               ("1e-9", 2, "inconclusive")])
+def test_analyze_at_a_tighter_tol_than_the_solve_is_inconclusive(tmp_path, capsys, tol,
+                                                                 code, status):
+    # solve converges at its tol 1e-6 with max residual 2**-20; under a
+    # tighter --tol the run is an unconverged tail, not a faulty operator
+    prob = {"dim": 2, "operators": [{"kind": "halfspace", "a": [-1.0, 0.0], "b": 0.0},
+                                    {"kind": "halfspace", "a": [0.0, -1.0], "b": 0.0}],
+            "control": {"kind": "cyclic"}, "relaxation": {"kind": "constant", "value": 0.5},
+            "x0": [-1.0, -1.0], "stop": {"tol": 1e-6, "max_iter": 1000, "stride": 1}}
+    path, out = tmp_path / "halving.json", tmp_path / "o"
+    path.write_text(json.dumps(prob))
+    assert run_cli(capsys, "solve", str(path), "-o", str(out))[0] == 0
+    got, stdout, err = run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(path),
+                               "-o", str(out), "--tol", tol)
+    assert (got, err) == (code, "") and f"certification: {status}" in stdout
+    report = json.loads((out / "report.json").read_text())
+    assert report["certification"]["status"] == status
+
+
 @pytest.mark.parametrize(
     "flags, needle",
     [
@@ -972,6 +1015,19 @@ def test_problem_rejects_misread_stop_rules(demo_dir, tmp_path, capsys, stop, ne
         ({"operators": [{"kind": "halfspace", "a": [-1.0, 0.0], "b": "0"},
                         {"kind": "halfspace", "a": [0.0, -1.0], "b": 0.0}]}, "offset"),
         ({"x0": ["-1", "-1"]}, "numbers"),
+        ({"x0": [10**400, -1.0]}, "a coordinate lies beyond the float range"),
+        ({"x0": [2**64, -1.0]}, "an integer coordinate must fit in 64 bits"),
+        # a word field that is no JSON list is named, not iterated
+        ({"control": {"kind": "almost_cyclic", "pattern": 5}},
+         "the almost_cyclic control's pattern must be a JSON list, got 5"),
+        ({"control": {"kind": "almost_cyclic", "pattern": "12"}},
+         "the almost_cyclic control's pattern must be a JSON list, got '12'"),
+        ({"control": {"kind": "explicit", "indices": {"a": 1}}},
+         "the explicit control's indices must be a JSON list, got {'a': 1}"),
+        ({"relaxation": {"kind": "cyclic", "values": 1.5}},
+         "the cyclic relaxation's values must be a JSON list, got 1.5"),
+        ({"relaxation": {"kind": "cyclic", "values": None}},
+         "the cyclic relaxation's values must be a JSON list, got None"),
     ],
 )
 def test_problem_rejects_non_numeric_json(demo_dir, tmp_path, capsys, edit, needle):
@@ -981,6 +1037,7 @@ def test_problem_rejects_non_numeric_json(demo_dir, tmp_path, capsys, edit, need
     path.write_text(json.dumps(prob))
     code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
     assert code == 1 and err.startswith("error:") and needle in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
