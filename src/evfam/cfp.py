@@ -11,9 +11,10 @@ Operator indices are 1-based in every public artifact (patterns, trace
 records, reports) and 0-based only inside internal lists.
 
 Each shortcut here gives the bits of the plain per-step recurrence, and
-says how where it is defined: the stacked slacks of ``ResidualBank``, a
-held step and a reused checkpoint maximum in ``acsa_run``, the periodic
-tail, each operator's ``apply_many`` and the grouped ``replay_trace``.
+the docstring where it is defined says why: the stacked slacks of
+``ResidualBank``, a held step and a reused checkpoint maximum in
+``acsa_run``, the periodic tail, each operator's ``apply_many`` and the
+grouped ``replay_trace``.
 """
 
 from __future__ import annotations
