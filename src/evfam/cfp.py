@@ -7,6 +7,10 @@ x_{n+1} = x_n + lambda_n (T_{i(n)}(x_n) - x_n) runs under cyclic,
 almost-cyclic, or explicit index controls and records a full replayable
 trace, copied from its cycle once the run is exactly periodic.
 
+Each operator, control and relaxation kind is stated once, as a row of a
+JSON table: its name, class and fields, which the problem reader, the
+writer and every repr follow.  A subclass has no row, so it is not written.
+
 Operator indices are 1-based in every public artifact (patterns, trace
 records, reports) and 0-based only inside internal lists.
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,19 +36,22 @@ FIX_TOL = 1e-9
 
 
 def _floats(x):
-    """x as a float array: strings, booleans and null are errors, not casts."""
+    """x as a float array: strings, booleans and null are errors, not casts,
+    and so is an integer outside [-2^63, 2^63), whatever its neighbours."""
     v = np.asarray(x)
-    if v.dtype == object and {type(c) for c in v.flat} <= {int, float}:
-        # numpy holds an int beyond 64 bits as an object
+    # numpy infers a list's dtype from all of its items: a boolean beside
+    # numbers still gets a numeric dtype, and 2**63 is uint64 alone, float64
+    # beside -1 and an object beside 2**64, so the items' own types decide
+    items = [] if isinstance(x, np.ndarray) else np.asarray(x, dtype=object).ravel().tolist()
+    types = set(map(type, items))
+    if bool in types or not (v.dtype.kind in "iuf" or types <= {int, float}):
+        raise ValueError("coordinates must be JSON numbers")
+    if int in types and not all(-2**63 <= c < 2**63 for c in items if type(c) is int):
         try:
             np.array(x, dtype=float)
         except OverflowError:
             raise ValueError("a coordinate lies beyond the float range") from None
         raise ValueError("an integer coordinate must fit in 64 bits")
-    # a list mixing booleans with numbers still gets a numeric dtype
-    mixed = isinstance(x, list) and bool in map(type, np.asarray(x, dtype=object).flat)
-    if mixed or v.dtype.kind not in "iuf":
-        raise ValueError("coordinates must be JSON numbers")
     return v.astype(float, copy=False)
 
 
@@ -105,6 +112,19 @@ def norm(d):
     return math.sqrt(d @ d)
 
 
+def _repr(obj):
+    """Class(field=value, ...) from the table row of the nearest class in
+    obj's MRO that has one: an ``inner`` operator first, by its own repr,
+    and a control's m last.  Without a row, the default object repr."""
+    row = next((_ROWS[cls] for cls in type(obj).__mro__ if cls in _ROWS), None)
+    if row is None:
+        return object.__repr__(obj)
+    parts = [repr(obj.inner)] if "inner" in row else []
+    parts += [f"{a}={np.asarray(getattr(obj, a)).tolist()!r}" for a in row.values() if a != "inner"]
+    parts += [f"m={obj.m}"] if isinstance(obj, Control) else []
+    return f"{type(obj).__name__}({', '.join(parts)})"
+
+
 class Operator:
     """Base operator T on R^J with a fix oracle, |T(x) - x| <= tol.
 
@@ -114,7 +134,7 @@ class Operator:
     checkpoint reuse, the periodic tail and replay rely on it.
     """
 
-    kind = "abstract"
+    __repr__ = _repr
 
     def __init__(self, dim):
         self.dim = int(dim)
@@ -173,14 +193,9 @@ class _AffineCut(Operator):
         """<a, x> - b for each row x of X, bit for bit float(a @ x) - b."""
         return _slacks(X, self.a[None], self.b)[:, 0]
 
-    def __repr__(self):
-        return f"{type(self).__name__}(a={self.a.tolist()}, b={self.b})"
-
 
 class Halfspace(_AffineCut):
     """Projection onto {u : <a,u> <= b}."""
-
-    kind = "halfspace"
 
     def apply(self, x):
         slack = float(self.a @ x) - self.b
@@ -199,8 +214,6 @@ class Halfspace(_AffineCut):
 class Hyperplane(_AffineCut):
     """Projection onto {u : <a,u> = b}."""
 
-    kind = "hyperplane"
-
     def apply(self, x):
         return x - ((float(self.a @ x) - self.b) / self.norm2) * self.a
 
@@ -210,8 +223,6 @@ class Hyperplane(_AffineCut):
 
 class Ball(Operator):
     """Projection onto a closed Euclidean ball."""
-
-    kind = "ball"
 
     def __init__(self, center, radius):
         center = _vec(center)
@@ -239,14 +250,9 @@ class Ball(Operator):
         out[far] = self.center + (self.radius / dist[far])[:, None] * d[far]
         return out
 
-    def __repr__(self):
-        return f"Ball(center={self.center.tolist()}, radius={self.radius})"
-
 
 class Box(Operator):
     """Componentwise clip onto [lo, hi]."""
-
-    kind = "box"
 
     def __init__(self, lo, hi):
         lo, hi = _vec(lo), _vec(hi)
@@ -263,14 +269,9 @@ class Box(Operator):
 
     apply_many = apply
 
-    def __repr__(self):
-        return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
-
 
 class AffineEquality(Operator):
     """Projection onto {u : Au = d} with A of full row rank."""
-
-    kind = "affine"
 
     def __init__(self, A, d):
         A = _floats(A)
@@ -293,9 +294,6 @@ class AffineEquality(Operator):
     def apply(self, x):
         return x - self.M @ (self.A @ x - self.d)
 
-    def __repr__(self):
-        return f"AffineEquality(A={self.A.tolist()}, d={self.d.tolist()})"
-
 
 class SubgradientProjector(Operator):
     """Subgradient projector onto {f <= 0} for f = max of affine pieces.
@@ -304,8 +302,6 @@ class SubgradientProjector(Operator):
     the lowest-index maximizing piece.  A cutter, but not firmly
     nonexpansive in general (the map is discontinuous across piece seams).
     """
-
-    kind = "subgradient_projector"
 
     def __init__(self, slopes, offsets):
         slopes = _floats(slopes)
@@ -334,17 +330,9 @@ class SubgradientProjector(Operator):
         g = self.slopes[k]
         return x - (fx / float(g @ g)) * g
 
-    def __repr__(self):
-        return (
-            f"SubgradientProjector(slopes={self.slopes.tolist()}, "
-            f"offsets={self.offsets.tolist()})"
-        )
-
 
 class Averaged(Operator):
     """Midpoint of the identity and an inner operator."""
-
-    kind = "firmly_nonexpansive_avg"
 
     def __init__(self, inner):
         super().__init__(inner.dim)
@@ -356,14 +344,9 @@ class Averaged(Operator):
     def apply_many(self, X):
         return 0.5 * (X + self.inner.apply_many(X))
 
-    def __repr__(self):
-        return f"Averaged({self.inner!r})"
-
 
 class Relaxed(Operator):
     """x + lambda (T(x) - x) for a fixed lambda in [0, 2]."""
-
-    kind = "relaxed"
 
     def __init__(self, inner, lam):
         lam = _number(lam, "the relaxation parameter", 0.0, 2.0)
@@ -380,9 +363,6 @@ class Relaxed(Operator):
         if self.lam == 0.0:
             return X
         return X + self.lam * (self.inner.apply_many(X) - X)
-
-    def __repr__(self):
-        return f"Relaxed({self.inner!r}, lam={self.lam})"
 
 
 def relax(op, lam):
@@ -417,8 +397,8 @@ class Control:
     from 0, applies i(n) = labels[n mod len(labels)]; a word that does not
     repeat (``repeats`` false) ends at n = len(labels)."""
 
-    kind = "abstract"
     repeats = True
+    __repr__ = _repr
 
     def __init__(self, labels, m=None, what="pattern"):
         self.labels = tuple(_integer(i, "a control label") for i in labels)
@@ -433,37 +413,23 @@ class Control:
 class CyclicControl(Control):
     """The word 1, 2, ..., m."""
 
-    kind = "cyclic"
-
     def __init__(self, m):
         if int(m) < 1:
             raise ValueError("need at least one operator")
         super().__init__(range(1, int(m) + 1), m)
 
-    def __repr__(self):
-        return f"CyclicControl(m={self.m})"
-
 
 class AlmostCyclicControl(Control):
     """A finite pattern of 1-based labels repeated forever."""
-
-    kind = "almost_cyclic"
-
-    def __repr__(self):
-        return f"AlmostCyclicControl(pattern={self.labels}, m={self.m})"
 
 
 class ExplicitControl(Control):
     """A finite list of labels; running past the end stops the solver."""
 
-    kind = "explicit"
     repeats = False
 
     def __init__(self, indices, m=None):
         super().__init__(indices, m, "index list")
-
-    def __repr__(self):
-        return f"ExplicitControl(indices={self.labels}, m={self.m})"
 
 
 def control_validate(ctrl, m=None):
@@ -495,21 +461,16 @@ class CyclicRelaxation:
     """A word of relaxation values in [0, 2], repeated forever: step n
     uses lambda_n = values[n mod len(values)]."""
 
-    kind = "cyclic"
+    __repr__ = _repr
 
     def __init__(self, values):
         self.values = tuple(_number(v, "a relaxation parameter", 0.0, 2.0) for v in values)
         if not self.values:
             raise ValueError("need at least one relaxation value")
 
-    def __repr__(self):
-        return f"CyclicRelaxation({self.values})"
-
 
 class ConstantRelaxation(CyclicRelaxation):
     """The one-value word."""
-
-    kind = "constant"
 
     def __init__(self, value=1.0):
         super().__init__((value,))
@@ -517,9 +478,6 @@ class ConstantRelaxation(CyclicRelaxation):
     @property
     def value(self):
         return self.values[0]
-
-    def __repr__(self):
-        return f"ConstantRelaxation({self.value})"
 
 
 # ---------------------------------------------------------------------------
@@ -891,13 +849,19 @@ _RELAXATION_JSON = {
 }
 # the fields above that hold a word, which a constructor reads item by item
 _WORD_FIELDS = frozenset(("pattern", "indices", "values"))
+#: each class of the tables above with its fields, for _repr
+_ROWS = {cls: row for table in (_OPERATOR_JSON, _CONTROL_JSON, _RELAXATION_JSON)
+         for cls, row in table.values()}
 
 
 def _to_json(table, what, obj):
-    if obj.kind not in table:
-        raise ValueError(f"{what} kind {obj.kind!r} has no JSON form")
-    out = {"kind": obj.kind}
-    for key, attr in table[obj.kind][1].items():
+    """obj's JSON form, its kind found by exact type: a subclass may
+    override ``apply``, so it is refused, never written as its base."""
+    kind = next((k for k, (cls, _) in table.items() if cls is type(obj)), None)
+    if kind is None:
+        raise ValueError(f"{what} {type(obj).__name__} has no JSON form")
+    out = {"kind": kind}
+    for key, attr in table[kind][1].items():
         value = getattr(obj, attr)
         # arrays, tuples and floats all become plain JSON lists and numbers
         out[key] = operator_to_json(value) if key == "inner" else np.asarray(value).tolist()
@@ -925,12 +889,12 @@ def _from_json(table, what, obj):
     kind = _json_object(obj, f"the {what}", required=("kind",))["kind"]
     if not isinstance(kind, str) or kind not in table:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    cls, fields = table[kind]
-    _json_object(obj, f"the {kind} {what}", required=fields, allowed=("kind", *fields))
-    for key in _WORD_FIELDS.intersection(fields):
+    cls, row = table[kind]
+    _json_object(obj, f"the {kind} {what}", required=row, allowed=("kind", *row))
+    for key in _WORD_FIELDS.intersection(row):
         if not isinstance(obj[key], list):
             raise ValueError(f"the {kind} {what}'s {key} must be a JSON list, got {obj[key]!r}")
-    args = [operator_from_json(obj[key]) if key == "inner" else obj[key] for key in fields]
+    args = [operator_from_json(obj[key]) if key == "inner" else obj[key] for key in row]
     return cls, args
 
 
@@ -943,7 +907,7 @@ def operator_from_json(obj):
     return cls(*args)
 
 
-_STOP_FIELDS = ("tol", "max_iter", "stride")
+_STOP_FIELDS = tuple(f.name for f in fields(StopRule))
 
 
 def problem_to_json(ops, ctrl, sched, x0, stop):

@@ -35,6 +35,9 @@ of those opens.  A closure family is the complement of the OR of their
 down-sets, and carries the table, so its ``star`` is an entry too; a
 family of the public constructor keeps no table, and its ``star`` builds
 the set from the singleton bits.
+
+``_FAMILY_JSON`` is the one statement of each family kind's name and
+fields, keyed by exact class: a subclass has no JSON form.
 """
 
 from __future__ import annotations
@@ -215,7 +218,6 @@ class _OverGround:
     them as exact verdicts, each false one with a ``_witnesses`` pair.
     """
 
-    kind = "abstract"
     flags = {}
     _verdicts = None
 
@@ -258,7 +260,6 @@ class Family(_OverGround):
 
 
 class EmptyFamily(Family):
-    kind = "empty"
     flags = dict.fromkeys(_PROPERTIES, True)
 
     def contains(self, s):
@@ -270,7 +271,6 @@ class EmptyFamily(Family):
 
 
 class AllFamily(Family):
-    kind = "all"
     flags = dict.fromkeys(_PROPERTIES, True)
 
     def contains(self, s):
@@ -284,7 +284,6 @@ class AllFamily(Family):
 class CofiniteFamily(Family):
     """All subsets of N with finite complement."""
 
-    kind = "cofinite"
     flags = {"eventual": True, "co_eventual": False, "filter": True,
              "finitely_insensitive": True}
 
@@ -304,7 +303,6 @@ class CofiniteFamily(Family):
 class InfiniteFamily(Family):
     """All infinite subsets of N."""
 
-    kind = "infinite"
     flags = {"eventual": True, "co_eventual": False, "filter": False,
              "finitely_insensitive": True}
 
@@ -325,7 +323,6 @@ class InfiniteFamily(Family):
 class CoGapLevelFamily(Family):
     """Sets whose recurring-run statistic (cogap) is at least c >= 1."""
 
-    kind = "cogap_level"
     flags = {"eventual": True, "co_eventual": False, "filter": False,
              "finitely_insensitive": True}
 
@@ -356,8 +353,6 @@ class CoGapLevelFamily(Family):
 class IndicatorFamily(Family):
     """Explicitly listed subsets of a finite ground, held as ``bits``: bit s
     is set iff the subset with mask s belongs."""
-
-    kind = "indicator"
 
     def __init__(self, ground, sets):
         super().__init__(_finite_ground(ground, "indicator families"))
@@ -416,8 +411,6 @@ class PredicateFamily(Family):
     On a finite ground it is checked over every covering pair, and a false
     one is refused with the pair that breaks it; over N it is trusted.
     """
-
-    kind = "predicate"
 
     def __init__(self, ground, fn, claim=None):
         super().__init__(ground)
@@ -786,19 +779,21 @@ def _sorted_sets(ground, sets):
     return sorted(listed, key=lambda xs: (len(xs), [order[x] for x in xs]))
 
 
-# kind -> the writer of the fields past ground and kind
+# class -> its kind and the writer of the fields past ground and kind,
+# found by exact type: a subclass is refused, never written as its base
 _FAMILY_JSON = {
-    "empty": lambda fam: {},
-    "all": lambda fam: {},
-    "cofinite": lambda fam: {},
-    "infinite": lambda fam: {},
-    "cogap_level": lambda fam: {"c": fam.c.to_json()},
-    "indicator": lambda fam: {"sets": _sorted_sets(fam.ground, fam.sets)},
+    EmptyFamily: ("empty", lambda fam: {}),
+    AllFamily: ("all", lambda fam: {}),
+    CofiniteFamily: ("cofinite", lambda fam: {}),
+    InfiniteFamily: ("infinite", lambda fam: {}),
+    CoGapLevelFamily: ("cogap_level", lambda fam: {"c": fam.c.to_json()}),
+    IndicatorFamily: ("indicator", lambda fam: {"sets": _sorted_sets(fam.ground, fam.sets)}),
 }
 
 
 def family_to_json(family):
-    if family.kind not in _FAMILY_JSON:
-        raise ValueError(f"family kind {family.kind!r} has no JSON form")
+    if type(family) not in _FAMILY_JSON:
+        raise ValueError(f"family {type(family).__name__} has no JSON form")
+    kind, fields = _FAMILY_JSON[type(family)]
     ground = "N" if family.ground is NATURALS else list(family.ground)
-    return {"ground": ground, "kind": family.kind, **_FAMILY_JSON[family.kind](family)}
+    return {"ground": ground, "kind": kind, **fields(family)}

@@ -102,13 +102,41 @@ def test_pytest_summary_lines_give_passed_and_failed_counts():
     assert bench_record._counts("") == (0, 0)
 
 
+class _FakeSampler:
+    """A sampler that reads the machine at half the reference speed."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def __enter__(self):
+        self.events.append("start")
+        return self
+
+    def __exit__(self, *exc):
+        self.events.append("stop")
+
+    def scale(self, t0, t1):
+        self.events.append("scale")
+        return 0.5
+
+
 def test_the_tier1_workload_times_the_checkout_suite(tmp_path, monkeypatch):
+    # the wall time is scaled by perfbench's own sampler and kernel
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    sampler = bench_record.speed_sampler()
+    import workloads
+
+    assert sampler.kernel is workloads.WORKLOADS["halfspace-large"].kernel
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
     calls = []
+    events = []
+    monkeypatch.setattr(bench_record, "speed_sampler", lambda: _FakeSampler(events))
+    monkeypatch.setattr(bench_record.time, "perf_counter", iter([10.0, 13.0, 20.0, 22.0]).__next__)
 
     def fake_run(cmd, cwd, **kw):
         calls.append((cmd, cwd, kw))
+        events.append("machine" if cmd[1:] == ["-c", bench_record.MACHINE] else "pytest")
         if cmd[1:] == ["-c", bench_record.MACHINE]:
             out = json.dumps({"git_commit": "abc", "nproc": 2})
         else:
@@ -126,7 +154,15 @@ def test_the_tier1_workload_times_the_checkout_suite(tmp_path, monkeypatch):
     rec = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert (rec["workload"], rec["seed"], rec["seconds"], rec["commit"]) == ("tier-1", None,
                                                                              None, "abc")
-    assert len(rec["runs"]) == 2 and set(rec["summary"]) == {"tier1_s", "passed", "failed"}
+    assert len(rec["runs"]) == 2
+    assert set(rec["summary"]) == {"tier1_s", "tier1_scaled_s", "passed", "failed"}
+    # the sampler runs while pytest does, and scales each wall time
+    assert events == ["start", "pytest", "stop", "machine", "scale"] * 2
+    walls = [(run["result"]["metrics"]["tier1_s"]["value"],
+              run["result"]["metrics"]["tier1_scaled_s"]["value"]) for run in rec["runs"]]
+    assert walls == [(3.0, 1.5), (2.0, 1.0)]
+    assert rec["summary"]["tier1_scaled_s"]["median"] == 1.25
+    assert rec["summary"]["tier1_scaled_s"]["unit"] == "s"
     assert rec["summary"]["passed"]["median"] == 4 and rec["summary"]["failed"]["median"] == 1
     assert rec["summary"]["tier1_s"]["n"] == 2 and rec["summary"]["tier1_s"]["unit"] == "s"
     assert rec["runs"][0]["detail"]["summary_line"] == "1 failed, 4 passed in 0.50s"

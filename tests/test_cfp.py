@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evfam import cfp
+from evfam.families import CofiniteFamily, family_to_json
 from evfam.cfp import (
     AcsaDivergence,
     AffineEquality,
@@ -168,7 +169,7 @@ def test_projections_are_idempotent():
     # level set, so it is not a projection in this sense
     rng = np.random.default_rng(0)
     for op in sample_ops():
-        if op.kind == "subgradient_projector":
+        if isinstance(op, SubgradientProjector):
             continue
         for _ in range(50):
             x = rng.normal(size=2) * 3
@@ -200,9 +201,9 @@ def test_cutter_property_all_kinds():
         for _ in range(200):
             x = rng.normal(size=2) * 4
             z = rng.normal(size=2) * 4
-            if op.kind == "subgradient_projector":
+            if isinstance(op, SubgradientProjector):
                 z = -np.abs(z)  # the level set is the negative orthant
-            elif op.kind == "firmly_nonexpansive_avg":
+            elif isinstance(op, Averaged):
                 z = inner_ball(z)  # shares the inner fixed points
             else:
                 z = op(z)
@@ -217,7 +218,7 @@ def test_doubling_map_is_no_cutter():
 
 def test_fne_property_for_projections():
     rng = np.random.default_rng(2)
-    fne_ops = [op for op in sample_ops() if op.kind != "subgradient_projector"]
+    fne_ops = [op for op in sample_ops() if not isinstance(op, SubgradientProjector)]
     fne_ops.append(Averaged(Halfspace([1.0, 2.0], 0.5)))
     fne_ops.append(Relaxed(Ball([0.5, 0.5], 2.0), 0.7))
     for op in fne_ops:
@@ -922,6 +923,97 @@ def test_operator_json_round_trip():
         assert np.allclose(op(x), back(x))
 
 
+# a sample JSON form, past its kind, of every row of the three tables
+SAMPLE_JSON = {
+    "operator": {
+        "halfspace": {"a": [1.0, 0.5], "b": 0.25},
+        "hyperplane": {"a": [1.0, 2.0], "b": 3.0},
+        "ball": {"center": [0.0, 1.0], "radius": 2.5},
+        "box": {"lo": [-1.0, 0.0], "hi": [1.0, 2.0]},
+        "affine": {"A": [[1.0, 2.0]], "d": [1.0]},
+        "subgradient_projector": {"slopes": [[1.0, 0.0], [0.0, 1.0]], "offsets": [0.0, -0.5]},
+        "firmly_nonexpansive_avg": {"inner": {"kind": "ball", "center": [0.0, 0.0],
+                                              "radius": 1.0}},
+        "relaxed": {"inner": {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0}, "lambda": 1.5},
+    },
+    "control": {"cyclic": {}, "almost_cyclic": {"pattern": [1, 2, 1]},
+                "explicit": {"indices": [2, 1]}},
+    "relaxation": {"constant": {"value": 0.5}, "cyclic": {"values": [0.5, 1.0]}},
+}
+TABLES = {"operator": cfp._OPERATOR_JSON, "control": cfp._CONTROL_JSON,
+          "relaxation": cfp._RELAXATION_JSON}
+
+
+@pytest.mark.parametrize("what, kind", [(what, kind) for what, table in TABLES.items()
+                                        for kind in table])
+def test_each_repr_names_its_class_and_every_field(what, kind):
+    form = {"kind": kind, **SAMPLE_JSON[what][kind]}
+    if what == "operator":
+        obj = operator_from_json(form)
+    else:
+        problem = {"dim": 2, "operators": [SAMPLE_JSON["operator"]["relaxed"]["inner"]] * 2,
+                   "control": {"kind": "cyclic"}, "x0": [0.0, 0.0], what: form}
+        _, ctrl, sched, _, _ = problem_from_json(problem)
+        obj = ctrl if what == "control" else sched
+    cls, row = TABLES[what][kind]
+    text = repr(obj)
+    assert type(obj) is cls and text.startswith(f"{cls.__name__}(") and text.endswith(")")
+    for attr in row.values():
+        assert (repr(obj.inner) if attr == "inner" else f"{attr}=") in text
+    if what == "control":
+        assert text.endswith(f"m={obj.m})")
+
+
+def test_reprs_nest_and_a_class_without_a_row_keeps_the_default():
+    op = Relaxed(Averaged(Ball([0.0, 0.0], 1.0)), 0.5)
+    assert repr(op) == "Relaxed(Averaged(Ball(center=[0.0, 0.0], radius=1.0)), lam=0.5)"
+    assert repr(AlmostCyclicControl([1, 2, 1])) == "AlmostCyclicControl(labels=[1, 2, 1], m=2)"
+    assert repr(ConstantRelaxation()) == "ConstantRelaxation(value=1.0)"
+    dbl = Doubling(1)
+    assert repr(dbl) == object.__repr__(dbl)
+
+
+class ShiftedHalfspace(Halfspace):
+    """A half-space whose apply moves every point: no half-space at all."""
+
+    def apply(self, x):
+        return x + 1.0
+
+
+class ReversedControl(AlmostCyclicControl):
+    pass
+
+
+class HalvedRelaxation(ConstantRelaxation):
+    pass
+
+
+class CountedCofinite(CofiniteFamily):
+    pass
+
+
+def _problem_with(ctrl=None, sched=None):
+    ops = [Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0)]
+    return problem_to_json(ops, ctrl or CyclicControl(2), sched or ConstantRelaxation(),
+                           [0.0, 0.0], StopRule())
+
+
+@pytest.mark.parametrize("write, name", [
+    pytest.param(lambda: operator_to_json(ShiftedHalfspace([1.0, 0.0], 0.0)),
+                 "operator ShiftedHalfspace", id="operator"),
+    pytest.param(lambda: operator_to_json(Relaxed(ShiftedHalfspace([1.0], 0.0), 0.5)),
+                 "operator ShiftedHalfspace", id="inner-operator"),
+    pytest.param(lambda: _problem_with(ctrl=ReversedControl([2, 1])),
+                 "control ReversedControl", id="control"),
+    pytest.param(lambda: _problem_with(sched=HalvedRelaxation(0.5)),
+                 "relaxation HalvedRelaxation", id="relaxation"),
+    pytest.param(lambda: family_to_json(CountedCofinite()), "family CountedCofinite", id="family"),
+])
+def test_a_subclass_is_refused_not_written_as_its_base(write, name):
+    with pytest.raises(ValueError, match=f"^{name} has no JSON form$"):
+        write()
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -1000,12 +1092,15 @@ def test_a_non_object_first_record_is_named_as_such():
 
 
 def test_the_record_walk_reads_what_the_column_pass_refuses():
-    # numpy reads an int coordinate in [2^63, 2^64) as a float; the column
-    # pass refuses every int beyond int64, and the record walk reads it
+    # the column pass refuses every int coordinate; the record walk reads
+    # one inside int64, -2^63 included, and refuses 2^63 beside any neighbour
     records = _ten_step_records()
-    records[0]["x"] = [2**63, 0.0]
+    records[0]["x"] = [-2**63, 0.0]
     trace = trace_from_records(records)
-    assert trace.iterates[0].tolist() == [2.0**63, 0.0]
+    assert trace.iterates[0].tolist() == [-2.0**63, 0.0]
+    records[0]["x"] = [2**63, 0.0]
+    with pytest.raises(ValueError, match="^the point at step 0: an integer coordinate must fit"):
+        trace_from_records(records)
 
 
 def _same_bytes(a, b):

@@ -1028,6 +1028,11 @@ def test_problem_rejects_misread_stop_rules(demo_dir, tmp_path, capsys, stop, ne
          "the cyclic relaxation's values must be a JSON list, got 1.5"),
         ({"relaxation": {"kind": "cyclic", "values": None}},
          "the cyclic relaxation's values must be a JSON list, got None"),
+        # one rule for an integer past int64, whatever dtype numpy infers
+        ({"x0": [2**63, 1]}, "an integer coordinate must fit in 64 bits"),
+        ({"x0": [2**63, -1]}, "an integer coordinate must fit in 64 bits"),
+        ({"x0": [2**63]}, "an integer coordinate must fit in 64 bits"),
+        ({"x0": [2**63, 1.5]}, "an integer coordinate must fit in 64 bits"),
     ],
 )
 def test_problem_rejects_non_numeric_json(demo_dir, tmp_path, capsys, edit, needle):

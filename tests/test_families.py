@@ -718,7 +718,7 @@ def test_family_to_json_writes_each_kind():
         "kind": "indicator",
         "sets": [["b"], ["a"], ["b", "a"]],
     }
-    with pytest.raises(ValueError, match="family kind 'predicate' has no JSON form"):
+    with pytest.raises(ValueError, match="^family PredicateFamily has no JSON form$"):
         family_to_json(PredicateFamily(("a",), lambda s: True))
 
 

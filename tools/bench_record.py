@@ -21,7 +21,11 @@ The workload ``tier-1`` instead times one run of the checkout's tier-1
 test suite, ``python -m pytest -q --continue-on-collection-errors`` in the
 checkout with its ``src`` first on PYTHONPATH, and records its wall time
 ``tier1_s`` with the ``passed`` and ``failed`` counts of pytest's summary
-line (errors count as failed).  It takes no seed and no trace.
+line (errors count as failed).  ``tier1_scaled_s`` is that wall time scaled
+to perfbench's reference speed, as perfbench scales an operation: the
+``SpeedSampler`` of this repository's perfbench runs the halfspace-large
+workload's kernel in this process while pytest runs.  It takes no seed and
+no trace.
 """
 
 import argparse
@@ -35,6 +39,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# this repository's perfbench scales the tier-1 run of every checkout
+PERFBENCH = ROOT / "perfbench"
 KEYS = ("workload", "seed", "seconds")
 TIER1 = "tier-1"
 PYTEST = ("-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -71,15 +77,29 @@ def _counts(summary_line):
     return found["passed"], found["failed"] + found["error"]
 
 
+def speed_sampler():
+    """perfbench's SpeedSampler with the halfspace-large workload's kernel."""
+    for path in (PERFBENCH.parent / "src", PERFBENCH):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import speed
+    import workloads
+    return speed.SpeedSampler(workloads.WORKLOADS["halfspace-large"].kernel)
+
+
 def run_tier1(args):
     """The detail record and the metrics of one timed tier-1 run."""
     env = dict(os.environ)
     src = str(args.checkout.resolve() / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, *PYTEST], cwd=args.checkout, env=env,
-                          capture_output=True, text=True)
-    wall = time.perf_counter() - t0
+    # the sampler ticks in this process, not in pytest's, so no tick time is
+    # taken off the wall time, as perfbench takes it off an operation's
+    with speed_sampler() as sampler:
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, *PYTEST], cwd=args.checkout, env=env,
+                              capture_output=True, text=True)
+        t1 = time.perf_counter()
+    wall = t1 - t0
     lines = done.stdout.strip().splitlines()
     summary_line = lines[-1] if lines else ""
     passed, failed = _counts(summary_line)
@@ -87,6 +107,7 @@ def run_tier1(args):
                                         check=True, capture_output=True, text=True).stdout)
     detail = {"machine": machine, "returncode": done.returncode, "summary_line": summary_line}
     metrics = {"tier1_s": {"value": wall, "unit": "s"},
+               "tier1_scaled_s": {"value": wall * sampler.scale(t0, t1), "unit": "s"},
                "passed": {"value": passed, "unit": "count"},
                "failed": {"value": failed, "unit": "count"}}
     return {"detail": detail, "result": {"metrics": metrics}}
