@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evfam import cfp
-from evfam.families import CofiniteFamily, family_to_json
 from evfam.cfp import (
     AcsaDivergence,
     AffineEquality,
@@ -50,6 +49,7 @@ from evfam.cfp import (
     trace_records,
     trace_summary,
 )
+from evfam.families import CofiniteFamily, family_to_json
 
 
 class Doubling(Operator):
