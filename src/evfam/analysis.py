@@ -3,6 +3,7 @@ multiplicity estimates, and fixed-point certification.
 
 A follows report holds its witness steps q (x_{q+1} is the recorded update
 of x_q) as a sorted int array; JSON writes them as [start, length] runs.
+Every other record is written as its fields, by one rule (``_plain``).
 
 A finite trace cannot witness a lim sup, so run statistics are reported as
 lower bounds; the per-epsilon estimates are clamped to be non-increasing
@@ -17,7 +18,7 @@ report's ``estimate`` shows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -165,7 +166,7 @@ def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
     out = []
     for k in range(assignments.max() + 1):
         members = assignments == k
-        runs = _run_lengths(members)
+        runs = _runs(members)[1]
         settled = assignments[-1] == k and runs[-1] >= threshold
         if len(runs) >= 3 or settled:
             out.append(tail[np.flatnonzero(members)[-1]].copy())
@@ -183,15 +184,10 @@ def _runs(flags):
     return edges[::2], edges[1::2] - edges[::2]
 
 
-def _run_lengths(flags):
-    """Lengths of the maximal runs of true flags, in order."""
-    return _runs(flags)[1].tolist()
-
-
 def _recurring_run(flags):
     """Longest run length observed at least twice (0 when none recurs)."""
-    runs = sorted(_run_lengths(flags), reverse=True)
-    return runs[1] if len(runs) >= 2 else 0
+    runs = np.sort(_runs(flags)[1])
+    return int(runs[-2]) if len(runs) >= 2 else 0
 
 
 def _cauchy_tail(pts, n0, radius):
@@ -341,31 +337,22 @@ def follows_report_json(rep):
     }
 
 
+def _plain(obj):
+    """obj as JSON values: a dataclass as its fields, an ExtNat as its
+    to_json(), an array as a list, and tuples, lists and dicts item by item."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, ExtNat):
+        return obj.to_json()
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
 def limit_estimate_json(est):
-    return {
-        "ladder": list(est.ladder),
-        "n0": est.n0,
-        "convergent": est.convergent,
-        "classical_limit": (
-            None if est.classical_limit is None else list(map(float, est.classical_limit))
-        ),
-        "candidates": [
-            {
-                "point": list(map(float, c.point)),
-                "estimate": c.estimate.to_json(),
-                "certified_limit": c.certified_limit,
-                "per_eps": [
-                    {
-                        "eps": row["eps"],
-                        "run": row["run"],
-                        "estimate": row["estimate"].to_json(),
-                    }
-                    for row in c.per_eps
-                ],
-            }
-            for c in est.candidates
-        ],
-    }
+    return _plain(est)
 
 
 def certification_json(cert):

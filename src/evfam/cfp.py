@@ -5,7 +5,8 @@ box, affine equality) plus the subgradient projector for piecewise-affine
 convex level sets, with averaging and relaxation wrappers.  The iteration
 x_{n+1} = x_n + lambda_n (T_{i(n)}(x_n) - x_n) runs under cyclic,
 almost-cyclic, or explicit index controls and records a full replayable
-trace, copied from its cycle once the run is exactly periodic.
+trace, copied from its cycle once the run is exactly periodic.  Its step
+columns i(n) and lambda_n are the control and relaxation words indexed by n.
 
 Each operator, control and relaxation kind is stated once, as a row of a
 JSON table: its name, class and fields, which the problem reader, the
@@ -306,7 +307,9 @@ class SubgradientProjector(Operator):
     def __init__(self, slopes, offsets):
         slopes = _floats(slopes)
         offsets = _floats(offsets)
-        if slopes.ndim != 2 or slopes.shape[0] != offsets.shape[0]:
+        # one slope row and one offset per piece: numpy would broadcast a
+        # nested offset list against the pieces and misread it
+        if slopes.ndim != 2 or offsets.shape != slopes.shape[:1]:
             raise ValueError("slope and offset shapes differ")
         if slopes.shape[0] == 0:
             raise ValueError("need at least one affine piece")
@@ -617,11 +620,11 @@ class ResidualBank:
         return max(values.tolist())
 
 
-def _periodic_tail(bank, seen, cycle, n, end, stop, labels, lams):
+def _periodic_tail(bank, seen, cycle, n, end, stop):
     """Given x_{n+k} = cycle[k mod L] for all k >= 0, the iterates x_{n+1..N},
-    labels and relaxations of steps n..N-1, checkpoints after n and stop
-    reason.  seen maps a point's bytes to its maximum residual, and the
-    multiples of stride revisit the cycle after L / gcd(L, stride) of them."""
+    checkpoints after n and stop reason; the step columns are the words
+    indexed by step.  seen maps a point's bytes to its maximum residual, and
+    the multiples of stride revisit the cycle after L / gcd(L, stride) of them."""
     lag = len(cycle)
 
     def worst(m):
@@ -640,28 +643,28 @@ def _periodic_tail(bank, seen, cycle, n, end, stop, labels, lams):
     steps = np.arange(n, last)
     # a stride past last leaves no mark; np.arange would leave int64 there
     marks = np.arange(marks.start, last + 1, stop.stride) if marks.start <= last else steps[:0]
-    tail = (cycle[(steps - n + 1) % lag], np.array(labels)[steps % len(labels)],
-            np.array(lams)[steps % len(lams)])
     table = np.array([seen.get(point.tobytes(), math.nan) for point in cycle])
     checkpoints = list(zip(marks.tolist(), table[(marks - n) % lag].tolist()))
     if last % stop.stride:
         checkpoints.append((last, worst(last)))
-    return (*tail, checkpoints, reason)
+    return cycle[(steps - n + 1) % lag], checkpoints, reason
 
 
 def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     """Runs the sequential iteration: step n applies operator ctrl.labels[n
     mod len] with relaxation relaxation.values[n mod len], words checked when
-    built.  The run ends at stop.max_iter, or where a word that does not
-    repeat runs out first.  A checkpoint every stop.stride steps and at the
-    end takes max_i |T_i(x) - x|; the first within stop.tol stops the run as
-    converged, else it stops at its end as max_iter or control_exhausted.  A
-    non-finite iterate, step residual or final maximum raises AcsaDivergence.
-    Each step's residual |T(x_n) - x_n| guards the run and is not kept.
-    Step n is a function of x_n's bits and of n mod P, P the lcm of the word
-    lengths: once a repeating word's x at a multiple of P equals a mark, x
-    at the 1st, 2nd, 4th, ... such boundary (Brent's scheme), the rest of
-    the run repeats the steps since the mark and is copied from them."""
+    built; the trace's step columns are those words indexed by step, taken
+    once after the loop.  The run ends at stop.max_iter, or where a word that
+    does not repeat runs out first.  A checkpoint every stop.stride steps and
+    at the end takes max_i |T_i(x) - x|; the first within stop.tol stops the
+    run as converged, else it stops at its end as max_iter or
+    control_exhausted.  A non-finite iterate, step residual or final maximum
+    raises AcsaDivergence.  Each step's residual |T(x_n) - x_n| guards the
+    run and is not kept.  Step n is a function of x_n's bits and of n mod P,
+    P the lcm of the word lengths: once a repeating word's x at a multiple of
+    P equals a mark, x at the 1st, 2nd, 4th, ... such boundary (Brent's
+    scheme), the rest of the run repeats the steps since the mark and is
+    copied from them."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
@@ -675,7 +678,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     x = _vec(x0, dim)
     bank = ResidualBank(ops)
 
-    iterates, controls, relaxations, checkpoints = [x], [], [], []
+    iterates, checkpoints = [x], []
     labels, lams = ctrl.labels, relaxation.values
     end = stop.max_iter if ctrl.repeats else min(stop.max_iter, len(labels))
     period = math.lcm(len(labels), len(lams))
@@ -700,11 +703,9 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             # an explicit word ends by step len(labels) <= P: no second boundary
             if n % period == 0:
                 if x.tobytes() == mark:
-                    *tail, later, stop_reason = _periodic_tail(
-                        bank, {key: worst}, np.array(iterates[marked:n]), n, end, stop,
-                        labels, lams)
-                    columns = zip((iterates, controls, relaxations), tail)
-                    iterates, controls, relaxations = map(np.concatenate, columns)
+                    tail, later, stop_reason = _periodic_tail(
+                        bank, {key: worst}, np.array(iterates[marked:n]), n, end, stop)
+                    iterates = np.concatenate((iterates, tail))
                     checkpoints += later
                     break
                 if (n // period) & (n // period - 1) == 0:
@@ -732,8 +733,6 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
                             f"non-finite iterate at step {n} (operator {label}, lambda {lam})"
                         )
                     raise AcsaDivergence(f"non-finite residual at step {n} (operator {label})")
-            controls.append(label)
-            relaxations.append(lam)
             iterates.append(x_next)
             x = x_next
             n += 1
@@ -741,6 +740,8 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     n, worst = checkpoints[-1]
     if not math.isfinite(worst):
         raise AcsaDivergence(f"non-finite maximum residual at the final checkpoint (step {n})")
+    steps = np.arange(len(iterates) - 1)
+    controls, relaxations = (np.array(word)[steps % len(word)] for word in (labels, lams))
     return Trace(iterates, controls, relaxations, checkpoints, stop_reason)
 
 

@@ -315,40 +315,32 @@ def demo_two_halfspaces(out):
     return 0
 
 
+def _tour_line(entry):
+    """A tour entry's fields past its name and family, as "key value"."""
+    return ", ".join(f"{key.replace('_', ' ')} {value}" for key, value in entry.items()
+                     if key not in ("name", "family"))
+
+
 def demo_families_tour(out):
     evens = EPSet.from_text("prefix=;period=01")
     odds = EPSet.from_text("prefix=;period=10")
-    G, H = InfiniteFamily(), CofiniteFamily()
     tour = []
-    for name, fam in (("infinite-subsets", G), ("cofinite-subsets", H)):
+    for name, fam in (("infinite-subsets", InfiniteFamily()),
+                      ("cofinite-subsets", CofiniteFamily())):
         flags = fam.classify()
-        print(f"{name}: eventual {flags.eventual.value}, "
-              f"filter {flags.filter.value}, "
-              f"finitely insensitive {flags.finitely_insensitive.value}")
-        tour.append(
-            {
-                "name": name,
-                "family": family_to_json(fam),
-                "eventual": flags.eventual.value,
-                "filter": flags.filter.value,
-                "finitely_insensitive": flags.finitely_insensitive.value,
-            }
-        )
+        tour.append({"name": name, "family": family_to_json(fam),
+                     **{key: getattr(flags, key).value
+                        for key in ("eventual", "filter", "finitely_insensitive")}})
+        print(f"{name}: {_tour_line(tour[-1])}")
     inter = evens & odds
     print(f"intersection of evens and odds is {inter.to_text()!r}, the empty set: "
           "the infinite-subsets family is no filter")
     print(f"cogap(evens) = {cogap(evens)}, cogap(naturals) = {cogap(EPSet.naturals())}")
     level = CoGapLevelFamily(3)
-    print(f"coverage level 3 family: contains naturals {level.contains(EPSet.naturals())}, "
-          f"contains evens {level.contains(evens)}")
-    tour.append(
-        {
-            "name": "cogap-level-3",
-            "family": family_to_json(level),
-            "contains_naturals": level.contains(EPSet.naturals()),
-            "contains_evens": level.contains(evens),
-        }
-    )
+    tour.append({"name": "cogap-level-3", "family": family_to_json(level),
+                 "contains_naturals": level.contains(EPSet.naturals()),
+                 "contains_evens": level.contains(evens)})
+    print(f"coverage level 3 family: {_tour_line(tour[-1])}")
     _write_artifacts(out, {"tour.json": _dump_json(tour)})
     print(f"wrote {out}/tour.json")
     return 0

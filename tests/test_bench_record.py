@@ -41,6 +41,12 @@ def test_runs_append_and_summarise(tmp_path, monkeypatch, capsys):
     assert "another workload" in capsys.readouterr().err
 
 
+def test_quartiles_stay_within_the_runs():
+    # the exclusive method would read 0.875 and 1.625, outside both runs
+    summary = bench_record.summarize([_fake_run(1.0), _fake_run(1.5)])["op_s"]
+    assert (summary["q1"], summary["median"], summary["q3"]) == (1.125, 1.25, 1.375)
+
+
 def test_trace_runs_sit_beside_the_end_to_end_runs(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 30}')

@@ -5,6 +5,7 @@ import argparse
 import collections
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -1296,3 +1297,69 @@ def test_halfspace_reader_refuses_what_the_checks_refuse(demo_dir, tmp_path, cap
     code, _, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
     assert code == 1 and err.startswith("error: operator 1: ") and needle in err
     assert "Warning" not in err
+
+
+# ---------------------------------------------------------------------------
+# malformed operator fields
+
+
+@pytest.mark.parametrize("slopes, offsets", [
+    ([[1.0, 0.0]], [[0.0, 5.0]]),
+    ([[0.5, 0.25]], 0.5),
+    ([[0.5, 0.25]], [[]]),
+    ([[0.5, 0.25]], [[0.5, 0.25]]),  # numpy would broadcast it against the piece
+])
+def test_subgradient_offsets_are_one_number_per_piece(tmp_path, capsys, slopes, offsets):
+    prob = {"dim": 2, "control": {"kind": "cyclic"}, "x0": [1.0, 1.0],
+            "operators": [{"kind": "subgradient_projector", "slopes": slopes, "offsets": offsets}]}
+    path = tmp_path / "pieces.json"
+    path.write_text(json.dumps(prob))
+    code, out, err = run_cli(capsys, "solve", str(path), "-o", str(tmp_path / "r"))
+    assert (code, out, err) == (1, "", "error: operator 1: slope and offset shapes differ\n")
+    assert not (tmp_path / "r").exists()
+
+
+#: a valid 2-D operator of each kind, the subgradient projector with one
+#: piece and with two, whose fields the sweep below replaces
+VALID_OPERATORS = [
+    {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+    {"kind": "hyperplane", "a": [1.0, 0.0], "b": 0.0},
+    {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+    {"kind": "affine", "A": [[1.0, 0.0]], "d": [0.0]},
+    {"kind": "subgradient_projector", "slopes": [[1.0, 0.0]], "offsets": [0.0]},
+    {"kind": "subgradient_projector", "slopes": [[1.0, 0.0], [0.0, 1.0]], "offsets": [0.0, -0.5]},
+    {"kind": "firmly_nonexpansive_avg", "inner": {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0}},
+    {"kind": "relaxed", "inner": {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0}, "lambda": 1.0},
+]
+#: flat, nested 1x1, 1x2, 2x2 and 2x1, ragged, triply nested, empty, [[]], scalar
+FIELD_SHAPES = [[1.0, 2.0], [[1.0]], [[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]],
+                [[1.0], [2.0]], [[1.0, 2.0], [3.0]], [[[1.0, 2.0]]], [], [[]], 1.0]
+
+
+def test_no_malformed_operator_field_raises(tmp_path, capsys):
+    """Every operator kind, bare and relaxed, with each field in each shape:
+    solve, then analyze a written trace, end in an exit code, never an
+    exception."""
+    assert {op["kind"] for op in VALID_OPERATORS} == set(cfp._OPERATOR_JSON)
+    raised = []
+    for valid in VALID_OPERATORS:
+        for key, shape in itertools.product([key for key in valid if key != "kind"],
+                                           FIELD_SHAPES):
+            op = {**valid, key: shape}
+            for wrapped in (op, {"kind": "relaxed", "inner": op, "lambda": 1.0}):
+                prob = {"dim": 2, "operators": [wrapped], "control": {"kind": "cyclic"},
+                        "x0": [2.0, 2.0], "stop": {"max_iter": 20}}
+                path, out = tmp_path / "prob.json", tmp_path / "out"
+                path.write_text(json.dumps(prob))
+                try:
+                    codes = [main(["solve", str(path), "-o", str(out)])]
+                    if codes[0] != 1:
+                        codes.append(main(["analyze", str(out / "trace.jsonl"), str(path),
+                                           "-o", str(out)]))
+                except Exception as exc:  # every exception is a failure; list them all
+                    raised.append((wrapped, repr(exc)))
+                else:
+                    assert set(codes) <= {0, 1, 2}, (wrapped, codes)
+                capsys.readouterr()
+    assert raised == []

@@ -127,14 +127,15 @@ def run_bench(args):
 
 
 def summarize(runs):
-    """Median and quartiles of each metric over the runs."""
+    """Median and quartiles of each metric over the runs.  The quartiles
+    interpolate between the runs, so they never lie outside them."""
     values = {}
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
             values.setdefault(name, (metric["unit"], []))[1].append(metric["value"])
     summary = {}
     for name, (unit, xs) in sorted(values.items()):
-        q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+        q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
         summary[name] = {"median": statistics.median(xs), "q1": q1, "q3": q3,
                          "n": len(xs), "unit": unit}
     return summary
