@@ -3,7 +3,7 @@ multiplicity estimates, and fixed-point certification.
 
 A follows report holds its witness steps q (x_{q+1} is the recorded update
 of x_q) as a sorted int array; JSON writes them as [start, length] runs.
-Every other record is written as its fields, by one rule (``_plain``).
+A limit estimate and its candidates are written as their fields (``_plain``).
 
 A finite trace cannot witness a lim sup, so run statistics are reported as
 lower bounds; the per-epsilon estimates are clamped to be non-increasing
