@@ -32,9 +32,10 @@ DEFAULT_TOL = 1e-6
 
 
 def _points(source):
-    """Iterate matrix (N, J) from a Trace, an array, or a list of scalars."""
+    """Iterate matrix (N, J) from a Trace (its unrolled run), an array, or a
+    list of scalars."""
     if isinstance(source, Trace):
-        return source.iterates
+        return source.unrolled().iterates
     rows = [np.atleast_1d(np.asarray(p, dtype=float)) for p in source]
     if not rows:
         raise ValueError("need at least one point")
@@ -97,8 +98,10 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     the operator returns x itself: there the target x + lam (x - x) is the
     same for every operator, so one distance per step, ``held``, decides
     them all.  The other pairs are applied with ``apply_many``, on every
-    row at once when they are most of the rows.
+    row at once when they are most of the rows.  A cycled trace is read
+    unrolled, so the witnesses are steps of the whole run.
     """
+    trace = trace.unrolled()
     ops = list(ops)
     criterion = "relaxed" if relaxed else "strict"
     lam = trace.relaxations
@@ -299,8 +302,9 @@ def certify_fixed_points(trace, ops, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT
     for a limit only when it stays within tol of its final point: a slow
     run is not a faulty operator.  A converged run counts as converged only
     when its final point's maximum residual is also within tol, which may
-    be tighter than the tol it stopped at."""
-    source = trace
+    be tighter than the tol it stopped at.  A cycled trace is judged on its
+    unrolled run."""
+    trace = source = trace.unrolled()
     if trace.converged and not ResidualBank(ops).max_residual(trace.final) <= tol:
         source = trace.iterates  # judged as an unconverged tail
     est = cogap_limit_estimate(source, ladder, n0, tol)

@@ -4,9 +4,10 @@ Operators are exact closed-form projections (half-space, hyperplane, ball,
 box, affine equality) plus the subgradient projector for piecewise-affine
 convex level sets, with averaging and relaxation wrappers.  The iteration
 x_{n+1} = x_n + lambda_n (T_{i(n)}(x_n) - x_n) runs under cyclic,
-almost-cyclic, or explicit index controls and records a full replayable
-trace, copied from its cycle once the run is exactly periodic.  Its step
-columns i(n) and lambda_n are the control and relaxation words indexed by n.
+almost-cyclic, or explicit index controls and records a replayable trace.
+A run that repeats exactly is stored as its prefix and one cycle, which
+``Trace.unrolled`` indexes into the plain run.  Its step columns i(n) and
+lambda_n are the control and relaxation words indexed by n.
 
 Each operator, control and relaxation kind is stated once, as a row of a
 JSON table: its name, class and fields, which the problem reader, the
@@ -513,15 +514,23 @@ class AcsaDivergence(Exception):
 class Trace:
     """A run as a struct of arrays; lists given to the constructor are
     converted.  The iterates hold one point per row, and every step column
-    one entry per step.  Step n is x_n, its label i(n), lambda_n and
+    one entry per stored step.  Step n is x_n, its label i(n), lambda_n and
     x_{n+1}; its residual |T(x_n) - x_n| is not stored, since replay
-    recomputes T(x_n) from these."""
+    recomputes T(x_n) from these.
 
-    iterates: np.ndarray  # (N+1, J) float: row n is x_n
-    controls: np.ndarray = ()  # (N,) int: 1-based operator label of step n
-    relaxations: np.ndarray = ()  # (N,) float: lambda_n
-    checkpoints: list = field(default_factory=list)  # (n, max residual)
+    A run that repeats exactly is stored as its prefix and one cycle:
+    ``cycle`` (s, N) stores the steps 0..s+L-1, whose last lands on row s
+    bit for bit, and step n >= s of the run is stored step s + (n - s) mod L
+    up to its end N.  Then ``n_steps`` is N, ``final`` is x_N, and
+    ``unrolled`` returns the plain N-step trace."""
+
+    iterates: np.ndarray  # (S+1, J) float: row n is x_n, for S stored steps
+    controls: np.ndarray = ()  # (S,) int: 1-based operator label of step n
+    relaxations: np.ndarray = ()  # (S,) float: lambda_n
+    # (n, max residual); past s + L in a cycled run, only those evaluated
+    checkpoints: list = field(default_factory=list)
     stop_reason: str = ""
+    cycle: tuple = None  # None, or (s, N): the cycle's start and the run's end
 
     def __post_init__(self):
         self.iterates = np.asarray(self.iterates, dtype=float)
@@ -529,8 +538,19 @@ class Trace:
         self.relaxations = np.asarray(self.relaxations, dtype=float)
         if self.iterates.ndim != 2 or not len(self.iterates):
             raise ValueError("a trace's iterates are one point per row, the start point first")
-        if not len(self.controls) == len(self.relaxations) == self.n_steps:
+        stored = len(self.iterates) - 1
+        if not len(self.controls) == len(self.relaxations) == stored:
             raise ValueError("a trace needs one label and relaxation per step")
+        if self.cycle is not None:
+            s, end = self.cycle
+            if not (all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                        for v in (s, end)) and 0 <= s < stored <= end):
+                raise ValueError(f"a trace's cycle (s, N) needs integers with "
+                                 f"0 <= s < {stored} <= N, got {self.cycle!r}")
+            self.cycle = int(s), int(end)
+            if self.iterates[-1].tobytes() != self.iterates[s].tobytes():
+                raise ValueError(f"a cycle from step {s} needs the last row equal to row {s} "
+                                 "bit for bit")
 
     @property
     def converged(self):
@@ -538,11 +558,50 @@ class Trace:
 
     @property
     def final(self):
-        return self.iterates[-1]
+        if self.cycle is None:
+            return self.iterates[-1]
+        s, end = self.cycle
+        return self.iterates[s + (end - s) % (len(self.iterates) - 1 - s)]
 
     @property
     def n_steps(self):
-        return len(self.iterates) - 1
+        return len(self.iterates) - 1 if self.cycle is None else self.cycle[1]
+
+    def unrolled(self):
+        """The plain N-step trace, by indexing the stored rows and steps; an
+        uncycled trace is its own.  A checkpoint past s + L falls at each
+        multiple of the stride before N, with the value stored at the same
+        cycle position, and the last stored checkpoint ends the list.  The
+        checkpoints before that last are consecutive multiples of the
+        stride from 0, so the second of them is the stride."""
+        if self.cycle is None:
+            return self
+        s, end = self.cycle
+        top = len(self.iterates) - 1
+        lag = top - s
+        # np.arange sizes its result in float64 past 2**53, and no address
+        # space holds that many rows
+        if end >= 2**53:
+            raise MemoryError(f"a run of {end} steps exceeds any address space")
+        rows = np.arange(end + 1)
+        rows[s:] = s + (rows[s:] - s) % lag
+        checkpoints = []
+        if self.checkpoints:
+            *marks, last = self.checkpoints
+            # each cycle position's maximum, from the checkpoints on the cycle
+            table = np.full(lag, math.nan)
+            for n, value in self.checkpoints:
+                if n >= s:
+                    table[(n - s) % lag] = value
+            tail = rows[:0]
+            if len(marks) > 1:
+                stride = marks[1][0]
+                tail = np.arange((top // stride + 1) * stride, end, stride)
+            checkpoints = [mark for mark in marks if mark[0] <= top]
+            checkpoints += zip(tail.tolist(), table[(tail - s) % lag].tolist())
+            checkpoints.append(last)
+        return Trace(self.iterates[rows], self.controls[rows[:-1]], self.relaxations[rows[:-1]],
+                     checkpoints, self.stop_reason)
 
 
 def _residual(op, x):
@@ -621,10 +680,12 @@ class ResidualBank:
 
 
 def _periodic_tail(bank, seen, cycle, n, end, stop):
-    """Given x_{n+k} = cycle[k mod L] for all k >= 0, the iterates x_{n+1..N},
-    checkpoints after n and stop reason; the step columns are the words
-    indexed by step.  seen maps a point's bytes to its maximum residual, and
-    the multiples of stride revisit the cycle after L / gcd(L, stride) of them."""
+    """Given x_{n+k} = cycle[k mod L] for all k >= 0, the run's last step N,
+    the checkpoints it evaluates after n and its stop reason.  seen maps a
+    point's bytes to its maximum residual.  The multiples of stride revisit
+    the cycle after L / gcd(L, stride) of them, so only those are scanned: a
+    later one converges only if one of them does.  The checkpoints are the
+    scanned marks up to the first within tol, else those and the end."""
     lag = len(cycle)
 
     def worst(m):
@@ -634,20 +695,14 @@ def _periodic_tail(bank, seen, cycle, n, end, stop):
         return seen[point.tobytes()]
 
     marks = range((n // stop.stride + 1) * stop.stride, end + 1, stop.stride)
-    last = next((m for m in marks[: lag // math.gcd(lag, stop.stride)]
-                 if worst(m) <= stop.tol), end)
-    reason = "converged" if worst(last) <= stop.tol else "max_iter"
-    # arrays before per-checkpoint work; np.arange counts exactly below 2**53
-    if last - n >= 2**53:
-        raise MemoryError(f"a tail of {last - n} steps exceeds any address space")
-    steps = np.arange(n, last)
-    # a stride past last leaves no mark; np.arange would leave int64 there
-    marks = np.arange(marks.start, last + 1, stop.stride) if marks.start <= last else steps[:0]
-    table = np.array([seen.get(point.tobytes(), math.nan) for point in cycle])
-    checkpoints = list(zip(marks.tolist(), table[(marks - n) % lag].tolist()))
-    if last % stop.stride:
-        checkpoints.append((last, worst(last)))
-    return cycle[(steps - n + 1) % lag], checkpoints, reason
+    checkpoints = []
+    for m in marks[: lag // math.gcd(lag, stop.stride)]:
+        checkpoints.append((m, worst(m)))
+        if checkpoints[-1][1] <= stop.tol:
+            return m, checkpoints, "converged"
+    if not checkpoints or checkpoints[-1][0] != end:
+        checkpoints.append((end, worst(end)))
+    return end, checkpoints, "converged" if checkpoints[-1][1] <= stop.tol else "max_iter"
 
 
 def acsa_run(ops, ctrl, relaxation, x0, stop=None):
@@ -661,10 +716,11 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     control_exhausted.  A non-finite iterate, step residual or final maximum
     raises AcsaDivergence.  Each step's residual |T(x_n) - x_n| guards the
     run and is not kept.  Step n is a function of x_n's bits and of n mod P,
-    P the lcm of the word lengths: once a repeating word's x at a multiple of
-    P equals a mark, x at the 1st, 2nd, 4th, ... such boundary (Brent's
-    scheme), the rest of the run repeats the steps since the mark and is
-    copied from them."""
+    P the lcm of the word lengths: once a repeating word's x at a multiple
+    s + L of P equals a mark x_s, x at the 1st, 2nd, 4th, ... such boundary
+    (Brent's scheme), the rest of the run repeats steps s..s+L-1.  The run
+    stops there, and the trace keeps rows 0..s+L with cycle (s, N), and the
+    checkpoints _periodic_tail evaluates up to the end N."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
@@ -684,7 +740,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
     period = math.lcm(len(labels), len(lams))
     # the bytes and maximum of the last evaluated checkpoint: max_residual
     # is a function of the point's bits, so a bit-identical point reuses it
-    key = worst = mark = None
+    key = worst = mark = cycle = None
     n = 0
     # a finite but huge point overflows a slack, a norm or a step: inf or NaN,
     # which the checks below refuse by step and operator, not a warning
@@ -703,10 +759,10 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
             # an explicit word ends by step len(labels) <= P: no second boundary
             if n % period == 0:
                 if x.tobytes() == mark:
-                    tail, later, stop_reason = _periodic_tail(
+                    end, later, stop_reason = _periodic_tail(
                         bank, {key: worst}, np.array(iterates[marked:n]), n, end, stop)
-                    iterates = np.concatenate((iterates, tail))
                     checkpoints += later
+                    cycle = marked, end
                     break
                 if (n // period) & (n // period - 1) == 0:
                     mark, marked = x.tobytes(), n
@@ -742,7 +798,7 @@ def acsa_run(ops, ctrl, relaxation, x0, stop=None):
         raise AcsaDivergence(f"non-finite maximum residual at the final checkpoint (step {n})")
     steps = np.arange(len(iterates) - 1)
     controls, relaxations = (np.array(word)[steps % len(word)] for word in (labels, lams))
-    return Trace(iterates, controls, relaxations, checkpoints, stop_reason)
+    return Trace(iterates, controls, relaxations, checkpoints, stop_reason, cycle)
 
 
 #: the largest one-step deviation a trace may show and still replay
@@ -754,8 +810,13 @@ def replay_trace(ops, trace):
     largest one-step deviation of x_q + lambda_q (T(x_q) - x_q) from the
     recorded x_{q+1}, with T the step's operator.  When every deviation is
     0, re-running the recurrence from x_0 gives the recorded trace bit for
-    bit, by induction over the steps.  The steps are grouped by label, one
-    ``apply_many`` per operator, which equals ``apply`` bit for bit.  The
+    bit, by induction over the steps.  A cycled trace needs nothing more:
+    step n >= s of its run is stored step s + (n - s) mod L, with the same
+    point, label and relaxation, and the stored step s + L - 1 lands on
+    row s + L, which is x_s bit for bit.  So the stored steps are every
+    step of the run, and their largest deviation is the run's.  The steps
+    are grouped by label, one ``apply_many`` per operator, which equals
+    ``apply`` bit for bit.  The
     iterates must share the start point's dimension, as acsa_run and
     trace_from_records guarantee.  A label outside 1..m is an error that
     names the first such step, and a column of another length than the
@@ -959,7 +1020,9 @@ def trace_records(trace):
     point's bytes equal the previous point's: a held point, as at an
     inactive half-space cut.  Bytes, not values: a zero step can still turn
     -0.0 into +0.0.  No step carries its residual |T(x_n) - x_n|: replay
-    recomputes T(x_n) from the record."""
+    recomputes T(x_n) from the record.  A cycled trace's last record, of
+    step s + L, closes the cycle: it carries "repeat": s and "until": N in
+    place of its point, which is x_s."""
     X = np.ascontiguousarray(trace.iterates)
     bits = X.view(np.uint64)
     moved = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
@@ -971,25 +1034,63 @@ def trace_records(trace):
         if n in points:
             rec["x"] = points[n]
         records.append(rec)
+    if trace.cycle is not None:
+        records[-1].pop("x", None)
+        records[-1].update(zip(_CYCLE_KEYS, trace.cycle))
     return records
 
 
 _STEP_FIELDS = ("i", "lambda")  # besides n, on every step record
 _START_KEYS = frozenset(("n", "x"))
 _STEP_KEYS = _START_KEYS | set(_STEP_FIELDS)
+_CYCLE_KEYS = ("repeat", "until")  # s and N, on the closing record alone
+_CLOSING_KEYS = _STEP_KEYS | set(_CYCLE_KEYS)
+
+
+def _cycle(rec, k, last):
+    """The cycle (s, N) that record k of a trace closes, or None when it has
+    neither cycle key.  Only the last record may have them, both of them,
+    as JSON integers with 0 <= s < k <= N, and it then carries no point: its
+    point is x_s.  The error names the record."""
+    present = [key for key in _CYCLE_KEYS if key in rec]
+    if not present:
+        return None
+    if k != last:
+        raise ValueError(f"the record of step {k} has {present[0]!r}, but is not the last record")
+    if len(present) == 1:
+        missing = ({*_CYCLE_KEYS} - {*present}).pop()
+        raise ValueError(f"the record of step {k} has {present[0]!r} without {missing!r}")
+    for key in _CYCLE_KEYS:
+        if type(rec[key]) is not int:
+            raise ValueError(f"the {key!r} of step {k} must be an integer, got {rec[key]!r}")
+    s, end = (rec[key] for key in _CYCLE_KEYS)
+    if not 0 <= s < k:
+        raise ValueError(f"the 'repeat' of step {k} must lie in 0..{k - 1}, got {s}")
+    if end < k:
+        raise ValueError(f"the 'until' of step {k} must be at least {k}, got {end}")
+    if "x" in rec:
+        raise ValueError(f"the record of step {k} closes a cycle, so it has no point 'x'")
+    return s, end
 
 
 def _trace_columns(records):
-    """The iterates, labels and relaxations of trace records, read column
-    by column, or None at any doubt: when a check that
+    """The iterates, labels, relaxations and cycle of trace records, read
+    column by column, or None at any doubt: when a check that
     _checked_records makes record by record might fail.  It may refuse more
     than those checks (an integer coordinate or relaxation), never less."""
     if not records or not set(map(type, records)) <= {dict}:
         return None
     steps = records[1:]
     ns = [rec.get("n") for rec in records]
+    try:
+        cycle = _cycle(records[-1], len(ns) - 1, len(ns) - 1)
+    except ValueError:
+        return None
+    closing = _CLOSING_KEYS if cycle else _STEP_KEYS
     if not (ns == list(range(len(ns))) and "x" in records[0]
-            and _START_KEYS.issuperset(records[0]) and _STEP_KEYS.issuperset(set().union(*steps))):
+            and _START_KEYS.issuperset(records[0])
+            and _STEP_KEYS.issuperset(set().union(*steps[:-1]))
+            and closing.issuperset(records[-1])):
         return None
     try:
         labels, lams = ([rec[key] for rec in steps] for key in _STEP_FIELDS)
@@ -1011,13 +1112,16 @@ def _trace_columns(records):
     if not (np.isfinite(X).all() and ((L >= 0.0) & (L <= 2.0)).all()):
         return None
     written = np.array(["x" in rec for rec in records])
-    return X[np.cumsum(written) - 1], labels, L
+    iterates = X[np.cumsum(written) - 1]
+    if cycle:
+        iterates[-1] = iterates[cycle[0]]
+    return iterates, labels, L, cycle
 
 
 def _checked_records(records):
     """The columns of trace records, checked one record at a time, each
     field in turn; the error names the first bad record.  A record without
-    "x" repeats the previous point."""
+    "x" repeats the previous point, or closes a cycle from step s at x_s."""
     if not records or isinstance(records[0], dict) and records[0].get("n") != 0:
         raise ValueError("trace records must start at n = 0")
     dim, xs, labels, lams = None, [], [], []
@@ -1030,9 +1134,12 @@ def _checked_records(records):
         if type(n) is not int or n != k:
             raise ValueError(f"the index of record {k} must be the integer {k}, got {n!r}")
         for key in rec:
-            if key not in (_STEP_KEYS if k else _START_KEYS):
+            if key not in (_CLOSING_KEYS if k else _START_KEYS):
                 raise ValueError(f"the record of step {k} has the unexpected field {key!r}")
-        if "x" in rec:
+        cycle = _cycle(rec, k, len(records) - 1)
+        if cycle:
+            x = xs[cycle[0]]
+        elif "x" in rec:
             try:
                 x = _vec(rec["x"], dim)
             except ValueError as exc:
@@ -1053,7 +1160,7 @@ def _checked_records(records):
                     f"the label at step {k} is too large for a 64-bit integer, got {i}")
             labels.append(i)
             lams.append(_number(rec["lambda"], f"the relaxation at step {k}", 0.0, 2.0))
-    return xs, np.array(labels, dtype=np.int64), lams
+    return xs, np.array(labels, dtype=np.int64), lams, cycle
 
 
 def trace_from_records(records):
@@ -1063,11 +1170,13 @@ def trace_from_records(records):
     must lie in [0, 2], and a step record holds no key besides n, i,
     lambda and x, the start record none besides n and x: a record of the
     earlier format, whose steps carried "res", is refused by that rule.
-    The checks run over whole columns; only when one may fail are the
-    records checked one by one, to name the first bad record."""
+    The last record may close a cycle (see trace_records), read back as
+    the trace's cycle; see _cycle for the rules it must meet.  The checks
+    run over whole columns; only when one may fail are the records checked
+    one by one, to name the first bad record."""
     records = list(records)
-    iterates, labels, lams = _trace_columns(records) or _checked_records(records)
-    return Trace(iterates=iterates, controls=labels, relaxations=lams)
+    iterates, labels, lams, cycle = _trace_columns(records) or _checked_records(records)
+    return Trace(iterates=iterates, controls=labels, relaxations=lams, cycle=cycle)
 
 
 def trace_summary(ops, trace):

@@ -13,6 +13,11 @@ runs.csv is one string format per row, joined once.  Identical inputs and
 seed produce byte-identical outputs; floats are serialized with Python's
 repr, which round-trips exactly.
 
+A run that repeats exactly is written as its stored steps, the last of
+which closes the cycle (see cfp.trace_records).  analyze replays those
+steps, writes a runs.csv row for each, and unrolls the run once for
+certification; a run too long to unroll is an error there.
+
 Exit codes: 0 success/converged/certified; 1 usage, input, replay or write
 error; 2 unconverged (cap or exhausted control) or inconclusive; 3 violation.
 """
@@ -136,8 +141,6 @@ def cmd_solve(args):
         summary, texts = _run_artifacts(ops, trace)
     except cfp.AcsaDivergence as exc:
         return _fail(exc)
-    except MemoryError as exc:
-        return _fail(f"the run does not fit in memory: {exc}")
     _write_artifacts(args.out, texts)
     print(
         f"{summary['stop_reason']} after {summary['iterations']} steps; "
@@ -193,11 +196,12 @@ def _parse_ladder(text):
 
 
 def _dump_runs(trace):
-    """runs.csv: one row per step n, the distance of x_n to the final point.
-    The trace itself holds each step's label and relaxation.  Ints and float
+    """runs.csv: one row per stored step n, the distance of x_n to the final
+    point; a cycled run's later steps repeat the rows of its cycle.  The
+    trace itself holds each step's label and relaxation.  Ints and float
     reprs need no CSV quoting, so these are the bytes csv.writer writes."""
     dists = cfp.row_distances(trace.iterates[1:], trace.final).tolist()
-    rows = map("{},{!r}\n".format, range(1, trace.n_steps + 1), dists)
+    rows = map("{},{!r}\n".format, range(1, len(dists) + 1), dists)
     return "n,dist_to_final\n" + "".join(rows)
 
 
@@ -222,12 +226,15 @@ def cmd_analyze(args):
     if cfp.ResidualBank(ops).max_residual(trace.final) <= stop.tol:
         trace.stop_reason = "converged"
 
+    # certification reads the run unrolled, the one unroll analyze makes
     try:
         cert = analysis.certify_fixed_points(
             trace, ops, ladder=ladder, n0=args.tail, tol=args.tol, relaxed=not args.strict
         )
     except ValueError as exc:
         return _fail(exc)
+    except MemoryError as exc:
+        return _fail(f"the run does not fit in memory: {exc}")
     follows = [rep.graded(args.window) for rep in cert.follows]
 
     report = {

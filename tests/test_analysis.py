@@ -186,7 +186,9 @@ def test_follows_min_c_matches_a_window_scan(relaxed):
 
 
 def reference_witnesses(trace, op, relaxed=True, tol=1e-9):
-    """The witness test written point by point, one norm per step."""
+    """The witness test written point by point, one norm per step of the
+    unrolled run."""
+    trace = trace.unrolled()
     out = []
     for q in range(trace.n_steps):
         lam = trace.relaxations[q]

@@ -49,6 +49,7 @@ from evfam.cfp import (
     trace_records,
     trace_summary,
 )
+from evfam.analysis import certify_fixed_points, follows_reports
 from evfam.families import CofiniteFamily, family_to_json
 
 
@@ -330,10 +331,11 @@ def test_control_validate_matches_a_window_scan():
 def _run_words(ctrl, relaxation, steps):
     """acsa_run for at most ``steps`` steps over one hyperplane per label in
     one dimension, checkpointed only at the start (never held there) and at
-    the cap: its labels and relaxations are the words the solver read."""
+    the cap, unrolled: its labels and relaxations are the words the solver
+    read at every step of the run."""
     ops = [Hyperplane([1.0], float(k)) for k in range(1, ctrl.m + 1)]
     stop = StopRule(tol=0.0, max_iter=steps, stride=steps + 1)
-    return acsa_run(ops, ctrl, relaxation, [0.0], stop)
+    return acsa_run(ops, ctrl, relaxation, [0.0], stop).unrolled()
 
 
 def test_cyclic_labels_follow_the_mod_rule():
@@ -753,9 +755,12 @@ REFERENCE_RUNS = {
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
 def test_acsa_run_matches_the_plain_recurrence_bit_for_bit(name):
     ops, ctrl, sched, x0, stop = REFERENCE_RUNS[name]
-    got = acsa_run(ops, ctrl, sched, x0, stop)
+    stored = acsa_run(ops, ctrl, sched, x0, stop)
+    got = stored.unrolled()
     want = _reference_run(ops, ctrl, sched, x0, stop)
-    assert got.n_steps == want.n_steps > 0
+    assert stored.n_steps == got.n_steps == want.n_steps > 0
+    assert stored.final.tobytes() == want.final.tobytes()
+    assert got.cycle is None
     for column in ("iterates", "controls", "relaxations"):
         assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
     hexed = [[(n, v.hex()) for n, v in run.checkpoints] for run in (got, want)]
@@ -815,13 +820,76 @@ def test_the_periodic_rows_copy_their_tail(monkeypatch):
 def test_periodic_runs_match_the_plain_recurrence_on_a_seeded_corpus(monkeypatch):
     tails = _spying_tails(monkeypatch)
     for k, run in enumerate(_periodic_corpus()):
-        got, want = acsa_run(*run), _reference_run(*run)
+        got, want = acsa_run(*run).unrolled(), _reference_run(*run)
         for column in ("iterates", "controls", "relaxations"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), (k, column)
         hexed = [[(n, v.hex()) for n, v in trace.checkpoints] for trace in (got, want)]
         assert (hexed[0], got.stop_reason) == (hexed[1], want.stop_reason), k
-    # 24 of the 60 runs reach an exactly periodic point and copy their tail
+    # 24 of the 60 runs reach an exactly periodic point and store one cycle
     assert len(tails) == 24
+
+
+def _fields(obj):
+    """A report's or certification's content, arrays as bytes."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.tobytes()
+    if isinstance(obj, (list, tuple)):
+        return [_fields(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _fields(value) for key, value in obj.items()}
+    if hasattr(obj, "__dataclass_fields__"):
+        return {name: _fields(getattr(obj, name)) for name in obj.__dataclass_fields__}
+    return obj
+
+
+def test_a_stored_cycle_reads_as_its_unrolled_run():
+    cycled = 0
+    for run in (*REFERENCE_RUNS.values(), *_periodic_corpus()):
+        ops, ctrl, sched, _, stop = run
+        stored = acsa_run(*run)
+        if stored.cycle is None:
+            continue
+        cycled += 1
+        plain = stored.unrolled()
+        s, end = stored.cycle
+        top = len(stored.iterates) - 1
+        # one cycle of a length the words repeat in, closed bit for bit
+        assert (top - s) % math.lcm(len(ctrl.labels), len(sched.values)) == 0
+        assert stored.iterates[top].tobytes() == stored.iterates[s].tobytes()
+        assert len(stored.controls) == len(stored.relaxations) == top < end == plain.n_steps
+        assert len(stored.checkpoints) <= top // stop.stride + (top - s) + 2
+        assert replay_trace(ops, stored) == replay_trace(ops, plain)
+        for z in (np.zeros(ops[0].dim), stored.final, stored.iterates[s]):
+            assert fejer_slack(stored, z) == fejer_slack(plain, z)
+        for relaxed in (True, False):
+            assert _fields(follows_reports(stored, ops, relaxed)) == _fields(
+                follows_reports(plain, ops, relaxed))
+            assert _fields(certify_fixed_points(stored, ops, relaxed=relaxed)) == _fields(
+                certify_fixed_points(plain, ops, relaxed=relaxed))
+        back = trace_from_records(trace_records(stored))
+        assert back.cycle == stored.cycle and _same_bytes(back, stored)
+    assert cycled == 7 + 24
+
+
+def test_an_uncycled_trace_is_its_own_unrolled_run():
+    trace = acsa_run(*REFERENCE_RUNS["hyperplane"])
+    assert trace.cycle is None and trace.unrolled() is trace
+
+
+@pytest.mark.parametrize("cycle, message", [
+    ((1, 3), "^a cycle from step 1 needs the last row equal to row 1 bit for bit$"),
+    ((0, 2), r"^a trace's cycle \(s, N\) needs integers with 0 <= s < 3 <= N, got \(0, 2\)$"),
+    ((3, 5), r"^a trace's cycle \(s, N\) needs integers with 0 <= s < 3 <= N"),
+    ((-1, 5), r"^a trace's cycle \(s, N\) needs integers with 0 <= s < 3 <= N"),
+    ((True, 5), r"^a trace's cycle \(s, N\) needs integers with 0 <= s < 3 <= N"),
+    ((0, 5.0), r"^a trace's cycle \(s, N\) needs integers with 0 <= s < 3 <= N"),
+])
+def test_a_trace_refuses_a_cycle_that_does_not_close(cycle, message):
+    # rows 0 and 3 agree; row 1 is -0.0 where row 3 has +0.0: other bits
+    iterates = [[0.0, 1.0], [-0.0, 1.0], [2.0, 1.0], [0.0, 1.0]]
+    assert Trace(iterates, [1, 1, 1], [1.0] * 3, cycle=(0, 7)).cycle == (0, 7)
+    with pytest.raises(ValueError, match=message):
+        Trace(iterates, [1, 1, 1], [1.0] * 3, cycle=cycle)
 
 
 def _counting_applies(monkeypatch, cls):
@@ -834,10 +902,15 @@ def _counting_applies(monkeypatch, cls):
 def test_a_limit_cycle_stops_calling_apply_and_an_explicit_word_never_does(monkeypatch):
     calls = _counting_applies(monkeypatch, Ball)
     ops, ctrl, sched, x0, _ = REFERENCE_RUNS["stops-at-max-iter-on-a-limit-cycle"]
-    trace = acsa_run(ops, ctrl, sched, x0, StopRule(max_iter=100000))
+    stored = acsa_run(ops, ctrl, sched, x0, StopRule(max_iter=100000))
+    trace = stored.unrolled()
     assert (trace.n_steps, len(trace.checkpoints), trace.stop_reason) == (100000, 10001, "max_iter")
     assert np.array_equal(trace.iterates[-3:], [[3.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     assert len(calls) < 200
+    # the stored run is its prefix and one cycle, with the checkpoints evaluated
+    s, _ = stored.cycle
+    assert len(stored.iterates) < 200 and len(stored.checkpoints) < 20
+    assert stored.iterates[-1].tobytes() == stored.iterates[s].tobytes()
     # the same bits cycle under an explicit word, which is never copied; cuts
     # take their checkpoint maxima without apply, so every call is a step
     calls = _counting_applies(monkeypatch, Halfspace)
@@ -879,7 +952,9 @@ def _counting_evaluations(monkeypatch):
 def test_a_checkpoint_at_an_unchanged_point_reuses_its_maximum(monkeypatch):
     points = _counting_evaluations(monkeypatch)
     ops, ctrl, _ = two_halfspace_problem()
-    trace = acsa_run(ops, ctrl, ConstantRelaxation(0.0), [-1.0, -1.0], StopRule(max_iter=30))
+    stored = acsa_run(ops, ctrl, ConstantRelaxation(0.0), [-1.0, -1.0], StopRule(max_iter=30))
+    assert [n for n, _ in stored.checkpoints] == [0, 10, 30]
+    trace = stored.unrolled()
     assert [n for n, _ in trace.checkpoints] == [0, 10, 20, 30]
     assert len(set(v for _, v in trace.checkpoints)) == 1
     assert len(points) == 1
@@ -1234,13 +1309,16 @@ def test_every_one_step_edit_is_refused():
     trace = acsa_run(ops, AlmostCyclicControl((1, 3, 2, 3)), CyclicRelaxation([1.0, 0.8]),
                      [5.0, 5.0], StopRule(max_iter=40))
     assert replay_trace(ops, trace) == 0.0
+    # the run repeats: every stored step is edited, the closing one included
+    assert trace.cycle is not None and len(trace.controls) < trace.n_steps
 
     def edited(column, q, value):
-        copy = Trace(trace.iterates.copy(), trace.controls.copy(), trace.relaxations.copy())
+        copy = Trace(trace.iterates.copy(), trace.controls.copy(), trace.relaxations.copy(),
+                     cycle=trace.cycle)
         getattr(copy, column)[q] = value
         return replay_trace(ops, copy)
 
-    for q in range(trace.n_steps):
+    for q in range(len(trace.controls)):
         x = trace.iterates[q + 1]
         assert edited("iterates", q + 1, [math.nextafter(x[0], math.inf), x[1]]) > 0.0
         assert edited("relaxations", q, 0.5) > 0.0

@@ -227,23 +227,39 @@ def test_solve_refuses_an_overflow_without_a_warning(tmp_path, capsys, operators
 
 
 @pytest.mark.parametrize("max_iter, needle", [
-    # numpy refuses the tail's arrays at once: they exceed the address space
-    (10**15, "Unable to allocate"),
-    # past 2**53, where numpy would size the arrays wrongly
-    (10**20, "a tail of 99999999999999999996 steps exceeds any address space"),
+    # numpy refuses the unrolled run's index array at once: it exceeds the
+    # address space
+    pytest.param(10**15, "Unable to allocate", id="1e15"),
+    # past 2**53, where numpy would size the array wrongly
+    pytest.param(10**20, "a run of 100000000000000000000 steps exceeds any address space",
+                 id="1e20"),
 ])
-def test_solve_refuses_a_periodic_run_too_long_to_hold(tmp_path, capsys, max_iter, needle):
+def test_a_periodic_run_too_long_to_unroll_is_refused_by_analyze(tmp_path, capsys, max_iter,
+                                                                 needle):
     prob = {"dim": 2, "operators": [{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
                                     {"kind": "ball", "center": [4.0, 0.0], "radius": 1.0}],
             "control": {"kind": "cyclic"}, "x0": [2.0, -0.0], "stop": {"max_iter": max_iter}}
     path = tmp_path / "long.json"
     path.write_text(json.dumps(prob))
     out = tmp_path / "o"
+    # solve stores the prefix and one cycle of the run, whatever its length
     code, stdout, err = run_cli(capsys, "solve", str(path), "-o", str(out))
+    assert (code, err) == (2, "") and stdout.startswith(f"max_iter after {max_iter} steps; ")
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["iterations"], summary["stop_reason"]) == (max_iter, "max_iter")
+    records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    closing = records[-1]
+    assert closing["until"] == max_iter and "x" not in closing
+    # s + L + 1 records: x_4 = x_2 = (3, 0), so s = 2 and L = 2
+    assert (closing["repeat"], closing["n"], len(records)) == (2, 4, 5)
+    # analyze replays those records, then fails to unroll the run, cleanly
+    report = tmp_path / "r"
+    code, stdout, err = run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(path),
+                                "-o", str(report))
     assert code == 1 and stdout == ""
     assert err.startswith("error: the run does not fit in memory: ") and needle in err
-    assert err.count("\n") == 1
-    assert not out.exists()
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("stride", [2**63, 1e19, 10**30])
@@ -1158,6 +1174,115 @@ def test_a_trace_of_the_earlier_format_is_refused(demo_dir, tmp_path, capsys, mo
     code, stdout, err = run_cli(
         capsys, "analyze", str(path), str(demo_dir / "problem.json"), "-o", str(tmp_path / "r"),
     )
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture
+def cycled(tmp_path, capsys):
+    """The problem file of THREE_BALLS and the records of its solve, whose
+    run repeats exactly: its last record closes the cycle."""
+    problem, out = tmp_path / "balls.json", tmp_path / "balls"
+    problem.write_text(json.dumps(THREE_BALLS))
+    assert run_cli(capsys, "solve", str(problem), "-o", str(out))[0] == 2
+    records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    return problem, records
+
+
+def test_a_periodic_run_is_written_as_its_prefix_and_one_closing_record(cycled, tmp_path,
+                                                                        capsys):
+    problem, records = cycled
+    *steps, closing = records
+    top, s = closing["n"], closing["repeat"]
+    assert set(closing) == {"n", "i", "lambda", "repeat", "until"}
+    assert 0 <= s < top < closing["until"] == THREE_BALLS["stop"]["max_iter"]
+    assert type(closing["repeat"]) is type(closing["until"]) is int
+    assert all("repeat" not in rec and "until" not in rec for rec in steps)
+    path = tmp_path / "balls" / "trace.jsonl"
+    assert _same_read(path)[0] == "trace"
+    trace = cli._read_trace(path)
+    assert trace.cycle == (s, closing["until"]) and len(trace.iterates) == top + 1
+    # the same run written unrolled, as a trace without a closing record, reads
+    # and analyzes to the same report; runs.csv has a row per stored step
+    plain = tmp_path / "plain.jsonl"
+    plain.write_text(cli._dump_jsonl(cfp.trace_records(trace.unrolled())))
+    reports = []
+    for name, source in (("stored", path), ("plain", plain)):
+        code, stdout, err = run_cli(capsys, "analyze", str(source), str(problem),
+                                    "-o", str(tmp_path / name))
+        assert (code, err) == (2, "")
+        # all but the last line, which names the output directory
+        reports.append((stdout.splitlines()[:-1], (tmp_path / name / "report.json").read_bytes()))
+    assert reports[0] == reports[1]
+    rows = [(tmp_path / name / "runs.csv").read_text().splitlines() for name in ("stored", "plain")]
+    assert len(rows[0]) == top + 1 and len(rows[1]) == closing["until"] + 1
+    assert rows[0] == rows[1][: top + 1]
+
+
+# each edit of the closing record, or of another record, and the error it gives;
+# k is the last record's step and s its "repeat"
+CLOSING_EDITS = {
+    "repeat-on-an-earlier-record": (
+        lambda recs, k, s: recs[k - 1].update(repeat=0),
+        lambda k, s: f"the record of step {k - 1} has 'repeat', but is not the last record"),
+    "until-on-the-first-step": (
+        lambda recs, k, s: recs[1].update(until=300),
+        lambda k, s: "the record of step 1 has 'until', but is not the last record"),
+    "repeat-alone": (
+        lambda recs, k, s: recs[k].pop("until"),
+        lambda k, s: f"the record of step {k} has 'repeat' without 'until'"),
+    "until-alone": (
+        lambda recs, k, s: recs[k].pop("repeat"),
+        lambda k, s: f"the record of step {k} has 'until' without 'repeat'"),
+    "float-repeat": (
+        lambda recs, k, s: recs[k].update(repeat=float(s)),
+        lambda k, s: f"the 'repeat' of step {k} must be an integer, got {float(s)!r}"),
+    "boolean-repeat": (
+        lambda recs, k, s: recs[k].update(repeat=True),
+        lambda k, s: f"the 'repeat' of step {k} must be an integer, got True"),
+    "null-repeat": (
+        lambda recs, k, s: recs[k].update(repeat=None),
+        lambda k, s: f"the 'repeat' of step {k} must be an integer, got None"),
+    "float-until": (
+        lambda recs, k, s: recs[k].update(until=300.0),
+        lambda k, s: f"the 'until' of step {k} must be an integer, got 300.0"),
+    "boolean-until": (
+        lambda recs, k, s: recs[k].update(until=False),
+        lambda k, s: f"the 'until' of step {k} must be an integer, got False"),
+    "repeat-at-the-closing-step": (
+        lambda recs, k, s: recs[k].update(repeat=k),
+        lambda k, s: f"the 'repeat' of step {k} must lie in 0..{k - 1}, got {k}"),
+    "negative-repeat": (
+        lambda recs, k, s: recs[k].update(repeat=-1),
+        lambda k, s: f"the 'repeat' of step {k} must lie in 0..{k - 1}, got -1"),
+    "until-before-the-closing-step": (
+        lambda recs, k, s: recs[k].update(until=k - 1),
+        lambda k, s: f"the 'until' of step {k} must be at least {k}, got {k - 1}"),
+    "a-point-on-the-closing-record": (
+        lambda recs, k, s: recs[k].update(x=[0.0, 0.0]),
+        lambda k, s: f"the record of step {k} closes a cycle, so it has no point 'x'"),
+}
+
+
+@pytest.mark.parametrize("edit", CLOSING_EDITS)
+def test_a_malformed_closing_record_is_refused_on_both_read_paths(cycled, tmp_path, capsys,
+                                                                   edit):
+    problem, records = cycled
+    k, s = records[-1]["n"], records[-1]["repeat"]
+    change, message = CLOSING_EDITS[edit]
+    change(records, k, s)
+    message = message(k, s)
+    # the column pass declines, and the record walk names the record
+    assert cfp._trace_columns(records) is None
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cfp._checked_records(records)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_from_records(records)
+    path = tmp_path / "edited.jsonl"
+    path.write_text(cli._dump_jsonl(records))
+    assert _same_read(path) == ("ValueError", message)
+    code, stdout, err = run_cli(capsys, "analyze", str(path), str(problem),
+                                "-o", str(tmp_path / "r"))
     assert (code, stdout, err) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "r").exists()
 

@@ -61,10 +61,10 @@ THREE_BALLS_ALMOST_CYCLIC = {
 UNCONVERGED_BALLS = {
     "solve stdout": "8deac84d845974b6bb5d2146d14bf29944fb8959ca3e0a70f24ba8f40466ccc1",
     "analyze stdout": "10cead84703c344dcd1045bf316063c37b938acee81baf042af04fac14afe261",
-    "trace.jsonl": "fa990219b53d5d587300853f15ef108460167eccc3c8cc633ed5a3798a4295f2",
+    "trace.jsonl": "159edabe26ec2a4690a900d03c9593fbb70cf65229ad25b17fd6108e2b3ab834",
     "summary.json": "833b0367486b78cebed6a404e34331b064c841f467e7893a52e11c9d131c19d6",
     "report.json": "9f005091061ebd87211bfd89a441a5db83550ccf140a703665f3139f84cf9353",
-    "runs.csv": "c5ead2d81d200b88c87500e8cfcbd656830be7bd651212c0a66a855be6976d4f",
+    "runs.csv": "568c834e99e36f56a4ad4a9da7db0e7a4b4fabce7050f0b0400d2dcc632963c8",
 }
 
 CHECK_ALL_SEED_7_BUDGET_200 = "f36b3e6a1fc10cc946f22ba5e105cafd4b2830e23fcba415d7fc7ead4bd1e771"
