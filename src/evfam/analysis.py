@@ -13,6 +13,10 @@ half stays within the residual tolerance of the final point) short circuit
 to multiplicity infinity at the final point.  A run has one limit estimate:
 certification asserts its pairs on the candidates and estimates that the
 report's ``estimate`` shows.
+
+A cycled trace is read through ``Trace.rows``: the follows check applies
+each operator once per stored step, and the estimate gathers its points once.
+Radii and tolerances are read by ``cfp._number``'s rule, not cast.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .cfp import ResidualBank, Trace, _integer, relaxed_update, row_distances
+from .cfp import ResidualBank, Trace, _integer, _number, relaxed_update, row_distances
 from .intseq import ExtNat, INF, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
@@ -32,14 +36,21 @@ DEFAULT_TOL = 1e-6
 
 
 def _points(source):
-    """Iterate matrix (N, J) from a Trace (its unrolled run), an array, or a
-    list of scalars."""
+    """Iterate matrix (N, J) from a Trace (its points x_0..x_N, gathered by
+    ``rows`` when cycled), a float (N, J) array as is, or a list of points
+    or scalars.  Every point must be finite."""
     if isinstance(source, Trace):
-        return source.unrolled().iterates
-    rows = [np.atleast_1d(np.asarray(p, dtype=float)) for p in source]
-    if not rows:
+        pts = source.iterates if source.cycle is None else source.iterates[source.rows()]
+    elif isinstance(source, np.ndarray) and source.dtype == float and source.ndim == 2:
+        pts = source
+    else:
+        points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in source]
+        pts = np.vstack(points) if points else np.empty((0, 0))
+    if not len(pts):
         raise ValueError("need at least one point")
-    return np.vstack(rows)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    return pts
 
 
 def _tail_start(n_points, n0):
@@ -98,11 +109,12 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     the operator returns x itself: there the target x + lam (x - x) is the
     same for every operator, so one distance per step, ``held``, decides
     them all.  The other pairs are applied with ``apply_many``, on every
-    row at once when they are most of the rows.  A cycled trace is read
-    unrolled, so the witnesses are steps of the whole run.
+    row at once when they are most of the rows.  A cycled trace is checked
+    once per stored step, and its hits are read at each step of the run
+    through ``Trace.rows``, so the witnesses are steps of the whole run.
     """
-    trace = trace.unrolled()
     ops = list(ops)
+    steps = slice(None) if trace.cycle is None else trace.rows()[:-1]
     criterion = "relaxed" if relaxed else "strict"
     lam = trace.relaxations
     # a zero step is consistent with every operator; no evidence
@@ -120,7 +132,7 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
             if rows.size:
                 xr = x[rows]
                 hit[rows] = _hits(xr, x_next[rows], lam[rows], op.apply_many(xr), tol)
-        hit &= eligible
+        hit = (hit & eligible)[steps]
         hits = np.flatnonzero(hit)
         min_c = window_cover(hit.tobytes()) if hits.size else None
         reports.append(FollowsReport(label, criterion, None, min_c, hits))
@@ -157,8 +169,9 @@ def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
     A cluster qualifies when the tail visits it in three or more separate
     stretches, or when the trace settles there (the final stretch covers
     at least half the tail).  A converged solver trace short-circuits to
-    its final point.
+    its final point.  eps is a radius of the ladder (see _checked_ladder).
     """
+    (eps,) = _checked_ladder((eps,))
     if isinstance(source, Trace) and source.converged:
         return [source.final.copy()]
     pts = _points(source)
@@ -228,8 +241,7 @@ def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT_TOL
     point; a tail that drifts farther is not taken for a limit.
     """
     ladder = _checked_ladder(ladder)
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"the residual tolerance must be finite and >= 0, got {tol!r}")
+    tol = _real(tol, lambda t: 0 <= t < math.inf, "the residual tolerance must be finite and >= 0")
     pts = _points(source)
     n0 = _tail_start(len(pts), n0)
     converged = isinstance(source, Trace) and source.converged
@@ -243,7 +255,7 @@ def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT_TOL
 
     tail = pts[n0:]
     candidates = []
-    for y in accumulation_points(source, ladder[0], n0):
+    for y in accumulation_points(pts, ladder[0], n0):
         dist = row_distances(tail, y)
         rows = []
         best = None
@@ -255,13 +267,22 @@ def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT_TOL
     return LimitEstimate(tuple(candidates), ladder, n0, False, None)
 
 
+def _real(value, ok, message):
+    """value as a float when ``cfp._number`` reads it as a number (not a
+    string or a boolean) and ok holds for it; else a ValueError naming it."""
+    try:
+        if ok(x := _number(value, message)):
+            return x
+    except ValueError:  # no number, NaN included
+        pass
+    raise ValueError(f"{message}, got {value!r}")
+
+
 def _checked_ladder(ladder):
-    ladder = tuple(float(e) for e in ladder)
+    ladder = tuple(_real(e, lambda e: 0 < e < math.inf,
+                         "the epsilon ladder needs positive finite radii") for e in ladder)
     if not ladder:
         raise ValueError("the epsilon ladder is empty")
-    bad = [e for e in ladder if not 0 < e < math.inf]
-    if bad:
-        raise ValueError(f"the epsilon ladder needs positive finite radii, got {bad[0]!r}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("the epsilon ladder must decrease strictly")
     return ladder
@@ -302,11 +323,11 @@ def certify_fixed_points(trace, ops, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT
     for a limit only when it stays within tol of its final point: a slow
     run is not a faulty operator.  A converged run counts as converged only
     when its final point's maximum residual is also within tol, which may
-    be tighter than the tol it stopped at.  A cycled trace is judged on its
-    unrolled run."""
-    trace = source = trace.unrolled()
+    be tighter than the tol it stopped at.  A cycled trace is judged on the
+    run that ``Trace.rows`` reads from its stored steps."""
+    source = trace
     if trace.converged and not ResidualBank(ops).max_residual(trace.final) <= tol:
-        source = trace.iterates  # judged as an unconverged tail
+        source = _points(trace)  # judged as an unconverged tail
     est = cogap_limit_estimate(source, ladder, n0, tol)
     follows = tuple(follows_reports(trace, ops, relaxed=relaxed))
     followed = [(rep.operator, rep.min_c) for rep in follows if rep.min_c is not None]

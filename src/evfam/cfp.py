@@ -5,9 +5,10 @@ box, affine equality) plus the subgradient projector for piecewise-affine
 convex level sets, with averaging and relaxation wrappers.  The iteration
 x_{n+1} = x_n + lambda_n (T_{i(n)}(x_n) - x_n) runs under cyclic,
 almost-cyclic, or explicit index controls and records a replayable trace.
-A run that repeats exactly is stored as its prefix and one cycle, which
-``Trace.unrolled`` indexes into the plain run.  Its step columns i(n) and
-lambda_n are the control and relaxation words indexed by n.
+A run that repeats exactly is stored as its prefix and one cycle, and
+``Trace.rows`` names the stored row of each of its points.  Its step
+columns i(n) and lambda_n are the control and relaxation words indexed by
+n.
 
 Each operator, control and relaxation kind is stated once, as a row of a
 JSON table: its name, class and fields, which the problem reader, the
@@ -521,8 +522,8 @@ class Trace:
     A run that repeats exactly is stored as its prefix and one cycle:
     ``cycle`` (s, N) stores the steps 0..s+L-1, whose last lands on row s
     bit for bit, and step n >= s of the run is stored step s + (n - s) mod L
-    up to its end N.  Then ``n_steps`` is N, ``final`` is x_N, and
-    ``unrolled`` returns the plain N-step trace."""
+    up to its end N.  Then ``n_steps`` is N, ``final`` is x_N, the run is
+    read through ``rows``, and its checkpoints are the ones it evaluated."""
 
     iterates: np.ndarray  # (S+1, J) float: row n is x_n, for S stored steps
     controls: np.ndarray = ()  # (S,) int: 1-based operator label of step n
@@ -567,41 +568,28 @@ class Trace:
     def n_steps(self):
         return len(self.iterates) - 1 if self.cycle is None else self.cycle[1]
 
-    def unrolled(self):
-        """The plain N-step trace, by indexing the stored rows and steps; an
-        uncycled trace is its own.  A checkpoint past s + L falls at each
-        multiple of the stride before N, with the value stored at the same
-        cycle position, and the last stored checkpoint ends the list.  The
-        checkpoints before that last are consecutive multiples of the
-        stride from 0, so the second of them is the stride."""
+    def rows(self):
+        """The stored row of each point x_0..x_N of the run: n before s,
+        then s + (n - s) mod L.  An uncycled trace's rows are 0..N."""
         if self.cycle is None:
-            return self
+            return np.arange(len(self.iterates))
         s, end = self.cycle
-        top = len(self.iterates) - 1
-        lag = top - s
         # np.arange sizes its result in float64 past 2**53, and no address
         # space holds that many rows
         if end >= 2**53:
             raise MemoryError(f"a run of {end} steps exceeds any address space")
         rows = np.arange(end + 1)
-        rows[s:] = s + (rows[s:] - s) % lag
-        checkpoints = []
-        if self.checkpoints:
-            *marks, last = self.checkpoints
-            # each cycle position's maximum, from the checkpoints on the cycle
-            table = np.full(lag, math.nan)
-            for n, value in self.checkpoints:
-                if n >= s:
-                    table[(n - s) % lag] = value
-            tail = rows[:0]
-            if len(marks) > 1:
-                stride = marks[1][0]
-                tail = np.arange((top // stride + 1) * stride, end, stride)
-            checkpoints = [mark for mark in marks if mark[0] <= top]
-            checkpoints += zip(tail.tolist(), table[(tail - s) % lag].tolist())
-            checkpoints.append(last)
+        rows[s:] = s + (rows[s:] - s) % (len(self.iterates) - 1 - s)
+        return rows
+
+    def unrolled(self):
+        """The plain N-step trace, gathered by ``rows``, with the checkpoints
+        the run evaluated; an uncycled trace is its own."""
+        if self.cycle is None:
+            return self
+        rows = self.rows()
         return Trace(self.iterates[rows], self.controls[rows[:-1]], self.relaxations[rows[:-1]],
-                     checkpoints, self.stop_reason)
+                     list(self.checkpoints), self.stop_reason)
 
 
 def _residual(op, x):

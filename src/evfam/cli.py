@@ -15,8 +15,9 @@ repr, which round-trips exactly.
 
 A run that repeats exactly is written as its stored steps, the last of
 which closes the cycle (see cfp.trace_records).  analyze replays those
-steps, writes a runs.csv row for each, and unrolls the run once for
-certification; a run too long to unroll is an error there.
+steps, writes a runs.csv row for each, and certifies the run read through
+cfp.Trace.rows, the stored row of each of its points; a run whose row
+index does not fit in memory is an error there.
 
 Exit codes: 0 success/converged/certified; 1 usage, input, replay or write
 error; 2 unconverged (cap or exhausted control) or inconclusive; 3 violation.
@@ -226,7 +227,8 @@ def cmd_analyze(args):
     if cfp.ResidualBank(ops).max_residual(trace.final) <= stop.tol:
         trace.stop_reason = "converged"
 
-    # certification reads the run unrolled, the one unroll analyze makes
+    # certification reads the stored steps through the run's row index,
+    # which a run too long for memory cannot hold
     try:
         cert = analysis.certify_fixed_points(
             trace, ops, ladder=ladder, n0=args.tail, tol=args.tol, relaxed=not args.strict

@@ -4,6 +4,7 @@ no-classical-limit sequence, and fixed-point certification."""
 
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -424,6 +425,36 @@ def test_follows_reports_apply_only_the_pairs_left_by_the_filter(monkeypatch):
     assert [r.witnesses.tolist() for r in got] == [r.witnesses.tolist() for r in expected]
 
 
+def test_a_cycled_trace_applies_each_operator_once_per_stored_step(monkeypatch):
+    # no ball holds a point of the bounce, so each operator is applied at
+    # every step it is applied at: the s + L stored ones, not the N of the run
+    ops, ctrl, sched, x0, _ = ball_bounce_problem()
+    stored = acsa_run(ops, ctrl, sched, x0, StopRule(max_iter=100000))
+    top = len(stored.iterates) - 1
+    assert stored.cycle is not None and top < 100 < stored.n_steps
+    rows = []
+    apply_many = Ball.apply_many
+
+    def counted(self, X):
+        rows.append(len(X))
+        return apply_many(self, X)
+
+    monkeypatch.setattr(Ball, "apply_many", counted)
+    got = follows_reports(stored, ops)
+    assert 0 < sum(rows) <= len(ops) * top
+    rows.clear()
+    cert = certify_fixed_points(stored, ops)
+    assert 0 < sum(rows) <= len(ops) * top
+    plain = stored.unrolled()
+    want = follows_reports(plain, ops)
+    assert [(r.witnesses.tobytes(), r.min_c) for r in got] == [
+        (r.witnesses.tobytes(), r.min_c) for r in want]
+    # the pattern (1, 3, 2, 3) runs to the last step, N - 1
+    assert [rep.witnesses[-1] for rep in got] == [stored.n_steps - k for k in (4, 2, 1)]
+    assert json.dumps(limit_estimate_json(cert.estimate)) == json.dumps(
+        limit_estimate_json(certify_fixed_points(plain, ops).estimate))
+
+
 # ---------------------------------------------------------------------------
 # accumulation points
 
@@ -513,6 +544,36 @@ def test_accumulation_tail_start_validation():
     assert np.array_equal(accumulation_points(xs, n0=2.0), accumulation_points(xs, n0=2))
     with pytest.raises(ValueError, match="^need at least one point$"):
         accumulation_points([])
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        accumulation_points(np.empty((0, 2)))
+
+
+RADII = "^the epsilon ladder needs positive finite radii, got "
+TOLERANCE = "^the residual tolerance must be finite and >= 0, got "
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # a representative never within a negative or NaN radius of itself, or
+    # at a non-finite point, once left the clustering loop running for ever
+    pytest.param({"eps": -0.1}, RADII + r"-0\.1$", id="eps-negative"),
+    pytest.param({"eps": math.nan}, RADII + "nan$", id="eps-nan"),
+    pytest.param({"source": [0.0, math.inf, 0.0, 1.0]}, "^points must be finite$",
+                 id="inf-point"),
+    pytest.param({"source": [[0.0, 0.0], [1.0, math.nan], [0.0, 0.0]]},
+                 "^points must be finite$", id="nan-point"),
+])
+def test_a_bad_radius_or_point_is_refused_and_never_hangs(kwargs, message):
+    def hung(signum, frame):
+        raise TimeoutError("accumulation_points did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match=message):
+            accumulation_points(**{"source": [0.0, 1.0, 0.0, 1.0], "n0": 0, **kwargs})
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +631,39 @@ def test_estimate_ladder_validation():
         cogap_limit_estimate([1.0, 2.0], ladder=(1e-2, 1e-1))
     with pytest.raises(ValueError):
         cogap_limit_estimate([1.0, 2.0], ladder=(1e-2, 1e-2))
+
+
+def _certify_points(xs, **kwargs):
+    trace = Trace([[x] for x in xs], [1] * (len(xs) - 1), [1.0] * (len(xs) - 1))
+    return certify_fixed_points(trace, [Halfspace([1.0], 0.0)], **kwargs)
+
+
+@pytest.mark.parametrize("call, kwargs, message", [
+    # read, not cast: a string or a boolean is no radius and no tolerance
+    pytest.param(cogap_limit_estimate, {"ladder": ("0.1",)}, RADII + "'0.1'$", id="ladder-string"),
+    pytest.param(cogap_limit_estimate, {"ladder": (True,)}, RADII + "True$", id="ladder-bool"),
+    pytest.param(cogap_limit_estimate, {"ladder": (0.1, None)}, RADII + "None$", id="ladder-none"),
+    pytest.param(accumulation_points, {"eps": "0.1"}, RADII + "'0.1'$", id="eps-string"),
+    pytest.param(accumulation_points, {"eps": False}, RADII + "False$", id="eps-bool"),
+    pytest.param(cogap_limit_estimate, {"tol": True}, TOLERANCE + "True$", id="tol-bool"),
+    pytest.param(cogap_limit_estimate, {"tol": "0"}, TOLERANCE + "'0'$", id="tol-string"),
+    pytest.param(_certify_points, {"tol": True}, TOLERANCE + "True$", id="certify-tol-bool"),
+    # numbers out of range keep their messages
+    pytest.param(cogap_limit_estimate, {"ladder": (0.1, math.inf)}, RADII + "inf$",
+                 id="ladder-inf"),
+    pytest.param(cogap_limit_estimate, {"ladder": (0.1, 0.0)}, RADII + r"0\.0$", id="ladder-zero"),
+    pytest.param(cogap_limit_estimate, {"tol": math.nan}, TOLERANCE + "nan$", id="tol-nan"),
+    pytest.param(cogap_limit_estimate, {"tol": -1}, TOLERANCE + "-1$", id="tol-negative"),
+    pytest.param(cogap_limit_estimate, {"tol": math.inf}, TOLERANCE + "inf$", id="tol-inf"),
+    pytest.param(cogap_limit_estimate, {"tol": 10**400}, TOLERANCE + "1" + "0" * 400 + "$",
+                 id="tol-beyond-float"),
+])
+def test_radii_and_tolerances_are_read_as_numbers(call, kwargs, message):
+    # a bounce between 0 and 1, whose tail tol True would have taken as
+    # convergent
+    with pytest.raises(ValueError, match=message):
+        call([0.0, 1.0] * 4, **kwargs)
+
 
 
 # ---------------------------------------------------------------------------

@@ -752,6 +752,19 @@ REFERENCE_RUNS = {
 }
 
 
+def _assert_evaluated_checkpoints(stored, want):
+    """The stored run's checkpoints are the reference run's up to its stored
+    steps, bit for bit.  Past them a cycled run keeps the checkpoints it
+    evaluated, each the reference run's at the same step, bit for bit, and
+    the last at the end N."""
+    top = len(stored.iterates) - 1
+    got, reference = ([(n, v.hex()) for n, v in run.checkpoints] for run in (stored, want))
+    assert [c for c in got if c[0] <= top] == [c for c in reference if c[0] <= top]
+    assert set(got) <= set(reference)
+    assert [n for n, _ in got] == sorted({n for n, _ in got})
+    assert got[-1][0] == want.n_steps
+
+
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
 def test_acsa_run_matches_the_plain_recurrence_bit_for_bit(name):
     ops, ctrl, sched, x0, stop = REFERENCE_RUNS[name]
@@ -763,8 +776,9 @@ def test_acsa_run_matches_the_plain_recurrence_bit_for_bit(name):
     assert got.cycle is None
     for column in ("iterates", "controls", "relaxations"):
         assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
-    hexed = [[(n, v.hex()) for n, v in run.checkpoints] for run in (got, want)]
-    assert hexed[0] == hexed[1]
+    # the unrolled run carries the checkpoints the run evaluated
+    assert got.checkpoints == stored.checkpoints
+    _assert_evaluated_checkpoints(stored, want)
     assert (got.stop_reason, got.converged) == (want.stop_reason, want.converged)
 
 
@@ -820,11 +834,13 @@ def test_the_periodic_rows_copy_their_tail(monkeypatch):
 def test_periodic_runs_match_the_plain_recurrence_on_a_seeded_corpus(monkeypatch):
     tails = _spying_tails(monkeypatch)
     for k, run in enumerate(_periodic_corpus()):
-        got, want = acsa_run(*run).unrolled(), _reference_run(*run)
+        stored, want = acsa_run(*run), _reference_run(*run)
+        got = stored.unrolled()
         for column in ("iterates", "controls", "relaxations"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), (k, column)
-        hexed = [[(n, v.hex()) for n, v in trace.checkpoints] for trace in (got, want)]
-        assert (hexed[0], got.stop_reason) == (hexed[1], want.stop_reason), k
+        assert got.checkpoints == stored.checkpoints, k
+        _assert_evaluated_checkpoints(stored, want)
+        assert got.stop_reason == want.stop_reason, k
     # 24 of the 60 runs reach an exactly periodic point and store one cycle
     assert len(tails) == 24
 
@@ -876,6 +892,21 @@ def test_an_uncycled_trace_is_its_own_unrolled_run():
     assert trace.cycle is None and trace.unrolled() is trace
 
 
+def test_rows_name_the_stored_row_of_each_point():
+    # rows 1 and 4 agree: a cycle of L = 3 from s = 1, or no cycle
+    iterates = [[0.0], [1.0], [2.0], [3.0], [1.0]]
+    steps = [1] * 4, [1.0] * 4
+    assert Trace(iterates, *steps).rows().tolist() == [0, 1, 2, 3, 4]
+    cycled = Trace(iterates, *steps, cycle=(1, 9), checkpoints=[(0, 1.0), (9, 2.0)])
+    assert cycled.rows().tolist() == [0, 1, 2, 3, 1, 2, 3, 1, 2, 3]
+    assert cycled.final.tolist() == [3.0]
+    plain = cycled.unrolled()
+    assert plain.iterates[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
+    assert plain.checkpoints == cycled.checkpoints and plain.cycle is None
+    with pytest.raises(MemoryError, match="^a run of 9007199254740992 steps exceeds any"):
+        Trace(iterates, *steps, cycle=(1, 2**53)).rows()
+
+
 @pytest.mark.parametrize("cycle, message", [
     ((1, 3), "^a cycle from step 1 needs the last row equal to row 1 bit for bit$"),
     ((0, 2), r"^a trace's cycle \(s, N\) needs integers with 0 <= s < 3 <= N, got \(0, 2\)$"),
@@ -904,13 +935,18 @@ def test_a_limit_cycle_stops_calling_apply_and_an_explicit_word_never_does(monke
     ops, ctrl, sched, x0, _ = REFERENCE_RUNS["stops-at-max-iter-on-a-limit-cycle"]
     stored = acsa_run(ops, ctrl, sched, x0, StopRule(max_iter=100000))
     trace = stored.unrolled()
-    assert (trace.n_steps, len(trace.checkpoints), trace.stop_reason) == (100000, 10001, "max_iter")
+    assert (trace.n_steps, trace.stop_reason) == (100000, "max_iter")
     assert np.array_equal(trace.iterates[-3:], [[3.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     assert len(calls) < 200
     # the stored run is its prefix and one cycle, with the checkpoints evaluated
     s, _ = stored.cycle
     assert len(stored.iterates) < 200 and len(stored.checkpoints) < 20
     assert stored.iterates[-1].tobytes() == stored.iterates[s].tobytes()
+    # each is the plain maximum at its step, on stride multiples and the end
+    assert trace.checkpoints == stored.checkpoints and trace.checkpoints[-1][0] == 100000
+    for n, value in trace.checkpoints:
+        x = trace.iterates[n]
+        assert n % 10 == 0 and value == max(float(np.linalg.norm(op.apply(x) - x)) for op in ops)
     # the same bits cycle under an explicit word, which is never copied; cuts
     # take their checkpoint maxima without apply, so every call is a step
     calls = _counting_applies(monkeypatch, Halfspace)
@@ -955,7 +991,7 @@ def test_a_checkpoint_at_an_unchanged_point_reuses_its_maximum(monkeypatch):
     stored = acsa_run(ops, ctrl, ConstantRelaxation(0.0), [-1.0, -1.0], StopRule(max_iter=30))
     assert [n for n, _ in stored.checkpoints] == [0, 10, 30]
     trace = stored.unrolled()
-    assert [n for n, _ in trace.checkpoints] == [0, 10, 20, 30]
+    assert trace.checkpoints == stored.checkpoints
     assert len(set(v for _, v in trace.checkpoints)) == 1
     assert len(points) == 1
     # the control runs out at the point of the checkpoint at step 3
