@@ -2,7 +2,9 @@
 multiplicity estimates, and fixed-point certification.
 
 A follows report holds its witness steps q (x_{q+1} is the recorded update
-of x_q) as a sorted int array; JSON writes them as [start, length] runs.
+of x_q) as a sorted int array, and the longest witness-free stretch of the
+run, which sets its grade.  JSON writes the evidence for the grade: the
+witness count, the first and last witness, and that stretch.
 A limit estimate and its candidates are written as their fields (``_plain``).
 
 A finite trace cannot witness a lim sup, so run statistics are reported as
@@ -27,7 +29,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .cfp import ResidualBank, Trace, _integer, _number, relaxed_update, row_distances
-from .intseq import ExtNat, INF, window_cover
+from .intseq import ExtNat, INF, longest_gap
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
 DEFAULT_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -71,8 +73,15 @@ class FollowsReport:
     operator: object  # 1-based label when known
     criterion: str  # "relaxed" | "strict"
     window: object  # requested window length, or None
-    min_c: object  # smallest certified window length, or None
     witnesses: np.ndarray  # sorted witness steps q, each meaning x_{q+1} follows x_q
+    longest_gap: tuple  # (start, length) of the first longest run of steps without one
+
+    @property
+    def min_c(self):
+        """The smallest window length such that every window of that many
+        consecutive steps holds a witness, the run's ends included: one more
+        than the longest gap (None without a witness)."""
+        return self.longest_gap[1] + 1 if self.witnesses.size else None
 
     @property
     def ok(self):
@@ -101,7 +110,8 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
 
     Relaxed mode replays the recorded relaxation; strict mode admits only
     unit steps.  min_c is the smallest window length such that every window
-    of that many consecutive steps contains a witness.
+    of that many consecutive steps contains a witness: one more than the
+    report's longest gap, read off the run's 0/1 hit word.
 
     Every step is checked, and a mask keeps the eligible ones.  The
     witnesses are those of applying each operator at each step, bit for
@@ -133,9 +143,8 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
                 xr = x[rows]
                 hit[rows] = _hits(xr, x_next[rows], lam[rows], op.apply_many(xr), tol)
         hit = (hit & eligible)[steps]
-        hits = np.flatnonzero(hit)
-        min_c = window_cover(hit.tobytes()) if hits.size else None
-        reports.append(FollowsReport(label, criterion, None, min_c, hits))
+        reports.append(FollowsReport(label, criterion, None, np.flatnonzero(hit),
+                                     longest_gap(hit.tobytes())))
     return reports
 
 
@@ -350,15 +359,22 @@ def certify_fixed_points(trace, ops, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT
 
 
 def follows_report_json(rep):
-    """The report, with its witness steps as [start, length] runs."""
-    starts, lengths = _runs(np.bincount(rep.witnesses))
+    """The report's grade and the evidence it rests on, in a fixed size: the
+    witness count, the first and last witness step (null without one), and
+    the longest witness-free stretch [start, length] over the run's steps,
+    whose length + 1 is min_c when a witness exists.  The witness steps
+    themselves are ``follows_reports``'."""
+    witnesses = rep.witnesses
     return {
         "operator": rep.operator,
         "criterion": rep.criterion,
         "window": rep.window,
         "min_c": rep.min_c,
         "ok": rep.ok,
-        "steps": np.column_stack((starts, lengths)).tolist(),
+        "witnesses": len(witnesses),
+        "first": int(witnesses[0]) if len(witnesses) else None,
+        "last": int(witnesses[-1]) if len(witnesses) else None,
+        "longest_gap": list(rep.longest_gap),
     }
 
 

@@ -26,6 +26,7 @@ error; 2 unconverged (cap or exhausted control) or inconclusive; 3 violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -422,8 +423,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of a process, built at the first main call rather
+    than at import, which then needs none."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

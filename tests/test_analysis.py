@@ -158,6 +158,17 @@ def brute_min_c(mask):
     return None
 
 
+def brute_longest_gap(mask):
+    """(start, length) of the first longest stretch of steps without a
+    witness, read off every stretch; (0, 0) when there is none."""
+    best = (0, 0)
+    for a in range(len(mask)):
+        for b in range(a + 1, len(mask) + 1):
+            if not mask[a:b].any() and b - a > best[1]:
+                best = (a, b - a)
+    return best
+
+
 def masked_trace(mask, lams):
     """A run on the line under the cut x <= 0 whose witnesses are ``mask``:
     from 1 or 0 the cut's update is 0, so step q is a witness exactly
@@ -181,9 +192,11 @@ def test_follows_min_c_matches_a_window_scan(relaxed):
         eligible = lams != 0.0
         assert rep.witnesses.tolist() == np.flatnonzero(mask & eligible).tolist()
         assert rep.min_c == brute_min_c(mask & eligible)
+        assert rep.longest_gap == brute_longest_gap(mask & eligible)
         # every step eligible: the mask itself is the witness word
         rep = follows_reports(masked_trace(mask, np.ones(len(mask))), [op], relaxed)[0]
         assert rep.min_c == brute_min_c(mask)
+        assert rep.longest_gap == brute_longest_gap(mask)
 
 
 def reference_witnesses(trace, op, relaxed=True, tol=1e-9):
@@ -830,7 +843,10 @@ def test_report_json_round():
     data = json.loads(blob)
     assert data["operator"] == 1
     assert data["min_c"] == 2
-    assert data["steps"] == [[0, 1]]  # one run: step 0, length 1
+    # one witness, at step 0; step 1 of the two lacks one
+    assert (data["witnesses"], data["first"], data["last"]) == (1, 0, 0)
+    assert data["longest_gap"] == [1, 1]
+    assert "steps" not in data
 
 
 def test_estimate_json_inf_marker():

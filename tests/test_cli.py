@@ -12,7 +12,10 @@ import os
 import random
 import re
 import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from test_analysis import (
@@ -130,6 +133,48 @@ def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 0 and capsys.readouterr().out
+
+
+def test_main_builds_one_parser_and_reuses_it(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    vacuous = ["check", cli.checks.SUITE_NAMES[0], "--budget", "0"]
+    assert main(vacuous) == 0
+    # the parser and one subparser per command
+    assert built == ["evfam", "evfam solve", "evfam analyze", "evfam check", "evfam demo"]
+    parser = cli._parser()
+    assert main(vacuous) == 0
+    # a usage error on a later call still exits 1, and --version still prints
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve"])
+    assert exit_.value.code == 1 and capsys.readouterr().err.startswith("usage: evfam solve")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0 and capsys.readouterr().out == f"evfam {cli.__version__}\n"
+    assert len(built) == 5 and cli._parser() is parser
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import evfam.cli\n"
+            "print(len(built), evfam.cli._parser.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0 0\n"
 
 
 def _options(parser):
@@ -347,11 +392,64 @@ def test_report_steps_decode_to_the_witnesses(tmp_path, capsys, build, codes):
     trace = acsa_run(ops, ctrl, sched, x0, stop)
     found = 0
     for i, (op, rep) in enumerate(zip(ops, report["follows"], strict=True)):
-        steps = [q for start, length in rep["steps"] for q in range(start, start + length)]
-        assert steps == follows_check(trace, op, label=i + 1).witnesses.tolist()
+        # the report states the witnesses' count and ends, and the longest
+        # stretch without one, of the witnesses the library finds
+        steps = follows_check(trace, op, label=i + 1).witnesses.tolist()
         assert steps == [q for q, _ in reference_witnesses(trace, op)]
+        assert set(rep) == {"operator", "criterion", "window", "min_c", "ok", "witnesses",
+                            "first", "last", "longest_gap"}
+        assert rep["witnesses"] == len(steps) > 0
+        assert (rep["first"], rep["last"]) == (steps[0], steps[-1])
+        start, length = rep["longest_gap"]
+        assert not [q for q in steps if start <= q < start + length]
+        # a witness or an end of the run's N steps bounds it on each side
+        assert start == 0 or start - 1 in steps
+        assert start + length == trace.n_steps or start + length in steps
+        assert length == max(b - a - 1 for a, b in zip([-1] + steps, steps + [trace.n_steps]))
+        assert rep["min_c"] == length + 1
         found += len(steps)
     assert found > 0
+
+
+def test_a_run_of_zero_steps_reports_no_witness(tmp_path, capsys):
+    # x0 lies in both half-spaces, so the run stops before its first step
+    prob = {"dim": 2, "operators": [{"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+                                    {"kind": "halfspace", "a": [0.0, 1.0], "b": 0.0}],
+            "control": {"kind": "cyclic"}, "x0": [-1.0, -2.0], "stop": {"max_iter": 50}}
+    path, out = tmp_path / "feasible.json", tmp_path / "out"
+    path.write_text(json.dumps(prob))
+    code, stdout, _ = run_cli(capsys, "solve", str(path), "-o", str(out))
+    assert code == 0 and stdout.startswith("converged after 0 steps; ")
+    code, stdout, err = run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(path),
+                                "-o", str(out))
+    assert (code, err) == (2, "")
+    assert stdout.splitlines()[:3] == ["operator 1: relaxed witnesses 0, min_c none",
+                                       "operator 2: relaxed witnesses 0, min_c none",
+                                       "certification: inconclusive"]
+    report = json.loads((out / "report.json").read_text())
+    assert [(rep["operator"], rep["witnesses"], rep["first"], rep["last"], rep["longest_gap"],
+             rep["min_c"], rep["ok"]) for rep in report["follows"]] == [
+        (k, 0, None, None, [0, 0], None, False) for k in (1, 2)]
+
+
+def test_a_long_cycled_run_has_a_small_report(tmp_path, capsys):
+    # two discs: x_2 = x_4, so the stored run is 4 steps of the 10^5, and
+    # each disc is applied at every other step of them all
+    max_iter = 10**5
+    prob = {"dim": 2, "operators": [{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                                    {"kind": "ball", "center": [4.0, 0.0], "radius": 1.0}],
+            "control": {"kind": "cyclic"}, "x0": [2.0, -0.0], "stop": {"max_iter": max_iter}}
+    path, out = tmp_path / "balls.json", tmp_path / "out"
+    path.write_text(json.dumps(prob))
+    assert run_cli(capsys, "solve", str(path), "-o", str(out))[0] == 2
+    assert json.loads((out / "trace.jsonl").read_text().splitlines()[-1])["until"] == max_iter
+    assert run_cli(capsys, "analyze", str(out / "trace.jsonl"), str(path), "-o", str(out))[0] == 2
+    assert (out / "report.json").stat().st_size < 8 * 1024
+    report = json.loads((out / "report.json").read_text())
+    assert [(rep["witnesses"], rep["first"], rep["last"], rep["longest_gap"], rep["min_c"])
+            for rep in report["follows"]] == [
+        (max_iter // 2, 0, max_iter - 2, [1, 1], 2),
+        (max_iter // 2, 1, max_iter - 1, [0, 1], 2)]
 
 
 def test_analyze_replay_gate(demo_dir, tmp_path, capsys):

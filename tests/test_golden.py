@@ -40,7 +40,7 @@ DEMOS = {
 
 ANALYZE_TWO_HALFSPACES = {
     "stdout": "6b6dd99cf85d45b082afa70b20c5acb79dc88132823f89e1f08b16d8598ce0e8",
-    "report.json": "b408e8e192c38acf3759a183b14e5b601c422b42e53decb8ca37d9892ab85b25",
+    "report.json": "7a397de63d5fe0b947d380a7fb41fde24f0147ac18e2c41d69bba0e9f2809733",
     "runs.csv": "5fb5de1485f9462dd4f2caaea564ebe2fa0bb51c0fe740ae4ec7349bfc2a7bba",
 }
 
@@ -63,7 +63,7 @@ UNCONVERGED_BALLS = {
     "analyze stdout": "10cead84703c344dcd1045bf316063c37b938acee81baf042af04fac14afe261",
     "trace.jsonl": "159edabe26ec2a4690a900d03c9593fbb70cf65229ad25b17fd6108e2b3ab834",
     "summary.json": "833b0367486b78cebed6a404e34331b064c841f467e7893a52e11c9d131c19d6",
-    "report.json": "9f005091061ebd87211bfd89a441a5db83550ccf140a703665f3139f84cf9353",
+    "report.json": "fb4e54a41610ea4dae4ed386730dd2319acd2cd8af49e5c35635a451bb085bd0",
     "runs.csv": "568c834e99e36f56a4ad4a9da7db0e7a4b4fabce7050f0b0400d2dcc632963c8",
 }
 
@@ -109,6 +109,7 @@ def test_analyze_unconverged_outputs_are_golden(tmp_path, monkeypatch, capsys):
     assert "certification: inconclusive" in analyzed
     report = json.loads(Path("out/report.json").read_text())
     assert [f["min_c"] for f in report["follows"]] == [4, 2, 4]
+    assert [f["longest_gap"] for f in report["follows"]] == [[1, 3], [0, 1], [3, 3]]
     got = {"solve stdout": _sha256(solved.encode()), "analyze stdout": _sha256(analyzed.encode())}
     got.update(_artifacts(tmp_path / "out", (
         "trace.jsonl", "summary.json", "report.json", "runs.csv",
