@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .cfp import ResidualBank, Trace, _integer, _number, relaxed_update, row_distances
-from .intseq import ExtNat, INF, longest_gap
+from .intseq import ExtNat, INF, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
 DEFAULT_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -103,6 +103,17 @@ def _hits(x, x_next, lam, tx, tol):
     return row_distances(x_next, relaxed_update(x, lam, tx)) <= tol
 
 
+def _longest_gap(word):
+    """Start and length of the first longest run of 0 bytes of the 0/1
+    byte string ``word``: the whole word when it holds no 1, so (0, 0) for
+    an empty word.  The length is window_cover's, less one, and the run is
+    where ``bytes.find`` first meets that many 0 bytes: no run is longer,
+    so none starts before it.
+    """
+    length = window_cover(word) - 1 if 1 in word else len(word)
+    return word.find(bytes(length)), length
+
+
 def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     """The follows report of each operator, labelled 1..m in order and
     graded against no window: the steps q where x_{q+1} is the recorded
@@ -144,7 +155,7 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
                 hit[rows] = _hits(xr, x_next[rows], lam[rows], op.apply_many(xr), tol)
         hit = (hit & eligible)[steps]
         reports.append(FollowsReport(label, criterion, None, np.flatnonzero(hit),
-                                     longest_gap(hit.tobytes())))
+                                     _longest_gap(hit.tobytes())))
     return reports
 
 

@@ -378,7 +378,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of a process, built at the first call rather than at
+    import, which then needs none."""
     parser = _Parser(
         prog="evfam",
         description="Feasibility solver and trace analyzer over set-family limits.",
@@ -423,15 +426,8 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The one parser of a process, built at the first main call rather
-    than at import, which then needs none."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

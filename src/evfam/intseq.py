@@ -45,7 +45,6 @@ __all__ = [
     "gap",
     "cogap",
     "window_cover",
-    "longest_gap",
     "random_epset",
 ]
 
@@ -349,17 +348,6 @@ def window_cover(word, bit=1, cyclic=False):
         runs[0] += runs.pop()
     # every run is b"x" repeated, so the greatest in byte order is the longest
     return 1 + len(max(runs, default=b""))
-
-
-def longest_gap(word, bit=1):
-    """Start and length of the first longest run of places of the 0/1 byte
-    string ``word`` without ``bit`` (1 or 0): the whole word when it lacks
-    ``bit``, so (0, 0) for an empty word.  The length is window_cover's,
-    less one, and the run is where ``bytes.find`` first meets that many
-    places without ``bit``: no run is longer, so none starts before it.
-    """
-    length = window_cover(word, bit) - 1 if bit in word else len(word)
-    return word.find(bytes((1 - bit,)) * length), length
 
 
 def _recurring_gap(s, bit):

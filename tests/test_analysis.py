@@ -12,6 +12,7 @@ import pytest
 from evfam.analysis import (
     DEFAULT_LADDER,
     _cluster_tail,
+    _longest_gap,
     _runs,
     accumulation_points,
     certification_json,
@@ -167,6 +168,22 @@ def brute_longest_gap(mask):
             if not mask[a:b].any() and b - a > best[1]:
                 best = (a, b - a)
     return best
+
+
+def test_longest_gap_examples():
+    assert _longest_gap(b"") == (0, 0)
+    assert _longest_gap(b"\1\1\1") == (0, 0)
+    assert _longest_gap(b"\0\0\0") == (0, 3)
+    # the first of two longest runs
+    assert _longest_gap(b"\1\0\0\1\0\0\1\0") == (1, 2)
+    assert _longest_gap(b"\0\1\0\0\0\1\0\0\0") == (2, 3)
+
+
+def test_longest_gap_matches_a_stretch_scan_on_every_short_word():
+    for n in range(11):
+        for k in range(2 ** n):
+            mask = np.array([(k >> i) & 1 for i in range(n)], dtype=bool)
+            assert _longest_gap(mask.tobytes()) == brute_longest_gap(mask)
 
 
 def masked_trace(mask, lams):

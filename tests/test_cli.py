@@ -144,12 +144,12 @@ def test_main_builds_one_parser_and_reuses_it(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     vacuous = ["check", cli.checks.SUITE_NAMES[0], "--budget", "0"]
     assert main(vacuous) == 0
     # the parser and one subparser per command
     assert built == ["evfam", "evfam solve", "evfam analyze", "evfam check", "evfam demo"]
-    parser = cli._parser()
+    parser = cli.build_parser()
     assert main(vacuous) == 0
     # a usage error on a later call still exits 1, and --version still prints
     with pytest.raises(SystemExit) as exit_:
@@ -158,7 +158,7 @@ def test_main_builds_one_parser_and_reuses_it(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["--version"])
     assert exit_.value.code == 0 and capsys.readouterr().out == f"evfam {cli.__version__}\n"
-    assert len(built) == 5 and cli._parser() is parser
+    assert len(built) == 5 and cli.build_parser() is parser
 
 
 def test_importing_the_cli_builds_no_parser():
@@ -170,7 +170,7 @@ def test_importing_the_cli_builds_no_parser():
             "    init(self, *args, **kwargs)\n"
             "argparse.ArgumentParser.__init__ = counted\n"
             "import evfam.cli\n"
-            "print(len(built), evfam.cli._parser.cache_info().currsize)\n")
+            "print(len(built), evfam.cli.build_parser.cache_info().currsize)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

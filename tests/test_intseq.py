@@ -19,7 +19,6 @@ from evfam.intseq import (
     intersection,
     random_epset,
     union,
-    longest_gap,
     window_cover,
 )
 
@@ -287,30 +286,6 @@ def test_window_cover_matches_window_scan(bits, cyclic):
         else:
             with pytest.raises(ValueError):
                 window_cover(word, bit, cyclic)
-
-
-def test_longest_gap_examples():
-    assert longest_gap(b"") == (0, 0)
-    assert longest_gap(b"\1\1\1") == (0, 0)
-    assert longest_gap(b"\0\0\0") == (0, 3)
-    # the first of two longest runs, with either bit
-    assert longest_gap(b"\1\0\0\1\0\0\1\0") == (1, 2)
-    assert longest_gap(b"\1\0\0\1\0\0\1\0", bit=0) == (0, 1)
-    assert longest_gap(b"\0\1\0\0\0\1\0\0\0") == (2, 3)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.booleans(), max_size=16))
-def test_longest_gap_matches_a_run_scan(bits):
-    word = bytes(bits)
-    for bit in (1, 0):
-        runs = [(a, b - a) for a in range(len(bits)) for b in range(a + 1, len(bits) + 1)
-                if bit not in word[a:b]]
-        # the longest run, the first of them on a tie
-        want = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
-        assert longest_gap(word, bit) == want
-        if bit in word:
-            assert window_cover(word, bit) == 1 + want[1]
 
 
 def linear_cover(positions, length, cyclic):
