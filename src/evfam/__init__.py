@@ -34,6 +34,7 @@ from .families import (
     IndicatorFamily,
     InfiniteFamily,
     closure_family,
+    family_complement,
     limit_set,
     star,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "IndicatorFamily",
     "InfiniteFamily",
     "closure_family",
+    "family_complement",
     "limit_set",
     "star",
     "CoGapMultifamily",

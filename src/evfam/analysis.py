@@ -2,9 +2,9 @@
 multiplicity estimates, and fixed-point certification.
 
 A follows report holds its witness steps q (x_{q+1} is the recorded update
-of x_q) as a sorted int array, and the longest witness-free stretch of the
-run, which sets its grade.  JSON writes the evidence for the grade: the
-witness count, the first and last witness, and that stretch.
+of x_q) as an EPSet, bit q for step q, and the run's N.  JSON writes the
+evidence for its grade, read off that set (``_evidence``): the witness
+count, the first and last witness, and the longest stretch without one.
 A limit estimate and its candidates are written as their fields (``_plain``).
 
 A finite trace cannot witness a lim sup, so run statistics are reported as
@@ -16,20 +16,21 @@ to multiplicity infinity at the final point.  A run has one limit estimate:
 certification asserts its pairs on the candidates and estimates that the
 report's ``estimate`` shows.
 
-A cycled trace is read through ``Trace.rows``: the follows check applies
-each operator once per stored step, and the estimate gathers its points once.
+A cycled trace (see ``cfp.Trace``) is never expanded to its N steps: the
+index sets read off it, its witness steps and {n : x_n near p}, are EPSets
+of its stored prefix and cycle, which intseq decides exactly.
 Radii and tolerances are read by ``cfp._number``'s rule, not cast.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from .cfp import ResidualBank, Trace, _integer, _number, relaxed_update, row_distances
-from .intseq import ExtNat, INF, window_cover
+from .intseq import EPSet, ExtNat, INF, _word, cogap, window_cover
 
 #: neighborhood radii tried from coarse to fine, at unit data scale
 DEFAULT_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -38,11 +39,11 @@ DEFAULT_TOL = 1e-6
 
 
 def _points(source):
-    """Iterate matrix (N, J) from a Trace (its points x_0..x_N, gathered by
-    ``rows`` when cycled), a float (N, J) array as is, or a list of points
-    or scalars.  Every point must be finite."""
+    """Iterate matrix (N, J) from a Trace (its stored points: x_0..x_N when
+    uncycled), a float (N, J) array as is, or a list of points or scalars.
+    Every point must be finite."""
     if isinstance(source, Trace):
-        pts = source.iterates if source.cycle is None else source.iterates[source.rows()]
+        pts = source.iterates
     elif isinstance(source, np.ndarray) and source.dtype == float and source.ndim == 2:
         pts = source
     else:
@@ -53,6 +54,14 @@ def _points(source):
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return pts
+
+
+def _index_set(flags, trace):
+    """The EPSet whose bit n is flag n of the trace's stored steps (or
+    points), repeated from the cycle start s on when cycled."""
+    word = flags.tobytes()
+    s = len(word) if trace.cycle is None else trace.cycle[0]
+    return EPSet._of(word[:s], word[s:])
 
 
 def _tail_start(n_points, n0):
@@ -68,20 +77,33 @@ def _tail_start(n_points, n0):
 # the follows-property
 
 
-@dataclass(frozen=True, eq=False)  # == on the array field would raise
+@dataclass(frozen=True)
 class FollowsReport:
     operator: object  # 1-based label when known
     criterion: str  # "relaxed" | "strict"
     window: object  # requested window length, or None
-    witnesses: np.ndarray  # sorted witness steps q, each meaning x_{q+1} follows x_q
-    longest_gap: tuple  # (start, length) of the first longest run of steps without one
+    hits: EPSet  # the witness steps q, bit q, each meaning x_{q+1} follows x_q
+    n_steps: int  # the run's N: only the steps q < N count
+    # (witness count, first, last, (start, length) of the first longest run
+    # of steps without one): _evidence's, read once and kept by replace
+    evidence: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.evidence is None:
+            object.__setattr__(self, "evidence", _evidence(self.hits, self.n_steps))
+
+    @property
+    def witnesses(self):
+        """The witness steps as a sorted int array, one entry per witness."""
+        return np.flatnonzero(np.frombuffer(_word(self.hits, self.n_steps), np.uint8))
 
     @property
     def min_c(self):
         """The smallest window length such that every window of that many
         consecutive steps holds a witness, the run's ends included: one more
         than the longest gap (None without a witness)."""
-        return self.longest_gap[1] + 1 if self.witnesses.size else None
+        count, _, _, (_, length) = self.evidence
+        return length + 1 if count else None
 
     @property
     def ok(self):
@@ -114,6 +136,25 @@ def _longest_gap(word):
     return word.find(bytes(length)), length
 
 
+def _evidence(hits, n):
+    """FollowsReport.evidence of steps 0..n-1 of the EPSet ``hits``, bit q
+    step q, for any int n, from at most len(prefix) + 3 len(period) bits: a
+    period past the first two repeats the zero runs of the one before it,
+    later, so the cut word has the first longest run before the last witness."""
+    pre, per = hits.prefix, hits.period
+    extra = max((n - len(pre)) // len(per) - 2, 0) if per else 0
+    word = _word(hits, n - extra * len(per)) if per else pre[:n]
+    count = word.count(1) + extra * per.count(1)
+    if not count:
+        return 0, None, None, (0, n)
+    cut = word.rfind(1)
+    last = cut + extra * len(per)
+    gap = _longest_gap(word[:cut])
+    if n - last - 1 > gap[1]:
+        gap = last + 1, n - last - 1
+    return count, word.find(1), last, gap
+
+
 def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     """The follows report of each operator, labelled 1..m in order and
     graded against no window: the steps q where x_{q+1} is the recorded
@@ -122,7 +163,7 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     Relaxed mode replays the recorded relaxation; strict mode admits only
     unit steps.  min_c is the smallest window length such that every window
     of that many consecutive steps contains a witness: one more than the
-    report's longest gap, read off the run's 0/1 hit word.
+    report's longest gap, read off its witness set (see _evidence).
 
     Every step is checked, and a mask keeps the eligible ones.  The
     witnesses are those of applying each operator at each step, bit for
@@ -130,12 +171,10 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
     the operator returns x itself: there the target x + lam (x - x) is the
     same for every operator, so one distance per step, ``held``, decides
     them all.  The other pairs are applied with ``apply_many``, on every
-    row at once when they are most of the rows.  A cycled trace is checked
-    once per stored step, and its hits are read at each step of the run
-    through ``Trace.rows``, so the witnesses are steps of the whole run.
+    row at once when they are most of the rows.  Each stored step is
+    checked once: a cycled trace's witness set repeats its cycle's hits.
     """
     ops = list(ops)
-    steps = slice(None) if trace.cycle is None else trace.rows()[:-1]
     criterion = "relaxed" if relaxed else "strict"
     lam = trace.relaxations
     # a zero step is consistent with every operator; no evidence
@@ -153,9 +192,8 @@ def follows_reports(trace, ops, relaxed=True, tol=1e-9):
             if rows.size:
                 xr = x[rows]
                 hit[rows] = _hits(xr, x_next[rows], lam[rows], op.apply_many(xr), tol)
-        hit = (hit & eligible)[steps]
-        reports.append(FollowsReport(label, criterion, None, np.flatnonzero(hit),
-                                     _longest_gap(hit.tobytes())))
+        reports.append(FollowsReport(label, criterion, None, _index_set(hit & eligible, trace),
+                                     trace.n_steps))
     return reports
 
 
@@ -190,11 +228,18 @@ def accumulation_points(source, eps=DEFAULT_LADDER[0], n0=None):
     stretches, or when the trace settles there (the final stretch covers
     at least half the tail).  A converged solver trace short-circuits to
     its final point.  eps is a radius of the ladder (see _checked_ladder).
+    A cycled trace's are the distinct rows of its cycle, whatever eps and n0.
     """
     (eps,) = _checked_ladder((eps,))
     if isinstance(source, Trace) and source.converged:
         return [source.final.copy()]
     pts = _points(source)
+    if isinstance(source, Trace) and source.cycle is not None:
+        _tail_start(source.n_steps + 1, n0)
+        rows = {}  # bit for bit, in cycle order from row s
+        for x in pts[source.cycle[0]:-1]:
+            rows.setdefault(x.tobytes(), x.copy())
+        return list(rows.values())
     n0 = _tail_start(len(pts), n0)
     tail = pts[n0:]
     assignments = _cluster_tail(tail, eps)
@@ -226,13 +271,6 @@ def _recurring_run(flags):
     return int(runs[-2]) if len(runs) >= 2 else 0
 
 
-def _cauchy_tail(pts, n0, radius):
-    """The second half of the tail stays within radius of the final point."""
-    tail = pts[n0:]
-    second = tail[len(tail) // 2 :]
-    return len(second) >= 2 and bool((row_distances(second, pts[-1]) <= radius).all())
-
-
 @dataclass(frozen=True)
 class CandidateEstimate:
     point: np.ndarray
@@ -259,31 +297,42 @@ def cogap_limit_estimate(source, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT_TOL
     converged solver trace, or a tail whose second half stays within tol of
     the final point, counts as convergent and reports infinity at that
     point; a tail that drifts farther is not taken for a limit.
+
+    A cycled trace is read exactly, and n0 moves no number.  It is
+    convergent when converged or when its whole cycle lies within tol of
+    x_N.  Else its candidates p are the distinct cycle rows, a ladder row's
+    run is cogap({n : |x_n - p| <= eps}), and p's estimate is the limit of
+    those runs as eps goes to 0, cogap({n : x_n = p}): finite, however tight
+    the cycle, since a cycle that is not convergent leaves p.
     """
     ladder = _checked_ladder(ladder)
     tol = _real(tol, lambda t: 0 <= t < math.inf, "the residual tolerance must be finite and >= 0")
     pts = _points(source)
-    n0 = _tail_start(len(pts), n0)
     converged = isinstance(source, Trace) and source.converged
-    convergent = converged or _cauchy_tail(pts, n0, tol)
+    cycled = isinstance(source, Trace) and source.cycle is not None
+    n0 = _tail_start(source.n_steps + 1 if cycled else len(pts), n0)
+    final = source.final if cycled else pts[-1]
+    # the second half of the tail; a cycled run's is its cycle
+    tail = pts[source.cycle[0]:] if cycled else pts[n0:][(len(pts) - n0) // 2:]
+    convergent = converged or len(tail) >= 2 and bool((row_distances(tail, final) <= tol).all())
 
     if convergent:
-        final = pts[-1]
         rows = tuple({"eps": e, "run": None, "estimate": INF} for e in ladder)
         cand = CandidateEstimate(final.copy(), rows, INF, certified_limit=True)
         return LimitEstimate((cand,), ladder, n0, True, final.copy())
 
-    tail = pts[n0:]
     candidates = []
-    for y in accumulation_points(pts, ladder[0], n0):
-        dist = row_distances(tail, y)
-        rows = []
-        best = None
-        for e in ladder:
-            raw = _recurring_run(dist <= e)
-            best = raw if best is None else min(best, raw)
-            rows.append({"eps": e, "run": raw, "estimate": ExtNat(best)})
-        candidates.append(CandidateEstimate(y, tuple(rows), ExtNat(best)))
+    for y in accumulation_points(source if cycled else pts, ladder[0], n0):
+        dist = row_distances(pts[:-1] if cycled else pts[n0:], y)
+        if cycled:  # the runs at each radius, and at radius 0
+            runs = [cogap(_index_set(dist <= e, source)) for e in (*ladder, 0.0)]
+        else:
+            runs = [_recurring_run(dist <= e) for e in ladder]
+        rows, best = [], None
+        for e, run in zip(ladder, runs):
+            best = run if best is None else min(best, run)
+            rows.append({"eps": e, "run": run, "estimate": ExtNat.of(best)})
+        candidates.append(CandidateEstimate(y, tuple(rows), runs[-1] if cycled else ExtNat(best)))
     return LimitEstimate(tuple(candidates), ladder, n0, False, None)
 
 
@@ -343,11 +392,12 @@ def certify_fixed_points(trace, ops, ladder=DEFAULT_LADDER, n0=None, tol=DEFAULT
     for a limit only when it stays within tol of its final point: a slow
     run is not a faulty operator.  A converged run counts as converged only
     when its final point's maximum residual is also within tol, which may
-    be tighter than the tol it stopped at.  A cycled trace is judged on the
-    run that ``Trace.rows`` reads from its stored steps."""
+    be tighter than the tol it stopped at.  A cycled trace is judged from
+    its stored steps alone, exactly: a pair needs x_n = p at min_c + 1
+    consecutive n in every lap."""
     source = trace
     if trace.converged and not ResidualBank(ops).max_residual(trace.final) <= tol:
-        source = _points(trace)  # judged as an unconverged tail
+        source = replace(trace, stop_reason="")  # judged as an unconverged run
     est = cogap_limit_estimate(source, ladder, n0, tol)
     follows = tuple(follows_reports(trace, ops, relaxed=relaxed))
     followed = [(rep.operator, rep.min_c) for rep in follows if rep.min_c is not None]
@@ -374,19 +424,11 @@ def follows_report_json(rep):
     witness count, the first and last witness step (null without one), and
     the longest witness-free stretch [start, length] over the run's steps,
     whose length + 1 is min_c when a witness exists.  The witness steps
-    themselves are ``follows_reports``'."""
-    witnesses = rep.witnesses
-    return {
-        "operator": rep.operator,
-        "criterion": rep.criterion,
-        "window": rep.window,
-        "min_c": rep.min_c,
-        "ok": rep.ok,
-        "witnesses": len(witnesses),
-        "first": int(witnesses[0]) if len(witnesses) else None,
-        "last": int(witnesses[-1]) if len(witnesses) else None,
-        "longest_gap": list(rep.longest_gap),
-    }
+    themselves are the report's ``witnesses``."""
+    count, first, last, gap = rep.evidence
+    return {"operator": rep.operator, "criterion": rep.criterion, "window": rep.window,
+            "min_c": rep.min_c, "ok": rep.ok, "witnesses": count, "first": first,
+            "last": last, "longest_gap": list(gap)}
 
 
 def _plain(obj):

@@ -5,10 +5,9 @@ box, affine equality) plus the subgradient projector for piecewise-affine
 convex level sets, with averaging and relaxation wrappers.  The iteration
 x_{n+1} = x_n + lambda_n (T_{i(n)}(x_n) - x_n) runs under cyclic,
 almost-cyclic, or explicit index controls and records a replayable trace.
-A run that repeats exactly is stored as its prefix and one cycle, and
-``Trace.rows`` names the stored row of each of its points.  Its step
-columns i(n) and lambda_n are the control and relaxation words indexed by
-n.
+A run that repeats exactly is stored as its prefix and one cycle, never
+its N steps, and is analyzed as eventually periodic index sets.  Its step
+columns i(n) and lambda_n are the control and relaxation words indexed by n.
 
 Each operator, control and relaxation kind is stated once, as a row of a
 JSON table: its name, class and fields, which the problem reader, the
@@ -522,8 +521,8 @@ class Trace:
     A run that repeats exactly is stored as its prefix and one cycle:
     ``cycle`` (s, N) stores the steps 0..s+L-1, whose last lands on row s
     bit for bit, and step n >= s of the run is stored step s + (n - s) mod L
-    up to its end N.  Then ``n_steps`` is N, ``final`` is x_N, the run is
-    read through ``rows``, and its checkpoints are the ones it evaluated."""
+    up to its end N.  Then ``n_steps`` is N, ``final`` is x_N, and its
+    checkpoints are the ones it evaluated.  N may exceed any array and int64."""
 
     iterates: np.ndarray  # (S+1, J) float: row n is x_n, for S stored steps
     controls: np.ndarray = ()  # (S,) int: 1-based operator label of step n
@@ -567,29 +566,6 @@ class Trace:
     @property
     def n_steps(self):
         return len(self.iterates) - 1 if self.cycle is None else self.cycle[1]
-
-    def rows(self):
-        """The stored row of each point x_0..x_N of the run: n before s,
-        then s + (n - s) mod L.  An uncycled trace's rows are 0..N."""
-        if self.cycle is None:
-            return np.arange(len(self.iterates))
-        s, end = self.cycle
-        # np.arange sizes its result in float64 past 2**53, and no address
-        # space holds that many rows
-        if end >= 2**53:
-            raise MemoryError(f"a run of {end} steps exceeds any address space")
-        rows = np.arange(end + 1)
-        rows[s:] = s + (rows[s:] - s) % (len(self.iterates) - 1 - s)
-        return rows
-
-    def unrolled(self):
-        """The plain N-step trace, gathered by ``rows``, with the checkpoints
-        the run evaluated; an uncycled trace is its own."""
-        if self.cycle is None:
-            return self
-        rows = self.rows()
-        return Trace(self.iterates[rows], self.controls[rows[:-1]], self.relaxations[rows[:-1]],
-                     list(self.checkpoints), self.stop_reason)
 
 
 def _residual(op, x):

@@ -15,12 +15,24 @@ repr, which round-trips exactly.
 
 A run that repeats exactly is written as its stored steps, the last of
 which closes the cycle (see cfp.trace_records).  analyze replays those
-steps, writes a runs.csv row for each, and certifies the run read through
-cfp.Trace.rows, the stored row of each of its points; a run whose row
-index does not fit in memory is an error there.
+steps, writes a runs.csv row for each, and certifies the run from them
+alone, exactly and at a cost that does not grow with N (see analysis).
 
 Exit codes: 0 success/converged/certified; 1 usage, input, replay or write
 error; 2 unconverged (cap or exhausted control) or inconclusive; 3 violation.
+
+An error is one "error:" line, never a traceback or a warning.  A usage
+error (--window 1.5, check nope) prints the usage first.  solve refuses a
+non-finite step or final maximum residual by step and operator.  An input
+error names the problem file that is not JSON, the trace line
+("trace line 3: ..."), the first bad record's step, the operator's 1-based
+position ("operator 17: the halfspace operator lacks the field 'a'") or the
+field and value ("stride must be an integer >= 1, got 0").  Refused: an
+object that is no JSON object, lacks a field or has an unknown key; a word
+that is no JSON list; a string, boolean or null for a number; a non-integral
+integer field; an integer coordinate past 64 bits; a non-finite coordinate,
+offset, radius or tol; a label outside 1..m; a relaxation outside [0, 2]; a
+point of the wrong dimension; a start record without its point.
 """
 
 from __future__ import annotations
@@ -228,16 +240,12 @@ def cmd_analyze(args):
     if cfp.ResidualBank(ops).max_residual(trace.final) <= stop.tol:
         trace.stop_reason = "converged"
 
-    # certification reads the stored steps through the run's row index,
-    # which a run too long for memory cannot hold
     try:
         cert = analysis.certify_fixed_points(
             trace, ops, ladder=ladder, n0=args.tail, tol=args.tol, relaxed=not args.strict
         )
     except ValueError as exc:
         return _fail(exc)
-    except MemoryError as exc:
-        return _fail(f"the run does not fit in memory: {exc}")
     follows = [rep.graded(args.window) for rep in cert.follows]
 
     report = {
@@ -251,7 +259,7 @@ def cmd_analyze(args):
     for rep in follows:
         window = "none" if rep.min_c is None else rep.min_c
         print(f"operator {rep.operator}: {rep.criterion} witnesses "
-              f"{len(rep.witnesses)}, min_c {window}")
+              f"{rep.evidence[0]}, min_c {window}")
     print(f"certification: {cert.status}")
     print(f"wrote {args.out}/report.json and {args.out}/runs.csv")
     return {"certified": 0, "inconclusive": 2, "violation": 3}[cert.status]

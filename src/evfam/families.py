@@ -538,17 +538,11 @@ def star(family):
 
 
 def family_complement(family):
-    """All subsets of the finite ground that are not in the family."""
+    """All subsets of the finite ground that are not in the family: the
+    family is co-eventual exactly when its complement family is eventual."""
     if family.over_naturals:
         raise ValueError("complement families are computed on finite grounds")
     return _indicator(family.ground, lambda s: not family.contains(s))
-
-
-def complement_duality_check(family):
-    """Exhaustively confirms: family co-eventual iff its complement family
-    is eventual.  Returns the shared truth of that equivalence."""
-    snap = to_indicator(family)
-    return snap.classify().co_eventual.value == family_complement(snap).classify().eventual.value
 
 
 def _push_codomain(f, source, codomain=None):
@@ -650,9 +644,6 @@ class FiniteTopology:
         shown = [sorted(u, key=repr) for u, _, _ in self._lattice]
         return f"FiniteTopology(ground={self.ground!r}, opens={shown})"
 
-    def is_open(self, s):
-        return check_set_arg(self.ground, s) in self.opens
-
     def is_closed(self, s):
         return frozenset(self.ground) - check_set_arg(self.ground, s) in self.opens
 
@@ -684,14 +675,6 @@ class FiniteTopology:
     def _open_bits(self):
         """The open masks as one bitset: bit m is set iff mask m is open."""
         return sum(1 << m for m in self._masks)
-
-    @classmethod
-    def discrete(cls, ground):
-        return cls(ground, powerset(ground))
-
-    @classmethod
-    def indiscrete(cls, ground):
-        return cls(ground, [frozenset(), frozenset(ground)])
 
     @classmethod
     def from_subbasis(cls, ground, subbasis):

@@ -251,10 +251,6 @@ class EPSet:
     def __contains__(self, n):
         return self.member(n)
 
-    def indices_upto(self, n):
-        """Sorted members that are <= n."""
-        return [k for k in range(1, n + 1) if self.member(k)]
-
     def __or__(self, other):
         return union(self, other)
 

@@ -69,9 +69,6 @@ class Multiset:
 
     __getitem__ = mult
 
-    def support(self):
-        return frozenset(x for x, m in self._mult.items() if m >= ONE)
-
     def __eq__(self, other):
         if not isinstance(other, Multiset):
             return NotImplemented
@@ -260,12 +257,6 @@ class PushedMultifamily(Multifamily):
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def mf_complement(mf):
-    if isinstance(mf, ComplementMultifamily):
-        return mf.inner
-    return ComplementMultifamily(mf)
 
 
 def level_family(mf, c):

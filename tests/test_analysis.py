@@ -12,6 +12,7 @@ import pytest
 from evfam.analysis import (
     DEFAULT_LADDER,
     _cluster_tail,
+    _evidence,
     _longest_gap,
     _runs,
     accumulation_points,
@@ -43,7 +44,7 @@ from evfam.cfp import (
     random_feasible_instance,
     AlmostCyclicControl,
 )
-from evfam.intseq import INF
+from evfam.intseq import INF, EPSet
 
 
 def two_halfspace_ops():
@@ -186,6 +187,45 @@ def test_longest_gap_matches_a_stretch_scan_on_every_short_word():
             assert _longest_gap(mask.tobytes()) == brute_longest_gap(mask)
 
 
+def scan_evidence(word):
+    """The witness count, first and last witness and first longest gap of a
+    0/1 list, in one pass: a 1 past the end closes the last run."""
+    ones = [q for q, bit in enumerate(word) if bit]
+    best, start = (0, 0), 0
+    for q, bit in enumerate(word + [1]):
+        if bit:
+            if q - start > best[1]:
+                best = (start, q - start)
+            start = q + 1
+    return len(ones), ones[0] if ones else None, ones[-1] if ones else None, best
+
+
+def test_evidence_matches_a_scan_of_the_run_on_every_short_cycle():
+    # s + L stored steps, run to N: the prefix, then the period repeated;
+    # a period of zeros leaves a finite set, as an uncycled run's is
+    words = [tuple((k >> i) & 1 for i in range(n)) for n in range(5) for k in range(2 ** n)]
+    cases = 0
+    for prefix in words:
+        for period in (w for w in words if w):
+            s, L = len(prefix), len(period)
+            hits = EPSet._of(prefix, period)
+            for n in range(s + L, s + 4 * L + 4):
+                run = list(prefix + period * n)[:n]
+                assert _evidence(hits, n) == scan_evidence(run), (prefix, period, n)
+                cases += 1
+    assert cases == 31 * sum(2 ** L * (3 * L + 4) for L in range(1, 5))
+
+
+def test_evidence_of_a_run_past_int64():
+    # N = 10^20 steps: witnesses at the even steps 0..N-2, then at the steps
+    # 3 and 4 mod 5, whose first longest gap is steps 0..2
+    n = 10**20
+    assert _evidence(EPSet._of(b"", b"\1\0"), n) == (n // 2, 0, n - 2, (1, 1))
+    assert _evidence(EPSet._of(b"\0", b"\0\0\1\1\0"), n) == (2 * n // 5, 3, n - 1, (0, 3))
+    # and a finite set: its last gap runs to the end
+    assert _evidence(EPSet._of(b"\0\1", b""), n) == (1, 1, 1, (2, n - 2))
+
+
 def masked_trace(mask, lams):
     """A run on the line under the cut x <= 0 whose witnesses are ``mask``:
     from 1 or 0 the cut's update is 0, so step q is a witness exactly
@@ -209,17 +249,30 @@ def test_follows_min_c_matches_a_window_scan(relaxed):
         eligible = lams != 0.0
         assert rep.witnesses.tolist() == np.flatnonzero(mask & eligible).tolist()
         assert rep.min_c == brute_min_c(mask & eligible)
-        assert rep.longest_gap == brute_longest_gap(mask & eligible)
+        assert rep.evidence[3] == brute_longest_gap(mask & eligible)
         # every step eligible: the mask itself is the witness word
         rep = follows_reports(masked_trace(mask, np.ones(len(mask))), [op], relaxed)[0]
         assert rep.min_c == brute_min_c(mask)
-        assert rep.longest_gap == brute_longest_gap(mask)
+        assert rep.evidence[3] == brute_longest_gap(mask)
+
+
+def plain_run(trace):
+    """The plain N-step trace of a stored one: step n >= s of a cycled run
+    is stored step s + (n - s) mod L, and the checkpoints are the ones the
+    run evaluated.  An uncycled trace is its own."""
+    if trace.cycle is None:
+        return trace
+    s, end = trace.cycle
+    rows = np.arange(end + 1)
+    rows[s:] = s + (rows[s:] - s) % (len(trace.iterates) - 1 - s)
+    return Trace(trace.iterates[rows], trace.controls[rows[:-1]], trace.relaxations[rows[:-1]],
+                 list(trace.checkpoints), trace.stop_reason)
 
 
 def reference_witnesses(trace, op, relaxed=True, tol=1e-9):
     """The witness test written point by point, one norm per step of the
-    unrolled run."""
-    trace = trace.unrolled()
+    plain run."""
+    trace = plain_run(trace)
     out = []
     for q in range(trace.n_steps):
         lam = trace.relaxations[q]
@@ -475,14 +528,20 @@ def test_a_cycled_trace_applies_each_operator_once_per_stored_step(monkeypatch):
     rows.clear()
     cert = certify_fixed_points(stored, ops)
     assert 0 < sum(rows) <= len(ops) * top
-    plain = stored.unrolled()
-    want = follows_reports(plain, ops)
-    assert [(r.witnesses.tobytes(), r.min_c) for r in got] == [
-        (r.witnesses.tobytes(), r.min_c) for r in want]
+    want = follows_reports(plain_run(stored), ops)
+    assert [(r.witnesses.tobytes(), r.evidence, r.min_c) for r in got] == [
+        (r.witnesses.tobytes(), r.evidence, r.min_c) for r in want]
     # the pattern (1, 3, 2, 3) runs to the last step, N - 1
     assert [rep.witnesses[-1] for rep in got] == [stored.n_steps - k for k in (4, 2, 1)]
-    assert json.dumps(limit_estimate_json(cert.estimate)) == json.dumps(
-        limit_estimate_json(certify_fixed_points(plain, ops).estimate))
+    # the candidates are the distinct cycle rows in cycle order, each once
+    # per lap, so each holds for runs of one step
+    s = stored.cycle[0]
+    cycle = [x.tobytes() for x in stored.iterates[s:-1]]
+    est = cert.estimate
+    assert [c.point.tobytes() for c in est.candidates] == list(dict.fromkeys(cycle))
+    assert len(est.candidates) == len(cycle) == 4 and not est.convergent
+    assert [c.estimate for c in est.candidates] == [1] * 4
+    assert cert.status == "inconclusive"
 
 
 # ---------------------------------------------------------------------------

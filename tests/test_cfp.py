@@ -51,6 +51,7 @@ from evfam.cfp import (
 )
 from evfam.analysis import certify_fixed_points, follows_reports
 from evfam.families import CofiniteFamily, family_to_json
+from test_analysis import plain_run
 
 
 class Doubling(Operator):
@@ -335,7 +336,7 @@ def _run_words(ctrl, relaxation, steps):
     read at every step of the run."""
     ops = [Hyperplane([1.0], float(k)) for k in range(1, ctrl.m + 1)]
     stop = StopRule(tol=0.0, max_iter=steps, stride=steps + 1)
-    return acsa_run(ops, ctrl, relaxation, [0.0], stop).unrolled()
+    return plain_run(acsa_run(ops, ctrl, relaxation, [0.0], stop))
 
 
 def test_cyclic_labels_follow_the_mod_rule():
@@ -769,14 +770,14 @@ def _assert_evaluated_checkpoints(stored, want):
 def test_acsa_run_matches_the_plain_recurrence_bit_for_bit(name):
     ops, ctrl, sched, x0, stop = REFERENCE_RUNS[name]
     stored = acsa_run(ops, ctrl, sched, x0, stop)
-    got = stored.unrolled()
+    got = plain_run(stored)
     want = _reference_run(ops, ctrl, sched, x0, stop)
     assert stored.n_steps == got.n_steps == want.n_steps > 0
     assert stored.final.tobytes() == want.final.tobytes()
     assert got.cycle is None
     for column in ("iterates", "controls", "relaxations"):
         assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
-    # the unrolled run carries the checkpoints the run evaluated
+    # the plain run carries the checkpoints the run evaluated
     assert got.checkpoints == stored.checkpoints
     _assert_evaluated_checkpoints(stored, want)
     assert (got.stop_reason, got.converged) == (want.stop_reason, want.converged)
@@ -835,7 +836,7 @@ def test_periodic_runs_match_the_plain_recurrence_on_a_seeded_corpus(monkeypatch
     tails = _spying_tails(monkeypatch)
     for k, run in enumerate(_periodic_corpus()):
         stored, want = acsa_run(*run), _reference_run(*run)
-        got = stored.unrolled()
+        got = plain_run(stored)
         for column in ("iterates", "controls", "relaxations"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), (k, column)
         assert got.checkpoints == stored.checkpoints, k
@@ -845,17 +846,11 @@ def test_periodic_runs_match_the_plain_recurrence_on_a_seeded_corpus(monkeypatch
     assert len(tails) == 24
 
 
-def _fields(obj):
-    """A report's or certification's content, arrays as bytes."""
-    if isinstance(obj, np.ndarray):
-        return obj.dtype.str, obj.tobytes()
-    if isinstance(obj, (list, tuple)):
-        return [_fields(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: _fields(value) for key, value in obj.items()}
-    if hasattr(obj, "__dataclass_fields__"):
-        return {name: _fields(getattr(obj, name)) for name in obj.__dataclass_fields__}
-    return obj
+def _evidence(rep):
+    """A follows report's content but its witness set, which a cycled run
+    stores as its prefix and cycle: its witness steps, as bytes."""
+    return (rep.operator, rep.criterion, rep.window, rep.witnesses.tobytes(), rep.evidence,
+            rep.min_c)
 
 
 def test_a_stored_cycle_reads_as_its_unrolled_run():
@@ -866,7 +861,7 @@ def test_a_stored_cycle_reads_as_its_unrolled_run():
         if stored.cycle is None:
             continue
         cycled += 1
-        plain = stored.unrolled()
+        plain = plain_run(stored)
         s, end = stored.cycle
         top = len(stored.iterates) - 1
         # one cycle of a length the words repeat in, closed bit for bit
@@ -877,34 +872,35 @@ def test_a_stored_cycle_reads_as_its_unrolled_run():
         assert replay_trace(ops, stored) == replay_trace(ops, plain)
         for z in (np.zeros(ops[0].dim), stored.final, stored.iterates[s]):
             assert fejer_slack(stored, z) == fejer_slack(plain, z)
+        cycle = list(dict.fromkeys(x.tobytes() for x in stored.iterates[s:-1]))
         for relaxed in (True, False):
-            assert _fields(follows_reports(stored, ops, relaxed)) == _fields(
-                follows_reports(plain, ops, relaxed))
-            assert _fields(certify_fixed_points(stored, ops, relaxed=relaxed)) == _fields(
-                certify_fixed_points(plain, ops, relaxed=relaxed))
+            assert [_evidence(rep) for rep in follows_reports(stored, ops, relaxed)] == [
+                _evidence(rep) for rep in follows_reports(plain, ops, relaxed)]
+            cert = certify_fixed_points(stored, ops, relaxed=relaxed)
+            assert cert.status == certify_fixed_points(plain, ops, relaxed=relaxed).status
+            # the estimate is read off the cycle: its distinct rows, each
+            # estimate at most every run down the ladder
+            est = cert.estimate
+            if not est.convergent:
+                assert [c.point.tobytes() for c in est.candidates] == cycle
+                for c in est.candidates:
+                    assert all(c.estimate <= row["run"] for row in c.per_eps)
         back = trace_from_records(trace_records(stored))
         assert back.cycle == stored.cycle and _same_bytes(back, stored)
     assert cycled == 7 + 24
 
 
-def test_an_uncycled_trace_is_its_own_unrolled_run():
-    trace = acsa_run(*REFERENCE_RUNS["hyperplane"])
-    assert trace.cycle is None and trace.unrolled() is trace
-
-
-def test_rows_name_the_stored_row_of_each_point():
+def test_a_cycled_trace_reads_its_end_off_the_cycle():
     # rows 1 and 4 agree: a cycle of L = 3 from s = 1, or no cycle
     iterates = [[0.0], [1.0], [2.0], [3.0], [1.0]]
     steps = [1] * 4, [1.0] * 4
-    assert Trace(iterates, *steps).rows().tolist() == [0, 1, 2, 3, 4]
-    cycled = Trace(iterates, *steps, cycle=(1, 9), checkpoints=[(0, 1.0), (9, 2.0)])
-    assert cycled.rows().tolist() == [0, 1, 2, 3, 1, 2, 3, 1, 2, 3]
-    assert cycled.final.tolist() == [3.0]
-    plain = cycled.unrolled()
-    assert plain.iterates[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
-    assert plain.checkpoints == cycled.checkpoints and plain.cycle is None
-    with pytest.raises(MemoryError, match="^a run of 9007199254740992 steps exceeds any"):
-        Trace(iterates, *steps, cycle=(1, 2**53)).rows()
+    plain = Trace(iterates, *steps)
+    assert (plain.n_steps, plain.final.tolist()) == (4, [1.0])
+    # x_n is x_{1 + (n - 1) mod 3}, exactly, past 2**53 and past int64 too
+    for end in (9, 2**53, 10**20):
+        cycled = Trace(iterates, *steps, cycle=(1, end))
+        assert cycled.n_steps == end
+        assert cycled.final.tolist() == [[1.0, 2.0, 3.0][(end - 1) % 3]]
 
 
 @pytest.mark.parametrize("cycle, message", [
@@ -934,7 +930,7 @@ def test_a_limit_cycle_stops_calling_apply_and_an_explicit_word_never_does(monke
     calls = _counting_applies(monkeypatch, Ball)
     ops, ctrl, sched, x0, _ = REFERENCE_RUNS["stops-at-max-iter-on-a-limit-cycle"]
     stored = acsa_run(ops, ctrl, sched, x0, StopRule(max_iter=100000))
-    trace = stored.unrolled()
+    trace = plain_run(stored)
     assert (trace.n_steps, trace.stop_reason) == (100000, "max_iter")
     assert np.array_equal(trace.iterates[-3:], [[3.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     assert len(calls) < 200
@@ -990,7 +986,7 @@ def test_a_checkpoint_at_an_unchanged_point_reuses_its_maximum(monkeypatch):
     ops, ctrl, _ = two_halfspace_problem()
     stored = acsa_run(ops, ctrl, ConstantRelaxation(0.0), [-1.0, -1.0], StopRule(max_iter=30))
     assert [n for n, _ in stored.checkpoints] == [0, 10, 30]
-    trace = stored.unrolled()
+    trace = plain_run(stored)
     assert trace.checkpoints == stored.checkpoints
     assert len(set(v for _, v in trace.checkpoints)) == 1
     assert len(points) == 1
