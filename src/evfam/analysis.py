@@ -361,7 +361,7 @@ def _checked_ladder(ladder):
 # certification
 
 
-@dataclass(frozen=True, eq=False)  # estimate and follows hold arrays
+@dataclass(frozen=True, eq=False)  # the estimate holds arrays
 class Certification:
     status: str  # "certified" | "inconclusive" | "violation"
     entries: tuple  # {"candidate": index into estimate.candidates, "operator", "residual", "ok"}

@@ -544,6 +544,22 @@ def test_a_cycled_trace_applies_each_operator_once_per_stored_step(monkeypatch):
     assert cert.status == "inconclusive"
 
 
+
+def test_a_tight_cycle_reads_its_exact_estimate():
+    # two points 1e-7 apart, alternating from step 1: every radius of the
+    # ladder holds the whole cycle, so each ladder run is infinite, yet each
+    # point is met once per lap; a tail read would see one unbroken run, 0
+    a, b = [0.0, 0.0], [1e-7, 0.0]
+    trace = Trace([[1.0, 0.0], a, b, a], [1, 1, 1], [1.0] * 3, cycle=(1, 10**6))
+    est = cogap_limit_estimate(trace, tol=1e-9)
+    assert not est.convergent and est.n0 == (10**6 + 1) // 2
+    assert [c.point.tolist() for c in est.candidates] == [a, b]
+    for cand in est.candidates:
+        assert [row["run"] for row in cand.per_eps] == [INF] * 4
+        assert cand.estimate == 1
+    # within tol of x_N the whole cycle is a limit
+    assert cogap_limit_estimate(trace).convergent
+
 # ---------------------------------------------------------------------------
 # accumulation points
 
