@@ -846,7 +846,7 @@ def test_periodic_runs_match_the_plain_recurrence_on_a_seeded_corpus(monkeypatch
     assert len(tails) == 24
 
 
-def _evidence(rep):
+def _report_content(rep):
     """A follows report's content but its witness set, which a cycled run
     stores as its prefix and cycle: its witness steps, as bytes."""
     return (rep.operator, rep.criterion, rep.window, rep.witnesses.tobytes(), rep.evidence,
@@ -874,8 +874,8 @@ def test_a_stored_cycle_reads_as_its_unrolled_run():
             assert fejer_slack(stored, z) == fejer_slack(plain, z)
         cycle = list(dict.fromkeys(x.tobytes() for x in stored.iterates[s:-1]))
         for relaxed in (True, False):
-            assert [_evidence(rep) for rep in follows_reports(stored, ops, relaxed)] == [
-                _evidence(rep) for rep in follows_reports(plain, ops, relaxed)]
+            assert [_report_content(rep) for rep in follows_reports(stored, ops, relaxed)] == [
+                _report_content(rep) for rep in follows_reports(plain, ops, relaxed)]
             cert = certify_fixed_points(stored, ops, relaxed=relaxed)
             assert cert.status == certify_fixed_points(plain, ops, relaxed=relaxed).status
             # the estimate is read off the cycle: its distinct rows, each
